@@ -17,13 +17,13 @@ from .dynamics import (DynamicParams, JointConfig, RobotState, coriolis_matrix,
                        forward_dynamics, gravity_vector, kinetic_energy,
                        mass_matrix, potential_energy, rk4_step)
 from .kinematics import KinematicParams, forward_kinematics, jacobian
-from .safety import (DepthShell, HalfspaceConstraint, InfeasibleQPError,
-                     TumorSpec, barrier_gradient, barrier_value,
-                     depth_barrier_gradient, depth_barrier_value, safety_filter)
+from .safety import (DepthShell, InfeasibleQPError, TumorSpec, barrier_gradient,
+                     barrier_value, depth_barrier_gradient, depth_barrier_value,
+                     safety_filter)
 
 
-def qp_reference(v_d: np.ndarray, rows: list):
-    """Brute-force reference solve of the velocity program.
+def qp_reference(v_d: np.ndarray, rows):
+    """Brute-force reference solve of the velocity program with rows (N, b).
 
     Enumerates every subset of rows as a candidate active set, solves the
     stacked KKT system by least squares, and returns the feasible candidate
@@ -32,11 +32,10 @@ def qp_reference(v_d: np.ndarray, rows: list):
     decision path is independent of the filter's.
     """
     v_d = np.asarray(v_d, dtype=float)
-    if not rows:
+    N, b = rows
+    k = len(b)
+    if k == 0:
         return v_d.copy()
-    N = np.array([r.normal for r in rows], dtype=float)
-    b = np.array([r.offset for r in rows], dtype=float)
-    k = len(rows)
     best = None
     best_obj = math.inf
     for size in range(0, min(k, 3) + 1):
@@ -59,6 +58,7 @@ def qp_reference(v_d: np.ndarray, rows: list):
 
 
 def random_qp_instance(rng: np.random.Generator):
+    """(v_d, (N, b)): one random program of 1 to 3 rows with unit normals."""
     v_d = rng.normal(0.0, 3.0, 3)
     k = int(rng.integers(1, 4))
     normals = rng.normal(0.0, 1.0, (k, 3))
@@ -71,8 +71,7 @@ def random_qp_instance(rng: np.random.Generator):
             normals[1] += rng.normal(0.0, 1e-3, 3)
             normals[1] /= np.linalg.norm(normals[1])
         offsets[:2] = rng.uniform(-1.0, 3.0, 2)
-    rows = [HalfspaceConstraint(n, float(o)) for n, o in zip(normals, offsets)]
-    return v_d, rows
+    return v_d, (normals, offsets)
 
 
 def check_qp_oracle(instances: int = 10000, seed: int = 0):
@@ -210,6 +209,10 @@ def check_dynamics_residual(samples: int = 200, seed: int = 5):
     return worst <= 1e-9, f"{samples} states, worst residual {worst:.2e} (tol 1e-9)"
 
 
+def _state(q, qd) -> RobotState:
+    return RobotState(JointConfig(*q), np.array(qd))
+
+
 def check_energy_audit(gravity_sign: float = 1.0):
     """Free motion conserves energy.
 
@@ -220,12 +223,12 @@ def check_energy_audit(gravity_sign: float = 1.0):
     potential bookkeeping and must make the audit fail.
     """
     free = DynamicParams(gravity=(0.0, 0.0, 0.0))
-    state = RobotState(JointConfig(10.0, 0.2, -0.3), np.array([4.0, 0.6, -0.8]))
-    ke0 = kinetic_energy(state, free)
+    q, qd = (10.0, 0.2, -0.3), (4.0, 0.6, -0.8)
+    ke0 = kinetic_energy(_state(q, qd), free)
     drift = 0.0
     for _ in range(1000):
-        state = rk4_step(state, np.zeros(3), 1e-3, free)
-        drift = max(drift, abs(kinetic_energy(state, free) - ke0) / ke0)
+        q, qd = rk4_step(q, qd, (0.0, 0.0, 0.0), 1e-3, free)
+        drift = max(drift, abs(kinetic_energy(_state(q, qd), free) - ke0) / ke0)
     if drift > 1e-6:
         return False, f"zero-gravity kinetic drift {drift:.2e} (tol 1e-6)"
 
@@ -233,12 +236,14 @@ def check_energy_audit(gravity_sign: float = 1.0):
     # joint sees no net load, so total energy stays near the kinetic scale.
     grav = DynamicParams(gravity=(9810.0, 0.0, 0.0))
     book = DynamicParams(gravity=tuple(gravity_sign * g for g in grav.gravity))
-    state = RobotState(JointConfig(10.0, 0.3, -0.2), np.array([2.0, 0.4, -0.5]))
+    q, qd = (10.0, 0.3, -0.2), (2.0, 0.4, -0.5)
+    state = _state(q, qd)
     e0 = kinetic_energy(state, book) + potential_energy(state, book)
     scale = max(kinetic_energy(state, book), 1.0)
     drift = 0.0
     for _ in range(5000):
-        state = rk4_step(state, np.zeros(3), 2e-4, grav)
+        q, qd = rk4_step(q, qd, (0.0, 0.0, 0.0), 2e-4, grav)
+        state = _state(q, qd)
         scale = max(scale, kinetic_energy(state, book))
         e = kinetic_energy(state, book) + potential_energy(state, book)
         drift = max(drift, abs(e - e0))
@@ -255,14 +260,14 @@ def check_rk4_order():
     the asymptotic range with errors well above the roundoff floor.
     """
     params = DynamicParams(gravity=(9810.0, 0.0, 0.0))
-    u = np.array([2000.0, 1000.0, -800.0])
+    u = (2000.0, 1000.0, -800.0)
     horizon = 0.1
 
     def integrate(dt: float) -> np.ndarray:
-        state = RobotState(JointConfig(10.0, 0.3, -0.2), np.array([3.0, 0.5, -0.7]))
+        q, qd = (10.0, 0.3, -0.2), (3.0, 0.5, -0.7)
         for _ in range(int(round(horizon / dt))):
-            state = rk4_step(state, u, dt, params)
-        return np.concatenate([state.q.as_array(), state.qdot])
+            q, qd = rk4_step(q, qd, u, dt, params)
+        return np.array(q + qd)
 
     ref = integrate(horizon / 40000)
     e1 = float(np.linalg.norm(integrate(5e-4) - ref))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .kinematics import JointConfig, KinematicParams, damped_pseudo_inverse, jacobian
+from .kinematics import damped_least_squares
 
 
 class InsufficientTransientError(RuntimeError):
@@ -32,10 +32,10 @@ class ControllerParams:
     damping: float = 1e-3
 
     def __post_init__(self):
-        if self.k_d <= 0.0:
-            raise ValueError("k_d must be positive")
-        if self.damping < 0.0:
-            raise ValueError("damping must be non-negative")
+        if not 0.0 < self.k_d < math.inf:
+            raise ValueError(f"k_d must be positive and finite, got {self.k_d!r}")
+        if not 0.0 <= self.damping < math.inf:
+            raise ValueError(f"damping must be non-negative and finite, got {self.damping!r}")
 
 
 @dataclass
@@ -54,28 +54,37 @@ class DisturbanceSpec:
     def __post_init__(self):
         if self.waveform not in ("none", "constant", "sinusoid"):
             raise ValueError(f"unknown waveform {self.waveform!r}")
+        self.amplitude = tuple(float(a) for a in self.amplitude)
+        if len(self.amplitude) != 3 or not all(math.isfinite(a) for a in self.amplitude):
+            raise ValueError(f"amplitude must be 3 finite values, got {self.amplitude!r}")
+        if not math.isfinite(self.frequency):
+            raise ValueError(f"frequency must be finite, got {self.frequency!r}")
         if self.waveform == "sinusoid" and self.frequency <= 0.0:
             raise ValueError("sinusoid waveform needs a positive frequency")
+        # drawn once here, not on every control step's sample
+        self._phases = np.random.default_rng(self.seed).uniform(0.0, 2.0 * math.pi, 3)
 
     def phases(self) -> np.ndarray:
-        rng = np.random.default_rng(self.seed)
-        return rng.uniform(0.0, 2.0 * math.pi, 3)
+        return self._phases.copy()
 
     def bound(self) -> float:
         return float(np.max(np.abs(self.amplitude)))
 
 
-def velocity_error(q: JointConfig, qdot: np.ndarray, xdot_safe: np.ndarray,
-                   params: ControllerParams, kin: KinematicParams) -> np.ndarray:
-    """Joint-space velocity error edot = Jpinv (J qdot - xdot_safe)."""
-    J = jacobian(q, kin)
-    xdot = J @ np.asarray(qdot, dtype=float)
-    return damped_pseudo_inverse(J, params.damping) @ (xdot - np.asarray(xdot_safe, dtype=float))
+def velocity_error(J, xdot, xdot_safe, params: ControllerParams):
+    """Joint-space velocity error edot = Jpinv (xdot - xdot_safe), as floats.
+
+    J is the step's tip Jacobian and xdot = J qdot the measured tip
+    velocity; Jpinv is the damped least-squares inverse of J.
+    """
+    e = (xdot[0] - xdot_safe[0], xdot[1] - xdot_safe[1], xdot[2] - xdot_safe[2])
+    return damped_least_squares(J, e, params.damping)
 
 
-def control_law(edot: np.ndarray, params: ControllerParams) -> np.ndarray:
+def control_law(edot, params: ControllerParams):
     """u = -k_d * edot."""
-    return -params.k_d * np.asarray(edot, dtype=float)
+    k = -params.k_d
+    return (k * edot[0], k * edot[1], k * edot[2])
 
 
 def disturbance(t: float, spec: DisturbanceSpec) -> np.ndarray:
@@ -85,7 +94,7 @@ def disturbance(t: float, spec: DisturbanceSpec) -> np.ndarray:
         return np.zeros(3)
     if spec.waveform == "constant":
         return amp.copy()
-    return amp * np.sin(2.0 * math.pi * spec.frequency * t + spec.phases())
+    return amp * np.sin(2.0 * math.pi * spec.frequency * t + spec._phases)
 
 
 def measure_decay_rate(t: np.ndarray, edot: np.ndarray, floor: float = 1e-12) -> float:

@@ -20,7 +20,7 @@ from .kinematics import JointConfig, KinematicParams, forward_kinematics
 
 
 class SingularMassError(RuntimeError):
-    """Raised if the mass matrix cannot be inverted (invalid parameters)."""
+    """Raised if the mass matrix is not positive definite at a configuration."""
 
 
 @dataclass
@@ -40,6 +40,12 @@ class DynamicParams:
     kinematics: KinematicParams = field(default_factory=KinematicParams)
 
     def __post_init__(self):
+        # plain floats: the integrator runs on them every step
+        for name in ("masses", "link_inertias", "gravity"):
+            values = tuple(float(v) for v in getattr(self, name))
+            if len(values) != 3 or not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{name} must be 3 finite values, got {values!r}")
+            setattr(self, name, values)
         if min(self.masses) <= 0.0:
             raise ValueError("masses must be positive")
         if min(self.link_inertias) < 0.0:
@@ -136,44 +142,77 @@ def potential_energy(state: RobotState, params: DynamicParams) -> float:
     return -float(m1 * g @ base + m2 * g @ p2 + m3 * g @ p3)
 
 
-def _accel(q: JointConfig, qdot: np.ndarray, u: np.ndarray, params: DynamicParams) -> np.ndarray:
-    a2, b2, a3, b3, d3 = _christoffel_terms(q, params)
-    dq1, dq2, dq3 = float(qdot[0]), float(qdot[1]), float(qdot[2])
-    cvec = np.array([
-        a2 * dq2 * dq2 + (a3 + b2) * dq2 * dq3 + b3 * dq3 * dq3,
-        (a3 - b2) * dq1 * dq3 + d3 * dq2 * dq3,
-        (b2 - a3) * dq1 * dq2 - 0.5 * d3 * dq2 * dq2,
-    ])
-    rhs = u - cvec - gravity_vector(q, params)
-    try:
-        return np.linalg.solve(mass_matrix(q, params), rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMassError(f"mass matrix singular at q={q}") from exc
+def _accel(theta2, theta3, v1, v2, v3, u1, u2, u3, params: DynamicParams):
+    """Joint accelerations M^-1 (u - C qdot - g) from plain floats.
+
+    M is arrowhead-shaped, [[m00, m01, m02], [m01, m11, 0], [m02, 0, m22]],
+    so eliminating the two bending rows leaves one scalar Schur complement
+    and the solve is exact in closed form.  mass_matrix, coriolis_matrix
+    and gravity_vector are the matrix-form oracles of this function.
+    """
+    m1, m2, m3 = params.masses
+    _, i2, i3 = params.link_inertias
+    gx, gy, gz = params.gravity
+    kp = params.kinematics
+    l2, le = kp.l2, kp.l_end
+    c2, s2 = math.cos(theta2), math.sin(theta2)
+    c3, s3 = math.cos(theta3), math.sin(theta3)
+    a = l2 + le * c3
+    w = m2 * l2 + m3 * a
+    m00 = m1 + m2 + m3
+    m01 = -s2 * w
+    m02 = -m3 * c2 * le * s3
+    m11 = m2 * l2 ** 2 + m3 * a * a + i2
+    m22 = m3 * le * le + i3
+    # nonzero derivatives of M: dM01/dth2, dM02/dth2 (= dM01/dth3),
+    # dM02/dth3, dM11/dth3; they give the Coriolis/centrifugal vector
+    a2 = -c2 * w
+    b2 = m3 * s2 * le * s3
+    b3 = -m3 * c2 * le * c3
+    d3 = -2.0 * m3 * a * le * s3
+    r0 = u1 - (a2 * v2 * v2 + 2.0 * b2 * v2 * v3 + b3 * v3 * v3) + m00 * gz
+    r1 = u2 - d3 * v2 * v3 + w * (gx * c2 - gz * s2)
+    r2 = u3 + 0.5 * d3 * v2 * v2 - m3 * le * (gx * s2 * s3 + gy * c3 + gz * c2 * s3)
+    if not (0.0 < m11 < math.inf and 0.0 < m22 < math.inf):
+        raise SingularMassError(f"mass matrix pivot not positive and finite at "
+                                f"theta2={theta2!r}, theta3={theta3!r}")
+    p1, p2 = m01 / m11, m02 / m22
+    schur = m00 - p1 * m01 - p2 * m02
+    if not 0.0 < schur < math.inf:
+        raise SingularMassError(f"mass matrix Schur complement {schur!r} not positive "
+                                f"and finite at theta2={theta2!r}, theta3={theta3!r}")
+    qdd1 = (r0 - p1 * r1 - p2 * r2) / schur
+    return qdd1, (r1 - m01 * qdd1) / m11, (r2 - m02 * qdd1) / m22
 
 
-def forward_dynamics(state: RobotState, u: np.ndarray, params: DynamicParams) -> np.ndarray:
+def forward_dynamics(state: RobotState, u, params: DynamicParams) -> np.ndarray:
     """Joint accelerations for forces/torques u (identity input map)."""
-    return _accel(state.q, np.asarray(state.qdot, dtype=float), np.asarray(u, dtype=float), params)
+    v1, v2, v3 = state.qdot
+    u1, u2, u3 = u
+    return np.array(_accel(state.q.theta2, state.q.theta3, v1, v2, v3, u1, u2, u3, params))
 
 
-def rk4_step(state: RobotState, u: np.ndarray, dt: float, params: DynamicParams) -> RobotState:
-    """One classical Runge-Kutta step with u held constant over the interval."""
-    u = np.asarray(u, dtype=float)
-    q = state.q.as_array()
-    qd = np.asarray(state.qdot, dtype=float)
+def rk4_step(q, qdot, u, dt: float, params: DynamicParams):
+    """One classical Runge-Kutta step with u held constant over the interval.
 
-    k1q = qd
-    k1v = _accel(JointConfig.from_array(q), qd, u, params)
-    q2 = q + 0.5 * dt * k1q
-    v2 = qd + 0.5 * dt * k1v
-    k2v = _accel(JointConfig.from_array(q2), v2, u, params)
-    q3 = q + 0.5 * dt * v2
-    v3 = qd + 0.5 * dt * k2v
-    k3v = _accel(JointConfig.from_array(q3), v3, u, params)
-    q4 = q + dt * v3
-    v4 = qd + dt * k3v
-    k4v = _accel(JointConfig.from_array(q4), v4, u, params)
-
-    q_new = q + (dt / 6.0) * (k1q + 2.0 * v2 + 2.0 * v3 + v4)
-    qd_new = qd + (dt / 6.0) * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return RobotState(JointConfig.from_array(q_new), qd_new)
+    q = (d1, theta2, theta3), qdot and u are 3-sequences; returns the new
+    (q, qdot) as tuples of floats.
+    """
+    q1, q2, q3 = q
+    v1, v2, v3 = qdot
+    u1, u2, u3 = u
+    h = 0.5 * dt
+    a1, a2, a3 = _accel(q2, q3, v1, v2, v3, u1, u2, u3, params)
+    w1, w2, w3 = v1 + h * a1, v2 + h * a2, v3 + h * a3
+    b1, b2, b3 = _accel(q2 + h * v2, q3 + h * v3, w1, w2, w3, u1, u2, u3, params)
+    x1, x2, x3 = v1 + h * b1, v2 + h * b2, v3 + h * b3
+    c1, c2, c3 = _accel(q2 + h * w2, q3 + h * w3, x1, x2, x3, u1, u2, u3, params)
+    y1, y2, y3 = v1 + dt * c1, v2 + dt * c2, v3 + dt * c3
+    d1, d2, d3 = _accel(q2 + dt * x2, q3 + dt * x3, y1, y2, y3, u1, u2, u3, params)
+    s = dt / 6.0
+    return ((q1 + s * (v1 + 2.0 * w1 + 2.0 * x1 + y1),
+             q2 + s * (v2 + 2.0 * w2 + 2.0 * x2 + y2),
+             q3 + s * (v3 + 2.0 * w3 + 2.0 * x3 + y3)),
+            (v1 + s * (a1 + 2.0 * b1 + 2.0 * c1 + d1),
+             v2 + s * (a2 + 2.0 * b2 + 2.0 * c2 + d2),
+             v3 + s * (a3 + 2.0 * b3 + 2.0 * c3 + d3)))

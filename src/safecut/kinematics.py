@@ -31,8 +31,10 @@ class KinematicParams:
     outer_diameter: float = 3.7
 
     def __post_init__(self):
-        if min(self.l1, self.l2, self.l_end) <= 0.0:
-            raise ValueError("link lengths must be positive")
+        for name in ("l1", "l2", "l_end", "outer_diameter"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
 @dataclass
@@ -66,45 +68,84 @@ class JointLimits:
         )
 
 
+def tip_kinematics(d1: float, theta2: float, theta3: float, params: KinematicParams):
+    """Tip position [mm] and 3x3 tip Jacobian d(position)/d(q), as float tuples.
+
+    The one evaluation of the chain: forward_kinematics and jacobian wrap it,
+    and the closed loop calls it once per control step.  Column 1 of the
+    Jacobian is the prismatic axis (0, 0, 1) for every q.
+    """
+    c2, s2 = math.cos(theta2), math.sin(theta2)
+    c3, s3 = math.cos(theta3), math.sin(theta3)
+    le = params.l_end
+    a = params.l2 + le * c3
+    x = (s2 * a, -le * s3, d1 + params.l1 + c2 * a)
+    J = ((0.0, c2 * a, -s2 * le * s3),
+         (0.0, 0.0, -le * c3),
+         (1.0, -s2 * a, -c2 * le * s3))
+    return x, J
+
+
 def forward_kinematics(q: JointConfig, params: KinematicParams) -> np.ndarray:
     """Tip position [mm] in the base frame."""
-    c2, s2 = math.cos(q.theta2), math.sin(q.theta2)
-    c3, s3 = math.cos(q.theta3), math.sin(q.theta3)
-    a = params.l2 + params.l_end * c3
-    return np.array([
-        s2 * a,
-        -params.l_end * s3,
-        q.d1 + params.l1 + c2 * a,
-    ])
+    return np.array(tip_kinematics(q.d1, q.theta2, q.theta3, params)[0])
 
 
 def jacobian(q: JointConfig, params: KinematicParams) -> np.ndarray:
-    """3x3 tip Jacobian d(position)/d(q).
+    """3x3 tip Jacobian d(position)/d(q)."""
+    return np.array(tip_kinematics(q.d1, q.theta2, q.theta3, params)[1])
 
-    Column 1 is the prismatic axis (0, 0, 1) for every q.
+
+def damped_least_squares(J, e, damping: float = 1e-3):
+    """J^T (J J^T + damping^2 I)^-1 e for a 3x3 J, as a tuple of floats.
+
+    The damped pseudo-inverse applied to one vector: the symmetric 3x3
+    system is solved in closed form by its adjugate, and the inverse is
+    never formed.  With damping = 0 a numerically singular J (condition
+    number of J J^T above 1e12) raises SingularJacobianError.
     """
-    c2, s2 = math.cos(q.theta2), math.sin(q.theta2)
-    c3, s3 = math.cos(q.theta3), math.sin(q.theta3)
-    le = params.l_end
-    a = params.l2 + le * c3
-    return np.array([
-        [0.0, c2 * a, -s2 * le * s3],
-        [0.0, 0.0, -le * c3],
-        [1.0, -s2 * a, -c2 * le * s3],
-    ])
+    (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J
+    e0, e1, e2 = e
+    lam = damping * damping
+    if lam == 0.0:
+        _require_full_rank(np.array(J, dtype=float))
+    a00 = j00 * j00 + j01 * j01 + j02 * j02 + lam
+    a01 = j00 * j10 + j01 * j11 + j02 * j12
+    a02 = j00 * j20 + j01 * j21 + j02 * j22
+    a11 = j10 * j10 + j11 * j11 + j12 * j12 + lam
+    a12 = j10 * j20 + j11 * j21 + j12 * j22
+    a22 = j20 * j20 + j21 * j21 + j22 * j22 + lam
+    c00 = a11 * a22 - a12 * a12
+    c01 = a02 * a12 - a01 * a22
+    c02 = a01 * a12 - a02 * a11
+    c11 = a00 * a22 - a02 * a02
+    c12 = a01 * a02 - a00 * a12
+    c22 = a00 * a11 - a01 * a01
+    det = a00 * c00 + a01 * c01 + a02 * c02
+    y0 = (c00 * e0 + c01 * e1 + c02 * e2) / det
+    y1 = (c01 * e0 + c11 * e1 + c12 * e2) / det
+    y2 = (c02 * e0 + c12 * e1 + c22 * e2) / det
+    return (j00 * y0 + j10 * y1 + j20 * y2,
+            j01 * y0 + j11 * y1 + j21 * y2,
+            j02 * y0 + j12 * y1 + j22 * y2)
 
 
 def damped_pseudo_inverse(J: np.ndarray, damping: float = 1e-3) -> np.ndarray:
-    """J^T (J J^T + damping^2 I)^-1, the damped least-squares inverse.
+    """J^T (J J^T + damping^2 I)^-1, the damped least-squares inverse as a matrix.
 
+    The matrix form of damped_least_squares, kept as its reference.
     damping = 0 reduces to the exact inverse for full-rank J; in that case a
     numerically singular J (condition number above 1e12) raises
     SingularJacobianError instead of returning garbage.
     """
     JJt = J @ J.T
     if damping == 0.0:
-        if np.linalg.cond(JJt) > 1e12:
-            raise SingularJacobianError("Jacobian is numerically singular and damping is zero")
+        _require_full_rank(J)
         return J.T @ np.linalg.inv(JJt)
     reg = JJt + (damping * damping) * np.eye(3)
     return J.T @ np.linalg.inv(reg)
+
+
+def _require_full_rank(J: np.ndarray) -> None:
+    if np.linalg.cond(J @ J.T) > 1e12:
+        raise SingularJacobianError("Jacobian is numerically singular and damping is zero")

@@ -12,15 +12,18 @@ The filter solves, at every control step,
     subject to  n_i . v_s >= -alpha * h_i     for every emitted row,
 
 which keeps the commanded velocity safe while deviating minimally from the
-desired one.  With at most a handful of rows in 3-D the program is solved
-exactly by enumerating candidate active sets and checking the KKT conditions,
-so no iterative QP solver and no solver tolerance enters the control path.
+desired one.  The rows are one pair (N, b): N is a (k, 3) array of normals
+and b the (k,) array of offsets, so row i reads N[i] . v_s >= b[i].  With at
+most a handful of rows in 3-D the program is solved exactly by enumerating
+candidate active sets and checking the KKT conditions, so no iterative QP
+solver and no solver tolerance enters the control path.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Optional
 
 import numpy as np
@@ -51,9 +54,9 @@ class TumorSpec:
     removable: bool = True
 
     def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float)
-        if self.margin <= 0.0:
-            raise ValueError("cutting margin must be positive")
+        self.center = _finite_point(self.center, "tumor centre")
+        if not 0.0 < self.margin < math.inf:
+            raise ValueError(f"cutting margin must be positive and finite, got {self.margin!r}")
 
 
 @dataclass
@@ -64,17 +67,9 @@ class DepthShell:
     outer_radius: float
 
     def __post_init__(self):
-        self.center = np.asarray(self.center, dtype=float)
-        if self.outer_radius <= 0.0:
-            raise ValueError("outer radius must be positive")
-
-
-@dataclass
-class HalfspaceConstraint:
-    """One row n . v >= offset of the velocity program."""
-
-    normal: np.ndarray
-    offset: float
+        self.center = _finite_point(self.center, "shell centre")
+        if not 0.0 < self.outer_radius < math.inf:
+            raise ValueError(f"outer radius must be positive and finite, got {self.outer_radius!r}")
 
 
 @dataclass
@@ -98,52 +93,73 @@ class FilterParams:
     enabled: bool = True
 
     def __post_init__(self):
-        if self.alpha <= 0.0:
-            raise ValueError("alpha must be positive")
+        if not 0.0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
         if self.mode not in ("keep_out_only", "keep_out_and_depth"):
             raise ValueError(f"unknown filter mode {self.mode!r}")
 
 
 @dataclass
 class SafeSetSpec:
-    """All barriers of a scenario.  Shells pair with their nearest tumor."""
+    """All barriers of a scenario.  Shells pair with their nearest tumor.
+
+    pairs holds, per shell, the index of its paired tumor (None without
+    tumors); the pairing depends on geometry only, so it is fixed here.
+    """
 
     tumors: list
     shells: list
+    pairs: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for shell in self.shells:
-            i = _paired_tumor_index(shell, self.tumors)
+        self.pairs = [_paired_tumor_index(shell, self.tumors) for shell in self.shells]
+        for shell, i in zip(self.shells, self.pairs):
             if i is not None and shell.outer_radius <= self.tumors[i].margin:
                 raise ValueError("depth shell must lie outside the paired cutting margin")
 
 
-def barrier_value(x: np.ndarray, tumor: TumorSpec) -> float:
-    """Signed distance to the keep-out sphere: positive outside."""
-    return float(np.linalg.norm(x - tumor.center)) - tumor.margin
+def _finite_point(p, what: str) -> np.ndarray:
+    p = np.asarray(p, dtype=float)
+    if p.shape != (3,) or not np.all(np.isfinite(p)):
+        raise ValueError(f"{what} must be 3 finite coordinates, got {p!r}")
+    return p
 
 
-def barrier_gradient(x: np.ndarray, tumor: TumorSpec) -> np.ndarray:
-    """Row gradient of the keep-out barrier, the unit vector away from centre."""
-    diff = x - tumor.center
-    dist = float(np.linalg.norm(diff))
+def _radial(x, center: np.ndarray):
+    """Distance ||x - center|| and the offset x - center, in floats."""
+    cx, cy, cz = center.tolist()
+    dx, dy, dz = x[0] - cx, x[1] - cy, x[2] - cz
+    return math.sqrt(dx * dx + dy * dy + dz * dz), (dx, dy, dz)
+
+
+def _unit(dist: float, offset, outward: bool = True):
+    """offset / dist, negated for an inward normal."""
     if dist < 1e-9:
         raise DegeneratePointError("barrier gradient undefined at the sphere centre")
-    return diff / dist
+    dx, dy, dz = offset
+    if outward:
+        return (dx / dist, dy / dist, dz / dist)
+    return (-dx / dist, -dy / dist, -dz / dist)
 
 
-def depth_barrier_value(x: np.ndarray, shell: DepthShell) -> float:
+def barrier_value(x, tumor: TumorSpec) -> float:
+    """Signed distance to the keep-out sphere: positive outside."""
+    return _radial(x, tumor.center)[0] - tumor.margin
+
+
+def barrier_gradient(x, tumor: TumorSpec) -> np.ndarray:
+    """Row gradient of the keep-out barrier, the unit vector away from centre."""
+    return np.array(_unit(*_radial(x, tumor.center)))
+
+
+def depth_barrier_value(x, shell: DepthShell) -> float:
     """Containment barrier: positive inside the shell."""
-    return shell.outer_radius - float(np.linalg.norm(x - shell.center))
+    return shell.outer_radius - _radial(x, shell.center)[0]
 
 
-def depth_barrier_gradient(x: np.ndarray, shell: DepthShell) -> np.ndarray:
+def depth_barrier_gradient(x, shell: DepthShell) -> np.ndarray:
     """Row gradient of the depth barrier, the unit vector toward centre."""
-    diff = x - shell.center
-    dist = float(np.linalg.norm(diff))
-    if dist < 1e-9:
-        raise DegeneratePointError("depth gradient undefined at the shell centre")
-    return -diff / dist
+    return np.array(_unit(*_radial(x, shell.center), outward=False))
 
 
 def _paired_tumor_index(shell: DepthShell, tumors: list) -> Optional[int]:
@@ -153,77 +169,112 @@ def _paired_tumor_index(shell: DepthShell, tumors: list) -> Optional[int]:
                key=lambda i: float(np.linalg.norm(tumors[i].center - shell.center)))
 
 
-def selected_barrier_values(x: np.ndarray, spec: SafeSetSpec, params: FilterParams) -> list:
+def barrier_values(x, spec: SafeSetSpec):
+    """Every barrier at x, tumors first then shells, each computed once.
+
+    Returns (h, radial): the barrier values, the order the log keeps, and
+    per barrier the (distance, offset) pair its gradient is built from.
+    """
+    radial = [_radial(x, t.center) for t in spec.tumors]
+    radial += [_radial(x, s.center) for s in spec.shells]
+    nt = len(spec.tumors)
+    h = [dist - t.margin for (dist, _), t in zip(radial, spec.tumors)]
+    h += [s.outer_radius - dist for (dist, _), s in zip(radial[nt:], spec.shells)]
+    return h, radial
+
+
+def selected_barrier_values(x, spec: SafeSetSpec, params: FilterParams,
+                            values=None) -> list:
     """Barriers the filter acts on at x, as (kind, index, h, normal) tuples.
 
     kind is "tumor" or "shell".  In keep_out_only mode every tumor is
     selected and shells are ignored.  In keep_out_and_depth mode each
     tumor/shell pair contributes its closer barrier; a tie within 1e-12
     contributes both, and unpaired members contribute unconditionally.
+    values is barrier_values(x, spec) when the caller already holds it.
     """
-    selected = []
-    if params.mode == "keep_out_only":
-        for i, tumor in enumerate(spec.tumors):
-            selected.append(("tumor", i, barrier_value(x, tumor), barrier_gradient(x, tumor)))
-        return selected
+    h, radial = barrier_values(x, spec) if values is None else values
+    nt = len(spec.tumors)
 
+    def tumor(i):
+        return ("tumor", i, h[i], _unit(*radial[i]))
+
+    def shell(j):
+        return ("shell", j, h[nt + j], _unit(*radial[nt + j], outward=False))
+
+    if params.mode == "keep_out_only":
+        return [tumor(i) for i in range(nt)]
+
+    selected = []
     paired = {}
-    for j, shell in enumerate(spec.shells):
-        i = _paired_tumor_index(shell, spec.tumors)
+    for j, i in enumerate(spec.pairs):
         if i is None:
-            selected.append(("shell", j, depth_barrier_value(x, shell),
-                             depth_barrier_gradient(x, shell)))
+            selected.append(shell(j))
         else:
             paired.setdefault(i, []).append(j)
-    for i, tumor in enumerate(spec.tumors):
-        h_in = barrier_value(x, tumor)
+    for i in range(nt):
         shells = paired.get(i, [])
         if not shells:
-            selected.append(("tumor", i, h_in, barrier_gradient(x, tumor)))
+            selected.append(tumor(i))
             continue
+        h_in = h[i]
         for j in shells:
-            shell = spec.shells[j]
-            h_out = depth_barrier_value(x, shell)
+            h_out = h[nt + j]
             if abs(h_in - h_out) <= _TIE_TOL:
-                selected.append(("tumor", i, h_in, barrier_gradient(x, tumor)))
-                selected.append(("shell", j, h_out, depth_barrier_gradient(x, shell)))
+                selected.append(tumor(i))
+                selected.append(shell(j))
             elif h_in < h_out:
-                selected.append(("tumor", i, h_in, barrier_gradient(x, tumor)))
+                selected.append(tumor(i))
             else:
-                selected.append(("shell", j, h_out, depth_barrier_gradient(x, shell)))
+                selected.append(shell(j))
     return selected
 
 
-def assemble_constraints(x: np.ndarray, spec: SafeSetSpec, params: FilterParams) -> list:
-    """Constraint rows n . v >= -alpha * h for the barriers selected at x."""
-    return [
-        HalfspaceConstraint(normal, -params.alpha * h)
-        for _, _, h, normal in selected_barrier_values(x, spec, params)
-    ]
+def constraint_rows(selected: list, alpha: float):
+    """(N, b) for the rows n . v >= -alpha * h of the selected barriers."""
+    N = np.array([normal for _, _, _, normal in selected], dtype=float).reshape(-1, 3)
+    b = np.array([-alpha * h for _, _, h, _ in selected], dtype=float)
+    return N, b
 
 
-def safety_filter(v_d: np.ndarray, rows: list) -> np.ndarray:
-    """Closest safe velocity to v_d under the given halfspace rows.
+def safety_filter(v_d, rows) -> np.ndarray:
+    """Closest safe velocity to v_d under the rows (N, b).
 
     Exact active-set enumeration: if v_d satisfies every row it is returned
     unchanged; otherwise all candidate active subsets of size 1..3 are
     tried and the first KKT-consistent projection (non-negative multipliers,
     all rows satisfied) is the unique optimum.  Raises InfeasibleQPError when
     the rows admit no solution.
+
+    The feasibility tests and the one-row candidates, which the closed loop
+    almost always ends on, run on plain floats; larger candidates solve
+    their Gram system with LAPACK.
     """
     v_d = np.asarray(v_d, dtype=float)
-    if not rows:
-        return v_d.copy()
-    N = np.array([r.normal for r in rows], dtype=float)
-    b = np.array([r.offset for r in rows], dtype=float)
-    if np.all(N @ v_d >= b):
+    N, b = rows
+    normals, offsets, v0 = N.tolist(), b.tolist(), v_d.tolist()
+    if _satisfies(normals, offsets, v0, 0.0):
         return v_d.copy()
 
-    k = len(rows)
-    for size in (1, 2, 3):
-        if size > k:
-            break
-        for subset in _subsets(k, size):
+    # tolerances scale with the candidate so ill-conditioned rows (nearly
+    # parallel normals, distant optima) stay decidable
+    for n, offset in zip(normals, offsets):
+        g = _dot(n, n)
+        if g == 0.0:
+            continue
+        resid = offset - _dot(n, v0)
+        mu = resid / g
+        if not math.isfinite(mu) or abs(g * mu - resid) > 1e-7 * max(1.0, abs(resid)):
+            continue
+        if mu < -_DUAL_TOL * max(1.0, abs(mu)):
+            continue
+        v = [v0[0] + n[0] * mu, v0[1] + n[1] * mu, v0[2] + n[2] * mu]
+        if _satisfies(normals, offsets, v, _FEAS_TOL * max(1.0, math.sqrt(_dot(v, v)))):
+            return np.array(v)
+
+    k = len(offsets)
+    for size in (2, 3):
+        for subset in combinations(range(k), size):
             idx = list(subset)
             NA = N[idx, :]
             resid = b[idx] - NA @ v_d
@@ -232,8 +283,6 @@ def safety_filter(v_d: np.ndarray, rows: list) -> np.ndarray:
                 mu = np.linalg.solve(G, resid)
             except np.linalg.LinAlgError:
                 continue
-            # tolerances scale with the candidate so ill-conditioned rows
-            # (nearly parallel normals, distant optima) stay decidable
             if not np.all(np.isfinite(mu)) or \
                     np.max(np.abs(G @ mu - resid)) > 1e-7 * max(1.0, float(np.linalg.norm(resid))):
                 continue
@@ -245,27 +294,17 @@ def safety_filter(v_d: np.ndarray, rows: list) -> np.ndarray:
     raise InfeasibleQPError(f"no velocity satisfies all {k} constraint rows")
 
 
-def _subsets(k: int, size: int):
-    if size == 1:
-        return [(i,) for i in range(k)]
-    if size == 2:
-        return [(i, j) for i in range(k) for j in range(i + 1, k)]
-    return [(i, j, l) for i in range(k) for j in range(i + 1, k) for l in range(j + 1, k)]
+def _dot(a, b) -> float:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
-def count_active_rows(v: np.ndarray, rows: list, tol: float = 1e-6) -> int:
-    """Rows met with equality at v, the filter's active set."""
-    return sum(1 for r in rows if abs(float(r.normal @ v) - r.offset) <= tol)
+def _satisfies(normals: list, offsets: list, v: list, slack: float) -> bool:
+    """n . v >= offset - slack for every row."""
+    return all(_dot(n, v) >= offset - slack for n, offset in zip(normals, offsets))
 
 
-def issf_margin(h_log: np.ndarray, d_bound: float = 0.0) -> float:
-    """Worst barrier value over a run, the empirical safety margin.
-
-    h_log: array of shape (steps, barriers).  d_bound is the sup-norm bound
-    of the disturbance the run was driven with; it is recorded with the
-    margin by callers building amplitude sweeps.
-    """
-    h_log = np.asarray(h_log, dtype=float)
-    if h_log.size == 0:
-        raise EmptyLogError("cannot take a margin over an empty log")
-    return float(h_log.min())
+def count_active_rows(v, rows, tol: float = 1e-6) -> int:
+    """Rows (N, b) met with equality at v, the filter's active set."""
+    N, b = rows
+    v = np.asarray(v, dtype=float).tolist()
+    return sum(abs(_dot(n, v) - offset) <= tol for n, offset in zip(N.tolist(), b.tolist()))

@@ -81,9 +81,10 @@ class ReferenceTrajectory:
         Past the end the position clamps to the final point and the
         feedforward vanishes, leaving pure proportional pull.
         """
-        if len(self.t) > 1 and t > self.t[-1] + 0.5 * self.dt:
+        n, dt = len(self.t), self.dt
+        if n > 1 and t > self.t[-1] + 0.5 * dt:
             return self.pos[-1], np.zeros(3)
-        idx = min(int(round(t / self.dt)) if self.dt else 0, len(self.t) - 1)
+        idx = min(int(round(t / dt)) if dt else 0, n - 1)
         return self.pos[idx], self.vel[idx]
 
 
@@ -196,6 +197,12 @@ class ScenarioSpec:
     duration: Optional[float] = None       # None: reference duration + settle
 
     def __post_init__(self):
+        for name in ("dt", "speed", "settle", "duration"):
+            value = getattr(self, name)
+            if value is not None and not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+        if not math.isfinite(self.kp_gain):
+            raise ValueError(f"kp_gain must be finite, got {self.kp_gain!r}")
         if self.initial is None:
             self.initial = RobotState(JointConfig(0.0, 0.0, 0.0), np.zeros(3))
         # masses hang off the same link lengths the controller sees
@@ -208,10 +215,14 @@ class ScenarioSpec:
         start = forward_kinematics(self.initial.q, self.kinematics)
         return build_reference(self.markings, self.speed, self.dt, start)
 
-    def run_duration(self) -> float:
+    def run_duration(self, ref: Optional[ReferenceTrajectory] = None) -> float:
+        """The fixed duration, or the reference's duration plus settle.
+
+        ref is this spec's reference when the caller has already built it.
+        """
         if self.duration is not None:
             return self.duration
-        return self.reference().duration + self.settle
+        return (self.reference() if ref is None else ref).duration + self.settle
 
     def validate(self):
         """Geometric sanity of the scenario; raises ValueError on failure."""

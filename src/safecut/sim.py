@@ -26,8 +26,8 @@ from scipy.spatial import cKDTree
 
 from . import control as ctl
 from . import safety
-from .dynamics import RobotState, rk4_step
-from .kinematics import JointConfig, forward_kinematics, jacobian
+from .dynamics import rk4_step
+from .kinematics import tip_kinematics
 from .safety import EmptyLogError
 from .scenario import ReferenceTrajectory, ScenarioSpec
 
@@ -74,11 +74,11 @@ class SafetyReport:
     deviation_integral: float
 
 
-def desired_velocity(x: np.ndarray, t: float, ref: ReferenceTrajectory,
-                     kp_gain: float) -> np.ndarray:
-    """Feedforward plus proportional pull toward the reference sample."""
+def desired_velocity(x, t: float, ref: ReferenceTrajectory, kp_gain: float):
+    """Feedforward plus proportional pull toward the reference sample, as floats."""
     p_ref, v_ref = ref.sample(t)
-    return v_ref + kp_gain * (p_ref - x)
+    (px, py, pz), (vx, vy, vz) = p_ref.tolist(), v_ref.tolist()
+    return (vx + kp_gain * (px - x[0]), vy + kp_gain * (py - x[1]), vz + kp_gain * (pz - x[2]))
 
 
 def _barrier_names(spec: ScenarioSpec) -> list:
@@ -86,80 +86,75 @@ def _barrier_names(spec: ScenarioSpec) -> list:
            [f"shell{j}" for j in range(len(spec.shells))]
 
 
-def _all_barrier_values(x: np.ndarray, spec: ScenarioSpec) -> np.ndarray:
-    vals = [safety.barrier_value(x, t) for t in spec.tumors]
-    vals += [safety.depth_barrier_value(x, s) for s in spec.shells]
-    return np.array(vals)
+# t, then nine 3-vectors in TrajectoryLog field order; the h columns follow.
+# The CSV file uses the same column order.
+_VECTOR_FIELDS = ("q", "qdot", "x", "xdot", "xdot_des", "xdot_safe", "u", "d", "edot")
+_H_COLUMN = 1 + 3 * len(_VECTOR_FIELDS)
+
+
+def _log_from_columns(data: np.ndarray, active_rows: np.ndarray, gate: np.ndarray,
+                      names: list) -> TrajectoryLog:
+    """TrajectoryLog whose float fields are column views of data."""
+    vectors = {f: data[:, 1 + 3 * i:4 + 3 * i] for i, f in enumerate(_VECTOR_FIELDS)}
+    return TrajectoryLog(t=data[:, 0], h=data[:, _H_COLUMN:_H_COLUMN + len(names)],
+                         active_rows=active_rows, gate=gate, barrier_names=names, **vectors)
 
 
 def run(spec: ScenarioSpec) -> TrajectoryLog:
-    """Simulate the scenario over its full duration at fixed dt."""
+    """Simulate the scenario over its full duration at fixed dt.
+
+    One control step evaluates the kinematics (tip position and Jacobian),
+    every barrier value and the filter rows once, in plain floats; the
+    controller reuses the step's Jacobian, and each step is written to the
+    log as one row.
+    """
     ref = spec.reference()
-    duration = spec.run_duration()
     dt = spec.dt
-    n = int(round(duration / dt)) + 1
+    n = int(round(spec.run_duration(ref) / dt)) + 1
     safe_set = spec.safe_set()
-    fp = spec.filter
-    cp = spec.controller
+    fp, cp, kin, dyn = spec.filter, spec.controller, spec.kinematics, spec.dynamics
     names = _barrier_names(spec)
-    nb = len(names)
+    data = np.zeros((n, _H_COLUMN + len(names)))
+    active_rows = np.zeros(n, dtype=np.int64)
+    gate = np.zeros(n, dtype=bool)
 
-    log = TrajectoryLog(
-        t=np.zeros(n), q=np.zeros((n, 3)), qdot=np.zeros((n, 3)),
-        x=np.zeros((n, 3)), xdot=np.zeros((n, 3)), xdot_des=np.zeros((n, 3)),
-        xdot_safe=np.zeros((n, 3)), u=np.zeros((n, 3)), d=np.zeros((n, 3)),
-        edot=np.zeros((n, 3)), h=np.zeros((n, nb)),
-        active_rows=np.zeros(n, dtype=np.int64), gate=np.zeros(n, dtype=bool),
-        barrier_names=names,
-    )
-
-    state = RobotState(
-        JointConfig(spec.initial.q.d1, spec.initial.q.theta2, spec.initial.q.theta3),
-        np.asarray(spec.initial.qdot, dtype=float).copy(),
-    )
+    q = (float(spec.initial.q.d1), float(spec.initial.q.theta2), float(spec.initial.q.theta3))
+    qdot = tuple(float(v) for v in spec.initial.qdot)
     gate_engaged = not (fp.enabled and fp.activation_gate)
     quiet = spec.disturbance.waveform == "none"
+    d = (0.0, 0.0, 0.0)
 
     for k in range(n):
         t = k * dt
-        q = state.q
-        x = forward_kinematics(q, spec.kinematics)
-        J = jacobian(q, spec.kinematics)
-        xdot = J @ state.qdot
+        x, J = tip_kinematics(*q, kin)
+        (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J
+        v1, v2, v3 = qdot
+        xdot = (j00 * v1 + j01 * v2 + j02 * v3,
+                j10 * v1 + j11 * v2 + j12 * v3,
+                j20 * v1 + j21 * v2 + j22 * v3)
         v_d = desired_velocity(x, t, ref, spec.kp_gain)
+        values = safety.barrier_values(x, safe_set)
 
-        rows = []
+        v_s = v_d
         if fp.enabled:
-            selected = safety.selected_barrier_values(x, safe_set, fp)
+            selected = safety.selected_barrier_values(x, safe_set, fp, values)
             if not gate_engaged and all(h >= 0.0 for _, _, h, _ in selected):
                 gate_engaged = True
-            if gate_engaged:
-                rows = [safety.HalfspaceConstraint(normal, -fp.alpha * h)
-                        for _, _, h, normal in selected]
-        v_s = safety.safety_filter(v_d, rows) if rows else v_d.copy()
+            if gate_engaged and selected:
+                rows = safety.constraint_rows(selected, fp.alpha)
+                v_s = safety.safety_filter(v_d, rows).tolist()
+                active_rows[k] = safety.count_active_rows(v_s, rows)
+                gate[k] = True
 
-        edot = ctl.velocity_error(q, state.qdot, v_s, cp, spec.kinematics)
+        edot = ctl.velocity_error(J, xdot, v_s, cp)
         u = ctl.control_law(edot, cp)
-        d = np.zeros(3) if quiet else ctl.disturbance(t, spec.disturbance)
-
-        log.t[k] = t
-        log.q[k] = (q.d1, q.theta2, q.theta3)
-        log.qdot[k] = state.qdot
-        log.x[k] = x
-        log.xdot[k] = xdot
-        log.xdot_des[k] = v_d
-        log.xdot_safe[k] = v_s
-        log.u[k] = u
-        log.d[k] = d
-        log.edot[k] = edot
-        if nb:
-            log.h[k] = _all_barrier_values(x, spec)
-        log.active_rows[k] = safety.count_active_rows(v_s, rows) if rows else 0
-        log.gate[k] = bool(rows)
+        if not quiet:
+            d = ctl.disturbance(t, spec.disturbance).tolist()
+        data[k] = (t, *q, *qdot, *x, *xdot, *v_d, *v_s, *u, *d, *edot, *values[0])
 
         if k + 1 < n:
-            state = rk4_step(state, u + d, dt, spec.dynamics)
-    return log
+            q, qdot = rk4_step(q, qdot, (u[0] + d[0], u[1] + d[1], u[2] + d[2]), dt, dyn)
+    return _log_from_columns(data, active_rows, gate, names)
 
 
 def gate_engage_time(log: TrajectoryLog) -> Optional[float]:
@@ -196,7 +191,10 @@ def summarize(log: TrajectoryLog, spec: ScenarioSpec,
     except ctl.InsufficientTransientError:
         decay = math.nan
     ref = spec.reference()
-    dist, _ = cKDTree(log.x).query(ref.pos)
+    # samples farther than completion_tol count as missed whatever their
+    # distance, so the search is bounded there (inf beyond it)
+    dist, _ = cKDTree(log.x).query(ref.pos,
+                                   distance_upper_bound=np.nextafter(completion_tol, np.inf))
     completion = float(np.mean(dist <= completion_tol))
     deviation = float(np.trapezoid(np.linalg.norm(log.xdot_safe - log.xdot_des, axis=1),
                                    log.t))
@@ -256,15 +254,8 @@ def read_csv(path) -> TrajectoryLog:
         raise ValueError("unexpected column layout")
     nb = len(names)
     data = np.array([[float(v) for v in r] for r in rows]) if rows else np.zeros((0, len(header)))
-    return TrajectoryLog(
-        t=data[:, 0],
-        q=data[:, 1:4], qdot=data[:, 4:7], x=data[:, 7:10], xdot=data[:, 10:13],
-        xdot_des=data[:, 13:16], xdot_safe=data[:, 16:19], u=data[:, 19:22],
-        d=data[:, 22:25], edot=data[:, 25:28], h=data[:, 28:28 + nb],
-        active_rows=data[:, 28 + nb].astype(np.int64),
-        gate=data[:, 29 + nb].astype(bool),
-        barrier_names=names,
-    )
+    return _log_from_columns(data, data[:, _H_COLUMN + nb].astype(np.int64),
+                             data[:, _H_COLUMN + nb + 1].astype(bool), names)
 
 
 # ---------------------------------------------------------------------------

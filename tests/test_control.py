@@ -10,7 +10,8 @@ import pytest
 from safecut.control import (ControllerParams, DisturbanceSpec,
                              InsufficientTransientError, control_law,
                              disturbance, measure_decay_rate, velocity_error)
-from safecut.kinematics import JointConfig, KinematicParams, jacobian
+from safecut.kinematics import (JointConfig, KinematicParams, SingularJacobianError,
+                                damped_pseudo_inverse, jacobian)
 
 KIN = KinematicParams()
 CTL = ControllerParams()
@@ -21,14 +22,14 @@ def test_zero_error_when_tracking_exactly():
     for _ in range(30):
         q = JointConfig(rng.uniform(0, 40), rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
         qd = rng.normal(0.0, 1.0, 3)
-        xdot = jacobian(q, KIN) @ qd
-        edot = velocity_error(q, qd, xdot, CTL, KIN)
+        J = jacobian(q, KIN)
+        edot = velocity_error(J, J @ qd, J @ qd, CTL)
         np.testing.assert_allclose(edot, np.zeros(3), atol=1e-12)
 
 
 def test_error_sign_opposes_command():
     q = JointConfig(10.0, 0.3, -0.5)
-    edot = velocity_error(q, np.zeros(3), np.array([1.0, 0.0, 0.0]), CTL, KIN)
+    edot = velocity_error(jacobian(q, KIN), np.zeros(3), np.array([1.0, 0.0, 0.0]), CTL)
     u = control_law(edot, CTL)
     # stationary arm told to move: u must push the tip along +x
     xdot_dir = jacobian(q, KIN) @ u
@@ -38,7 +39,7 @@ def test_error_sign_opposes_command():
 def test_control_law_is_linear():
     e = np.array([0.2, -0.1, 0.05])
     np.testing.assert_allclose(control_law(e, CTL), -CTL.k_d * e)
-    np.testing.assert_allclose(control_law(2 * e, CTL), 2 * control_law(e, CTL))
+    np.testing.assert_allclose(control_law(2 * e, CTL), 2 * np.asarray(control_law(e, CTL)))
 
 
 def test_gain_validation():
@@ -113,3 +114,38 @@ def test_controller_is_model_free():
     modules = [node.module for node in ast.walk(tree)
                if isinstance(node, ast.ImportFrom) and node.module]
     assert not any("dynamics" in m for m in modules)
+
+
+def test_velocity_error_matches_pseudo_inverse_matrix():
+    # the closed-form solve against the matrix form, near and far from the
+    # singular flat configuration; both carry an error of order cond * eps
+    rng = np.random.default_rng(42)
+    for theta2 in (0.3, np.pi / 2 - 1e-4, np.pi / 2):
+        for damping in (1e-3, 1e-1):
+            ctl = ControllerParams(damping=damping)
+            J = jacobian(JointConfig(10.0, theta2, -0.4), KIN)
+            cond = np.linalg.cond(J @ J.T + damping ** 2 * np.eye(3))
+            xdot, xdot_safe = rng.normal(0.0, 3.0, 3), rng.normal(0.0, 3.0, 3)
+            expected = damped_pseudo_inverse(J, damping) @ (xdot - xdot_safe)
+            got = velocity_error(J, xdot, xdot_safe, ctl)
+            tol = 10.0 * cond * np.finfo(float).eps * np.linalg.norm(expected)
+            assert np.linalg.norm(np.asarray(got) - expected) <= tol
+
+
+def test_zero_damping_velocity_error_raises_at_singularity():
+    J = jacobian(JointConfig(0.0, np.pi / 2, 0.0), KIN)
+    with pytest.raises(SingularJacobianError):
+        velocity_error(J, np.zeros(3), np.ones(3), ControllerParams(damping=0.0))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ControllerParams(k_d=float("nan")),
+    lambda: ControllerParams(k_d=float("inf")),
+    lambda: ControllerParams(damping=float("nan")),
+    lambda: DisturbanceSpec(waveform="constant", amplitude=(1.0, float("nan"), 0.0)),
+    lambda: DisturbanceSpec(waveform="sinusoid", amplitude=(1.0, 1.0, 1.0),
+                            frequency=float("inf")),
+])
+def test_non_finite_controller_inputs_rejected(make):
+    with pytest.raises(ValueError):
+        make()

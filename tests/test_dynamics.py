@@ -79,22 +79,28 @@ def test_forward_dynamics_inverts_equations_of_motion():
         np.testing.assert_allclose(lhs, u, atol=1e-8)
 
 
+def _state(q, qd):
+    return RobotState(JointConfig(*q), np.array(qd))
+
+
 def test_zero_gravity_coast_conserves_kinetic_energy():
     free = DynamicParams(gravity=(0.0, 0.0, 0.0))
-    state = RobotState(JointConfig(10.0, 0.2, -0.3), np.array([4.0, 0.6, -0.8]))
-    ke0 = kinetic_energy(state, free)
+    q, qd = (10.0, 0.2, -0.3), (4.0, 0.6, -0.8)
+    ke0 = kinetic_energy(_state(q, qd), free)
     for _ in range(500):
-        state = rk4_step(state, np.zeros(3), 1e-3, free)
-    assert kinetic_energy(state, free) == pytest.approx(ke0, rel=1e-6)
+        q, qd = rk4_step(q, qd, np.zeros(3), 1e-3, free)
+    assert kinetic_energy(_state(q, qd), free) == pytest.approx(ke0, rel=1e-6)
 
 
 def test_pendulum_conserves_total_energy():
     grav = DynamicParams(gravity=(9810.0, 0.0, 0.0))
-    state = RobotState(JointConfig(10.0, 0.3, -0.2), np.array([2.0, 0.4, -0.5]))
+    q, qd = (10.0, 0.3, -0.2), (2.0, 0.4, -0.5)
+    state = _state(q, qd)
     e0 = kinetic_energy(state, grav) + potential_energy(state, grav)
     scale = max(kinetic_energy(state, grav), 1.0)
     for _ in range(2000):
-        state = rk4_step(state, np.zeros(3), 2e-4, grav)
+        q, qd = rk4_step(q, qd, np.zeros(3), 2e-4, grav)
+        state = _state(q, qd)
         scale = max(scale, kinetic_energy(state, grav))
     e1 = kinetic_energy(state, grav) + potential_energy(state, grav)
     assert abs(e1 - e0) / scale < 1e-6
@@ -104,11 +110,11 @@ def test_constant_force_on_prismatic_joint_free_fall():
     # u cancels nothing else: d1 under pure force f obeys d1(t) = d1_0 + f/(2m) t^2
     free = DynamicParams(gravity=(0.0, 0.0, 0.0))
     f = 900.0
-    state = RobotState(JointConfig(5.0, 0.0, 0.0), np.zeros(3))
+    q, qd = (5.0, 0.0, 0.0), np.zeros(3)
     for _ in range(1000):
-        state = rk4_step(state, np.array([f, 0.0, 0.0]), 1e-3, free)
+        q, qd = rk4_step(q, qd, np.array([f, 0.0, 0.0]), 1e-3, free)
     expected = 5.0 + 0.5 * f / sum(free.masses) * 1.0 ** 2
-    assert state.q.d1 == pytest.approx(expected, abs=1e-9)
+    assert q[0] == pytest.approx(expected, abs=1e-9)
 
 
 def test_bad_parameters_rejected():
@@ -127,3 +133,60 @@ def test_energy_audit_detects_corrupted_gravity_sign():
     bad, detail = check_energy_audit(gravity_sign=-1.0)
     assert not bad
     assert "drift" in detail
+
+
+def _rk4_matrix_form(q, qd, u, dt, params):
+    """Reference RK4 on the matrix-form oracles and a dense linear solve."""
+    def accel(q, qd):
+        jc = JointConfig(*q)
+        rhs = u - coriolis_matrix(jc, qd, params) @ qd - gravity_vector(jc, params)
+        return np.linalg.solve(mass_matrix(jc, params), rhs)
+
+    k1 = accel(q, qd)
+    k2 = accel(q + 0.5 * dt * qd, qd + 0.5 * dt * k1)
+    v2 = qd + 0.5 * dt * k1
+    k3 = accel(q + 0.5 * dt * v2, qd + 0.5 * dt * k2)
+    v3 = qd + 0.5 * dt * k2
+    k4 = accel(q + dt * v3, qd + dt * k3)
+    v4 = qd + dt * k3
+    return (q + dt / 6.0 * (qd + 2.0 * v2 + 2.0 * v3 + v4),
+            qd + dt / 6.0 * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+
+
+def test_rk4_matches_matrix_form_oracle_on_stiff_loop():
+    # the closed loop's stiffness: u = -k_d (qdot - target) at k_d = 8000,
+    # dt = 1e-3, held constant over each step; near the straight
+    # configuration dt k_d / lambda_min(M) stays below RK4's limit.  Gravity
+    # is weak: a velocity-only loop does not hold a pose against full gravity.
+    params = DynamicParams(gravity=(30.0, 20.0, -98.1))
+    k_d, dt = 8000.0, 1e-3
+    target = np.array([1.0, 0.05, -0.05])
+    fast_q, fast_qd = (10.0, 0.0, 0.0), (0.0, 0.0, 0.0)
+    ref_q, ref_qd = np.array(fast_q), np.zeros(3)
+    for _ in range(2000):
+        fast_q, fast_qd = rk4_step(fast_q, fast_qd, -k_d * (np.array(fast_qd) - target),
+                                   dt, params)
+        ref_q, ref_qd = _rk4_matrix_form(ref_q, ref_qd, -k_d * (ref_qd - target), dt, params)
+        fast, ref = np.concatenate([fast_q, fast_qd]), np.concatenate([ref_q, ref_qd])
+        assert np.linalg.norm(fast - ref) <= 1e-9 * np.linalg.norm(ref)
+    assert np.all(np.isfinite(fast))
+
+
+def test_non_finite_configuration_raises_singular_mass():
+    with pytest.raises(SingularMassError):
+        rk4_step((10.0, float("nan"), 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1e-3, PARAMS)
+    bad = DynamicParams()
+    bad.link_inertias = (0.0, -1e9, 1.0)   # bypasses validation: M indefinite
+    with pytest.raises(SingularMassError):
+        forward_dynamics(RobotState(JointConfig(10.0, 0.3, -0.2), np.zeros(3)),
+                         np.zeros(3), bad)
+
+
+@pytest.mark.parametrize("kwargs", [
+    dict(masses=(float("nan"), 1.5, 1.0)),
+    dict(link_inertias=(0.0, float("inf"), 1.0)),
+    dict(gravity=(0.0, 0.0, float("nan"))),
+])
+def test_dynamic_params_reject_non_finite(kwargs):
+    with pytest.raises(ValueError, match=next(iter(kwargs))):
+        DynamicParams(**kwargs)

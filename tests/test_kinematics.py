@@ -95,3 +95,10 @@ def test_damping_keeps_singularity_finite():
     J = jacobian(JointConfig(0.0, np.pi / 2, 0.0), KIN)
     pinv = damped_pseudo_inverse(J, damping=1e-3)
     assert np.all(np.isfinite(pinv))
+
+
+@pytest.mark.parametrize("name", ["l1", "l2", "l_end", "outer_diameter"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
+def test_kinematic_params_reject_non_finite(name, value):
+    with pytest.raises(ValueError, match=name):
+        KinematicParams(**{name: value})

@@ -7,11 +7,11 @@ import pytest
 
 from safecut.checks import qp_reference, random_qp_instance
 from safecut.safety import (DegeneratePointError, DepthShell, FilterParams,
-                            HalfspaceConstraint, InfeasibleQPError, SafeSetSpec,
-                            TumorSpec, assemble_constraints, barrier_gradient,
-                            barrier_value, count_active_rows,
-                            depth_barrier_gradient, depth_barrier_value,
-                            safety_filter, selected_barrier_values)
+                            InfeasibleQPError, SafeSetSpec, TumorSpec,
+                            barrier_gradient, barrier_value, constraint_rows,
+                            count_active_rows, depth_barrier_gradient,
+                            depth_barrier_value, safety_filter,
+                            selected_barrier_values)
 
 TUMOR = TumorSpec(center=(0.0, 6.0, 30.0), margin=4.0)
 SHELL = DepthShell(center=(0.0, 6.0, 30.0), outer_radius=7.0)
@@ -119,14 +119,15 @@ def test_shell_pairs_with_nearest_tumor():
 def test_assemble_offsets_scale_with_alpha():
     spec = SafeSetSpec(tumors=[TUMOR], shells=[])
     x = np.array([0.0, 0.0, 30.0])
-    rows_a = assemble_constraints(x, spec, FilterParams(alpha=0.4))
-    rows_b = assemble_constraints(x, spec, FilterParams(alpha=0.8))
-    assert rows_a[0].offset == pytest.approx(-0.4 * 2.0)
-    assert rows_b[0].offset == pytest.approx(2.0 * rows_a[0].offset)
+    params = FilterParams()
+    _, b_a = constraint_rows(selected_barrier_values(x, spec, params), 0.4)
+    _, b_b = constraint_rows(selected_barrier_values(x, spec, params), 0.8)
+    assert b_a[0] == pytest.approx(-0.4 * 2.0)
+    assert b_b[0] == pytest.approx(2.0 * b_a[0])
 
 
 def test_filter_passthrough_is_exact():
-    rows = [HalfspaceConstraint(np.array([0.0, 1.0, 0.0]), -1.0)]
+    rows = (np.array([[0.0, 1.0, 0.0]]), np.array([-1.0]))
     v_d = np.array([5.0, 0.3, -2.0])
     out = safety_filter(v_d, rows)
     np.testing.assert_array_equal(out, v_d)
@@ -135,8 +136,7 @@ def test_filter_passthrough_is_exact():
 
 def test_filter_single_row_projection():
     # violating one row projects onto its hyperplane
-    n = np.array([0.0, 1.0, 0.0])
-    rows = [HalfspaceConstraint(n, 2.0)]
+    rows = (np.array([[0.0, 1.0, 0.0]]), np.array([2.0]))
     out = safety_filter(np.array([1.0, -3.0, 0.5]), rows)
     np.testing.assert_allclose(out, [1.0, 2.0, 0.5], atol=1e-12)
     assert count_active_rows(out, rows) == 1
@@ -154,7 +154,7 @@ def test_filter_matches_dense_grid():
         normals = rng.normal(0.0, 1.0, (k, 3))
         normals /= np.linalg.norm(normals, axis=1)[:, None]
         offsets = rng.uniform(-2.0, 2.0, k)
-        rows = [HalfspaceConstraint(n, float(o)) for n, o in zip(normals, offsets)]
+        rows = (normals, offsets)
         feasible = np.all(pts @ normals.T >= offsets[None, :] - 1e-9, axis=1)
         if not np.any(feasible):
             continue
@@ -183,11 +183,27 @@ def test_filter_matches_reference_batch():
 
 def test_filter_infeasible_antipodal():
     n = np.array([1.0, 0.0, 0.0])
-    rows = [HalfspaceConstraint(n, 1.0), HalfspaceConstraint(-n, 1.0)]
+    rows = (np.array([n, -n]), np.array([1.0, 1.0]))
     with pytest.raises(InfeasibleQPError):
         safety_filter(np.zeros(3), rows)
 
 
 def test_filter_empty_rows_identity():
     v_d = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_array_equal(safety_filter(v_d, []), v_d)
+    np.testing.assert_array_equal(safety_filter(v_d, (np.zeros((0, 3)), np.zeros(0))), v_d)
+
+
+def test_non_finite_filter_and_barrier_parameters_rejected():
+    # nan <= 0 is False, so a sign check alone let these through
+    with pytest.raises(ValueError, match="alpha"):
+        FilterParams(alpha=float("nan"))
+    with pytest.raises(ValueError, match="alpha"):
+        FilterParams(alpha=float("inf"))
+    with pytest.raises(ValueError, match="margin"):
+        TumorSpec(center=(0.0, 0.0, 0.0), margin=float("nan"))
+    with pytest.raises(ValueError, match="centre"):
+        TumorSpec(center=(0.0, float("inf"), 0.0), margin=1.0)
+    with pytest.raises(ValueError, match="radius"):
+        DepthShell(center=(0.0, 0.0, 0.0), outer_radius=float("inf"))
+    with pytest.raises(ValueError, match="centre"):
+        DepthShell(center=(float("nan"), 0.0, 0.0), outer_radius=2.0)

@@ -199,3 +199,16 @@ def test_spec_dict_round_trip_preserves_auto_duration():
     assert d["duration"] == "auto"
     back = spec_from_dict(d)
     assert back.duration is None
+
+
+@pytest.mark.parametrize("name", ["dt", "speed", "settle", "duration"])
+@pytest.mark.parametrize("value", [0.0, -1.0, float("nan"), float("inf")])
+def test_timing_parameters_rejected_by_name(name, value):
+    # duration = -1 used to reach the log allocation and fail there
+    with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
+        replace(scenario_catalog(1), **{name: value})
+
+
+def test_non_finite_kp_gain_rejected():
+    with pytest.raises(ValueError, match="kp_gain must be finite"):
+        replace(scenario_catalog(1), kp_gain=float("nan"))

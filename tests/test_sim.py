@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from safecut import sim
+from safecut import safety, sim
 from safecut.dynamics import DynamicParams, RobotState
 from safecut.kinematics import JointConfig, forward_kinematics
 from safecut.safety import DepthShell, EmptyLogError, FilterParams, TumorSpec
@@ -211,3 +211,30 @@ def test_gate_aware_summary_excludes_approach():
     assert float(log.h[0].min()) < 0.0
     assert report.min_h["shell0"] >= -1e-3
     assert report.first_violation_time is None
+
+
+def test_path_completion_matches_brute_force(small_run):
+    spec, log = small_run
+    ref = spec.reference()
+    nearest = np.concatenate([
+        np.min(np.linalg.norm(log.x[None, :, :] - chunk[:, None, :], axis=2), axis=1)
+        for chunk in np.array_split(ref.pos, max(1, len(ref.pos) // 500))])
+    for tol in (0.5, 2.0):
+        expected = float(np.mean(nearest <= tol))
+        assert 0.0 < expected < 1.0
+        assert sim.summarize(log, spec, completion_tol=tol).path_completion == expected
+
+
+def test_logged_active_rows_match_row_builder():
+    # recount |N v_s - b| <= 1e-6 from the logged x and xdot_safe
+    spec = scenario_catalog(4)
+    log = sim.run(spec)
+    safe_set = spec.safe_set()
+    assert log.gate.any() and not log.gate.all()
+    recount = np.zeros(len(log), dtype=np.int64)
+    for k in np.nonzero(log.gate)[0]:
+        selected = safety.selected_barrier_values(log.x[k], safe_set, spec.filter)
+        N, b = safety.constraint_rows(selected, spec.filter.alpha)
+        recount[k] = np.count_nonzero(np.abs(N @ log.xdot_safe[k] - b) <= 1e-6)
+    assert recount.any()
+    np.testing.assert_array_equal(log.active_rows, recount)
