@@ -8,7 +8,7 @@ is what makes the tracking loop model-free.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,12 +44,14 @@ class DisturbanceSpec:
 
     waveform: "none", "constant", or "sinusoid" (per-joint phases drawn
     deterministically from seed).
+    phases: the three sinusoid phases [rad], drawn from seed at construction.
     """
 
     waveform: str = "none"
     amplitude: tuple = (0.0, 0.0, 0.0)
     frequency: float = 0.0
     seed: int = 0
+    phases: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.waveform not in ("none", "constant", "sinusoid"):
@@ -62,13 +64,7 @@ class DisturbanceSpec:
         if self.waveform == "sinusoid" and self.frequency <= 0.0:
             raise ValueError("sinusoid waveform needs a positive frequency")
         # drawn once here, not on every control step's sample
-        self._phases = np.random.default_rng(self.seed).uniform(0.0, 2.0 * math.pi, 3)
-
-    def phases(self) -> np.ndarray:
-        return self._phases.copy()
-
-    def bound(self) -> float:
-        return float(np.max(np.abs(self.amplitude)))
+        self.phases = np.random.default_rng(self.seed).uniform(0.0, 2.0 * math.pi, 3)
 
 
 def velocity_error(J, xdot, xdot_safe, params: ControllerParams):
@@ -94,7 +90,7 @@ def disturbance(t: float, spec: DisturbanceSpec) -> np.ndarray:
         return np.zeros(3)
     if spec.waveform == "constant":
         return amp.copy()
-    return amp * np.sin(2.0 * math.pi * spec.frequency * t + spec._phases)
+    return amp * np.sin(2.0 * math.pi * spec.frequency * t + spec.phases)
 
 
 def measure_decay_rate(t: np.ndarray, edot: np.ndarray, floor: float = 1e-12) -> float:

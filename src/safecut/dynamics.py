@@ -20,7 +20,14 @@ from .kinematics import JointConfig, KinematicParams, forward_kinematics
 
 
 class SingularMassError(RuntimeError):
-    """Raised if the mass matrix is not positive definite at a configuration."""
+    """Raised if the mass matrix is not positive definite at a configuration.
+
+    theta2, theta3 are the bending angles [rad] it was evaluated at.
+    """
+
+    def __init__(self, message: str, theta2: float, theta3: float):
+        super().__init__(message)
+        self.theta2, self.theta3 = theta2, theta3
 
 
 @dataclass
@@ -32,6 +39,9 @@ class DynamicParams:
         the first entry belongs to the prismatic link and never enters the
         equations of motion.
     gravity: acceleration vector [mm/s^2] acting on every mass.
+    kinematics: the link lengths the masses hang off.  This is the one copy
+        of them: ScenarioSpec.kinematics reads it, so the controller and the
+        plant cannot disagree.
     """
 
     masses: tuple = (2.0, 1.5, 1.0)
@@ -175,12 +185,13 @@ def _accel(theta2, theta3, v1, v2, v3, u1, u2, u3, params: DynamicParams):
     r2 = u3 + 0.5 * d3 * v2 * v2 - m3 * le * (gx * s2 * s3 + gy * c3 + gz * c2 * s3)
     if not (0.0 < m11 < math.inf and 0.0 < m22 < math.inf):
         raise SingularMassError(f"mass matrix pivot not positive and finite at "
-                                f"theta2={theta2!r}, theta3={theta3!r}")
+                                f"theta2={theta2!r}, theta3={theta3!r}", theta2, theta3)
     p1, p2 = m01 / m11, m02 / m22
     schur = m00 - p1 * m01 - p2 * m02
     if not 0.0 < schur < math.inf:
         raise SingularMassError(f"mass matrix Schur complement {schur!r} not positive "
-                                f"and finite at theta2={theta2!r}, theta3={theta3!r}")
+                                f"and finite at theta2={theta2!r}, theta3={theta3!r}",
+                                theta2, theta3)
     qdd1 = (r0 - p1 * r1 - p2 * r2) / schur
     return qdd1, (r1 - m01 * qdd1) / m11, (r2 - m02 * qdd1) / m22
 

@@ -23,7 +23,12 @@ class SingularJacobianError(RuntimeError):
 
 @dataclass
 class KinematicParams:
-    """Link lengths [mm] and outer diameter [mm] of the instrument."""
+    """Link lengths [mm] and outer diameter [mm] of the instrument.
+
+    A scenario holds its one copy on DynamicParams.kinematics.  outer_diameter
+    is validated and round-tripped through config files but enters no
+    computation: it is metadata only.
+    """
 
     l1: float = 3.0
     l2: float = 10.0

@@ -41,10 +41,6 @@ class InfeasibleQPError(RuntimeError):
     """No velocity satisfies every constraint row."""
 
 
-class EmptyLogError(ValueError):
-    """A margin was requested over a log with no recorded steps."""
-
-
 @dataclass
 class TumorSpec:
     """A marked tumor: centre [mm], cutting margin [mm], removable flag."""

@@ -21,7 +21,8 @@ disturbance studies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Optional
 
 import numpy as np
@@ -31,11 +32,24 @@ from .dynamics import DynamicParams, RobotState
 from .kinematics import JointConfig, JointLimits, KinematicParams, forward_kinematics
 from .safety import DepthShell, FilterParams, SafeSetSpec, TumorSpec, barrier_value
 
-SCENARIO_IDS = (1, 2, 3, 4)
-
 _UNSAFE_DEPTH = 1.5          # mm inside the keep-out sphere
 _MARKING_COUNT = 8
 _MARKING_PLANE = (0.0, 0.0, 1.0)
+
+_REMOVABLE = ((0.0, 6.0, 30.0), 4.0, True)       # TumorSpec arguments
+_PRESERVE = ((0.0, -6.0, 30.0), 4.0, False)
+
+# id -> (tumors, DepthShell arguments, (marking index, intruded tumor index)
+#        pairs, FilterParams arguments, initial d1 [mm]); the loop marks tumor 0
+_CATALOG = {
+    1: ((_REMOVABLE,), (), ((2, 0), (5, 0)), dict(alpha=0.4), 13.0),
+    2: ((_REMOVABLE, _PRESERVE), (), ((6, 1),), dict(alpha=0.4), 13.0),
+    3: ((_REMOVABLE, _PRESERVE), (), ((2, 0), (4, 0), (6, 1)), dict(alpha=0.4), 13.0),
+    # starts just outside the shell so the gate engages about a second in
+    4: ((_REMOVABLE,), (((0.0, 6.0, 30.0), 7.0),), ((2, 0), (4, 0)),
+        dict(alpha=1.5, mode="keep_out_and_depth", activation_gate=True), 6.7),
+}
+SCENARIO_IDS = tuple(_CATALOG)
 
 
 @dataclass
@@ -95,8 +109,6 @@ def generate_marking_points(tumor: TumorSpec, count: int, plane_normal) -> Marki
     plane_normal and is traversed counterclockwise about it, starting on the
     projection of the x-axis (y-axis when the normal is nearly parallel to x).
     """
-    if count < 1:
-        raise ValueError("need at least one marking point")
     n = np.asarray(plane_normal, dtype=float)
     norm = float(np.linalg.norm(n))
     if norm < 1e-12:
@@ -187,7 +199,6 @@ class ScenarioSpec:
     filter: FilterParams
     controller: ControllerParams = field(default_factory=ControllerParams)
     disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
-    kinematics: KinematicParams = field(default_factory=KinematicParams)
     dynamics: DynamicParams = field(default_factory=DynamicParams)
     initial: RobotState = None
     speed: float = 2.0
@@ -205,8 +216,11 @@ class ScenarioSpec:
             raise ValueError(f"kp_gain must be finite, got {self.kp_gain!r}")
         if self.initial is None:
             self.initial = RobotState(JointConfig(0.0, 0.0, 0.0), np.zeros(3))
-        # masses hang off the same link lengths the controller sees
-        self.dynamics = replace(self.dynamics, kinematics=self.kinematics)
+
+    @property
+    def kinematics(self) -> KinematicParams:
+        """The link lengths, held once on dynamics."""
+        return self.dynamics.kinematics
 
     def safe_set(self) -> SafeSetSpec:
         return SafeSetSpec(self.tumors, self.shells)
@@ -235,7 +249,9 @@ class ScenarioSpec:
         self.safe_set()
         if not self.tumors:
             return
-        for ms in self.markings:
+        for i, ms in enumerate(self.markings):
+            if not 0 <= ms.tumor_index < len(self.tumors):
+                raise ValueError(f"marking.{i}.tumor = {ms.tumor_index} names no tumor")
             own = self.tumors[ms.tumor_index]
             for p, bad in zip(ms.points, ms.unsafe):
                 if bad:
@@ -247,48 +263,18 @@ class ScenarioSpec:
 
 def scenario_catalog(scenario_id: int) -> ScenarioSpec:
     """One of the four built-in scenarios; raises ValueError for other ids."""
-    if scenario_id not in SCENARIO_IDS:
+    if scenario_id not in _CATALOG:
         raise ValueError(f"unknown scenario id {scenario_id}; valid: {SCENARIO_IDS}")
-    removable = TumorSpec(np.array([0.0, 6.0, 30.0]), 4.0, removable=True)
-    preserve = TumorSpec(np.array([0.0, -6.0, 30.0]), 4.0, removable=False)
-    loop = generate_marking_points(removable, _MARKING_COUNT, _MARKING_PLANE)
-
-    if scenario_id == 1:
-        tumors = [removable]
-        shells = []
-        marks = inject_unsafe_points(loop, [(2, removable, _UNSAFE_DEPTH),
-                                            (5, removable, _UNSAFE_DEPTH)])
-        filt = FilterParams(alpha=0.4)
-        d1 = 13.0
-    elif scenario_id == 2:
-        tumors = [removable, preserve]
-        shells = []
-        marks = inject_unsafe_points(loop, [(6, preserve, _UNSAFE_DEPTH)])
-        filt = FilterParams(alpha=0.4)
-        d1 = 13.0
-    elif scenario_id == 3:
-        tumors = [removable, preserve]
-        shells = []
-        marks = inject_unsafe_points(loop, [(2, removable, _UNSAFE_DEPTH),
-                                            (4, removable, _UNSAFE_DEPTH),
-                                            (6, preserve, _UNSAFE_DEPTH)])
-        filt = FilterParams(alpha=0.4)
-        d1 = 13.0
-    else:
-        tumors = [removable]
-        shells = [DepthShell(np.array([0.0, 6.0, 30.0]), 7.0)]
-        marks = inject_unsafe_points(loop, [(2, removable, _UNSAFE_DEPTH),
-                                            (4, removable, _UNSAFE_DEPTH)])
-        filt = FilterParams(alpha=1.5, mode="keep_out_and_depth", activation_gate=True)
-        # start just outside the shell so the gate engages about a second in
-        d1 = 6.7
-
+    tumor_args, shell_args, intrusions, filter_args, d1 = _CATALOG[scenario_id]
+    tumors = [TumorSpec(*args) for args in tumor_args]
+    loop = generate_marking_points(tumors[0], _MARKING_COUNT, _MARKING_PLANE)
     spec = ScenarioSpec(
         scenario_id=scenario_id,
         tumors=tumors,
-        shells=shells,
-        markings=[marks],
-        filter=filt,
+        shells=[DepthShell(*args) for args in shell_args],
+        markings=[inject_unsafe_points(loop, [(i, tumors[j], _UNSAFE_DEPTH)
+                                              for i, j in intrusions])],
+        filter=FilterParams(**filter_args),
         dynamics=DynamicParams(gravity=(0.0, 0.0, 0.0)),
         initial=RobotState(JointConfig(d1, 0.0, 0.0), np.zeros(3)),
     )
@@ -302,65 +288,14 @@ def scenario_catalog(scenario_id: int) -> ScenarioSpec:
 # One "key = value" pair per line, '#' starts a comment.  Vectors are comma
 # separated, marking points semicolon separated.  Loading starts from the
 # catalog scenario named by scenario_id and overrides field by field.
+# The tables below are the whole schema: spec_to_dict and spec_from_dict
+# both read them, so a new key is one table row.
 
 _CONFIG_HEADER = "# safecut scenario config v1"
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _fmt_vec(v) -> str:
     return ", ".join(repr(float(x)) for x in v)
-
-
-def spec_to_dict(spec: ScenarioSpec) -> dict:
-    """Flat key/value view of a scenario, the config-file content."""
-    d = {
-        "scenario_id": _fmt(spec.scenario_id),
-        "dt": _fmt(spec.dt),
-        "speed": _fmt(spec.speed),
-        "kp_gain": _fmt(spec.kp_gain),
-        "settle": _fmt(spec.settle),
-        "duration": "auto" if spec.duration is None else _fmt(spec.duration),
-        "initial.d1": _fmt(spec.initial.q.d1),
-        "initial.theta2": _fmt(spec.initial.q.theta2),
-        "initial.theta3": _fmt(spec.initial.q.theta3),
-        "initial.qdot": _fmt_vec(spec.initial.qdot),
-        "kinematics.l1": _fmt(spec.kinematics.l1),
-        "kinematics.l2": _fmt(spec.kinematics.l2),
-        "kinematics.l_end": _fmt(spec.kinematics.l_end),
-        "kinematics.outer_diameter": _fmt(spec.kinematics.outer_diameter),
-        "dynamics.masses": _fmt_vec(spec.dynamics.masses),
-        "dynamics.link_inertias": _fmt_vec(spec.dynamics.link_inertias),
-        "dynamics.gravity": _fmt_vec(spec.dynamics.gravity),
-        "filter.alpha": _fmt(spec.filter.alpha),
-        "filter.mode": spec.filter.mode,
-        "filter.activation_gate": _fmt(spec.filter.activation_gate),
-        "filter.enabled": _fmt(spec.filter.enabled),
-        "controller.k_d": _fmt(spec.controller.k_d),
-        "controller.damping": _fmt(spec.controller.damping),
-        "disturbance.waveform": spec.disturbance.waveform,
-        "disturbance.amplitude": _fmt_vec(spec.disturbance.amplitude),
-        "disturbance.frequency": _fmt(spec.disturbance.frequency),
-        "disturbance.seed": _fmt(spec.disturbance.seed),
-    }
-    for i, tumor in enumerate(spec.tumors):
-        d[f"tumor.{i}.center"] = _fmt_vec(tumor.center)
-        d[f"tumor.{i}.margin"] = _fmt(tumor.margin)
-        d[f"tumor.{i}.removable"] = _fmt(tumor.removable)
-    for i, shell in enumerate(spec.shells):
-        d[f"shell.{i}.center"] = _fmt_vec(shell.center)
-        d[f"shell.{i}.outer_radius"] = _fmt(shell.outer_radius)
-    for i, ms in enumerate(spec.markings):
-        d[f"marking.{i}.tumor"] = _fmt(ms.tumor_index)
-        d[f"marking.{i}.points"] = "; ".join(_fmt_vec(p) for p in ms.points)
-        d[f"marking.{i}.unsafe"] = ", ".join("1" if u else "0" for u in ms.unsafe)
-    return d
 
 
 def _parse_vec(text: str) -> np.ndarray:
@@ -375,97 +310,117 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"not a boolean: {text!r}")
 
 
-def _collect(d: dict, family: str) -> list:
-    """Indexed sub-dicts for keys like 'tumor.0.center', in index order."""
-    out = {}
-    for key, value in d.items():
-        if not key.startswith(family + "."):
-            continue
-        rest = key[len(family) + 1:]
-        idx_s, _, attr = rest.partition(".")
-        out.setdefault(int(idx_s), {})[attr] = value
-    missing = [i for i in range(len(out)) if i not in out]
-    if missing:
-        raise ValueError(f"{family} indices must be contiguous from 0, missing {missing}")
-    return [out[i] for i in sorted(out)]
+# kind -> (format, parse)
+_KINDS = {
+    "int": (str, int),
+    "float": (lambda v: repr(float(v)), float),
+    "auto": (lambda v: "auto" if v is None else repr(float(v)),
+             lambda text: None if text == "auto" else float(text)),
+    "bool": (lambda v: "true" if v else "false", _parse_bool),
+    "str": (str, str),
+    "vec": (_fmt_vec, _parse_vec),
+    "points": (lambda pts: "; ".join(_fmt_vec(p) for p in pts),
+               lambda text: np.array([_parse_vec(p) for p in text.split(";")])),
+    "flags": (lambda flags: ", ".join("1" if u else "0" for u in flags),
+              lambda text: np.array([bool(int(u)) for u in text.split(",")])),
+}
+
+# config key -> (attribute path on ScenarioSpec, kind), in file order
+_SCALAR_KEYS = {
+    "scenario_id": ("scenario_id", "int"),
+    "dt": ("dt", "float"),
+    "speed": ("speed", "float"),
+    "kp_gain": ("kp_gain", "float"),
+    "settle": ("settle", "float"),
+    "duration": ("duration", "auto"),
+    "initial.d1": ("initial.q.d1", "float"),
+    "initial.theta2": ("initial.q.theta2", "float"),
+    "initial.theta3": ("initial.q.theta3", "float"),
+    "initial.qdot": ("initial.qdot", "vec"),
+    "kinematics.l1": ("dynamics.kinematics.l1", "float"),
+    "kinematics.l2": ("dynamics.kinematics.l2", "float"),
+    "kinematics.l_end": ("dynamics.kinematics.l_end", "float"),
+    "kinematics.outer_diameter": ("dynamics.kinematics.outer_diameter", "float"),
+    "dynamics.masses": ("dynamics.masses", "vec"),
+    "dynamics.link_inertias": ("dynamics.link_inertias", "vec"),
+    "dynamics.gravity": ("dynamics.gravity", "vec"),
+    "filter.alpha": ("filter.alpha", "float"),
+    "filter.mode": ("filter.mode", "str"),
+    "filter.activation_gate": ("filter.activation_gate", "bool"),
+    "filter.enabled": ("filter.enabled", "bool"),
+    "controller.k_d": ("controller.k_d", "float"),
+    "controller.damping": ("controller.damping", "float"),
+    "disturbance.waveform": ("disturbance.waveform", "str"),
+    "disturbance.amplitude": ("disturbance.amplitude", "vec"),
+    "disturbance.frequency": ("disturbance.frequency", "float"),
+    "disturbance.seed": ("disturbance.seed", "int"),
+}
+
+# the class of each nested attribute path above, innermost first
+_NESTED = (("initial.q", JointConfig), ("initial", RobotState),
+           ("dynamics.kinematics", KinematicParams), ("dynamics", DynamicParams),
+           ("filter", FilterParams), ("controller", ControllerParams),
+           ("disturbance", DisturbanceSpec))
+
+# indexed families "<prefix>.<N>.<key>":
+# prefix -> (ScenarioSpec list, class, {key: (constructor argument, kind)})
+_FAMILIES = {
+    "tumor": ("tumors", TumorSpec, {"center": ("center", "vec"),
+                                    "margin": ("margin", "float"),
+                                    "removable": ("removable", "bool")}),
+    "shell": ("shells", DepthShell, {"center": ("center", "vec"),
+                                     "outer_radius": ("outer_radius", "float")}),
+    "marking": ("markings", MarkingSet, {"tumor": ("tumor_index", "int"),
+                                         "points": ("points", "points"),
+                                         "unsafe": ("unsafe", "flags")}),
+}
+
+
+def spec_to_dict(spec: ScenarioSpec) -> dict:
+    """Flat key/value view of a scenario, the config-file content."""
+    d = {key: _KINDS[kind][0](attrgetter(path)(spec))
+         for key, (path, kind) in _SCALAR_KEYS.items()}
+    for prefix, (attr, _, keys) in _FAMILIES.items():
+        for i, item in enumerate(getattr(spec, attr)):
+            for key, (arg, kind) in keys.items():
+                d[f"{prefix}.{i}.{key}"] = _KINDS[kind][0](getattr(item, arg))
+    return d
+
+
+def _parse(d: dict, key: str, kind: str):
+    if key not in d:
+        raise ValueError(f"missing configuration key {key!r}")
+    try:
+        return _KINDS[kind][1](d[key])
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def spec_from_dict(d: dict) -> ScenarioSpec:
-    """Inverse of spec_to_dict; raises ValueError on malformed content."""
-    known_prefixes = ("tumor.", "shell.", "marking.")
-    scalar_keys = {
-        "scenario_id", "dt", "speed", "kp_gain", "settle", "duration",
-        "initial.d1", "initial.theta2", "initial.theta3", "initial.qdot",
-        "kinematics.l1", "kinematics.l2", "kinematics.l_end", "kinematics.outer_diameter",
-        "dynamics.masses", "dynamics.link_inertias", "dynamics.gravity",
-        "filter.alpha", "filter.mode", "filter.activation_gate", "filter.enabled",
-        "controller.k_d", "controller.damping",
-        "disturbance.waveform", "disturbance.amplitude", "disturbance.frequency",
-        "disturbance.seed",
-    }
+    """Inverse of spec_to_dict; raises ValueError naming the offending key."""
+    indices = {prefix: set() for prefix in _FAMILIES}
     for key in d:
-        if key not in scalar_keys and not key.startswith(known_prefixes):
+        prefix, _, rest = key.partition(".")
+        index, _, attr = rest.partition(".")
+        # canonical indices only, else "tumor.01.x" and "tumor.1.x" give one field two values
+        if (prefix in _FAMILIES and attr in _FAMILIES[prefix][2]
+                and index.isdecimal() and str(int(index)) == index):
+            indices[prefix].add(int(index))
+        elif key not in _SCALAR_KEYS:
             raise ValueError(f"unknown configuration key {key!r}")
 
-    tumors = [
-        TumorSpec(_parse_vec(t["center"]), float(t["margin"]), _parse_bool(t["removable"]))
-        for t in _collect(d, "tumor")
-    ]
-    shells = [
-        DepthShell(_parse_vec(s["center"]), float(s["outer_radius"]))
-        for s in _collect(d, "shell")
-    ]
-    markings = []
-    for m in _collect(d, "marking"):
-        pts = np.array([_parse_vec(p) for p in m["points"].split(";")])
-        unsafe = np.array([bool(int(u)) for u in m["unsafe"].split(",")])
-        markings.append(MarkingSet(pts, unsafe, int(m["tumor"])))
-
-    kin = KinematicParams(
-        l1=float(d["kinematics.l1"]), l2=float(d["kinematics.l2"]),
-        l_end=float(d["kinematics.l_end"]),
-        outer_diameter=float(d["kinematics.outer_diameter"]),
-    )
-    duration = None if d["duration"] == "auto" else float(d["duration"])
-    return ScenarioSpec(
-        scenario_id=int(d["scenario_id"]),
-        tumors=tumors,
-        shells=shells,
-        markings=markings,
-        filter=FilterParams(
-            alpha=float(d["filter.alpha"]),
-            mode=d["filter.mode"],
-            activation_gate=_parse_bool(d["filter.activation_gate"]),
-            enabled=_parse_bool(d["filter.enabled"]),
-        ),
-        controller=ControllerParams(
-            k_d=float(d["controller.k_d"]),
-            damping=float(d["controller.damping"]),
-        ),
-        disturbance=DisturbanceSpec(
-            waveform=d["disturbance.waveform"],
-            amplitude=tuple(_parse_vec(d["disturbance.amplitude"])),
-            frequency=float(d["disturbance.frequency"]),
-            seed=int(d["disturbance.seed"]),
-        ),
-        kinematics=kin,
-        dynamics=DynamicParams(
-            masses=tuple(_parse_vec(d["dynamics.masses"])),
-            link_inertias=tuple(_parse_vec(d["dynamics.link_inertias"])),
-            gravity=tuple(_parse_vec(d["dynamics.gravity"])),
-            kinematics=kin,
-        ),
-        initial=RobotState(
-            JointConfig(float(d["initial.d1"]), float(d["initial.theta2"]),
-                        float(d["initial.theta3"])),
-            _parse_vec(d["initial.qdot"]),
-        ),
-        speed=float(d["speed"]),
-        kp_gain=float(d["kp_gain"]),
-        dt=float(d["dt"]),
-        settle=float(d["settle"]),
-        duration=duration,
-    )
+    args = {path: _parse(d, key, kind) for key, (path, kind) in _SCALAR_KEYS.items()}
+    for path, cls in _NESTED:
+        members = [p for p in args if p.rpartition(".")[0] == path]
+        args[path] = cls(**{p.rpartition(".")[2]: args.pop(p) for p in members})
+    for prefix, (attr, cls, keys) in _FAMILIES.items():
+        found = sorted(indices[prefix])
+        if found != list(range(len(found))):
+            raise ValueError(f"{prefix} indices must be contiguous from 0, got {found}")
+        args[attr] = [cls(**{arg: _parse(d, f"{prefix}.{i}.{key}", kind)
+                             for key, (arg, kind) in keys.items()})
+                      for i in found]
+    return ScenarioSpec(**args)
 
 
 def scenario_to_config(spec: ScenarioSpec) -> str:
@@ -495,7 +450,7 @@ def load_scenario(text: str, base_id: Optional[int] = None) -> ScenarioSpec:
     the file does not name one.
     """
     overrides = parse_config(text)
-    sid = int(overrides["scenario_id"]) if "scenario_id" in overrides else base_id
+    sid = _parse(overrides, "scenario_id", "int") if "scenario_id" in overrides else base_id
     if sid is None:
         raise ValueError("config names no scenario_id and no base scenario given")
     merged = spec_to_dict(scenario_catalog(sid))

@@ -26,12 +26,28 @@ from scipy.spatial import cKDTree
 
 from . import control as ctl
 from . import safety
-from .dynamics import rk4_step
+from .dynamics import SingularMassError, rk4_step
 from .kinematics import tip_kinematics
-from .safety import EmptyLogError
 from .scenario import ReferenceTrajectory, ScenarioSpec
 
 _CSV_VERSION = "# safecut-log v1"
+
+
+class EmptyLogError(ValueError):
+    """summarize was given a log with no recorded steps."""
+
+
+class PlantDivergedError(RuntimeError):
+    """The plant state stopped being finite during a run.
+
+    step, t, q, qdot: the last logged step whose joint state was finite
+    (step 0 if none was); integrating on from it gave non-finite angles.
+    """
+
+    def __init__(self, step: int, t: float, q: tuple, qdot: tuple):
+        super().__init__(f"plant diverged: the joint state stopped being finite after "
+                         f"step {step} (t = {t:g} s, q = {q}, qdot = {qdot})")
+        self.step, self.t, self.q, self.qdot = step, t, q, qdot
 
 
 @dataclass
@@ -106,7 +122,8 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
     One control step evaluates the kinematics (tip position and Jacobian),
     every barrier value and the filter rows once, in plain floats; the
     controller reuses the step's Jacobian, and each step is written to the
-    log as one row.
+    log as one row.  Raises PlantDivergedError when the joint state stops
+    being finite.
     """
     ref = spec.reference()
     dt = spec.dt
@@ -153,7 +170,16 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
         data[k] = (t, *q, *qdot, *x, *xdot, *v_d, *v_s, *u, *d, *edot, *values[0])
 
         if k + 1 < n:
-            q, qdot = rk4_step(q, qdot, (u[0] + d[0], u[1] + d[1], u[2] + d[2]), dt, dyn)
+            try:
+                q, qdot = rk4_step(q, qdot, (u[0] + d[0], u[1] + d[1], u[2] + d[2]), dt, dyn)
+            except SingularMassError as exc:
+                # at finite angles the arm itself is singular; else the state blew up
+                if math.isfinite(exc.theta2) and math.isfinite(exc.theta3):
+                    raise
+                while k > 0 and not np.isfinite(data[k, 1:7]).all():
+                    k -= 1
+                t, *state = data[k, :7].tolist()
+                raise PlantDivergedError(k, t, tuple(state[:3]), tuple(state[3:])) from exc
     return _log_from_columns(data, active_rows, gate, names)
 
 

@@ -105,3 +105,31 @@ def test_verify_quick_pass(capsys):
     captured = capsys.readouterr().out
     assert "qp-oracle: PASS" in captured
     assert "8/8 suites passed" in captured
+
+
+@pytest.mark.parametrize("config, named", [
+    ("scenario_id = 1\ntumor.1.margin = 3.0\n", "tumor.1.center"),
+    ("scenario_id = 1\nmarking.0.tumor = 5\n", "marking.0.tumor"),
+    ("scenario_id = 1\ntumor.0.margn = 3.0\n", "tumor.0.margn"),
+    ("scenario_id = 4\nshell.0.radius = 9\n", "shell.0.radius"),
+    ("scenario_id = 1\ntumor.x.margin = 3.0\n", "tumor.x.margin"),
+    ("scenario_id = 2\ntumor.01.margin = 3.0\n", "tumor.01.margin"),
+    ("scenario_id = 1\ntumor.0.margin = wide\n", "tumor.0.margin"),
+])
+def test_config_errors_exit_2_and_name_the_key(tmp_path, capsys, config, named):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(config)
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    assert named in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scenario, override", [
+    (1, "controller.k_d = 1e6"),
+    (4, "controller.k_d = 1e6"),
+    (1, "dt = 0.005"),
+])
+def test_diverged_plant_exits_3_with_its_name(tmp_path, capsys, scenario, override):
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text(f"scenario_id = {scenario}\nduration = 0.05\n{override}\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert "PlantDivergedError: plant diverged" in capsys.readouterr().err

@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import typing
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from safecut.dynamics import RobotState
-from safecut.kinematics import JointConfig, forward_kinematics
+from safecut import scenario
+from safecut.dynamics import RobotState, mass_matrix
+from safecut.kinematics import JointConfig, KinematicParams, forward_kinematics
 from safecut.safety import TumorSpec, barrier_value
 from safecut.scenario import (SCENARIO_IDS, MarkingSet, ScenarioSpec,
                               build_reference, generate_marking_points,
@@ -212,3 +215,65 @@ def test_timing_parameters_rejected_by_name(name, value):
 def test_non_finite_kp_gain_rejected():
     with pytest.raises(ValueError, match="kp_gain must be finite"):
         replace(scenario_catalog(1), kp_gain=float("nan"))
+
+
+def _leaves(cls, prefix=""):
+    """Attribute paths of the init fields of a dataclass, nested ones expanded."""
+    hints = typing.get_type_hints(cls)
+    for f in dataclasses.fields(cls):
+        if f.init:
+            kind = hints[f.name]
+            if dataclasses.is_dataclass(kind):
+                yield from _leaves(kind, f"{prefix}{f.name}.")
+            else:
+                yield prefix + f.name
+
+
+def test_config_keys_cover_every_spec_field_once():
+    families = {attr: (cls, keys) for attr, cls, keys in scenario._FAMILIES.values()}
+    leaves = list(_leaves(ScenarioSpec))
+    assert set(families) <= set(leaves)
+    paths = [path for path, _ in scenario._SCALAR_KEYS.values()]
+    # sorted lists, not sets: a leaf named by two keys is a failure too
+    assert sorted(paths) == sorted(leaf for leaf in leaves if leaf not in families)
+    for cls, keys in families.values():
+        assert sorted(arg for arg, _ in keys.values()) == sorted(_leaves(cls))
+
+
+# every scalar key, each off its catalog value, written in canonical form
+NON_DEFAULT = {
+    "scenario_id": "3", "dt": "0.0005", "speed": "2.5", "kp_gain": "6.5",
+    "settle": "0.75", "duration": "12.25",
+    "initial.d1": "12.5", "initial.theta2": "0.125", "initial.theta3": "-0.25",
+    "initial.qdot": "0.5, -1.5, 2.25",
+    "kinematics.l1": "3.5", "kinematics.l2": "12.0", "kinematics.l_end": "16.5",
+    "kinematics.outer_diameter": "4.25",
+    "dynamics.masses": "2.5, 1.25, 0.75", "dynamics.link_inertias": "0.5, 2.5, 1.5",
+    "dynamics.gravity": "1.0, -2.0, -9000.0",
+    "filter.alpha": "0.9", "filter.mode": "keep_out_and_depth",
+    "filter.activation_gate": "true", "filter.enabled": "false",
+    "controller.k_d": "7000.0", "controller.damping": "0.002",
+    "disturbance.waveform": "sinusoid", "disturbance.amplitude": "1.5, -2.5, 3.5",
+    "disturbance.frequency": "1.75", "disturbance.seed": "17",
+}
+
+
+def test_config_round_trip_of_non_default_values():
+    assert set(NON_DEFAULT) == set(scenario._SCALAR_KEYS)
+    base = spec_to_dict(scenario_catalog(1))
+    assert all(base[key] != value for key, value in NON_DEFAULT.items())
+    text = "".join(f"{key} = {value}\n" for key, value in NON_DEFAULT.items())
+    back = spec_to_dict(load_scenario(scenario_to_config(load_scenario(text))))
+    assert {key: back[key] for key in NON_DEFAULT} == NON_DEFAULT
+
+
+def test_link_lengths_held_once():
+    base = scenario_catalog(1)
+    spec = replace(base, dynamics=replace(base.dynamics, kinematics=KinematicParams(l2=12.0)))
+    assert spec.kinematics.l2 == 12.0
+    q = JointConfig(13.0, 0.3, 0.2)
+    _, m2, m3 = spec.dynamics.masses
+    a = 12.0 + spec.kinematics.l_end * math.cos(q.theta3)
+    expected = m2 * 12.0 ** 2 + m3 * a * a + spec.dynamics.link_inertias[1]
+    assert mass_matrix(q, spec.dynamics)[1, 1] == pytest.approx(expected, rel=1e-12)
+    assert load_scenario("scenario_id = 1\nkinematics.l2 = 12.0\n").dynamics.kinematics.l2 == 12.0

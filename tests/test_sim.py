@@ -8,9 +8,10 @@ import numpy as np
 import pytest
 
 from safecut import safety, sim
-from safecut.dynamics import DynamicParams, RobotState
+from safecut.control import ControllerParams
+from safecut.dynamics import DynamicParams, RobotState, SingularMassError
 from safecut.kinematics import JointConfig, forward_kinematics
-from safecut.safety import DepthShell, EmptyLogError, FilterParams, TumorSpec
+from safecut.safety import DepthShell, FilterParams, TumorSpec
 from safecut.scenario import (MarkingSet, ScenarioSpec, build_reference,
                               generate_marking_points, scenario_catalog)
 
@@ -177,7 +178,7 @@ def test_summarize_rejects_empty_log(small_run):
         u=np.zeros((0, 3)), d=np.zeros((0, 3)), edot=np.zeros((0, 3)),
         h=np.zeros((0, 1)), active_rows=np.zeros(0, dtype=np.int64),
         gate=np.zeros(0, dtype=bool), barrier_names=["tumor0"])
-    with pytest.raises(EmptyLogError):
+    with pytest.raises(sim.EmptyLogError):
         sim.summarize(empty, spec)
 
 
@@ -238,3 +239,24 @@ def test_logged_active_rows_match_row_builder():
         recount[k] = np.count_nonzero(np.abs(N @ log.xdot_safe[k] - b) <= 1e-6)
     assert recount.any()
     np.testing.assert_array_equal(log.active_rows, recount)
+
+
+@pytest.mark.parametrize("override", [
+    dict(controller=ControllerParams(k_d=1e6)),
+    dict(dt=0.005),
+])
+def test_diverged_plant_raises_with_last_finite_state(override):
+    spec = replace(scenario_catalog(1), duration=0.05, **override)
+    with pytest.raises(sim.PlantDivergedError, match="plant diverged") as err:
+        sim.run(spec)
+    exc = err.value
+    assert 0 < exc.step < round(spec.duration / spec.dt)
+    assert exc.t == exc.step * spec.dt
+    assert np.all(np.isfinite(exc.q + exc.qdot))
+
+
+def test_singular_mass_at_finite_angles_keeps_its_name():
+    bad = DynamicParams(gravity=(0.0, 0.0, 0.0))
+    bad.link_inertias = (0.0, -1e9, 1.0)   # bypasses validation: M indefinite
+    with pytest.raises(SingularMassError):
+        sim.run(replace(scenario_catalog(1), dynamics=bad, duration=0.05))
