@@ -2,6 +2,12 @@
 an independent route (brute-force program solve, finite differences, energy
 bookkeeping, step-halving), never against the code it is checking.
 
+The runtime modules hold one form of each quantity, the scalar one the
+closed loop runs on.  The matrix forms below (mass matrix, Coriolis matrix,
+gravity load, energies and the damped pseudo-inverse) exist only to check
+those kernels, so they live here; each is derived on its own from the model
+and calls no kernel it checks.
+
 Every suite returns (passed, detail).  The registry VERIFY_SUITES drives the
 command-line `verify` subcommand and keeps suite names stable.
 """
@@ -13,14 +19,113 @@ from itertools import combinations
 
 import numpy as np
 
-from .dynamics import (DynamicParams, JointConfig, RobotState, coriolis_matrix,
-                       forward_dynamics, gravity_vector, kinetic_energy,
-                       mass_matrix, potential_energy, rk4_step)
-from .kinematics import KinematicParams, forward_kinematics, jacobian
-from .safety import (DepthShell, InfeasibleQPError, TumorSpec, barrier_gradient,
-                     barrier_value, depth_barrier_gradient, depth_barrier_value,
-                     safety_filter)
+from .dynamics import DynamicParams, forward_dynamics, rk4_step
+from .kinematics import JointConfig, KinematicParams, forward_kinematics, jacobian
+from .safety import (DepthShell, FilterParams, InfeasibleQPError, SafeSetSpec,
+                     TumorSpec, barrier_value, depth_barrier_value, safety_filter,
+                     selected_barrier_values)
 
+
+# ---------------------------------------------------------------------------
+# matrix-form oracles of the scalar kernels
+
+def mass_matrix(q, params: DynamicParams) -> np.ndarray:
+    """Symmetric positive definite joint-space mass matrix at q = (d1, theta2, theta3)."""
+    m1, m2, m3 = params.masses
+    _, i2, i3 = params.link_inertias
+    kp = params.kinematics
+    _, theta2, theta3 = q
+    c2, s2 = math.cos(theta2), math.sin(theta2)
+    c3, s3 = math.cos(theta3), math.sin(theta3)
+    le = kp.l_end
+    a = kp.l2 + le * c3
+    m01 = -s2 * (m2 * kp.l2 + m3 * a)
+    m02 = -m3 * c2 * le * s3
+    return np.array([
+        [m1 + m2 + m3, m01, m02],
+        [m01, m2 * kp.l2 ** 2 + m3 * a * a + i2, 0.0],
+        [m02, 0.0, m3 * le * le + i3],
+    ])
+
+
+def coriolis_matrix(q, qdot, params: DynamicParams) -> np.ndarray:
+    """Coriolis/centrifugal matrix from Christoffel symbols of M(q).
+
+    Built so that dM/dt - 2 C is skew-symmetric.  Only five partial
+    derivatives of M wrt theta2 / theta3 are nonzero for this chain.
+    """
+    _, m2, m3 = params.masses
+    kp = params.kinematics
+    _, theta2, theta3 = q
+    c2, s2 = math.cos(theta2), math.sin(theta2)
+    c3, s3 = math.cos(theta3), math.sin(theta3)
+    le = kp.l_end
+    a = kp.l2 + le * c3
+    a2 = -c2 * (m2 * kp.l2 + m3 * a)   # dM01/dtheta2
+    b2 = m3 * s2 * le * s3             # dM02/dtheta2
+    a3 = s2 * m3 * le * s3             # dM01/dtheta3
+    b3 = -m3 * c2 * le * c3            # dM02/dtheta3
+    d3 = -2.0 * m3 * a * le * s3       # dM11/dtheta3
+    dq1, dq2, dq3 = float(qdot[0]), float(qdot[1]), float(qdot[2])
+    half_pm = 0.5 * (a3 + b2)
+    half_mm = 0.5 * (a3 - b2)
+    return np.array([
+        [0.0, a2 * dq2 + half_pm * dq3, half_pm * dq2 + b3 * dq3],
+        [half_mm * dq3, 0.5 * d3 * dq3, half_mm * dq1 + 0.5 * d3 * dq2],
+        [-half_mm * dq2, -half_mm * dq1 - 0.5 * d3 * dq2, 0.0],
+    ])
+
+
+def gravity_vector(q, params: DynamicParams) -> np.ndarray:
+    """Generalized gravity load dU/dq for U the potential energy of the masses."""
+    m1, m2, m3 = params.masses
+    kp = params.kinematics
+    gx, gy, gz = params.gravity
+    _, theta2, theta3 = q
+    c2, s2 = math.cos(theta2), math.sin(theta2)
+    c3, s3 = math.cos(theta3), math.sin(theta3)
+    le = kp.l_end
+    a = kp.l2 + le * c3
+    return np.array([
+        -(m1 + m2 + m3) * gz,
+        -(m2 * kp.l2 + m3 * a) * (gx * c2 - gz * s2),
+        m3 * le * (gx * s2 * s3 + gy * c3 + gz * c2 * s3),
+    ])
+
+
+def kinetic_energy(q, qdot, params: DynamicParams) -> float:
+    qd = np.asarray(qdot, dtype=float)
+    return 0.5 * float(qd @ mass_matrix(q, params) @ qd)
+
+
+def potential_energy(q, params: DynamicParams) -> float:
+    """-sum m g . p over the three point masses, placed link by link."""
+    m1, m2, m3 = params.masses
+    kp = params.kinematics
+    g = np.array(params.gravity)
+    d1, theta2, theta3 = q
+    c2, s2 = math.cos(theta2), math.sin(theta2)
+    c3, s3 = math.cos(theta3), math.sin(theta3)
+    base = np.array([0.0, 0.0, d1 + kp.l1])
+    p2 = base + kp.l2 * np.array([s2, 0.0, c2])
+    # the tip link points along the bending link's z-axis turned by theta3
+    # about its x-axis
+    p3 = p2 + kp.l_end * np.array([s2 * c3, -s3, c2 * c3])
+    return -float(m1 * g @ base + m2 * g @ p2 + m3 * g @ p3)
+
+
+def damped_pseudo_inverse(J, damping: float = 1e-3) -> np.ndarray:
+    """J^T (J J^T + damping^2 I)^-1, the damped least-squares inverse as a matrix.
+
+    The matrix form of kinematics.damped_least_squares, by a dense inverse;
+    damping = 0 gives the exact inverse of a full-rank J.
+    """
+    J = np.asarray(J, dtype=float)
+    return J.T @ np.linalg.inv(J @ J.T + (damping * damping) * np.eye(3))
+
+
+# ---------------------------------------------------------------------------
+# the program oracle and the verification suites
 
 def qp_reference(v_d: np.ndarray, rows):
     """Brute-force reference solve of the velocity program with rows (N, b).
@@ -116,30 +221,34 @@ def check_jacobian_fd(samples: int = 200, seed: int = 1):
     for _ in range(samples):
         q = _random_config(rng)
         J = jacobian(q, kin)
-        arr = q.as_array()
         for j in range(3):
-            plus, minus = arr.copy(), arr.copy()
+            plus, minus = list(q), list(q)
             plus[j] += step
             minus[j] -= step
-            col = (forward_kinematics(JointConfig.from_array(plus), kin)
-                   - forward_kinematics(JointConfig.from_array(minus), kin)) / (2 * step)
+            col = (forward_kinematics(plus, kin) - forward_kinematics(minus, kin)) / (2 * step)
             worst = max(worst, float(np.max(np.abs(col - J[:, j]))))
     return worst <= 1e-4, f"{samples} samples, worst column error {worst:.2e} (tol 1e-4)"
 
 
 def check_barrier_gradients_fd(samples: int = 200, seed: int = 2):
-    """Barrier gradients against central differences, plus unit norm."""
+    """Filter row normals against central differences of the barriers, plus unit norm.
+
+    The normals are the ones the filter uses, from selected_barrier_values
+    on a one-tumor and a one-shell safe set.
+    """
     rng = np.random.default_rng(seed)
     step = 1e-6
     worst = 0.0
+    keep_out, depth = FilterParams(), FilterParams(mode="keep_out_and_depth")
     for _ in range(samples):
         center = rng.uniform(-20.0, 40.0, 3)
         tumor = TumorSpec(center, float(rng.uniform(1.0, 8.0)))
         shell = DepthShell(center, float(rng.uniform(2.0, 12.0)))
         x = center + rng.uniform(0.5, 15.0) * _unit(rng)
-        for value, grad, obj in ((barrier_value, barrier_gradient, tumor),
-                                 (depth_barrier_value, depth_barrier_gradient, shell)):
-            g = grad(x, obj)
+        for value, obj, safe_set, params in (
+                (barrier_value, tumor, SafeSetSpec([tumor], []), keep_out),
+                (depth_barrier_value, shell, SafeSetSpec([], [shell]), depth)):
+            [(_, _, _, g)] = selected_barrier_values(x, safe_set, params)
             worst = max(worst, abs(float(np.linalg.norm(g)) - 1.0))
             for j in range(3):
                 plus, minus = x.copy(), x.copy()
@@ -174,11 +283,11 @@ def check_skew_symmetry(samples: int = 200, seed: int = 4):
     params = DynamicParams()
 
     def mdot_fd(q: JointConfig, qd: np.ndarray) -> np.ndarray:
-        arr = q.as_array()
+        arr = np.array(q)
 
         def central(h):
-            mp = mass_matrix(JointConfig.from_array(arr + h * qd), params)
-            mm = mass_matrix(JointConfig.from_array(arr - h * qd), params)
+            mp = mass_matrix(arr + h * qd, params)
+            mm = mass_matrix(arr - h * qd, params)
             return (mp - mm) / (2.0 * h)
 
         h = 1e-3
@@ -202,15 +311,11 @@ def check_dynamics_residual(samples: int = 200, seed: int = 5):
         q = _random_config(rng)
         qd = rng.normal(0.0, 1.0, 3)
         u = rng.normal(0.0, 1e4, 3)
-        qdd = forward_dynamics(RobotState(q, qd), u, params)
+        qdd = np.array(forward_dynamics(q, qd, u, params))
         resid = (mass_matrix(q, params) @ qdd + coriolis_matrix(q, qd, params) @ qd
                  + gravity_vector(q, params) - u)
         worst = max(worst, float(np.max(np.abs(resid))))
     return worst <= 1e-9, f"{samples} states, worst residual {worst:.2e} (tol 1e-9)"
-
-
-def _state(q, qd) -> RobotState:
-    return RobotState(JointConfig(*q), np.array(qd))
 
 
 def check_energy_audit(gravity_sign: float = 1.0):
@@ -224,11 +329,11 @@ def check_energy_audit(gravity_sign: float = 1.0):
     """
     free = DynamicParams(gravity=(0.0, 0.0, 0.0))
     q, qd = (10.0, 0.2, -0.3), (4.0, 0.6, -0.8)
-    ke0 = kinetic_energy(_state(q, qd), free)
+    ke0 = kinetic_energy(q, qd, free)
     drift = 0.0
     for _ in range(1000):
         q, qd = rk4_step(q, qd, (0.0, 0.0, 0.0), 1e-3, free)
-        drift = max(drift, abs(kinetic_energy(_state(q, qd), free) - ke0) / ke0)
+        drift = max(drift, abs(kinetic_energy(q, qd, free) - ke0) / ke0)
     if drift > 1e-6:
         return False, f"zero-gravity kinetic drift {drift:.2e} (tol 1e-6)"
 
@@ -237,15 +342,13 @@ def check_energy_audit(gravity_sign: float = 1.0):
     grav = DynamicParams(gravity=(9810.0, 0.0, 0.0))
     book = DynamicParams(gravity=tuple(gravity_sign * g for g in grav.gravity))
     q, qd = (10.0, 0.3, -0.2), (2.0, 0.4, -0.5)
-    state = _state(q, qd)
-    e0 = kinetic_energy(state, book) + potential_energy(state, book)
-    scale = max(kinetic_energy(state, book), 1.0)
+    e0 = kinetic_energy(q, qd, book) + potential_energy(q, book)
+    scale = max(kinetic_energy(q, qd, book), 1.0)
     drift = 0.0
     for _ in range(5000):
         q, qd = rk4_step(q, qd, (0.0, 0.0, 0.0), 2e-4, grav)
-        state = _state(q, qd)
-        scale = max(scale, kinetic_energy(state, book))
-        e = kinetic_energy(state, book) + potential_energy(state, book)
+        scale = max(scale, kinetic_energy(q, qd, book))
+        e = kinetic_energy(q, qd, book) + potential_energy(q, book)
         drift = max(drift, abs(e - e0))
     rel = drift / scale
     if rel > 1e-6:

@@ -5,6 +5,8 @@ The three moving links are modelled as point masses at their distal ends
 inertias on the two bending joints.  That keeps the mass matrix symmetric
 positive definite over the workspace while M[0][0] stays equal to the total
 moved mass.  The input map is the identity: one generalized force per joint.
+Only the scalar closed-form solve lives here; the matrix forms M, C, g and
+the energies that check it are in checks.
 
 Masses in g, lengths in mm, so forces are g*mm/s^2 and torques g*mm^2/s^2.
 """
@@ -14,9 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from .kinematics import JointConfig, KinematicParams, forward_kinematics
+from .kinematics import KinematicParams
 
 
 class SingularMassError(RuntimeError):
@@ -62,103 +62,13 @@ class DynamicParams:
             raise ValueError("link inertias must be non-negative")
 
 
-@dataclass
-class RobotState:
-    q: JointConfig
-    qdot: np.ndarray
-
-
-def mass_matrix(q: JointConfig, params: DynamicParams) -> np.ndarray:
-    """Symmetric positive definite joint-space mass matrix."""
-    m1, m2, m3 = params.masses
-    _, i2, i3 = params.link_inertias
-    kp = params.kinematics
-    c2, s2 = math.cos(q.theta2), math.sin(q.theta2)
-    c3, s3 = math.cos(q.theta3), math.sin(q.theta3)
-    le = kp.l_end
-    a = kp.l2 + le * c3
-    m01 = -s2 * (m2 * kp.l2 + m3 * a)
-    m02 = -m3 * c2 * le * s3
-    return np.array([
-        [m1 + m2 + m3, m01, m02],
-        [m01, m2 * kp.l2 ** 2 + m3 * a * a + i2, 0.0],
-        [m02, 0.0, m3 * le * le + i3],
-    ])
-
-
-def _christoffel_terms(q: JointConfig, params: DynamicParams):
-    # Nonzero partial derivatives of M wrt theta2 / theta3; everything else
-    # in dM/dq vanishes for this chain.
-    _, m2, m3 = params.masses
-    kp = params.kinematics
-    c2, s2 = math.cos(q.theta2), math.sin(q.theta2)
-    c3, s3 = math.cos(q.theta3), math.sin(q.theta3)
-    le = kp.l_end
-    a = kp.l2 + le * c3
-    a2 = -c2 * (m2 * kp.l2 + m3 * a)   # dM01/dtheta2
-    b2 = m3 * s2 * le * s3             # dM02/dtheta2
-    a3 = s2 * m3 * le * s3             # dM01/dtheta3
-    b3 = -m3 * c2 * le * c3            # dM02/dtheta3
-    d3 = -2.0 * m3 * a * le * s3       # dM11/dtheta3
-    return a2, b2, a3, b3, d3
-
-
-def coriolis_matrix(q: JointConfig, qdot: np.ndarray, params: DynamicParams) -> np.ndarray:
-    """Coriolis/centrifugal matrix from Christoffel symbols of M(q).
-
-    Built so that dM/dt - 2 C is skew-symmetric.
-    """
-    a2, b2, a3, b3, d3 = _christoffel_terms(q, params)
-    dq1, dq2, dq3 = float(qdot[0]), float(qdot[1]), float(qdot[2])
-    half_pm = 0.5 * (a3 + b2)
-    half_mm = 0.5 * (a3 - b2)
-    return np.array([
-        [0.0, a2 * dq2 + half_pm * dq3, half_pm * dq2 + b3 * dq3],
-        [half_mm * dq3, 0.5 * d3 * dq3, half_mm * dq1 + 0.5 * d3 * dq2],
-        [-half_mm * dq2, -half_mm * dq1 - 0.5 * d3 * dq2, 0.0],
-    ])
-
-
-def gravity_vector(q: JointConfig, params: DynamicParams) -> np.ndarray:
-    """Generalized gravity load dU/dq for U the potential energy of the masses."""
-    m1, m2, m3 = params.masses
-    kp = params.kinematics
-    gx, gy, gz = params.gravity
-    c2, s2 = math.cos(q.theta2), math.sin(q.theta2)
-    c3, s3 = math.cos(q.theta3), math.sin(q.theta3)
-    le = kp.l_end
-    a = kp.l2 + le * c3
-    return np.array([
-        -(m1 + m2 + m3) * gz,
-        -(m2 * kp.l2 + m3 * a) * (gx * c2 - gz * s2),
-        m3 * le * (gx * s2 * s3 + gy * c3 + gz * c2 * s3),
-    ])
-
-
-def kinetic_energy(state: RobotState, params: DynamicParams) -> float:
-    qd = np.asarray(state.qdot, dtype=float)
-    return 0.5 * float(qd @ mass_matrix(state.q, params) @ qd)
-
-
-def potential_energy(state: RobotState, params: DynamicParams) -> float:
-    m1, m2, m3 = params.masses
-    kp = params.kinematics
-    g = np.array(params.gravity)
-    q = state.q
-    c2, s2 = math.cos(q.theta2), math.sin(q.theta2)
-    base = np.array([0.0, 0.0, q.d1 + kp.l1])
-    p2 = base + np.array([s2 * kp.l2, 0.0, c2 * kp.l2])
-    p3 = forward_kinematics(q, kp)
-    return -float(m1 * g @ base + m2 * g @ p2 + m3 * g @ p3)
-
-
 def _accel(theta2, theta3, v1, v2, v3, u1, u2, u3, params: DynamicParams):
     """Joint accelerations M^-1 (u - C qdot - g) from plain floats.
 
     M is arrowhead-shaped, [[m00, m01, m02], [m01, m11, 0], [m02, 0, m22]],
     so eliminating the two bending rows leaves one scalar Schur complement
-    and the solve is exact in closed form.  mass_matrix, coriolis_matrix
-    and gravity_vector are the matrix-form oracles of this function.
+    and the solve is exact in closed form.  Its matrix-form oracles,
+    mass_matrix, coriolis_matrix and gravity_vector, live in checks.
     """
     m1, m2, m3 = params.masses
     _, i2, i3 = params.link_inertias
@@ -196,11 +106,15 @@ def _accel(theta2, theta3, v1, v2, v3, u1, u2, u3, params: DynamicParams):
     return qdd1, (r1 - m01 * qdd1) / m11, (r2 - m02 * qdd1) / m22
 
 
-def forward_dynamics(state: RobotState, u, params: DynamicParams) -> np.ndarray:
-    """Joint accelerations for forces/torques u (identity input map)."""
-    v1, v2, v3 = state.qdot
+def forward_dynamics(q, qdot, u, params: DynamicParams):
+    """Joint accelerations for forces/torques u (identity input map), as floats.
+
+    q = (d1, theta2, theta3), qdot and u are 3-sequences.
+    """
+    _, theta2, theta3 = q
+    v1, v2, v3 = qdot
     u1, u2, u3 = u
-    return np.array(_accel(state.q.theta2, state.q.theta3, v1, v2, v3, u1, u2, u3, params))
+    return _accel(theta2, theta3, v1, v2, v3, u1, u2, u3, params)
 
 
 def rk4_step(q, qdot, u, dt: float, params: DynamicParams):

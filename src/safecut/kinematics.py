@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
 class SingularJacobianError(RuntimeError):
-    """Raised when an undamped pseudo-inverse hits a rank-deficient Jacobian."""
+    """Raised when an undamped least-squares solve hits a rank-deficient Jacobian."""
 
 
 @dataclass
@@ -42,20 +43,12 @@ class KinematicParams:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
 
 
-@dataclass
-class JointConfig:
+class JointConfig(NamedTuple):
     """One joint configuration: insertion d1 [mm], bending angles [rad]."""
 
     d1: float
     theta2: float
     theta3: float
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.d1, self.theta2, self.theta3])
-
-    @staticmethod
-    def from_array(q) -> "JointConfig":
-        return JointConfig(float(q[0]), float(q[1]), float(q[2]))
 
 
 @dataclass
@@ -91,14 +84,14 @@ def tip_kinematics(d1: float, theta2: float, theta3: float, params: KinematicPar
     return x, J
 
 
-def forward_kinematics(q: JointConfig, params: KinematicParams) -> np.ndarray:
-    """Tip position [mm] in the base frame."""
-    return np.array(tip_kinematics(q.d1, q.theta2, q.theta3, params)[0])
+def forward_kinematics(q, params: KinematicParams) -> np.ndarray:
+    """Tip position [mm] in the base frame for any (d1, theta2, theta3) triple."""
+    return np.array(tip_kinematics(*q, params)[0])
 
 
-def jacobian(q: JointConfig, params: KinematicParams) -> np.ndarray:
-    """3x3 tip Jacobian d(position)/d(q)."""
-    return np.array(tip_kinematics(q.d1, q.theta2, q.theta3, params)[1])
+def jacobian(q, params: KinematicParams) -> np.ndarray:
+    """3x3 tip Jacobian d(position)/d(q) for any (d1, theta2, theta3) triple."""
+    return np.array(tip_kinematics(*q, params)[1])
 
 
 def damped_least_squares(J, e, damping: float = 1e-3):
@@ -113,7 +106,9 @@ def damped_least_squares(J, e, damping: float = 1e-3):
     e0, e1, e2 = e
     lam = damping * damping
     if lam == 0.0:
-        _require_full_rank(np.array(J, dtype=float))
+        Jm = np.array(J, dtype=float)
+        if np.linalg.cond(Jm @ Jm.T) > 1e12:
+            raise SingularJacobianError("Jacobian is numerically singular and damping is zero")
     a00 = j00 * j00 + j01 * j01 + j02 * j02 + lam
     a01 = j00 * j10 + j01 * j11 + j02 * j12
     a02 = j00 * j20 + j01 * j21 + j02 * j22
@@ -134,23 +129,3 @@ def damped_least_squares(J, e, damping: float = 1e-3):
             j01 * y0 + j11 * y1 + j21 * y2,
             j02 * y0 + j12 * y1 + j22 * y2)
 
-
-def damped_pseudo_inverse(J: np.ndarray, damping: float = 1e-3) -> np.ndarray:
-    """J^T (J J^T + damping^2 I)^-1, the damped least-squares inverse as a matrix.
-
-    The matrix form of damped_least_squares, kept as its reference.
-    damping = 0 reduces to the exact inverse for full-rank J; in that case a
-    numerically singular J (condition number above 1e12) raises
-    SingularJacobianError instead of returning garbage.
-    """
-    JJt = J @ J.T
-    if damping == 0.0:
-        _require_full_rank(J)
-        return J.T @ np.linalg.inv(JJt)
-    reg = JJt + (damping * damping) * np.eye(3)
-    return J.T @ np.linalg.inv(reg)
-
-
-def _require_full_rank(J: np.ndarray) -> None:
-    if np.linalg.cond(J @ J.T) > 1e12:
-        raise SingularJacobianError("Jacobian is numerically singular and damping is zero")

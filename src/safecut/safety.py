@@ -143,19 +143,9 @@ def barrier_value(x, tumor: TumorSpec) -> float:
     return _radial(x, tumor.center)[0] - tumor.margin
 
 
-def barrier_gradient(x, tumor: TumorSpec) -> np.ndarray:
-    """Row gradient of the keep-out barrier, the unit vector away from centre."""
-    return np.array(_unit(*_radial(x, tumor.center)))
-
-
 def depth_barrier_value(x, shell: DepthShell) -> float:
     """Containment barrier: positive inside the shell."""
     return shell.outer_radius - _radial(x, shell.center)[0]
-
-
-def depth_barrier_gradient(x, shell: DepthShell) -> np.ndarray:
-    """Row gradient of the depth barrier, the unit vector toward centre."""
-    return np.array(_unit(*_radial(x, shell.center), outward=False))
 
 
 def _paired_tumor_index(shell: DepthShell, tumors: list) -> Optional[int]:

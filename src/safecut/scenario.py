@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from .control import ControllerParams, DisturbanceSpec
-from .dynamics import DynamicParams, RobotState
+from .dynamics import DynamicParams
 from .kinematics import JointConfig, JointLimits, KinematicParams, forward_kinematics
 from .safety import DepthShell, FilterParams, SafeSetSpec, TumorSpec, barrier_value
 
@@ -190,7 +190,11 @@ def build_reference(markings: list, speed: float, dt: float, approach_from) -> R
 
 @dataclass
 class ScenarioSpec:
-    """Complete description of one closed-loop run."""
+    """Complete description of one closed-loop run.
+
+    initial_q and initial_qdot are the joint position and velocity at t = 0
+    (config keys initial.d1, initial.theta2, initial.theta3, initial.qdot).
+    """
 
     scenario_id: int
     tumors: list
@@ -200,7 +204,8 @@ class ScenarioSpec:
     controller: ControllerParams = field(default_factory=ControllerParams)
     disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
     dynamics: DynamicParams = field(default_factory=DynamicParams)
-    initial: RobotState = None
+    initial_q: JointConfig = JointConfig(0.0, 0.0, 0.0)
+    initial_qdot: tuple = (0.0, 0.0, 0.0)
     speed: float = 2.0
     kp_gain: float = 5.0
     dt: float = 1e-3
@@ -214,8 +219,14 @@ class ScenarioSpec:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
         if not math.isfinite(self.kp_gain):
             raise ValueError(f"kp_gain must be finite, got {self.kp_gain!r}")
-        if self.initial is None:
-            self.initial = RobotState(JointConfig(0.0, 0.0, 0.0), np.zeros(3))
+        # plain floats, named by their config keys: the run starts from them
+        self.initial_q = JointConfig._make(map(float, self.initial_q))
+        for name, value in zip(JointConfig._fields, self.initial_q):
+            if not math.isfinite(value):
+                raise ValueError(f"initial.{name} must be finite, got {value!r}")
+        self.initial_qdot = tuple(map(float, self.initial_qdot))
+        if len(self.initial_qdot) != 3 or not all(map(math.isfinite, self.initial_qdot)):
+            raise ValueError(f"initial.qdot must be 3 finite values, got {self.initial_qdot!r}")
 
     @property
     def kinematics(self) -> KinematicParams:
@@ -226,7 +237,7 @@ class ScenarioSpec:
         return SafeSetSpec(self.tumors, self.shells)
 
     def reference(self) -> ReferenceTrajectory:
-        start = forward_kinematics(self.initial.q, self.kinematics)
+        start = forward_kinematics(self.initial_q, self.kinematics)
         return build_reference(self.markings, self.speed, self.dt, start)
 
     def run_duration(self, ref: Optional[ReferenceTrajectory] = None) -> float:
@@ -240,9 +251,9 @@ class ScenarioSpec:
 
     def validate(self):
         """Geometric sanity of the scenario; raises ValueError on failure."""
-        if not JointLimits().contains(self.initial.q):
+        if not JointLimits().contains(self.initial_q):
             raise ValueError("initial joints outside the workspace box")
-        tip = forward_kinematics(self.initial.q, self.kinematics)
+        tip = forward_kinematics(self.initial_q, self.kinematics)
         for i, tumor in enumerate(self.tumors):
             if barrier_value(tip, tumor) < 0.0:
                 raise ValueError(f"initial tip inside keep-out sphere of tumor {i}")
@@ -276,7 +287,7 @@ def scenario_catalog(scenario_id: int) -> ScenarioSpec:
                                               for i, j in intrusions])],
         filter=FilterParams(**filter_args),
         dynamics=DynamicParams(gravity=(0.0, 0.0, 0.0)),
-        initial=RobotState(JointConfig(d1, 0.0, 0.0), np.zeros(3)),
+        initial_q=JointConfig(d1, 0.0, 0.0),
     )
     spec.validate()
     return spec
@@ -333,10 +344,10 @@ _SCALAR_KEYS = {
     "kp_gain": ("kp_gain", "float"),
     "settle": ("settle", "float"),
     "duration": ("duration", "auto"),
-    "initial.d1": ("initial.q.d1", "float"),
-    "initial.theta2": ("initial.q.theta2", "float"),
-    "initial.theta3": ("initial.q.theta3", "float"),
-    "initial.qdot": ("initial.qdot", "vec"),
+    "initial.d1": ("initial_q.d1", "float"),
+    "initial.theta2": ("initial_q.theta2", "float"),
+    "initial.theta3": ("initial_q.theta3", "float"),
+    "initial.qdot": ("initial_qdot", "vec"),
     "kinematics.l1": ("dynamics.kinematics.l1", "float"),
     "kinematics.l2": ("dynamics.kinematics.l2", "float"),
     "kinematics.l_end": ("dynamics.kinematics.l_end", "float"),
@@ -357,7 +368,7 @@ _SCALAR_KEYS = {
 }
 
 # the class of each nested attribute path above, innermost first
-_NESTED = (("initial.q", JointConfig), ("initial", RobotState),
+_NESTED = (("initial_q", JointConfig),
            ("dynamics.kinematics", KinematicParams), ("dynamics", DynamicParams),
            ("filter", FilterParams), ("controller", ControllerParams),
            ("disturbance", DisturbanceSpec))

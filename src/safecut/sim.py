@@ -135,8 +135,7 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
     active_rows = np.zeros(n, dtype=np.int64)
     gate = np.zeros(n, dtype=bool)
 
-    q = (float(spec.initial.q.d1), float(spec.initial.q.theta2), float(spec.initial.q.theta3))
-    qdot = tuple(float(v) for v in spec.initial.qdot)
+    q, qdot = spec.initial_q, spec.initial_qdot
     gate_engaged = not (fp.enabled and fp.activation_gate)
     quiet = spec.disturbance.waveform == "none"
     d = (0.0, 0.0, 0.0)

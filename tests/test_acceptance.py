@@ -15,7 +15,7 @@ import pytest
 
 from safecut import checks, sim
 from safecut.control import DisturbanceSpec
-from safecut.dynamics import DynamicParams, RobotState
+from safecut.dynamics import DynamicParams
 from safecut.kinematics import JointConfig
 from safecut.safety import FilterParams, TumorSpec
 from safecut.scenario import ScenarioSpec, generate_marking_points, scenario_catalog
@@ -128,7 +128,7 @@ def test_criterion_4_minimal_intervention(filtered_runs):
         markings=[generate_marking_points(tumor, 8, (0, 0, 1))],
         filter=FilterParams(alpha=0.4),
         dynamics=DynamicParams(gravity=(0.0, 0.0, 0.0)),
-        initial=RobotState(JointConfig(13.0, 0.0, 0.0), np.zeros(3)),
+        initial_q=JointConfig(13.0, 0.0, 0.0),
     )
     log = sim.run(free)
     report = sim.summarize(log, free)

@@ -115,6 +115,9 @@ def test_verify_quick_pass(capsys):
     ("scenario_id = 1\ntumor.x.margin = 3.0\n", "tumor.x.margin"),
     ("scenario_id = 2\ntumor.01.margin = 3.0\n", "tumor.01.margin"),
     ("scenario_id = 1\ntumor.0.margin = wide\n", "tumor.0.margin"),
+    ("scenario_id = 1\ninitial.qdot = 1, 2\n", "initial.qdot"),
+    ("scenario_id = 1\ninitial.qdot = nan, 0, 0\n", "initial.qdot"),
+    ("scenario_id = 1\ninitial.theta2 = nan\n", "initial.theta2"),
 ])
 def test_config_errors_exit_2_and_name_the_key(tmp_path, capsys, config, named):
     cfg = tmp_path / "bad.cfg"

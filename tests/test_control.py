@@ -10,8 +10,8 @@ import pytest
 from safecut.control import (ControllerParams, DisturbanceSpec,
                              InsufficientTransientError, control_law,
                              disturbance, measure_decay_rate, velocity_error)
-from safecut.kinematics import (JointConfig, KinematicParams, SingularJacobianError,
-                                damped_pseudo_inverse, jacobian)
+from safecut.checks import damped_pseudo_inverse
+from safecut.kinematics import JointConfig, KinematicParams, SingularJacobianError, jacobian
 
 KIN = KinematicParams()
 CTL = ControllerParams()

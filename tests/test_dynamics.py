@@ -2,13 +2,17 @@
 
 from __future__ import annotations
 
+import ast
+import inspect
+import types
+
 import numpy as np
 import pytest
 
-from safecut.dynamics import (DynamicParams, RobotState, SingularMassError,
-                              coriolis_matrix, forward_dynamics, gravity_vector,
-                              kinetic_energy, mass_matrix, potential_energy,
-                              rk4_step)
+from safecut import checks, control, dynamics, kinematics, safety, scenario, sim
+from safecut.checks import (coriolis_matrix, gravity_vector, kinetic_energy,
+                            mass_matrix, potential_energy)
+from safecut.dynamics import DynamicParams, SingularMassError, forward_dynamics, rk4_step
 from safecut.kinematics import JointConfig
 
 PARAMS = DynamicParams()
@@ -38,11 +42,11 @@ def test_coriolis_matches_mass_matrix_derivative():
     for _ in range(50):
         q = _random_config(rng)
         qd = rng.normal(0.0, 1.0, 3)
-        arr = q.as_array()
+        arr = np.array(q)
 
         def mdot(h):
-            mp = mass_matrix(JointConfig.from_array(arr + h * qd), PARAMS)
-            mm = mass_matrix(JointConfig.from_array(arr - h * qd), PARAMS)
+            mp = mass_matrix(arr + h * qd, PARAMS)
+            mm = mass_matrix(arr - h * qd, PARAMS)
             return (mp - mm) / (2.0 * h)
 
         rich = (4.0 * mdot(5e-4) - mdot(1e-3)) / 3.0
@@ -55,15 +59,13 @@ def test_gravity_vector_matches_potential_gradient():
     step = 1e-6
     for _ in range(50):
         q = _random_config(rng)
-        arr = q.as_array()
+        arr = np.array(q)
         g = gravity_vector(q, PARAMS)
         for j in range(3):
             plus, minus = arr.copy(), arr.copy()
             plus[j] += step
             minus[j] -= step
-            fd = (potential_energy(RobotState(JointConfig.from_array(plus), np.zeros(3)), PARAMS)
-                  - potential_energy(RobotState(JointConfig.from_array(minus), np.zeros(3)),
-                                     PARAMS)) / (2 * step)
+            fd = (potential_energy(plus, PARAMS) - potential_energy(minus, PARAMS)) / (2 * step)
             assert g[j] == pytest.approx(fd, abs=1e-3)
 
 
@@ -73,36 +75,30 @@ def test_forward_dynamics_inverts_equations_of_motion():
         q = _random_config(rng)
         qd = rng.normal(0.0, 1.0, 3)
         u = rng.normal(0.0, 1e4, 3)
-        qdd = forward_dynamics(RobotState(q, qd), u, PARAMS)
+        qdd = np.array(forward_dynamics(q, qd, u, PARAMS))
         lhs = (mass_matrix(q, PARAMS) @ qdd + coriolis_matrix(q, qd, PARAMS) @ qd
                + gravity_vector(q, PARAMS))
         np.testing.assert_allclose(lhs, u, atol=1e-8)
 
 
-def _state(q, qd):
-    return RobotState(JointConfig(*q), np.array(qd))
-
-
 def test_zero_gravity_coast_conserves_kinetic_energy():
     free = DynamicParams(gravity=(0.0, 0.0, 0.0))
     q, qd = (10.0, 0.2, -0.3), (4.0, 0.6, -0.8)
-    ke0 = kinetic_energy(_state(q, qd), free)
+    ke0 = kinetic_energy(q, qd, free)
     for _ in range(500):
         q, qd = rk4_step(q, qd, np.zeros(3), 1e-3, free)
-    assert kinetic_energy(_state(q, qd), free) == pytest.approx(ke0, rel=1e-6)
+    assert kinetic_energy(q, qd, free) == pytest.approx(ke0, rel=1e-6)
 
 
 def test_pendulum_conserves_total_energy():
     grav = DynamicParams(gravity=(9810.0, 0.0, 0.0))
     q, qd = (10.0, 0.3, -0.2), (2.0, 0.4, -0.5)
-    state = _state(q, qd)
-    e0 = kinetic_energy(state, grav) + potential_energy(state, grav)
-    scale = max(kinetic_energy(state, grav), 1.0)
+    e0 = kinetic_energy(q, qd, grav) + potential_energy(q, grav)
+    scale = max(kinetic_energy(q, qd, grav), 1.0)
     for _ in range(2000):
         q, qd = rk4_step(q, qd, np.zeros(3), 2e-4, grav)
-        state = _state(q, qd)
-        scale = max(scale, kinetic_energy(state, grav))
-    e1 = kinetic_energy(state, grav) + potential_energy(state, grav)
+        scale = max(scale, kinetic_energy(q, qd, grav))
+    e1 = kinetic_energy(q, qd, grav) + potential_energy(q, grav)
     assert abs(e1 - e0) / scale < 1e-6
 
 
@@ -138,9 +134,8 @@ def test_energy_audit_detects_corrupted_gravity_sign():
 def _rk4_matrix_form(q, qd, u, dt, params):
     """Reference RK4 on the matrix-form oracles and a dense linear solve."""
     def accel(q, qd):
-        jc = JointConfig(*q)
-        rhs = u - coriolis_matrix(jc, qd, params) @ qd - gravity_vector(jc, params)
-        return np.linalg.solve(mass_matrix(jc, params), rhs)
+        rhs = u - coriolis_matrix(q, qd, params) @ qd - gravity_vector(q, params)
+        return np.linalg.solve(mass_matrix(q, params), rhs)
 
     k1 = accel(q, qd)
     k2 = accel(q + 0.5 * dt * qd, qd + 0.5 * dt * k1)
@@ -178,8 +173,7 @@ def test_non_finite_configuration_raises_singular_mass():
     bad = DynamicParams()
     bad.link_inertias = (0.0, -1e9, 1.0)   # bypasses validation: M indefinite
     with pytest.raises(SingularMassError):
-        forward_dynamics(RobotState(JointConfig(10.0, 0.3, -0.2), np.zeros(3)),
-                         np.zeros(3), bad)
+        forward_dynamics((10.0, 0.3, -0.2), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), bad)
 
 
 @pytest.mark.parametrize("kwargs", [
@@ -190,3 +184,29 @@ def test_non_finite_configuration_raises_singular_mass():
 def test_dynamic_params_reject_non_finite(kwargs):
     with pytest.raises(ValueError, match=next(iter(kwargs))):
         DynamicParams(**kwargs)
+
+
+ORACLES = ("mass_matrix", "coriolis_matrix", "gravity_vector", "kinetic_energy",
+           "potential_energy", "damped_pseudo_inverse")
+KERNELS = {"tip_kinematics", "forward_kinematics", "jacobian", "damped_least_squares",
+           "_accel", "forward_dynamics", "rk4_step"}
+
+
+def test_runtime_modules_hold_one_form():
+    # the matrix forms and test-only wrappers live in checks, nowhere else
+    banned = set(ORACLES) | {"barrier_gradient", "depth_barrier_gradient", "RobotState"}
+    for module in (kinematics, dynamics, safety, control, sim, scenario):
+        assert not banned & set(vars(module)), module.__name__
+    assert not any(isinstance(v, types.ModuleType) and v.__name__.startswith("numpy")
+                   for v in vars(dynamics).values())
+
+
+def test_oracles_call_no_kernel():
+    # an oracle that wraps the kernel it checks would compare it with itself
+    tree = ast.parse(inspect.getsource(checks))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    for name in ORACLES:
+        nodes = list(ast.walk(defs[name]))
+        used = {n.id for n in nodes if isinstance(n, ast.Name)}
+        used |= {n.attr for n in nodes if isinstance(n, ast.Attribute)}
+        assert not used & KERNELS, name

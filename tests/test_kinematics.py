@@ -7,8 +7,9 @@ import math
 import numpy as np
 import pytest
 
+from safecut.checks import damped_pseudo_inverse
 from safecut.kinematics import (JointConfig, JointLimits, KinematicParams,
-                                SingularJacobianError, damped_pseudo_inverse,
+                                SingularJacobianError, damped_least_squares,
                                 forward_kinematics, jacobian)
 
 KIN = KinematicParams()
@@ -43,20 +44,22 @@ def test_jacobian_matches_finite_differences():
     for _ in range(100):
         arr = np.array([rng.uniform(0.0, 50.0),
                         rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)])
-        J = jacobian(JointConfig.from_array(arr), KIN)
+        J = jacobian(JointConfig(*arr), KIN)
         for j in range(3):
             plus, minus = arr.copy(), arr.copy()
             plus[j] += step
             minus[j] -= step
-            fd = (forward_kinematics(JointConfig.from_array(plus), KIN)
-                  - forward_kinematics(JointConfig.from_array(minus), KIN)) / (2 * step)
+            fd = (forward_kinematics(plus, KIN) - forward_kinematics(minus, KIN)) / (2 * step)
             np.testing.assert_allclose(J[:, j], fd, atol=1e-4)
 
 
 def test_joint_config_array_round_trip():
+    # a JointConfig is the plain (d1, theta2, theta3) triple the kernels unpack
     q = JointConfig(3.0, 0.2, -0.4)
-    np.testing.assert_array_equal(JointConfig.from_array(q.as_array()).as_array(),
-                                  q.as_array())
+    assert q == (3.0, 0.2, -0.4)
+    assert JointConfig(*np.array(q)) == q
+    np.testing.assert_array_equal(forward_kinematics(q, KIN),
+                                  forward_kinematics(tuple(q), KIN))
 
 
 def test_limits_contain_straight_reject_overdriven():
@@ -88,7 +91,7 @@ def test_undamped_inverse_raises_at_singularity():
     # along x, rank drops to 2
     J = jacobian(JointConfig(0.0, np.pi / 2, 0.0), KIN)
     with pytest.raises(SingularJacobianError):
-        damped_pseudo_inverse(J, damping=0.0)
+        damped_least_squares(J, (1.0, 0.0, 0.0), damping=0.0)
 
 
 def test_damping_keeps_singularity_finite():

@@ -8,13 +8,25 @@ import pytest
 from safecut.checks import qp_reference, random_qp_instance
 from safecut.safety import (DegeneratePointError, DepthShell, FilterParams,
                             InfeasibleQPError, SafeSetSpec, TumorSpec,
-                            barrier_gradient, barrier_value, constraint_rows,
-                            count_active_rows, depth_barrier_gradient,
+                            barrier_value, constraint_rows, count_active_rows,
                             depth_barrier_value, safety_filter,
                             selected_barrier_values)
 
 TUMOR = TumorSpec(center=(0.0, 6.0, 30.0), margin=4.0)
 SHELL = DepthShell(center=(0.0, 6.0, 30.0), outer_radius=7.0)
+
+
+def _tumor_normal(x):
+    """The filter's row normal of TUMOR alone at x."""
+    [(_, _, _, normal)] = selected_barrier_values(x, SafeSetSpec([TUMOR], []), FilterParams())
+    return np.array(normal)
+
+
+def _shell_normal(x):
+    """The filter's row normal of SHELL alone at x."""
+    [(_, _, _, normal)] = selected_barrier_values(
+        x, SafeSetSpec([], [SHELL]), FilterParams(mode="keep_out_and_depth"))
+    return np.array(normal)
 
 
 def test_barrier_sign_convention():
@@ -26,8 +38,8 @@ def test_barrier_sign_convention():
 
 def test_gradients_are_unit_and_opposed():
     x = np.array([3.0, 2.0, 28.0])
-    g_in = barrier_gradient(x, TUMOR)
-    g_out = depth_barrier_gradient(x, SHELL)
+    g_in = _tumor_normal(x)
+    g_out = _shell_normal(x)
     assert np.linalg.norm(g_in) == pytest.approx(1.0)
     np.testing.assert_allclose(g_in, -g_out, atol=1e-12)
 
@@ -37,7 +49,7 @@ def test_gradient_matches_finite_differences():
     step = 1e-6
     for _ in range(50):
         x = TUMOR.center + rng.uniform(0.5, 12.0) * _unit(rng)
-        g = barrier_gradient(x, TUMOR)
+        g = _tumor_normal(x)
         for j in range(3):
             plus, minus = x.copy(), x.copy()
             plus[j] += step
@@ -53,9 +65,9 @@ def _unit(rng):
 
 def test_degenerate_point_raises():
     with pytest.raises(DegeneratePointError):
-        barrier_gradient(np.asarray(TUMOR.center), TUMOR)
+        _tumor_normal(np.asarray(TUMOR.center))
     with pytest.raises(DegeneratePointError):
-        depth_barrier_gradient(np.asarray(SHELL.center), SHELL)
+        _shell_normal(np.asarray(SHELL.center))
 
 
 def test_spec_validation():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from safecut import scenario
-from safecut.dynamics import RobotState, mass_matrix
+from safecut.checks import mass_matrix
 from safecut.kinematics import JointConfig, KinematicParams, forward_kinematics
 from safecut.safety import TumorSpec, barrier_value
 from safecut.scenario import (SCENARIO_IDS, MarkingSet, ScenarioSpec,
@@ -130,10 +130,10 @@ def test_catalog_ids_and_geometry():
 def test_catalog_initial_tip_positions():
     for sid in (1, 2, 3):
         spec = scenario_catalog(sid)
-        tip = forward_kinematics(spec.initial.q, spec.kinematics)
+        tip = forward_kinematics(spec.initial_q, spec.kinematics)
         np.testing.assert_allclose(tip, [0.0, 0.0, 43.0], atol=1e-12)
     s4 = scenario_catalog(4)
-    tip = forward_kinematics(s4.initial.q, s4.kinematics)
+    tip = forward_kinematics(s4.initial_q, s4.kinematics)
     np.testing.assert_allclose(tip, [0.0, 0.0, 36.7], atol=1e-12)
     # outside the depth shell, so the gate starts disengaged
     assert np.linalg.norm(tip - s4.shells[0].center) > s4.shells[0].outer_radius
@@ -144,8 +144,8 @@ def test_validate_rejects_bad_geometry():
     # bend the tip onto the tumor centre: y = -l_end sin(theta3), z via d1
     theta3 = math.asin(-6.0 / 17.0)
     d1 = 30.0 - 3.0 - (10.0 + 17.0 * math.cos(theta3))
-    inside = replace(spec, initial=RobotState(JointConfig(d1, 0.0, theta3), np.zeros(3)))
-    tip = forward_kinematics(inside.initial.q, inside.kinematics)
+    inside = replace(spec, initial_q=JointConfig(d1, 0.0, theta3))
+    tip = forward_kinematics(inside.initial_q, inside.kinematics)
     assert barrier_value(tip, spec.tumors[0]) < 0.0
     with pytest.raises(ValueError):
         inside.validate()
@@ -218,13 +218,18 @@ def test_non_finite_kp_gain_rejected():
 
 
 def _leaves(cls, prefix=""):
-    """Attribute paths of the init fields of a dataclass, nested ones expanded."""
+    """Attribute paths of the init fields of a dataclass, nested ones expanded.
+
+    A NamedTuple field expands to its _fields.
+    """
     hints = typing.get_type_hints(cls)
     for f in dataclasses.fields(cls):
         if f.init:
             kind = hints[f.name]
             if dataclasses.is_dataclass(kind):
                 yield from _leaves(kind, f"{prefix}{f.name}.")
+            elif hasattr(kind, "_fields"):
+                yield from (f"{prefix}{f.name}.{name}" for name in kind._fields)
             else:
                 yield prefix + f.name
 

@@ -9,7 +9,7 @@ import pytest
 
 from safecut import safety, sim
 from safecut.control import ControllerParams
-from safecut.dynamics import DynamicParams, RobotState, SingularMassError
+from safecut.dynamics import DynamicParams, SingularMassError
 from safecut.kinematics import JointConfig, forward_kinematics
 from safecut.safety import DepthShell, FilterParams, TumorSpec
 from safecut.scenario import (MarkingSet, ScenarioSpec, build_reference,
@@ -26,7 +26,7 @@ def _small_spec(**kw):
         markings=[generate_marking_points(TUMOR, 3, (0, 0, 1))],
         filter=FilterParams(alpha=0.4),
         dynamics=DynamicParams(gravity=(0.0, 0.0, 0.0)),
-        initial=RobotState(JointConfig(13.0, 0.0, 0.0), np.zeros(3)),
+        initial_q=JointConfig(13.0, 0.0, 0.0),
         speed=4.0,
         duration=2.0,
     )
@@ -53,13 +53,13 @@ def test_log_shapes_and_time_grid(small_run):
 def test_log_positions_consistent_with_joints(small_run):
     spec, log = small_run
     for k in (0, len(log) // 2, len(log) - 1):
-        x = forward_kinematics(JointConfig.from_array(log.q[k]), spec.kinematics)
+        x = forward_kinematics(log.q[k], spec.kinematics)
         np.testing.assert_allclose(x, log.x[k], atol=1e-12)
 
 
 def test_initial_record_matches_spec(small_run):
     spec, log = small_run
-    np.testing.assert_array_equal(log.q[0], spec.initial.q.as_array())
+    np.testing.assert_array_equal(log.q[0], spec.initial_q)
     np.testing.assert_array_equal(log.qdot[0], np.zeros(3))
 
 
@@ -113,7 +113,7 @@ def test_gate_starts_disengaged_and_latches():
     spec = _small_spec(
         shells=[DepthShell(TUMOR.center, 7.0)],
         filter=FilterParams(alpha=1.5, mode="keep_out_and_depth", activation_gate=True),
-        initial=RobotState(JointConfig(6.7, 0.0, 0.0), np.zeros(3)),
+        initial_q=JointConfig(6.7, 0.0, 0.0),
         duration=2.5,
     )
     log = sim.run(spec)
@@ -203,7 +203,7 @@ def test_gate_aware_summary_excludes_approach():
     spec = _small_spec(
         shells=[DepthShell(TUMOR.center, 7.0)],
         filter=FilterParams(alpha=1.5, mode="keep_out_and_depth", activation_gate=True),
-        initial=RobotState(JointConfig(6.7, 0.0, 0.0), np.zeros(3)),
+        initial_q=JointConfig(6.7, 0.0, 0.0),
         duration=2.5,
     )
     log = sim.run(spec)
