@@ -51,21 +51,6 @@ class JointConfig(NamedTuple):
     theta3: float
 
 
-@dataclass
-class JointLimits:
-    """Workspace box used by scenario validation, not enforced by the plant."""
-
-    d1_max: float = 50.0
-    angle_max: float = math.pi / 2
-
-    def contains(self, q: JointConfig) -> bool:
-        return (
-            0.0 <= q.d1 <= self.d1_max
-            and abs(q.theta2) <= self.angle_max
-            and abs(q.theta3) <= self.angle_max
-        )
-
-
 def tip_kinematics(d1: float, theta2: float, theta3: float, params: KinematicParams):
     """Tip position [mm] and 3x3 tip Jacobian d(position)/d(q), as float tuples.
 

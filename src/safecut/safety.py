@@ -15,8 +15,8 @@ which keeps the commanded velocity safe while deviating minimally from the
 desired one.  The rows are one pair (N, b): N is a (k, 3) array of normals
 and b the (k,) array of offsets, so row i reads N[i] . v_s >= b[i].  With at
 most a handful of rows in 3-D the program is solved exactly by enumerating
-candidate active sets and checking the KKT conditions, so no iterative QP
-solver and no solver tolerance enters the control path.
+candidate active sets, each a square float solve, and checking the KKT
+conditions, so no iterative QP solver or solver tolerance enters the loop.
 """
 
 from __future__ import annotations
@@ -232,9 +232,9 @@ def safety_filter(v_d, rows) -> np.ndarray:
     all rows satisfied) is the unique optimum.  Raises InfeasibleQPError when
     the rows admit no solution.
 
-    The feasibility tests and the one-row candidates, which the closed loop
-    almost always ends on, run on plain floats; larger candidates solve
-    their Gram system with LAPACK.
+    The one-row candidates, which the closed loop almost always ends on, are
+    projected inline; larger ones solve N_A w = b_A - N_A v_d in floats
+    (_vertex_step), never the normal equations, which square its condition.
     """
     v_d = np.asarray(v_d, dtype=float)
     N, b = rows
@@ -261,27 +261,44 @@ def safety_filter(v_d, rows) -> np.ndarray:
     k = len(offsets)
     for size in (2, 3):
         for subset in combinations(range(k), size):
-            idx = list(subset)
-            NA = N[idx, :]
-            resid = b[idx] - NA @ v_d
-            G = NA @ NA.T
-            try:
-                mu = np.linalg.solve(G, resid)
-            except np.linalg.LinAlgError:
-                continue
-            if not np.all(np.isfinite(mu)) or \
-                    np.max(np.abs(G @ mu - resid)) > 1e-7 * max(1.0, float(np.linalg.norm(resid))):
-                continue
-            if np.min(mu) < -_DUAL_TOL * max(1.0, float(np.linalg.norm(mu))):
-                continue
-            v = v_d + NA.T @ mu
-            if np.all(N @ v >= b - _FEAS_TOL * max(1.0, float(np.linalg.norm(v)))):
-                return v
+            v = _vertex_step(v0, [normals[i] for i in subset], [offsets[i] for i in subset])
+            if v and _satisfies(normals, offsets, v, _FEAS_TOL * max(1.0, math.sqrt(_dot(v, v)))):
+                return np.array(v)
     raise InfeasibleQPError(f"no velocity satisfies all {k} constraint rows")
+
+
+def _vertex_step(v0: list, active: list, offsets: list):
+    """v0 + w with n_i . (v0 + w) = b_i on two or three rows, or None.
+
+    By the dual basis c_i = n_j x n_k (n_i . c_i = det, n_j . c_i = 0, j != i),
+    w = sum (r_i / det) c_i with multipliers mu_i = (w . c_i) / det.  Two rows
+    gain n_0 x n_1 with r = 0, so w stays still along their planes' common line.
+    None when w misses r by over 1e-7 max(1, |r|), a nan residual included,
+    or when a multiplier is negative beyond _DUAL_TOL.
+    """
+    size = len(active)
+    r = [b - _dot(n, v0) for n, b in zip(active, offsets)]
+    if size == 2:
+        active, r = active + [_cross(*active)], r + [0.0]
+    n0, n1, n2 = active
+    c = (_cross(n1, n2), _cross(n2, n0), _cross(n0, n1))
+    det = _dot(n0, c[0])
+    w = [_dot(r, col) / det for col in zip(*c)] if det else [math.nan] * 3
+    tol = 1e-7 * max(1.0, math.hypot(*r))
+    if not all(abs(_dot(n, w) - ri) <= tol for n, ri in zip(active, r)):
+        return None
+    mu = [_dot(w, ci) / det for ci in c[:size]]
+    if min(mu) < -_DUAL_TOL * max(1.0, math.hypot(*mu)):
+        return None
+    return [v0[0] + w[0], v0[1] + w[1], v0[2] + w[2]]
 
 
 def _dot(a, b) -> float:
     return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _cross(a, b) -> tuple:
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
 def _satisfies(normals: list, offsets: list, v: list, slack: float) -> bool:

@@ -29,12 +29,16 @@ import numpy as np
 
 from .control import ControllerParams, DisturbanceSpec
 from .dynamics import DynamicParams
-from .kinematics import JointConfig, JointLimits, KinematicParams, forward_kinematics
+from .kinematics import JointConfig, KinematicParams, forward_kinematics
 from .safety import DepthShell, FilterParams, SafeSetSpec, TumorSpec, barrier_value
 
 _UNSAFE_DEPTH = 1.5          # mm inside the keep-out sphere
 _MARKING_COUNT = 8
 _MARKING_PLANE = (0.0, 0.0, 1.0)
+
+# joint -> (low, high) in JointConfig order: validate's workspace box, not enforced by the plant
+_JOINT_BOX = dict(d1=(0.0, 50.0), theta2=(-math.pi / 2, math.pi / 2),
+                  theta3=(-math.pi / 2, math.pi / 2))
 
 _REMOVABLE = ((0.0, 6.0, 30.0), 4.0, True)       # TumorSpec arguments
 _PRESERVE = ((0.0, -6.0, 30.0), 4.0, False)
@@ -240,19 +244,18 @@ class ScenarioSpec:
         start = forward_kinematics(self.initial_q, self.kinematics)
         return build_reference(self.markings, self.speed, self.dt, start)
 
-    def run_duration(self, ref: Optional[ReferenceTrajectory] = None) -> float:
-        """The fixed duration, or the reference's duration plus settle.
-
-        ref is this spec's reference when the caller has already built it.
-        """
+    def run_duration(self, ref: ReferenceTrajectory) -> float:
+        """The fixed duration, or the duration of ref, this spec's reference, plus settle."""
         if self.duration is not None:
             return self.duration
-        return (self.reference() if ref is None else ref).duration + self.settle
+        return ref.duration + self.settle
 
     def validate(self):
         """Geometric sanity of the scenario; raises ValueError on failure."""
-        if not JointLimits().contains(self.initial_q):
-            raise ValueError("initial joints outside the workspace box")
+        for (name, (low, high)), v in zip(_JOINT_BOX.items(), self.initial_q):
+            if not low <= v <= high:
+                raise ValueError(f"initial.{name} = {v!r} outside the workspace box "
+                                 f"[{low:g}, {high:g}]")
         tip = forward_kinematics(self.initial_q, self.kinematics)
         for i, tumor in enumerate(self.tumors):
             if barrier_value(tip, tumor) < 0.0:

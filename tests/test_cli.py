@@ -118,6 +118,9 @@ def test_verify_quick_pass(capsys):
     ("scenario_id = 1\ninitial.qdot = 1, 2\n", "initial.qdot"),
     ("scenario_id = 1\ninitial.qdot = nan, 0, 0\n", "initial.qdot"),
     ("scenario_id = 1\ninitial.theta2 = nan\n", "initial.theta2"),
+    ("scenario_id = 1\ninitial.d1 = -1\n", "initial.d1 = -1.0 outside the workspace box [0, 50]"),
+    ("scenario_id = 1\ninitial.theta2 = 1.8\n", "initial.theta2 = 1.8 outside the workspace box"),
+    ("scenario_id = 1\ninitial.theta3 = -1.8\n", "initial.theta3 = -1.8 outside the workspace box"),
 ])
 def test_config_errors_exit_2_and_name_the_key(tmp_path, capsys, config, named):
     cfg = tmp_path / "bad.cfg"

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from safecut.checks import damped_pseudo_inverse
-from safecut.kinematics import (JointConfig, JointLimits, KinematicParams,
+from safecut.kinematics import (JointConfig, KinematicParams,
                                 SingularJacobianError, damped_least_squares,
                                 forward_kinematics, jacobian)
 
@@ -60,14 +60,6 @@ def test_joint_config_array_round_trip():
     assert JointConfig(*np.array(q)) == q
     np.testing.assert_array_equal(forward_kinematics(q, KIN),
                                   forward_kinematics(tuple(q), KIN))
-
-
-def test_limits_contain_straight_reject_overdriven():
-    limits = JointLimits()
-    assert limits.contains(JointConfig(25.0, 0.0, 0.0))
-    assert not limits.contains(JointConfig(-1.0, 0.0, 0.0))
-    assert not limits.contains(JointConfig(10.0, 1.8, 0.0))
-    assert not limits.contains(JointConfig(10.0, 0.0, -1.8))
 
 
 def test_positive_lengths_enforced():

@@ -193,11 +193,36 @@ def test_filter_matches_reference_batch():
     assert infeasible > 10
 
 
-def test_filter_infeasible_antipodal():
-    n = np.array([1.0, 0.0, 0.0])
-    rows = (np.array([n, -n]), np.array([1.0, 1.0]))
+_TILTED = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
+
+
+@pytest.mark.parametrize("N, b", [
+    pytest.param([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], [1.0, 1.0], id="axis"),
+    # the rounded triple product of these three is about 1e-17, not 0: only
+    # the residual refusal keeps a velocity near 1e16 from being returned
+    pytest.param([_TILTED, -_TILTED, [0.6, 0.8, 0.0]], [1.0, 1.0, 0.0], id="tilted"),
+])
+def test_filter_infeasible_antipodal(N, b):
+    rows = (np.array(N, dtype=float), np.array(b))
     with pytest.raises(InfeasibleQPError):
         safety_filter(np.zeros(3), rows)
+
+
+@pytest.mark.parametrize("batch, index", [
+    (0, 9854), (1, 4486), (1, 9209), (2, 27), (2, 1699),
+    (2, 2257), (2, 8033), (3, 3055), (3, 4127), (3, 8671),
+])
+def test_filter_solves_ill_conditioned_feasible_programs(batch, index):
+    # program `index` of default_rng([100, batch]): a near-antipodal pair puts
+    # the optimum far out, where a normal-equations solve misses its residual
+    rng = np.random.default_rng([100, batch])
+    for _ in range(index):
+        random_qp_instance(rng)
+    v_d, rows = random_qp_instance(rng)
+    expected = qp_reference(v_d, rows)
+    assert expected is not None
+    got = safety_filter(v_d, rows)
+    assert np.linalg.norm(got - expected) <= 1e-3 * max(1.0, np.linalg.norm(expected))
 
 
 def test_filter_empty_rows_identity():

@@ -157,9 +157,10 @@ def test_validate_rejects_bad_geometry():
 
 def test_duration_override():
     spec = scenario_catalog(1)
-    assert spec.run_duration() == pytest.approx(spec.reference().duration + spec.settle)
+    ref = spec.reference()
+    assert spec.run_duration(ref) == pytest.approx(ref.duration + spec.settle)
     fixed = replace(spec, duration=3.0)
-    assert fixed.run_duration() == 3.0
+    assert fixed.run_duration(ref) == 3.0
 
 
 def test_config_round_trip():
