@@ -127,39 +127,71 @@ def damped_pseudo_inverse(J, damping: float = 1e-3) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the program oracle and the verification suites
 
-def qp_reference(v_d: np.ndarray, rows):
-    """Brute-force reference solve of the velocity program with rows (N, b).
+def _adjugate(G: list):
+    """(adj G, det G) of an integer matrix of order 0 to 3, exactly."""
+    n = len(G)
+    if n == 0:
+        return [], 1
+    if n == 1:
+        return [[1]], G[0][0]
+    if n == 2:
+        (a, b), (c, d) = G
+        return [[d, -b], [-c, a]], a * d - b * c
+    # cyclic index shifts give each 3x3 cofactor its sign
+    C = [[G[(i + 1) % 3][(j + 1) % 3] * G[(i + 2) % 3][(j + 2) % 3]
+          - G[(i + 1) % 3][(j + 2) % 3] * G[(i + 2) % 3][(j + 1) % 3]
+          for j in range(3)] for i in range(3)]
+    return [list(col) for col in zip(*C)], sum(G[0][j] * C[0][j] for j in range(3))
 
-    Enumerates every subset of rows as a candidate active set, solves the
-    stacked KKT system by least squares, and returns the feasible candidate
-    of smallest objective; None when no candidate is feasible.  Selection is
-    by objective value alone, with no multiplier-sign reasoning, so the
+
+def qp_reference(v_d: np.ndarray, rows):
+    """Exact brute-force solve of the velocity program with rows (N, b).
+
+    Every float is a dyadic rational, so the program is solved exactly in
+    Python ints.  With all inputs over one power-of-two denominator D and
+    w = D v, it reads: minimize |w - V|^2 subject to A w >= c, where V = D v_d,
+    A = D N and c = D^2 b are integers.  Every subset of at most three rows is
+    a candidate active set: its projection w = V + A_S^T lam solves the Gram
+    system (A_S A_S^T) lam = c_S - A_S V by its adjugate, and a subset whose
+    Gram determinant is 0 is skipped.  Feasibility is tested and objectives
+    are compared exactly, with no tolerance; the feasible candidate of
+    smallest objective is returned, correctly rounded to floats, and None
+    when no candidate is feasible.  Selection is by objective value alone,
+    with no multiplier-sign reasoning and no float arithmetic, so the
     decision path is independent of the filter's.
     """
-    v_d = np.asarray(v_d, dtype=float)
     N, b = rows
     k = len(b)
-    if k == 0:
-        return v_d.copy()
-    best = None
-    best_obj = math.inf
+    ratios = [float(x).as_integer_ratio() for x in (*np.ravel(v_d), *np.ravel(N), *np.ravel(b))]
+    den = max(d for _, d in ratios)
+    ints = [n * (den // d) for n, d in ratios]
+    V, A = ints[:3], [ints[3 + 3 * i:6 + 3 * i] for i in range(k)]
+    c = [den * n for n in ints[3 + 3 * k:]]
+    G = [[_dot(p, q) for q in A] for p in A]
+    slack = [_dot(p, V) - ci for p, ci in zip(A, c)]       # A V - c
+    best, best_obj = None, None
     for size in range(0, min(k, 3) + 1):
-        for subset in combinations(range(k), size):
-            if size == 0:
-                v = v_d.copy()
-            else:
-                NA = N[list(subset), :]
-                top = np.hstack([np.eye(3), -NA.T])
-                bot = np.hstack([NA, np.zeros((size, size))])
-                kkt = np.vstack([top, bot])
-                rhs = np.concatenate([v_d, b[list(subset)]])
-                sol = np.linalg.lstsq(kkt, rhs, rcond=None)[0]
-                v = sol[:3]
-            if np.all(N @ v >= b - 1e-9 * max(1.0, float(np.linalg.norm(v)))):
-                obj = float(np.sum((v - v_d) ** 2))
-                if obj < best_obj:
-                    best, best_obj = v, obj
-    return best
+        for S in combinations(range(k), size):
+            adj, det = _adjugate([[G[i][j] for j in S] for i in S])
+            if det == 0:
+                continue
+            lam = [-sum(a * slack[i] for a, i in zip(row, S)) for row in adj]   # det * lam
+            # det * (A w - c) >= 0 row by row, for w = V + A_S^T lam / det
+            if all(det * slack[m] + sum(x * G[m][i] for x, i in zip(lam, S)) >= 0
+                   for m in range(k)):
+                # |w - V|^2 = lam^T G_S lam = -lam . slack_S, over det
+                obj = (-sum(x * slack[i] for x, i in zip(lam, S)), det)
+                if best is None or obj[0] * best_obj[1] < best_obj[0] * obj[1]:
+                    best, best_obj = (S, lam, det), obj
+    if best is None:
+        return None
+    S, lam, det = best
+    return np.array([(det * V[j] + sum(x * A[i][j] for x, i in zip(lam, S))) / (det * den)
+                     for j in range(3)])
+
+
+def _dot(p, q) -> int:
+    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
 
 
 def random_qp_instance(rng: np.random.Generator):

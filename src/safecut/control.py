@@ -63,6 +63,8 @@ class DisturbanceSpec:
             raise ValueError(f"frequency must be finite, got {self.frequency!r}")
         if self.waveform == "sinusoid" and self.frequency <= 0.0:
             raise ValueError("sinusoid waveform needs a positive frequency")
+        if self.seed < 0:
+            raise ValueError(f"disturbance.seed must be a non-negative integer, got {self.seed!r}")
         # drawn once here, not on every control step's sample
         self.phases = np.random.default_rng(self.seed).uniform(0.0, 2.0 * math.pi, 3)
 

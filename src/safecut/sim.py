@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 from typing import Optional
 
@@ -50,32 +51,63 @@ class PlantDivergedError(RuntimeError):
         self.step, self.t, self.q, self.qdot = step, t, q, qdot
 
 
+# float field of the log -> its CSV columns, in row order.  The run's row buffer
+# and the CSV share this layout; h follows, and the CSV adds active_rows, gate.
+_COLUMNS = {
+    "t": ("t_s",),
+    "q": ("d1_mm", "theta2_rad", "theta3_rad"),
+    "qdot": ("d1dot_mm_s", "theta2dot_rad_s", "theta3dot_rad_s"),
+    "x": ("x_mm", "y_mm", "z_mm"),
+    "xdot": ("xdot_mm_s", "ydot_mm_s", "zdot_mm_s"),
+    "xdot_des": ("xdot_des_x_mm_s", "xdot_des_y_mm_s", "xdot_des_z_mm_s"),
+    "xdot_safe": ("xdot_safe_x_mm_s", "xdot_safe_y_mm_s", "xdot_safe_z_mm_s"),
+    "u": ("u_d1_gmm_s2", "u_th2_gmm2_s2", "u_th3_gmm2_s2"),
+    "d": ("d_d1_gmm_s2", "d_th2_gmm2_s2", "d_th3_gmm2_s2"),
+    "edot": ("edot_d1_mm_s", "edot_th2_rad_s", "edot_th3_rad_s"),
+}
+_H_COLUMN = sum(len(names) for names in _COLUMNS.values())
+_BLOCK_ROWS = 1024   # rows held as Python objects at a time while writing or parsing
+
+
+def _csv_columns(barrier_names: list) -> list:
+    return [c for names in _COLUMNS.values() for c in names] + \
+           [f"h_{name}_mm" for name in barrier_names] + ["active_rows", "gate"]
+
+
+def _with_column_views(cls):
+    """Give cls one property per _COLUMNS field: that field's column view of data."""
+    start = 0
+    for field, names in _COLUMNS.items():
+        cols = start if len(names) == 1 else slice(start, start + len(names))
+        setattr(cls, field, property(lambda log, cols=cols: log.data[:, cols]))
+        start += len(names)
+    return cls
+
+
+@_with_column_views
 @dataclass
 class TrajectoryLog:
-    """Per-step record arrays of one run.
+    """Per-step record of one run: one row of data per control step.
 
-    h has one column per barrier, ordered tumors first then shells, named in
-    barrier_names.  d is the disturbance that was added to the applied input;
-    u is the controller output before that addition.
+    data is the (steps, 28 + barriers) float buffer the run writes.  Its
+    column views, laid out by _COLUMNS, are the fields t (steps,), the
+    3-vectors q through edot (steps, 3), and h (steps, barriers), with one
+    column per barrier named in barrier_names, tumors first then shells.
+    d is the disturbance added to the applied input; u is the controller
+    output before that addition.
     """
 
-    t: np.ndarray
-    q: np.ndarray
-    qdot: np.ndarray
-    x: np.ndarray
-    xdot: np.ndarray
-    xdot_des: np.ndarray
-    xdot_safe: np.ndarray
-    u: np.ndarray
-    d: np.ndarray
-    edot: np.ndarray
-    h: np.ndarray
+    data: np.ndarray
     active_rows: np.ndarray
     gate: np.ndarray
     barrier_names: list
 
     def __len__(self):
-        return len(self.t)
+        return len(self.data)
+
+    @property
+    def h(self) -> np.ndarray:
+        return self.data[:, _H_COLUMN:]
 
 
 @dataclass
@@ -102,20 +134,6 @@ def _barrier_names(spec: ScenarioSpec) -> list:
            [f"shell{j}" for j in range(len(spec.shells))]
 
 
-# t, then nine 3-vectors in TrajectoryLog field order; the h columns follow.
-# The CSV file uses the same column order.
-_VECTOR_FIELDS = ("q", "qdot", "x", "xdot", "xdot_des", "xdot_safe", "u", "d", "edot")
-_H_COLUMN = 1 + 3 * len(_VECTOR_FIELDS)
-
-
-def _log_from_columns(data: np.ndarray, active_rows: np.ndarray, gate: np.ndarray,
-                      names: list) -> TrajectoryLog:
-    """TrajectoryLog whose float fields are column views of data."""
-    vectors = {f: data[:, 1 + 3 * i:4 + 3 * i] for i, f in enumerate(_VECTOR_FIELDS)}
-    return TrajectoryLog(t=data[:, 0], h=data[:, _H_COLUMN:_H_COLUMN + len(names)],
-                         active_rows=active_rows, gate=gate, barrier_names=names, **vectors)
-
-
 def run(spec: ScenarioSpec) -> TrajectoryLog:
     """Simulate the scenario over its full duration at fixed dt.
 
@@ -131,9 +149,8 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
     safe_set = spec.safe_set()
     fp, cp, kin, dyn = spec.filter, spec.controller, spec.kinematics, spec.dynamics
     names = _barrier_names(spec)
-    data = np.zeros((n, _H_COLUMN + len(names)))
-    active_rows = np.zeros(n, dtype=np.int64)
-    gate = np.zeros(n, dtype=bool)
+    log = TrajectoryLog(np.zeros((n, _H_COLUMN + len(names))), np.zeros(n, dtype=np.int64),
+                        np.zeros(n, dtype=bool), names)
 
     q, qdot = spec.initial_q, spec.initial_qdot
     gate_engaged = not (fp.enabled and fp.activation_gate)
@@ -159,14 +176,15 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
             if gate_engaged and selected:
                 rows = safety.constraint_rows(selected, fp.alpha)
                 v_s = safety.safety_filter(v_d, rows).tolist()
-                active_rows[k] = safety.count_active_rows(v_s, rows)
-                gate[k] = True
+                log.active_rows[k] = safety.count_active_rows(v_s, rows)
+                log.gate[k] = True
 
         edot = ctl.velocity_error(J, xdot, v_s, cp)
         u = ctl.control_law(edot, cp)
         if not quiet:
             d = ctl.disturbance(t, spec.disturbance).tolist()
-        data[k] = (t, *q, *qdot, *x, *xdot, *v_d, *v_s, *u, *d, *edot, *values[0])
+        # one row in _COLUMNS order, then the barrier values
+        log.data[k] = (t, *q, *qdot, *x, *xdot, *v_d, *v_s, *u, *d, *edot, *values[0])
 
         if k + 1 < n:
             try:
@@ -175,11 +193,11 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
                 # at finite angles the arm itself is singular; else the state blew up
                 if math.isfinite(exc.theta2) and math.isfinite(exc.theta3):
                     raise
-                while k > 0 and not np.isfinite(data[k, 1:7]).all():
+                while k > 0 and not all(map(math.isfinite, (*log.q[k], *log.qdot[k]))):
                     k -= 1
-                t, *state = data[k, :7].tolist()
-                raise PlantDivergedError(k, t, tuple(state[:3]), tuple(state[3:])) from exc
-    return _log_from_columns(data, active_rows, gate, names)
+                raise PlantDivergedError(k, float(log.t[k]), tuple(log.q[k].tolist()),
+                                         tuple(log.qdot[k].tolist())) from exc
+    return log
 
 
 def gate_engage_time(log: TrajectoryLog) -> Optional[float]:
@@ -236,34 +254,15 @@ def summarize(log: TrajectoryLog, spec: ScenarioSpec,
 # ---------------------------------------------------------------------------
 # CSV round-trip
 
-def _csv_columns(nb: int, names: list) -> list:
-    cols = ["t_s",
-            "d1_mm", "theta2_rad", "theta3_rad",
-            "d1dot_mm_s", "theta2dot_rad_s", "theta3dot_rad_s",
-            "x_mm", "y_mm", "z_mm",
-            "xdot_mm_s", "ydot_mm_s", "zdot_mm_s",
-            "xdot_des_x_mm_s", "xdot_des_y_mm_s", "xdot_des_z_mm_s",
-            "xdot_safe_x_mm_s", "xdot_safe_y_mm_s", "xdot_safe_z_mm_s",
-            "u_d1_gmm_s2", "u_th2_gmm2_s2", "u_th3_gmm2_s2",
-            "d_d1_gmm_s2", "d_th2_gmm2_s2", "d_th3_gmm2_s2",
-            "edot_d1_mm_s", "edot_th2_rad_s", "edot_th3_rad_s"]
-    cols += [f"h_{name}_mm" for name in names]
-    cols += ["active_rows", "gate"]
-    return cols
-
-
 def export_csv(log: TrajectoryLog, path) -> None:
     """Write the log; floats use shortest round-trip decimal form."""
-    cols = _csv_columns(log.h.shape[1] if log.h.ndim == 2 else 0, log.barrier_names)
     with open(path, "w") as f:
-        f.write(_CSV_VERSION + "\n")
-        f.write(",".join(cols) + "\n")
-        for k in range(len(log)):
-            row = [log.t[k], *log.q[k], *log.qdot[k], *log.x[k], *log.xdot[k],
-                   *log.xdot_des[k], *log.xdot_safe[k], *log.u[k], *log.d[k],
-                   *log.edot[k], *log.h[k]]
-            f.write(",".join(repr(float(v)) for v in row))
-            f.write(f",{int(log.active_rows[k])},{int(log.gate[k])}\n")
+        f.write(_CSV_VERSION + "\n" + ",".join(_csv_columns(log.barrier_names)) + "\n")
+        for start in range(0, len(log), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            flags = zip(log.active_rows[block].tolist(), log.gate[block].tolist())
+            f.writelines(f"{','.join(map(repr, row))},{active},{int(gate)}\n"
+                         for row, (active, gate) in zip(log.data[block].tolist(), flags))
 
 
 def read_csv(path) -> TrajectoryLog:
@@ -273,18 +272,29 @@ def read_csv(path) -> TrajectoryLog:
         if version != _CSV_VERSION:
             raise ValueError(f"not a safecut log (header {version!r})")
         header = f.readline().rstrip("\n").split(",")
-        rows = [line.rstrip("\n").split(",") for line in f if line.strip()]
-    names = [c[2:-3] for c in header if c.startswith("h_") and c.endswith("_mm")]
-    if _csv_columns(len(names), names) != header:
-        raise ValueError("unexpected column layout")
-    nb = len(names)
-    data = np.array([[float(v) for v in r] for r in rows]) if rows else np.zeros((0, len(header)))
-    return _log_from_columns(data, data[:, _H_COLUMN + nb].astype(np.int64),
-                             data[:, _H_COLUMN + nb + 1].astype(bool), names)
+        names = [c[2:-3] for c in header if c.startswith("h_") and c.endswith("_mm")]
+        if _csv_columns(names) != header:
+            raise ValueError("unexpected column layout")
+        blocks = [np.zeros((0, len(header)))]
+        while lines := list(islice(f, _BLOCK_ROWS)):
+            # a row of the wrong length makes the block ragged, and np.array refuses it
+            block = np.array([line.split(",") for line in lines if line.strip()], float)
+            if block.size and block.shape[1] != len(header):
+                raise ValueError(f"rows of {block.shape[1]} fields under {len(header)} columns")
+            blocks.append(block.reshape(-1, len(header)))
+    table = np.concatenate(blocks)
+    return TrajectoryLog(table[:, :-2], table[:, -2].astype(np.int64),
+                         table[:, -1].astype(bool), names)
 
 
 # ---------------------------------------------------------------------------
 # figure data files
+
+def _write_rows(f, fmt: str, table: np.ndarray) -> None:
+    """One line fmt % row per row of a 2-D table, converted a block at a time."""
+    for start in range(0, len(table), _BLOCK_ROWS):
+        f.writelines(fmt % tuple(row) for row in table[start:start + _BLOCK_ROWS].tolist())
+
 
 def _circle_samples(center, radius, count=256) -> np.ndarray:
     ang = 2.0 * math.pi * np.arange(count) / count
@@ -305,47 +315,35 @@ def export_plot_data(log: TrajectoryLog, spec: ScenarioSpec, out_dir) -> list:
     out.mkdir(parents=True, exist_ok=True)
     sid = spec.scenario_id
     ref = spec.reference()
-    written = []
+    paths = [out / f"scenario{sid}_{kind}.dat" for kind in ("path", "barrier", "velocity")]
 
-    p = out / f"scenario{sid}_path.dat"
-    with open(p, "w") as f:
+    with open(paths[0], "w") as f:
         f.write(f"# scenario {sid} tip path, alpha = {spec.filter.alpha}\n")
         f.write("# section: actual  columns: t_s x_mm y_mm z_mm\n")
-        for k in range(len(log)):
-            f.write(f"{log.t[k]:.6f} {log.x[k, 0]:.6f} {log.x[k, 1]:.6f} {log.x[k, 2]:.6f}\n")
+        _write_rows(f, "%.6f %.6f %.6f %.6f\n", np.column_stack((log.t, log.x)))
         f.write("\n# section: reference  columns: t_s x_mm y_mm z_mm\n")
-        for k in range(len(ref.t)):
-            f.write(f"{ref.t[k]:.6f} {ref.pos[k, 0]:.6f} {ref.pos[k, 1]:.6f} {ref.pos[k, 2]:.6f}\n")
+        _write_rows(f, "%.6f %.6f %.6f %.6f\n", np.column_stack((ref.t, ref.pos)))
         f.write("\n# section: markings  columns: loop point x_mm y_mm z_mm unsafe\n")
         for i, ms in enumerate(spec.markings):
-            for j, (pt, bad) in enumerate(zip(ms.points, ms.unsafe)):
-                f.write(f"{i} {j} {pt[0]:.6f} {pt[1]:.6f} {pt[2]:.6f} {int(bad)}\n")
+            _write_rows(f, f"{i} %d %.6f %.6f %.6f %d\n",
+                        np.column_stack((np.arange(len(ms.points)), ms.points, ms.unsafe)))
         f.write("\n# section: boundary  columns: barrier x_mm y_mm z_mm\n")
-        for i, tumor in enumerate(spec.tumors):
-            for pt in _circle_samples(tumor.center, tumor.margin):
-                f.write(f"tumor{i} {float(pt[0])!r} {float(pt[1])!r} {float(pt[2])!r}\n")
-        for j, shell in enumerate(spec.shells):
-            for pt in _circle_samples(shell.center, shell.outer_radius):
-                f.write(f"shell{j} {float(pt[0])!r} {float(pt[1])!r} {float(pt[2])!r}\n")
-    written.append(p)
+        circles = [(t.center, t.margin) for t in spec.tumors] + \
+                  [(s.center, s.outer_radius) for s in spec.shells]
+        for name, (center, radius) in zip(_barrier_names(spec), circles):
+            _write_rows(f, name + " %r %r %r\n", _circle_samples(center, radius))
 
-    p = out / f"scenario{sid}_barrier.dat"
-    with open(p, "w") as f:
+    with open(paths[1], "w") as f:
         f.write(f"# scenario {sid} barrier values, alpha = {spec.filter.alpha}\n")
         f.write("# columns: t_s " + " ".join(f"h_{n}_mm" for n in log.barrier_names)
                 + " gate\n")
-        for k in range(len(log)):
-            hs = " ".join(f"{v:.9f}" for v in log.h[k])
-            f.write(f"{log.t[k]:.6f} {hs} {int(log.gate[k])}\n")
-    written.append(p)
+        _write_rows(f, "%.6f " + " ".join(["%.9f"] * len(log.barrier_names)) + " %d\n",
+                    np.column_stack((log.t, log.h, log.gate)))
 
-    p = out / f"scenario{sid}_velocity.dat"
-    with open(p, "w") as f:
+    with open(paths[2], "w") as f:
         f.write(f"# scenario {sid} tip velocities\n")
         f.write("# columns: t_s vdes_x vdes_y vdes_z vsafe_x vsafe_y vsafe_z "
                 "vact_x vact_y vact_z  [mm/s]\n")
-        for k in range(len(log)):
-            vals = [*log.xdot_des[k], *log.xdot_safe[k], *log.xdot[k]]
-            f.write(f"{log.t[k]:.6f} " + " ".join(f"{v:.6f}" for v in vals) + "\n")
-    written.append(p)
-    return written
+        _write_rows(f, "%.6f" + " %.6f" * 9 + "\n",
+                    np.column_stack((log.t, log.xdot_des, log.xdot_safe, log.xdot)))
+    return paths

@@ -64,6 +64,8 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["run", "--scenario", "1", "--emit", "json"]) == 2
     assert main(["run", "--scenario", "1", "--alpha", "0.4", "--no-filter"]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
+    assert main(["verify", "--qp-instances", "0"]) == 2
+    assert main(["verify", "--qp-instances", "-5"]) == 2
 
 
 def test_bad_config_content_exits_2(tmp_path):
@@ -121,6 +123,7 @@ def test_verify_quick_pass(capsys):
     ("scenario_id = 1\ninitial.d1 = -1\n", "initial.d1 = -1.0 outside the workspace box [0, 50]"),
     ("scenario_id = 1\ninitial.theta2 = 1.8\n", "initial.theta2 = 1.8 outside the workspace box"),
     ("scenario_id = 1\ninitial.theta3 = -1.8\n", "initial.theta3 = -1.8 outside the workspace box"),
+    ("scenario_id = 1\ndisturbance.seed = -1\n", "disturbance.seed must be a non-negative"),
 ])
 def test_config_errors_exit_2_and_name_the_key(tmp_path, capsys, config, named):
     cfg = tmp_path / "bad.cfg"

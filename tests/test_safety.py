@@ -225,6 +225,20 @@ def test_filter_solves_ill_conditioned_feasible_programs(batch, index):
     assert np.linalg.norm(got - expected) <= 1e-3 * max(1.0, np.linalg.norm(expected))
 
 
+@pytest.mark.parametrize("seed, batch, index", [(3, 1, 3836), (8, 0, 3910)])
+def test_exact_oracle_on_programs_least_squares_got_wrong(seed, batch, index):
+    # a least-squares oracle erred by 1.6e-3 relative on the first program and
+    # called the second infeasible; the filter is within 4e-10 of a rational solve
+    rng = np.random.default_rng([seed, batch])
+    for _ in range(index):
+        random_qp_instance(rng)
+    v_d, rows = random_qp_instance(rng)
+    expected = qp_reference(v_d, rows)
+    assert expected is not None
+    got = safety_filter(v_d, rows)
+    assert np.linalg.norm(got - expected) <= 1e-8 * max(1.0, np.linalg.norm(expected))
+
+
 def test_filter_empty_rows_identity():
     v_d = np.array([1.0, 2.0, 3.0])
     np.testing.assert_array_equal(safety_filter(v_d, (np.zeros((0, 3)), np.zeros(0))), v_d)

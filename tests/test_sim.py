@@ -170,14 +170,38 @@ def test_read_csv_rejects_foreign_files(tmp_path):
         sim.read_csv(wrong)
 
 
+@pytest.mark.parametrize("damage", ["one row short, the next one long", "every row short"])
+def test_read_csv_rejects_rows_of_the_wrong_length(small_run, tmp_path, damage):
+    _, log = small_run
+    path = tmp_path / "log.csv"
+    sim.export_csv(log, path)
+    version, header, *rows = path.read_text().splitlines(keepends=True)[:12]
+    if damage == "every row short":
+        rows = [row.rsplit(",", 1)[0] + "\n" for row in rows]
+    else:
+        # the field count of the body stays right, so a whole-body parse would realign
+        rows[3] = rows[3].rsplit(",", 1)[0] + "\n"
+        rows[4] = "0.0," + rows[4]
+    path.write_text(version + header + "".join(rows))
+    with pytest.raises(ValueError):
+        sim.read_csv(path)
+
+
+def test_log_fields_write_through_to_data(small_run):
+    _, run_log = small_run
+    log = sim.TrajectoryLog(run_log.data.copy(), run_log.active_rows, run_log.gate,
+                            run_log.barrier_names)
+    before = log.data.copy()
+    log.h[7, 0] += 1.0
+    log.xdot_safe[9, 2] = -5.0
+    # h0 is the column after the 28 float columns; xdot_safe z is column 18
+    assert np.argwhere(log.data != before).tolist() == [[7, 28], [9, 18]]
+
+
 def test_summarize_rejects_empty_log(small_run):
     spec, _ = small_run
-    empty = sim.TrajectoryLog(
-        t=np.zeros(0), q=np.zeros((0, 3)), qdot=np.zeros((0, 3)), x=np.zeros((0, 3)),
-        xdot=np.zeros((0, 3)), xdot_des=np.zeros((0, 3)), xdot_safe=np.zeros((0, 3)),
-        u=np.zeros((0, 3)), d=np.zeros((0, 3)), edot=np.zeros((0, 3)),
-        h=np.zeros((0, 1)), active_rows=np.zeros(0, dtype=np.int64),
-        gate=np.zeros(0, dtype=bool), barrier_names=["tumor0"])
+    empty = sim.TrajectoryLog(np.zeros((0, 29)), np.zeros(0, dtype=np.int64),
+                              np.zeros(0, dtype=bool), ["tumor0"])
     with pytest.raises(sim.EmptyLogError):
         sim.summarize(empty, spec)
 
