@@ -139,6 +139,8 @@ def cmd_run(args) -> int:
 def cmd_verify(args) -> int:
     if args.qp_instances < 1:
         raise _UsageError(f"--qp-instances must be at least 1, got {args.qp_instances}")
+    if args.seed < 0:
+        raise _UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     failed = 0
     for name, fn in checks.VERIFY_SUITES:
         if name == "qp-oracle":

@@ -51,7 +51,7 @@ class DisturbanceSpec:
     amplitude: tuple = (0.0, 0.0, 0.0)
     frequency: float = 0.0
     seed: int = 0
-    phases: np.ndarray = field(init=False, repr=False, compare=False)
+    phases: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.waveform not in ("none", "constant", "sinusoid"):
@@ -66,7 +66,7 @@ class DisturbanceSpec:
         if self.seed < 0:
             raise ValueError(f"disturbance.seed must be a non-negative integer, got {self.seed!r}")
         # drawn once here, not on every control step's sample
-        self.phases = np.random.default_rng(self.seed).uniform(0.0, 2.0 * math.pi, 3)
+        self.phases = tuple(np.random.default_rng(self.seed).uniform(0.0, math.tau, 3).tolist())
 
 
 def velocity_error(J, xdot, xdot_safe, params: ControllerParams):
@@ -85,14 +85,15 @@ def control_law(edot, params: ControllerParams):
     return (k * edot[0], k * edot[1], k * edot[2])
 
 
-def disturbance(t: float, spec: DisturbanceSpec) -> np.ndarray:
-    """Disturbance sample at time t [s]."""
-    amp = np.asarray(spec.amplitude, dtype=float)
+def disturbance(t: float, spec: DisturbanceSpec) -> tuple:
+    """Disturbance sample at time t [s], as 3 floats."""
     if spec.waveform == "none":
-        return np.zeros(3)
+        return (0.0, 0.0, 0.0)
     if spec.waveform == "constant":
-        return amp.copy()
-    return amp * np.sin(2.0 * math.pi * spec.frequency * t + spec.phases)
+        return spec.amplitude
+    (a1, a2, a3), (p1, p2, p3) = spec.amplitude, spec.phases
+    wt = 2.0 * math.pi * spec.frequency * t
+    return (a1 * math.sin(wt + p1), a2 * math.sin(wt + p2), a3 * math.sin(wt + p3))
 
 
 def measure_decay_rate(t: np.ndarray, edot: np.ndarray, floor: float = 1e-12) -> float:

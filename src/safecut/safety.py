@@ -12,11 +12,11 @@ The filter solves, at every control step,
     subject to  n_i . v_s >= -alpha * h_i     for every emitted row,
 
 which keeps the commanded velocity safe while deviating minimally from the
-desired one.  The rows are one pair (N, b): N is a (k, 3) array of normals
-and b the (k,) array of offsets, so row i reads N[i] . v_s >= b[i].  With at
-most a handful of rows in 3-D the program is solved exactly by enumerating
-candidate active sets, each a square float solve, and checking the KKT
-conditions, so no iterative QP solver or solver tolerance enters the loop.
+desired one.  The rows are plain floats, normals n_i and offsets -alpha * h_i.
+With at most a handful of rows in 3-D the program is solved exactly by
+enumerating candidate active sets, each a square float solve, and checking the
+KKT conditions, so no iterative QP solver or solver tolerance enters the loop;
+filter_rows also counts the active rows, and safety_filter adapts it to arrays.
 """
 
 from __future__ import annotations
@@ -99,15 +99,18 @@ class FilterParams:
 class SafeSetSpec:
     """All barriers of a scenario.  Shells pair with their nearest tumor.
 
-    pairs holds, per shell, the index of its paired tumor (None without
-    tumors); the pairing depends on geometry only, so it is fixed here.
+    Fixed here, as they depend on geometry only: pairs, per shell the index of
+    its paired tumor (None without tumors), and centers, every barrier's
+    centre as a float triple, tumors first then shells.
     """
 
     tumors: list
     shells: list
     pairs: list = field(init=False, repr=False, compare=False)
+    centers: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self.centers = [tuple(b.center.tolist()) for b in (*self.tumors, *self.shells)]
         self.pairs = [_paired_tumor_index(shell, self.tumors) for shell in self.shells]
         for shell, i in zip(self.shells, self.pairs):
             if i is not None and shell.outer_radius <= self.tumors[i].margin:
@@ -121,9 +124,9 @@ def _finite_point(p, what: str) -> np.ndarray:
     return p
 
 
-def _radial(x, center: np.ndarray):
+def _radial(x, center):
     """Distance ||x - center|| and the offset x - center, in floats."""
-    cx, cy, cz = center.tolist()
+    cx, cy, cz = center
     dx, dy, dz = x[0] - cx, x[1] - cy, x[2] - cz
     return math.sqrt(dx * dx + dy * dy + dz * dz), (dx, dy, dz)
 
@@ -140,12 +143,12 @@ def _unit(dist: float, offset, outward: bool = True):
 
 def barrier_value(x, tumor: TumorSpec) -> float:
     """Signed distance to the keep-out sphere: positive outside."""
-    return _radial(x, tumor.center)[0] - tumor.margin
+    return _radial(x, tumor.center.tolist())[0] - tumor.margin
 
 
 def depth_barrier_value(x, shell: DepthShell) -> float:
     """Containment barrier: positive inside the shell."""
-    return shell.outer_radius - _radial(x, shell.center)[0]
+    return shell.outer_radius - _radial(x, shell.center.tolist())[0]
 
 
 def _paired_tumor_index(shell: DepthShell, tumors: list) -> Optional[int]:
@@ -161,8 +164,7 @@ def barrier_values(x, spec: SafeSetSpec):
     Returns (h, radial): the barrier values, the order the log keeps, and
     per barrier the (distance, offset) pair its gradient is built from.
     """
-    radial = [_radial(x, t.center) for t in spec.tumors]
-    radial += [_radial(x, s.center) for s in spec.shells]
+    radial = [_radial(x, c) for c in spec.centers]
     nt = len(spec.tumors)
     h = [dist - t.margin for (dist, _), t in zip(radial, spec.tumors)]
     h += [s.outer_radius - dist for (dist, _), s in zip(radial[nt:], spec.shells)]
@@ -216,31 +218,29 @@ def selected_barrier_values(x, spec: SafeSetSpec, params: FilterParams,
     return selected
 
 
-def constraint_rows(selected: list, alpha: float):
-    """(N, b) for the rows n . v >= -alpha * h of the selected barriers."""
-    N = np.array([normal for _, _, _, normal in selected], dtype=float).reshape(-1, 3)
-    b = np.array([-alpha * h for _, _, h, _ in selected], dtype=float)
-    return N, b
-
-
 def safety_filter(v_d, rows) -> np.ndarray:
-    """Closest safe velocity to v_d under the rows (N, b).
+    """filter_rows on array rows (N, b): N is (k, 3), b is (k,); v_s as an array."""
+    N, b = rows
+    return np.array(filter_rows(np.asarray(v_d, dtype=float).tolist(), N.tolist(), b.tolist())[0])
+
+
+def filter_rows(v_d, normals, offsets):
+    """(v_s, active): the closest v_s to v_d with n_i . v_s >= b_i, all floats.
 
     Exact active-set enumeration: if v_d satisfies every row it is returned
-    unchanged; otherwise all candidate active subsets of size 1..3 are
-    tried and the first KKT-consistent projection (non-negative multipliers,
-    all rows satisfied) is the unique optimum.  Raises InfeasibleQPError when
-    the rows admit no solution.
+    unchanged; otherwise all candidate active subsets of size 1..3 are tried
+    and the first KKT-consistent projection (non-negative multipliers, all rows
+    satisfied) is the unique optimum.  active counts the rows with
+    |n_i . v_s - b_i| <= 1e-6, from the dot products of the test that accepted
+    v_s.  Raises InfeasibleQPError when the rows admit no solution.
 
     The one-row candidates, which the closed loop almost always ends on, are
     projected inline; larger ones solve N_A w = b_A - N_A v_d in floats
     (_vertex_step), never the normal equations, which square its condition.
     """
-    v_d = np.asarray(v_d, dtype=float)
-    N, b = rows
-    normals, offsets, v0 = N.tolist(), b.tolist(), v_d.tolist()
-    if _satisfies(normals, offsets, v0, 0.0):
-        return v_d.copy()
+    active = _active_rows(normals, offsets, v_d, 0.0)
+    if active is not None:
+        return v_d, active
 
     # tolerances scale with the candidate so ill-conditioned rows (nearly
     # parallel normals, distant optima) stay decidable
@@ -248,22 +248,26 @@ def safety_filter(v_d, rows) -> np.ndarray:
         g = _dot(n, n)
         if g == 0.0:
             continue
-        resid = offset - _dot(n, v0)
+        resid = offset - _dot(n, v_d)
         mu = resid / g
         if not math.isfinite(mu) or abs(g * mu - resid) > 1e-7 * max(1.0, abs(resid)):
             continue
         if mu < -_DUAL_TOL * max(1.0, abs(mu)):
             continue
-        v = [v0[0] + n[0] * mu, v0[1] + n[1] * mu, v0[2] + n[2] * mu]
-        if _satisfies(normals, offsets, v, _FEAS_TOL * max(1.0, math.sqrt(_dot(v, v)))):
-            return np.array(v)
+        v = [v_d[0] + n[0] * mu, v_d[1] + n[1] * mu, v_d[2] + n[2] * mu]
+        active = _active_rows(normals, offsets, v, _FEAS_TOL * max(1.0, math.sqrt(_dot(v, v))))
+        if active is not None:
+            return v, active
 
     k = len(offsets)
     for size in (2, 3):
         for subset in combinations(range(k), size):
-            v = _vertex_step(v0, [normals[i] for i in subset], [offsets[i] for i in subset])
-            if v and _satisfies(normals, offsets, v, _FEAS_TOL * max(1.0, math.sqrt(_dot(v, v)))):
-                return np.array(v)
+            v = _vertex_step(v_d, [normals[i] for i in subset], [offsets[i] for i in subset])
+            if v:
+                active = _active_rows(normals, offsets, v,
+                                      _FEAS_TOL * max(1.0, math.sqrt(_dot(v, v))))
+                if active is not None:
+                    return v, active
     raise InfeasibleQPError(f"no velocity satisfies all {k} constraint rows")
 
 
@@ -301,13 +305,12 @@ def _cross(a, b) -> tuple:
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
-def _satisfies(normals: list, offsets: list, v: list, slack: float) -> bool:
-    """n . v >= offset - slack for every row."""
-    return all(_dot(n, v) >= offset - slack for n, offset in zip(normals, offsets))
-
-
-def count_active_rows(v, rows, tol: float = 1e-6) -> int:
-    """Rows (N, b) met with equality at v, the filter's active set."""
-    N, b = rows
-    v = np.asarray(v, dtype=float).tolist()
-    return sum(abs(_dot(n, v) - offset) <= tol for n, offset in zip(N.tolist(), b.tolist()))
+def _active_rows(normals, offsets, v, slack: float):
+    """Rows with |n . v - offset| <= 1e-6, or None unless n . v >= offset - slack on every row."""
+    active = 0
+    for n, offset in zip(normals, offsets):
+        d = _dot(n, v)
+        if not d >= offset - slack:
+            return None
+        active += abs(d - offset) <= 1e-6
+    return active

@@ -89,21 +89,15 @@ class ReferenceTrajectory:
     def duration(self) -> float:
         return float(self.t[-1])
 
-    @property
-    def dt(self) -> float:
-        return float(self.t[1] - self.t[0]) if len(self.t) > 1 else 0.0
-
-    def sample(self, t: float):
-        """Reference position and feedforward velocity at time t.
+    def sample(self, k: int):
+        """Reference position and feedforward velocity at grid step k, as floats.
 
         Past the end the position clamps to the final point and the
         feedforward vanishes, leaving pure proportional pull.
         """
-        n, dt = len(self.t), self.dt
-        if n > 1 and t > self.t[-1] + 0.5 * dt:
-            return self.pos[-1], np.zeros(3)
-        idx = min(int(round(t / dt)) if dt else 0, n - 1)
-        return self.pos[idx], self.vel[idx]
+        if k >= len(self.t):
+            return self.pos[-1].tolist(), (0.0, 0.0, 0.0)
+        return self.pos[k].tolist(), self.vel[k].tolist()
 
 
 def generate_marking_points(tumor: TumorSpec, count: int, plane_normal) -> MarkingSet:

@@ -122,10 +122,9 @@ class SafetyReport:
     deviation_integral: float
 
 
-def desired_velocity(x, t: float, ref: ReferenceTrajectory, kp_gain: float):
-    """Feedforward plus proportional pull toward the reference sample, as floats."""
-    p_ref, v_ref = ref.sample(t)
-    (px, py, pz), (vx, vy, vz) = p_ref.tolist(), v_ref.tolist()
+def desired_velocity(x, k: int, ref: ReferenceTrajectory, kp_gain: float):
+    """Feedforward plus proportional pull toward reference sample k, as floats."""
+    (px, py, pz), (vx, vy, vz) = ref.sample(k)
     return (vx + kp_gain * (px - x[0]), vy + kp_gain * (py - x[1]), vz + kp_gain * (pz - x[2]))
 
 
@@ -137,11 +136,11 @@ def _barrier_names(spec: ScenarioSpec) -> list:
 def run(spec: ScenarioSpec) -> TrajectoryLog:
     """Simulate the scenario over its full duration at fixed dt.
 
-    One control step evaluates the kinematics (tip position and Jacobian),
-    every barrier value and the filter rows once, in plain floats; the
-    controller reuses the step's Jacobian, and each step is written to the
-    log as one row.  Raises PlantDivergedError when the joint state stops
-    being finite.
+    One control step samples the reference by step index and evaluates the
+    kinematics (tip position and Jacobian), the barrier values and the filter
+    (safe velocity and active-row count) once, in plain floats; the controller
+    reuses the step's Jacobian, and each step is written to the log as one
+    row.  Raises PlantDivergedError when the joint state stops being finite.
     """
     ref = spec.reference()
     dt = spec.dt
@@ -165,7 +164,7 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
         xdot = (j00 * v1 + j01 * v2 + j02 * v3,
                 j10 * v1 + j11 * v2 + j12 * v3,
                 j20 * v1 + j21 * v2 + j22 * v3)
-        v_d = desired_velocity(x, t, ref, spec.kp_gain)
+        v_d = desired_velocity(x, k, ref, spec.kp_gain)
         values = safety.barrier_values(x, safe_set)
 
         v_s = v_d
@@ -174,15 +173,14 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
             if not gate_engaged and all(h >= 0.0 for _, _, h, _ in selected):
                 gate_engaged = True
             if gate_engaged and selected:
-                rows = safety.constraint_rows(selected, fp.alpha)
-                v_s = safety.safety_filter(v_d, rows).tolist()
-                log.active_rows[k] = safety.count_active_rows(v_s, rows)
+                v_s, log.active_rows[k] = safety.filter_rows(
+                    v_d, [nrm for *_, nrm in selected], [-fp.alpha * h for _, _, h, _ in selected])
                 log.gate[k] = True
 
         edot = ctl.velocity_error(J, xdot, v_s, cp)
         u = ctl.control_law(edot, cp)
         if not quiet:
-            d = ctl.disturbance(t, spec.disturbance).tolist()
+            d = ctl.disturbance(t, spec.disturbance)
         # one row in _COLUMNS order, then the barrier values
         log.data[k] = (t, *q, *qdot, *x, *xdot, *v_d, *v_s, *u, *d, *edot, *values[0])
 

@@ -56,7 +56,7 @@ def test_run_no_filter_baseline(tmp_path):
     assert code == 0
 
 
-def test_usage_errors_exit_2(tmp_path):
+def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["run"]) == 2
     assert main(["run", "--scenario", "1", "--alpha", "0.2,nope"]) == 2
     assert main(["run", "--scenario", "1", "--alpha", "-0.4"]) == 2
@@ -66,6 +66,9 @@ def test_usage_errors_exit_2(tmp_path):
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
     assert main(["verify", "--qp-instances", "0"]) == 2
     assert main(["verify", "--qp-instances", "-5"]) == 2
+    capsys.readouterr()
+    assert main(["verify", "--seed", "-1"]) == 2
+    assert "--seed" in capsys.readouterr().err
 
 
 def test_bad_config_content_exits_2(tmp_path):

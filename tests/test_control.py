@@ -50,7 +50,7 @@ def test_gain_validation():
 
 
 def test_disturbance_waveforms():
-    assert np.all(disturbance(0.3, DisturbanceSpec()) == 0.0)
+    assert disturbance(0.3, DisturbanceSpec()) == (0.0, 0.0, 0.0)
     const = DisturbanceSpec(waveform="constant", amplitude=(10.0, -5.0, 2.0))
     np.testing.assert_array_equal(disturbance(0.0, const), disturbance(7.7, const))
     sine = DisturbanceSpec(waveform="sinusoid", amplitude=(10.0, 10.0, 10.0),
@@ -100,7 +100,7 @@ def test_sinusoid_phases_depend_on_seed():
     a = DisturbanceSpec(waveform="sinusoid", amplitude=(1, 1, 1), frequency=1.0, seed=1)
     b = DisturbanceSpec(waveform="sinusoid", amplitude=(1, 1, 1), frequency=1.0, seed=2)
     assert not np.allclose(a.phases, b.phases)
-    phase = a.phases
+    phase = np.array(a.phases)
     assert np.all((0.0 <= phase) & (phase < 2.0 * math.pi))
 
 

@@ -8,9 +8,8 @@ import pytest
 from safecut.checks import qp_reference, random_qp_instance
 from safecut.safety import (DegeneratePointError, DepthShell, FilterParams,
                             InfeasibleQPError, SafeSetSpec, TumorSpec,
-                            barrier_value, constraint_rows, count_active_rows,
-                            depth_barrier_value, safety_filter,
-                            selected_barrier_values)
+                            barrier_value, depth_barrier_value, filter_rows,
+                            safety_filter, selected_barrier_values)
 
 TUMOR = TumorSpec(center=(0.0, 6.0, 30.0), margin=4.0)
 SHELL = DepthShell(center=(0.0, 6.0, 30.0), outer_radius=7.0)
@@ -129,13 +128,19 @@ def test_shell_pairs_with_nearest_tumor():
 
 
 def test_assemble_offsets_scale_with_alpha():
+    # the row offset -alpha * h caps the approach speed along the normal at alpha * h
     spec = SafeSetSpec(tumors=[TUMOR], shells=[])
     x = np.array([0.0, 0.0, 30.0])
-    params = FilterParams()
-    _, b_a = constraint_rows(selected_barrier_values(x, spec, params), 0.4)
-    _, b_b = constraint_rows(selected_barrier_values(x, spec, params), 0.8)
-    assert b_a[0] == pytest.approx(-0.4 * 2.0)
-    assert b_b[0] == pytest.approx(2.0 * b_a[0])
+    [(_, _, h, normal)] = selected_barrier_values(x, spec, FilterParams())
+    assert h == pytest.approx(2.0)
+    v_d = (0.0, 10.0, 0.0)   # straight at the tumor
+    speeds = []
+    for alpha in (0.4, 0.8):
+        v_s, active = filter_rows(v_d, [normal], [-alpha * h])
+        assert active == 1
+        speeds.append(float(np.dot(normal, v_s)))
+    assert speeds[0] == pytest.approx(-0.4 * 2.0)
+    assert speeds[1] == pytest.approx(2.0 * speeds[0])
 
 
 def test_filter_passthrough_is_exact():
@@ -151,7 +156,8 @@ def test_filter_single_row_projection():
     rows = (np.array([[0.0, 1.0, 0.0]]), np.array([2.0]))
     out = safety_filter(np.array([1.0, -3.0, 0.5]), rows)
     np.testing.assert_allclose(out, [1.0, 2.0, 0.5], atol=1e-12)
-    assert count_active_rows(out, rows) == 1
+    N, b = rows
+    assert np.count_nonzero(np.abs(N @ out - b) <= 1e-6) == 1
 
 
 def test_filter_matches_dense_grid():
@@ -191,6 +197,27 @@ def test_filter_matches_reference_batch():
         got = safety_filter(v_d, rows)
         assert np.linalg.norm(got - expected) <= 1e-3 * max(1.0, np.linalg.norm(expected))
     assert infeasible > 10
+
+
+def test_kernel_active_count_matches_numpy_recount():
+    # the adapter is the kernel on arrays, and the count folded into the
+    # kernel's last feasibility test is the active set a recount finds
+    rng = np.random.default_rng(0)
+    counts = np.zeros(4, dtype=int)
+    for _ in range(2000):
+        v_d, (N, b) = random_qp_instance(rng)
+        try:
+            v, active = filter_rows(v_d.tolist(), N.tolist(), b.tolist())
+        except InfeasibleQPError:
+            continue
+        assert np.array(v).tobytes() == safety_filter(v_d, (N, b)).tobytes()
+        assert active == np.count_nonzero(np.abs(N @ np.array(v) - b) <= 1e-6)
+        counts[active] += 1
+    # passthrough, one-, two- and three-row optima all occur
+    assert np.all(counts > 0)
+    # a row met exactly at v_d: passed through, and still counted
+    v_d = [5.0, 0.3, -2.0]
+    assert filter_rows(v_d, [(0.0, 1.0, 0.0), (1.0, 0.0, 0.0)], [0.3, 0.0]) == (v_d, 1)
 
 
 _TILTED = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)

@@ -103,10 +103,14 @@ def test_reference_closes_each_loop():
 def test_reference_sample_clamps_past_end():
     ms = generate_marking_points(TUMOR, 4, (0, 0, 1))
     ref = build_reference([ms], speed=2.0, dt=1e-3, approach_from=(0.0, 0.0, 43.0))
-    pos, vel = ref.sample(ref.duration + 5.0)
+    last = len(ref.t) - 1
+    pos, vel = ref.sample(last + 5000)
     np.testing.assert_array_equal(pos, ref.pos[-1])
     np.testing.assert_array_equal(vel, np.zeros(3))
-    pos0, vel0 = ref.sample(0.0)
+    pos, vel = ref.sample(last)
+    np.testing.assert_array_equal(vel, ref.vel[-1])
+    assert np.any(ref.vel[-1] != 0.0)
+    pos0, vel0 = ref.sample(0)
     np.testing.assert_array_equal(pos0, ref.pos[0])
     assert np.linalg.norm(vel0) == pytest.approx(2.0)
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from safecut import safety, sim
-from safecut.control import ControllerParams
+from safecut.control import ControllerParams, DisturbanceSpec
 from safecut.dynamics import DynamicParams, SingularMassError
 from safecut.kinematics import JointConfig, forward_kinematics
 from safecut.safety import DepthShell, FilterParams, TumorSpec
@@ -67,9 +67,36 @@ def test_desired_velocity_formula():
     ms = generate_marking_points(TUMOR, 3, (0, 0, 1))
     ref = build_reference([ms], 2.0, 1e-3, (0.0, 0.0, 43.0))
     x = np.array([1.0, -2.0, 40.0])
-    v = sim.desired_velocity(x, 0.0, ref, kp_gain=5.0)
-    p0, v0 = ref.sample(0.0)
-    np.testing.assert_allclose(v, v0 + 5.0 * (p0 - x), atol=1e-12)
+    v = sim.desired_velocity(x, 0, ref, kp_gain=5.0)
+    p0, v0 = ref.sample(0)
+    np.testing.assert_allclose(v, np.add(v0, 5.0 * (p0 - x)), atol=1e-12)
+
+
+def test_logged_desired_velocity_matches_reference_rows():
+    # ref.vel[k] + kp (ref.pos[k] - x_k) on the grid; past the reference's
+    # end the final point with zero feedforward
+    spec = _small_spec(duration=None, settle=0.3)
+    ref = spec.reference()
+    log = sim.run(spec)
+    m = len(ref.t)
+    assert len(log) > m
+    k = np.arange(len(log))
+    on_grid = (k < m)[:, None]
+    idx = np.minimum(k, m - 1)
+    expected = np.where(on_grid, ref.vel[idx], 0.0) + spec.kp_gain * (ref.pos[idx] - log.x)
+    np.testing.assert_array_equal(log.xdot_des, expected)
+
+
+def test_logged_sinusoid_disturbance_matches_numpy_form():
+    dist = DisturbanceSpec(waveform="sinusoid", amplitude=(60.0, 120.0, 90.0),
+                           frequency=2.5, seed=11)
+    spec = _small_spec(disturbance=dist, duration=1.0)
+    log = sim.run(spec)
+    amp = np.array(dist.amplitude)
+    expected = amp * np.sin(2.0 * np.pi * dist.frequency * log.t[:, None] + np.array(dist.phases))
+    # within 8 ulps of the amplitude: a vectorised sine may round unlike math.sin
+    np.testing.assert_allclose(log.d, expected, rtol=0.0, atol=8 * np.finfo(float).eps * amp.max())
+    assert np.abs(log.d).max() > 0.5 * amp.max()
 
 
 def test_inactive_steps_pass_desired_velocity_through(small_run):
@@ -251,18 +278,22 @@ def test_path_completion_matches_brute_force(small_run):
 
 
 def test_logged_active_rows_match_row_builder():
-    # recount |N v_s - b| <= 1e-6 from the logged x and xdot_safe
-    spec = scenario_catalog(4)
-    log = sim.run(spec)
-    safe_set = spec.safe_set()
-    assert log.gate.any() and not log.gate.all()
-    recount = np.zeros(len(log), dtype=np.int64)
-    for k in np.nonzero(log.gate)[0]:
-        selected = safety.selected_barrier_values(log.x[k], safe_set, spec.filter)
-        N, b = safety.constraint_rows(selected, spec.filter.alpha)
-        recount[k] = np.count_nonzero(np.abs(N @ log.xdot_safe[k] - b) <= 1e-6)
-    assert recount.any()
-    np.testing.assert_array_equal(log.active_rows, recount)
+    # recount |N v_s - b| <= 1e-6 from the logged x and xdot_safe, with N and
+    # b = -alpha h built in numpy from the selected barriers.  Scenario 3 has
+    # two-row active sets; scenario 4's gate engages about a second in.
+    for scenario_id, gated_from_start, most_active in ((3, True, 2), (4, False, 1)):
+        spec = scenario_catalog(scenario_id)
+        log = sim.run(spec)
+        safe_set = spec.safe_set()
+        assert log.gate[0] == gated_from_start and log.gate[-1]
+        recount = np.zeros(len(log), dtype=np.int64)
+        for k in np.nonzero(log.gate)[0]:
+            selected = safety.selected_barrier_values(log.x[k], safe_set, spec.filter)
+            N = np.array([normal for _, _, _, normal in selected])
+            b = -spec.filter.alpha * np.array([h for _, _, h, _ in selected])
+            recount[k] = np.count_nonzero(np.abs(N @ log.xdot_safe[k] - b) <= 1e-6)
+        assert recount.max() == most_active
+        np.testing.assert_array_equal(log.active_rows, recount)
 
 
 @pytest.mark.parametrize("override", [
