@@ -127,71 +127,81 @@ def damped_pseudo_inverse(J, damping: float = 1e-3) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # the program oracle and the verification suites
 
-def _adjugate(G: list):
-    """(adj G, det G) of an integer matrix of order 0 to 3, exactly."""
-    n = len(G)
-    if n == 0:
-        return [], 1
-    if n == 1:
-        return [[1]], G[0][0]
-    if n == 2:
-        (a, b), (c, d) = G
-        return [[d, -b], [-c, a]], a * d - b * c
-    # cyclic index shifts give each 3x3 cofactor its sign
-    C = [[G[(i + 1) % 3][(j + 1) % 3] * G[(i + 2) % 3][(j + 2) % 3]
-          - G[(i + 1) % 3][(j + 2) % 3] * G[(i + 2) % 3][(j + 1) % 3]
-          for j in range(3)] for i in range(3)]
-    return [list(col) for col in zip(*C)], sum(G[0][j] * C[0][j] for j in range(3))
+def _adjugate(a, b, c, d, e, f):
+    """(adj G, det G) of the symmetric integer matrix [[a, b, c], [b, d, e], [c, e, f]]."""
+    p, q, r = d * f - e * e, c * e - b * f, b * e - c * d
+    s, t = a * f - c * c, b * c - a * e
+    return ((p, q, r), (q, s, t), (r, t, a * d - b * b)), a * p + b * q + c * r
 
 
 def qp_reference(v_d: np.ndarray, rows):
     """Exact brute-force solve of the velocity program with rows (N, b).
 
-    Every float is a dyadic rational, so the program is solved exactly in
-    Python ints.  With all inputs over one power-of-two denominator D and
-    w = D v, it reads: minimize |w - V|^2 subject to A w >= c, where V = D v_d,
-    A = D N and c = D^2 b are integers.  Every subset of at most three rows is
-    a candidate active set: its projection w = V + A_S^T lam solves the Gram
-    system (A_S A_S^T) lam = c_S - A_S V by its adjugate, and a subset whose
-    Gram determinant is 0 is skipped.  Feasibility is tested and objectives
-    are compared exactly, with no tolerance; the feasible candidate of
-    smallest objective is returned, correctly rounded to floats, and None
-    when no candidate is feasible.  Selection is by objective value alone,
-    with no multiplier-sign reasoning and no float arithmetic, so the
-    decision path is independent of the filter's.
+    Every float is a dyadic rational, so over one power-of-two denominator D
+    the program reads, in Python ints: minimize |w - V|^2 subject to A w >= c,
+    with w = D v, V = D v_d, A = D N and c = D^2 b.  Each set S of at most three
+    rows with det G_S != 0 (G = A A^T) is a candidate active set: w = V + A_S^T lam
+    with G_S lam = c_S - A_S V, solved by adjugate.  The feasible candidate of
+    smallest objective, the first in enumeration order on a tie, is returned
+    correctly rounded, or None if there is none.  All tests are exact (no
+    tolerance, float or multiplier-sign reasoning): the decision path is
+    independent of the filter's.  Skipped work has a known outcome: a
+    feasible V (objective 0) returns at once; a candidate is tested only if its
+    objective beats the best so far, and only on the rows outside S.
     """
     N, b = rows
     k = len(b)
-    ratios = [float(x).as_integer_ratio() for x in (*np.ravel(v_d), *np.ravel(N), *np.ravel(b))]
-    den = max(d for _, d in ratios)
+    ratios = [x.as_integer_ratio() for x in np.concatenate((v_d, N, b), None).tolist()]
+    den = max([d for _, d in ratios])
     ints = [n * (den // d) for n, d in ratios]
-    V, A = ints[:3], [ints[3 + 3 * i:6 + 3 * i] for i in range(k)]
-    c = [den * n for n in ints[3 + 3 * k:]]
-    G = [[_dot(p, q) for q in A] for p in A]
-    slack = [_dot(p, V) - ci for p, ci in zip(A, c)]       # A V - c
-    best, best_obj = None, None
-    for size in range(0, min(k, 3) + 1):
-        for S in combinations(range(k), size):
-            adj, det = _adjugate([[G[i][j] for j in S] for i in S])
-            if det == 0:
-                continue
-            lam = [-sum(a * slack[i] for a, i in zip(row, S)) for row in adj]   # det * lam
-            # det * (A w - c) >= 0 row by row, for w = V + A_S^T lam / det
-            if all(det * slack[m] + sum(x * G[m][i] for x, i in zip(lam, S)) >= 0
-                   for m in range(k)):
-                # |w - V|^2 = lam^T G_S lam = -lam . slack_S, over det
-                obj = (-sum(x * slack[i] for x, i in zip(lam, S)), det)
-                if best is None or obj[0] * best_obj[1] < best_obj[0] * obj[1]:
-                    best, best_obj = (S, lam, det), obj
+    v0, v1, v2 = V = ints[:3]
+    A = [ints[i:i + 3] for i in range(3, 3 + 3 * k, 3)]
+    slack = [a0 * v0 + a1 * v1 + a2 * v2 - den * n     # A V - c
+             for (a0, a1, a2), n in zip(A, ints[3 + 3 * k:])]
+    if min(slack, default=0) >= 0:
+        return np.array([x / den for x in V])
+    G = [[p0 * q0 + p1 * q1 + p2 * q2 for q0, q1, q2 in A] for p0, p1, p2 in A]
+    # S gives det = det G_S, lam = det times its multipliers, num = det |w - V|^2 and
+    # det (A w - c)_m = det slack_m + sum_i lam_i G_mi (0 on S); best holds det w
+    best, best_num, best_det = None, 0, 1
+    for i, (si, Gi) in enumerate(zip(slack, G)):
+        det, num = Gi[i], si * si
+        if det and (best is None or num * best_det < best_num * det):
+            for m in range(k):
+                if m != i and det * slack[m] < si * Gi[m]:
+                    break
+            else:
+                best, best_num, best_det = [det * v - si * a for v, a in zip(V, A[i])], num, det
+    for i, j in combinations(range(k), 2):
+        si, sj, Gi, Gj = slack[i], slack[j], G[i], G[j]
+        det = Gi[i] * Gj[j] - Gi[j] * Gi[j]
+        li, lj = Gi[j] * sj - Gj[j] * si, Gi[j] * si - Gi[i] * sj
+        num = -(li * si + lj * sj)
+        if det and (best is None or num * best_det < best_num * det):
+            for m in range(k):
+                if m != i and m != j and det * slack[m] + li * Gi[m] + lj * Gj[m] < 0:
+                    break
+            else:
+                best = [det * v + li * p + lj * q for v, p, q in zip(V, A[i], A[j])]
+                best_num, best_det = num, det
+    for S in combinations(range(k), 3):
+        i, j, l = S
+        G0, G1, G2, s0, s1, s2 = G[i], G[j], G[l], slack[i], slack[j], slack[l]
+        adj, det = _adjugate(G0[i], G0[j], G0[l], G1[j], G1[l], G2[l])
+        l0, l1, l2 = [-(x * s0 + y * s1 + z * s2) for x, y, z in adj]
+        num = -(l0 * s0 + l1 * s1 + l2 * s2)
+        if det and (best is None or num * best_det < best_num * det):
+            for m in range(k):
+                if m not in S and det * slack[m] + l0 * G0[m] + l1 * G1[m] + l2 * G2[m] < 0:
+                    break
+            else:
+                best = [det * v + l0 * x + l1 * y + l2 * z
+                        for v, x, y, z in zip(V, A[i], A[j], A[l])]
+                best_num, best_det = num, det
     if best is None:
         return None
-    S, lam, det = best
-    return np.array([(det * V[j] + sum(x * A[i][j] for x, i in zip(lam, S))) / (det * den)
-                     for j in range(3)])
-
-
-def _dot(p, q) -> int:
-    return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+    D = best_det * den
+    return np.array([best[0] / D, best[1] / D, best[2] / D])
 
 
 def random_qp_instance(rng: np.random.Generator):
@@ -374,14 +384,14 @@ def check_energy_audit(gravity_sign: float = 1.0):
     grav = DynamicParams(gravity=(9810.0, 0.0, 0.0))
     book = DynamicParams(gravity=tuple(gravity_sign * g for g in grav.gravity))
     q, qd = (10.0, 0.3, -0.2), (2.0, 0.4, -0.5)
-    e0 = kinetic_energy(q, qd, book) + potential_energy(q, book)
-    scale = max(kinetic_energy(q, qd, book), 1.0)
+    ke = kinetic_energy(q, qd, book)
+    e0, scale = ke + potential_energy(q, book), max(ke, 1.0)
     drift = 0.0
     for _ in range(5000):
         q, qd = rk4_step(q, qd, (0.0, 0.0, 0.0), 2e-4, grav)
-        scale = max(scale, kinetic_energy(q, qd, book))
-        e = kinetic_energy(q, qd, book) + potential_energy(q, book)
-        drift = max(drift, abs(e - e0))
+        ke = kinetic_energy(q, qd, book)
+        scale = max(scale, ke)
+        drift = max(drift, abs(ke + potential_energy(q, book) - e0))
     rel = drift / scale
     if rel > 1e-6:
         return False, f"total-energy drift {rel:.2e} relative (tol 1e-6)"

@@ -63,7 +63,8 @@ class DisturbanceSpec:
             raise ValueError(f"frequency must be finite, got {self.frequency!r}")
         if self.waveform == "sinusoid" and self.frequency <= 0.0:
             raise ValueError("sinusoid waveform needs a positive frequency")
-        if self.seed < 0:
+        if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
+                or self.seed < 0):
             raise ValueError(f"disturbance.seed must be a non-negative integer, got {self.seed!r}")
         # drawn once here, not on every control step's sample
         self.phases = tuple(np.random.default_rng(self.seed).uniform(0.0, math.tau, 3).tolist())

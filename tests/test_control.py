@@ -104,6 +104,13 @@ def test_sinusoid_phases_depend_on_seed():
     assert np.all((0.0 <= phase) & (phase < 2.0 * math.pi))
 
 
+@pytest.mark.parametrize("seed", [1.5, True])
+def test_disturbance_seed_must_be_an_integer(seed):
+    # numpy took True as 1 and refused 1.5 without naming the key
+    with pytest.raises(ValueError, match="disturbance.seed must be a non-negative integer"):
+        DisturbanceSpec(waveform="sinusoid", amplitude=(1, 1, 1), frequency=1.0, seed=seed)
+
+
 def test_controller_is_model_free():
     # structural guarantee: the tracking loop never touches inertial terms
     import ast
