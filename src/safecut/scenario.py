@@ -215,8 +215,8 @@ class ScenarioSpec:
             value = getattr(self, name)
             if value is not None and not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")
-        if not math.isfinite(self.kp_gain):
-            raise ValueError(f"kp_gain must be finite, got {self.kp_gain!r}")
+        if not 0.0 <= self.kp_gain < math.inf:
+            raise ValueError(f"kp_gain must be finite and non-negative, got {self.kp_gain!r}")
         # plain floats, named by their config keys: the run starts from them
         self.initial_q = JointConfig._make(map(float, self.initial_q))
         for name, value in zip(JointConfig._fields, self.initial_q):

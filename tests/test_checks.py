@@ -1,12 +1,19 @@
-"""checks.qp_reference against a slow, separate exact solve in Fractions."""
+"""checks.qp_reference against a slow, separate exact solve in Fractions; the
+program draws and the integrator order check against their own oracles."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
 import pytest
 
+import safecut
+from safecut import checks
 from safecut.checks import qp_reference, random_qp_instance
+from safecut.dynamics import forward_dynamics
 
 
 def _dot(p, q):
@@ -94,3 +101,61 @@ def test_qp_reference_matches_fraction_solve_with_four_rows():
 def test_qp_reference_matches_fraction_solve_on_hand_built_programs(v_d, N, b, expected):
     got = _assert_same(np.array(v_d), (np.array(N, dtype=float), np.array(b, dtype=float)))
     assert (got is None) if expected is None else got.tolist() == expected
+
+
+def _linalg_norm_instance(rng):
+    """random_qp_instance with its normals scaled by np.linalg.norm, as written first."""
+    v_d = rng.normal(0.0, 3.0, 3)
+    k = int(rng.integers(1, 4))
+    normals = rng.normal(0.0, 1.0, (k, 3))
+    normals /= np.linalg.norm(normals, axis=1)[:, None]
+    offsets = rng.uniform(-4.0, 4.0, k)
+    if k >= 2 and rng.random() < 0.15:
+        normals[1] = -normals[0]
+        if rng.random() < 0.5:
+            normals[1] += rng.normal(0.0, 1e-3, 3)
+            normals[1] /= np.linalg.norm(normals[1])
+        offsets[:2] = rng.uniform(-1.0, 3.0, 2)
+    return v_d, (normals, offsets)
+
+
+@pytest.mark.parametrize("seed", [0, [100, 1]], ids=["0", "100-1"])
+def test_random_qp_instance_draws_match_linalg_norm_form(seed):
+    # verify's counts and the benchmark's per-seed failed counts rest on these draws
+    rng, oracle = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(20000):
+        v_d, (N, b) = random_qp_instance(rng)
+        w_d, (M, c) = _linalg_norm_instance(oracle)
+        assert (v_d.tobytes(), N.tobytes(), b.tobytes()) == (w_d.tobytes(), M.tobytes(), c.tobytes())
+
+
+def _heun_step(q, qdot, u, dt, params):
+    """Second-order Heun step on forward_dynamics: the order check must refuse it."""
+    a = forward_dynamics(q, qdot, u, params)
+    q1 = [x + dt * v for x, v in zip(q, qdot)]
+    v1 = [v + dt * x for v, x in zip(qdot, a)]
+    b = forward_dynamics(q1, v1, u, params)
+    return (tuple(x + 0.5 * dt * (v + w) for x, v, w in zip(q, qdot, v1)),
+            tuple(v + 0.5 * dt * (x + y) for v, x, y in zip(qdot, a, b)))
+
+
+def test_rk4_order_check_fails_a_second_order_step(monkeypatch):
+    ok, detail = checks.check_rk4_order()
+    assert ok, detail
+    monkeypatch.setattr(checks, "rk4_step", _heun_step)
+    ok, detail = checks.check_rk4_order()
+    order = float(detail.split()[2])
+    assert not ok and 1.8 < order < 2.2, detail
+
+
+def test_cli_import_keeps_scipy_solvers_out():
+    # scipy.integrate and scipy.optimize cost every safecut process import
+    # time and resident memory, so no module may pull them in
+    code = ("import safecut.cli, sys; print(' '.join(m for m in sys.modules "
+            "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+    src = os.path.dirname(os.path.dirname(safecut.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.split() == []

@@ -127,6 +127,7 @@ def test_verify_quick_pass(capsys):
     ("scenario_id = 1\ninitial.theta2 = 1.8\n", "initial.theta2 = 1.8 outside the workspace box"),
     ("scenario_id = 1\ninitial.theta3 = -1.8\n", "initial.theta3 = -1.8 outside the workspace box"),
     ("scenario_id = 1\ndisturbance.seed = -1\n", "disturbance.seed must be a non-negative"),
+    ("scenario_id = 1\nkp_gain = -5\n", "kp_gain must be finite and non-negative"),
 ])
 def test_config_errors_exit_2_and_name_the_key(tmp_path, capsys, config, named):
     cfg = tmp_path / "bad.cfg"
