@@ -22,8 +22,7 @@ import numpy as np
 from .dynamics import DynamicParams, forward_dynamics, rk4_step
 from .kinematics import JointConfig, KinematicParams, forward_kinematics, jacobian
 from .safety import (DepthShell, FilterParams, InfeasibleQPError, SafeSetSpec,
-                     TumorSpec, barrier_value, depth_barrier_value, safety_filter,
-                     selected_barrier_values)
+                     TumorSpec, safety_filter, selected_barrier_values)
 
 
 # ---------------------------------------------------------------------------
@@ -94,8 +93,22 @@ def gravity_vector(q, params: DynamicParams) -> np.ndarray:
 
 
 def kinetic_energy(q, qdot, params: DynamicParams) -> float:
-    qd = np.asarray(qdot, dtype=float)
-    return 0.5 * float(qd @ mass_matrix(q, params) @ qd)
+    """1/2 sum m |p'|^2 over the point masses potential_energy places, plus
+    1/2 i theta'^2 for the two bending links; M is never formed."""
+    m1, m2, m3 = params.masses
+    _, i2, i3 = params.link_inertias
+    kp = params.kinematics
+    _, theta2, theta3 = q
+    v1, w2, w3 = qdot
+    c2, s2 = math.cos(theta2), math.sin(theta2)
+    c3, s3 = math.cos(theta3), math.sin(theta3)
+    # time derivatives of the positions in potential_energy
+    x2, z2 = kp.l2 * c2 * w2, v1 - kp.l2 * s2 * w2
+    x3 = x2 + kp.l_end * (c2 * c3 * w2 - s2 * s3 * w3)
+    y3 = -kp.l_end * c3 * w3
+    z3 = z2 - kp.l_end * (s2 * c3 * w2 + c2 * s3 * w3)
+    return 0.5 * (m1 * v1 * v1 + m2 * (x2 * x2 + z2 * z2) + m3 * (x3 * x3 + y3 * y3 + z3 * z3)
+                  + i2 * w2 * w2 + i3 * w3 * w3)
 
 
 def potential_energy(q, params: DynamicParams) -> float:
@@ -276,7 +289,7 @@ def check_barrier_gradients_fd(samples: int = 200, seed: int = 2):
     """Filter row normals against central differences of the barriers, plus unit norm.
 
     The normals are the ones the filter uses, from selected_barrier_values
-    on a one-tumor and a one-shell safe set.
+    on a one-tumor and a one-shell safe set; the values are that set's table.
     """
     rng = np.random.default_rng(seed)
     step = 1e-6
@@ -287,16 +300,15 @@ def check_barrier_gradients_fd(samples: int = 200, seed: int = 2):
         tumor = TumorSpec(center, float(rng.uniform(1.0, 8.0)))
         shell = DepthShell(center, float(rng.uniform(2.0, 12.0)))
         x = center + rng.uniform(0.5, 15.0) * _unit(rng)
-        for value, obj, safe_set, params in (
-                (barrier_value, tumor, SafeSetSpec([tumor], []), keep_out),
-                (depth_barrier_value, shell, SafeSetSpec([], [shell]), depth)):
-            [(_, _, _, g)] = selected_barrier_values(x, safe_set, params)
+        for safe_set, params in ((SafeSetSpec([tumor], []), keep_out),
+                                 (SafeSetSpec([], [shell]), depth)):
+            [(_, _, g)] = selected_barrier_values(x, safe_set, params)
             worst = max(worst, abs(float(np.linalg.norm(g)) - 1.0))
             for j in range(3):
                 plus, minus = x.copy(), x.copy()
                 plus[j] += step
                 minus[j] -= step
-                fd = (value(plus, obj) - value(minus, obj)) / (2 * step)
+                fd = (safe_set.values(plus)[0][0] - safe_set.values(minus)[0][0]) / (2 * step)
                 worst = max(worst, abs(fd - float(g[j])))
     return worst <= 1e-6, f"{samples} samples, worst deviation {worst:.2e} (tol 1e-6)"
 

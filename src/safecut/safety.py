@@ -1,15 +1,20 @@
-"""Safety layer: keep-out barriers, cutting-depth shell, and the velocity filter.
+"""Safety layer: keep-out barriers, cutting-depth shells, and the velocity filter.
 
 Each tumor carries a spherical keep-out region of radius equal to its cutting
-margin.  The barrier value h = ||x - center|| - margin is positive outside,
-zero on the ideal cutting surface, negative inside.  A depth shell bounds how
-far the tip may wander outward while dissecting: its barrier
-h = outer_radius - ||x - center|| is positive inside the shell.
+margin; each depth shell bounds how far the tip may wander outward while
+dissecting.  SafeSetSpec fixes them once as one barrier table, tumors first
+then shells: barrier b has a name, a centre c_b, a radius r_b and a sign s_b
+(+1 for a tumor, -1 for a shell), so
+
+    h_b = s_b (||x - c_b|| - r_b),   normal_b = s_b (x - c_b) / ||x - c_b||,
+
+positive outside a keep-out sphere and inside a shell.  The table also fixes,
+per filter mode, which barriers each one is selected against.
 
 The filter solves, at every control step,
 
     minimize    || v_s - v_d ||^2
-    subject to  n_i . v_s >= -alpha * h_i     for every emitted row,
+    subject to  n_i . v_s >= -alpha * h_i     for every selected barrier,
 
 which keeps the commanded velocity safe while deviating minimally from the
 desired one.  The rows are plain floats, normals n_i and offsets -alpha * h_i.
@@ -24,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Optional
 
 import numpy as np
 
@@ -76,7 +80,8 @@ class FilterParams:
         faster approach toward a boundary (less conservative).
     mode: "keep_out_only" emits one row per tumor; "keep_out_and_depth"
         emits, per tumor/shell pair, only the row of whichever barrier is
-        currently closer (smaller h).  Ties emit both rows.
+        currently closer (smaller h).  Ties emit both rows; a barrier is one
+        row however many pairs select it.
     activation_gate: when True the filter stays disengaged until every
         selected barrier is non-negative, mirroring an approach from outside
         the permitted shell; once engaged it never disengages.
@@ -97,24 +102,46 @@ class FilterParams:
 
 @dataclass
 class SafeSetSpec:
-    """All barriers of a scenario.  Shells pair with their nearest tumor.
+    """All barriers of a scenario as one table; the only place that knows the list.
 
-    Fixed here, as they depend on geometry only: pairs, per shell the index of
-    its paired tumor (None without tumors), and centers, every barrier's
-    centre as a float triple, tumors first then shells.
+    Fixed here, as they depend on geometry only, per barrier b (tumors first,
+    then shells): names ("tumor<i>", "shell<j>"), centers (float triples),
+    radii (cutting margin or outer radius) and signs (+1 tumor, -1 shell).
+    rivals[mode][b] is None if that filter mode never selects b, () if it
+    always does, else the barriers b is compared with: a shell pairs with its
+    nearest tumor, and a tumor with every shell paired to it.
     """
 
     tumors: list
     shells: list
-    pairs: list = field(init=False, repr=False, compare=False)
+    names: list = field(init=False, repr=False, compare=False)
     centers: list = field(init=False, repr=False, compare=False)
+    radii: list = field(init=False, repr=False, compare=False)
+    signs: list = field(init=False, repr=False, compare=False)
+    rivals: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        nt, ns = len(self.tumors), len(self.shells)
+        self.names = [f"tumor{i}" for i in range(nt)] + [f"shell{j}" for j in range(ns)]
         self.centers = [tuple(b.center.tolist()) for b in (*self.tumors, *self.shells)]
-        self.pairs = [_paired_tumor_index(shell, self.tumors) for shell in self.shells]
-        for shell, i in zip(self.shells, self.pairs):
+        self.radii = [float(t.margin) for t in self.tumors] + \
+                     [float(s.outer_radius) for s in self.shells]
+        self.signs = [1.0] * nt + [-1.0] * ns
+        # each shell pairs with its nearest tumor, None without tumors
+        pairs = [min(range(nt), default=None, key=lambda i: float(
+            np.linalg.norm(self.tumors[i].center - shell.center))) for shell in self.shells]
+        for shell, i in zip(self.shells, pairs):
             if i is not None and shell.outer_radius <= self.tumors[i].margin:
                 raise ValueError("depth shell must lie outside the paired cutting margin")
+        depth = [tuple(nt + j for j, t in enumerate(pairs) if t == i) for i in range(nt)]
+        self.rivals = {"keep_out_only": [()] * nt + [None] * ns,
+                       "keep_out_and_depth": depth + [() if i is None else (i,) for i in pairs]}
+
+    def values(self, x):
+        """(h, radial): every barrier value at x in table order, the order the log
+        keeps, and per barrier the (distance, offset) pair its normal is built from."""
+        radial = [_radial(x, c) for c in self.centers]
+        return [s * (dist - r) for (dist, _), r, s in zip(radial, self.radii, self.signs)], radial
 
 
 def _finite_point(p, what: str) -> np.ndarray:
@@ -131,90 +158,26 @@ def _radial(x, center):
     return math.sqrt(dx * dx + dy * dy + dz * dz), (dx, dy, dz)
 
 
-def _unit(dist: float, offset, outward: bool = True):
-    """offset / dist, negated for an inward normal."""
-    if dist < 1e-9:
-        raise DegeneratePointError("barrier gradient undefined at the sphere centre")
-    dx, dy, dz = offset
-    if outward:
-        return (dx / dist, dy / dist, dz / dist)
-    return (-dx / dist, -dy / dist, -dz / dist)
-
-
-def barrier_value(x, tumor: TumorSpec) -> float:
-    """Signed distance to the keep-out sphere: positive outside."""
-    return _radial(x, tumor.center.tolist())[0] - tumor.margin
-
-
-def depth_barrier_value(x, shell: DepthShell) -> float:
-    """Containment barrier: positive inside the shell."""
-    return shell.outer_radius - _radial(x, shell.center.tolist())[0]
-
-
-def _paired_tumor_index(shell: DepthShell, tumors: list) -> Optional[int]:
-    if not tumors:
-        return None
-    return min(range(len(tumors)),
-               key=lambda i: float(np.linalg.norm(tumors[i].center - shell.center)))
-
-
-def barrier_values(x, spec: SafeSetSpec):
-    """Every barrier at x, tumors first then shells, each computed once.
-
-    Returns (h, radial): the barrier values, the order the log keeps, and
-    per barrier the (distance, offset) pair its gradient is built from.
-    """
-    radial = [_radial(x, c) for c in spec.centers]
-    nt = len(spec.tumors)
-    h = [dist - t.margin for (dist, _), t in zip(radial, spec.tumors)]
-    h += [s.outer_radius - dist for (dist, _), s in zip(radial[nt:], spec.shells)]
-    return h, radial
-
-
 def selected_barrier_values(x, spec: SafeSetSpec, params: FilterParams,
                             values=None) -> list:
-    """Barriers the filter acts on at x, as (kind, index, h, normal) tuples.
+    """Barriers the filter acts on at x, as (index, h, normal) in table order.
 
-    kind is "tumor" or "shell".  In keep_out_only mode every tumor is
-    selected and shells are ignored.  In keep_out_and_depth mode each
-    tumor/shell pair contributes its closer barrier; a tie within 1e-12
-    contributes both, and unpaired members contribute unconditionally.
-    values is barrier_values(x, spec) when the caller already holds it.
+    Barrier b is selected iff params.mode selects it (spec.rivals) and it has
+    no rivals or h_b - h_r <= 1e-12 for some rival r: of a tumor/shell pair
+    the closer barrier, both on a tie, and each barrier at most once however
+    many shells it pairs with.  values is spec.values(x) when the caller
+    already holds it.
     """
-    h, radial = barrier_values(x, spec) if values is None else values
-    nt = len(spec.tumors)
-
-    def tumor(i):
-        return ("tumor", i, h[i], _unit(*radial[i]))
-
-    def shell(j):
-        return ("shell", j, h[nt + j], _unit(*radial[nt + j], outward=False))
-
-    if params.mode == "keep_out_only":
-        return [tumor(i) for i in range(nt)]
-
+    h, radial = spec.values(x) if values is None else values
     selected = []
-    paired = {}
-    for j, i in enumerate(spec.pairs):
-        if i is None:
-            selected.append(shell(j))
-        else:
-            paired.setdefault(i, []).append(j)
-    for i in range(nt):
-        shells = paired.get(i, [])
-        if not shells:
-            selected.append(tumor(i))
+    for b, rivals in enumerate(spec.rivals[params.mode]):
+        if rivals is None or (rivals and not any(h[b] - h[r] <= _TIE_TOL for r in rivals)):
             continue
-        h_in = h[i]
-        for j in shells:
-            h_out = h[nt + j]
-            if abs(h_in - h_out) <= _TIE_TOL:
-                selected.append(tumor(i))
-                selected.append(shell(j))
-            elif h_in < h_out:
-                selected.append(tumor(i))
-            else:
-                selected.append(shell(j))
+        dist, (dx, dy, dz) = radial[b]
+        if dist < 1e-9:
+            raise DegeneratePointError("barrier gradient undefined at the sphere centre")
+        s = spec.signs[b]
+        selected.append((b, h[b], (s * dx / dist, s * dy / dist, s * dz / dist)))
     return selected
 
 

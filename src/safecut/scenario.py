@@ -30,7 +30,7 @@ import numpy as np
 from .control import ControllerParams, DisturbanceSpec
 from .dynamics import DynamicParams
 from .kinematics import JointConfig, KinematicParams, forward_kinematics
-from .safety import DepthShell, FilterParams, SafeSetSpec, TumorSpec, barrier_value
+from .safety import DepthShell, FilterParams, SafeSetSpec, TumorSpec
 
 _UNSAFE_DEPTH = 1.5          # mm inside the keep-out sphere
 _MARKING_COUNT = 8
@@ -250,22 +250,22 @@ class ScenarioSpec:
             if not low <= v <= high:
                 raise ValueError(f"initial.{name} = {v!r} outside the workspace box "
                                  f"[{low:g}, {high:g}]")
+        safe_set, nt = self.safe_set(), len(self.tumors)
         tip = forward_kinematics(self.initial_q, self.kinematics)
-        for i, tumor in enumerate(self.tumors):
-            if barrier_value(tip, tumor) < 0.0:
+        for i, h in enumerate(safe_set.values(tip)[0][:nt]):
+            if h < 0.0:
                 raise ValueError(f"initial tip inside keep-out sphere of tumor {i}")
-        self.safe_set()
         if not self.tumors:
             return
         for i, ms in enumerate(self.markings):
-            if not 0 <= ms.tumor_index < len(self.tumors):
+            if not 0 <= ms.tumor_index < nt:
                 raise ValueError(f"marking.{i}.tumor = {ms.tumor_index} names no tumor")
-            own = self.tumors[ms.tumor_index]
             for p, bad in zip(ms.points, ms.unsafe):
+                h = safe_set.values(p)[0][:nt]
                 if bad:
-                    if min(barrier_value(p, t) for t in self.tumors) >= 0.0:
+                    if min(h) >= 0.0:
                         raise ValueError("unsafe marking does not intrude any keep-out sphere")
-                elif abs(barrier_value(p, own)) > 1e-9:
+                elif abs(h[ms.tumor_index]) > 1e-9:
                     raise ValueError("safe marking off the cutting margin")
 
 

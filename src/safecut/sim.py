@@ -41,8 +41,8 @@ class EmptyLogError(ValueError):
 class PlantDivergedError(RuntimeError):
     """The plant state stopped being finite during a run.
 
-    step, t, q, qdot: the last logged step whose joint state was finite
-    (step 0 if none was); integrating on from it gave non-finite angles.
+    step, t, q, qdot: the last logged step, whose joint state is finite;
+    one integration step on from it gave a non-finite state.
     """
 
     def __init__(self, step: int, t: float, q: tuple, qdot: tuple):
@@ -128,11 +128,6 @@ def desired_velocity(x, k: int, ref: ReferenceTrajectory, kp_gain: float):
     return (vx + kp_gain * (px - x[0]), vy + kp_gain * (py - x[1]), vz + kp_gain * (pz - x[2]))
 
 
-def _barrier_names(spec: ScenarioSpec) -> list:
-    return [f"tumor{i}" for i in range(len(spec.tumors))] + \
-           [f"shell{j}" for j in range(len(spec.shells))]
-
-
 def run(spec: ScenarioSpec) -> TrajectoryLog:
     """Simulate the scenario over its full duration at fixed dt.
 
@@ -147,9 +142,8 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
     n = int(round(spec.run_duration(ref) / dt)) + 1
     safe_set = spec.safe_set()
     fp, cp, kin, dyn = spec.filter, spec.controller, spec.kinematics, spec.dynamics
-    names = _barrier_names(spec)
-    log = TrajectoryLog(np.zeros((n, _H_COLUMN + len(names))), np.zeros(n, dtype=np.int64),
-                        np.zeros(n, dtype=bool), names)
+    log = TrajectoryLog(np.zeros((n, _H_COLUMN + len(safe_set.names))),
+                        np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool), safe_set.names)
 
     q, qdot = spec.initial_q, spec.initial_qdot
     gate_engaged = not (fp.enabled and fp.activation_gate)
@@ -165,16 +159,16 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
                 j10 * v1 + j11 * v2 + j12 * v3,
                 j20 * v1 + j21 * v2 + j22 * v3)
         v_d = desired_velocity(x, k, ref, spec.kp_gain)
-        values = safety.barrier_values(x, safe_set)
+        values = safe_set.values(x)
 
         v_s = v_d
         if fp.enabled:
             selected = safety.selected_barrier_values(x, safe_set, fp, values)
-            if not gate_engaged and all(h >= 0.0 for _, _, h, _ in selected):
+            if not gate_engaged and all(h >= 0.0 for _, h, _ in selected):
                 gate_engaged = True
             if gate_engaged and selected:
                 v_s, log.active_rows[k] = safety.filter_rows(
-                    v_d, [nrm for *_, nrm in selected], [-fp.alpha * h for _, _, h, _ in selected])
+                    v_d, [nrm for *_, nrm in selected], [-fp.alpha * h for _, h, _ in selected])
                 log.gate[k] = True
 
         edot = ctl.velocity_error(J, xdot, v_s, cp)
@@ -186,15 +180,16 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
 
         if k + 1 < n:
             try:
-                q, qdot = rk4_step(q, qdot, (u[0] + d[0], u[1] + d[1], u[2] + d[2]), dt, dyn)
+                q1, qdot1 = rk4_step(q, qdot, (u[0] + d[0], u[1] + d[1], u[2] + d[2]), dt, dyn)
             except SingularMassError as exc:
                 # at finite angles the arm itself is singular; else the state blew up
                 if math.isfinite(exc.theta2) and math.isfinite(exc.theta3):
                     raise
-                while k > 0 and not all(map(math.isfinite, (*log.q[k], *log.qdot[k]))):
-                    k -= 1
-                raise PlantDivergedError(k, float(log.t[k]), tuple(log.q[k].tolist()),
-                                         tuple(log.qdot[k].tolist())) from exc
+                raise PlantDivergedError(k, t, tuple(q), qdot) from exc
+            # one sum tests all six values: it is nan or inf if any of them is
+            if not math.isfinite(sum(q1) + sum(qdot1)):
+                raise PlantDivergedError(k, t, tuple(q), qdot)
+            q, qdot = q1, qdot1
     return log
 
 
@@ -326,9 +321,8 @@ def export_plot_data(log: TrajectoryLog, spec: ScenarioSpec, out_dir) -> list:
             _write_rows(f, f"{i} %d %.6f %.6f %.6f %d\n",
                         np.column_stack((np.arange(len(ms.points)), ms.points, ms.unsafe)))
         f.write("\n# section: boundary  columns: barrier x_mm y_mm z_mm\n")
-        circles = [(t.center, t.margin) for t in spec.tumors] + \
-                  [(s.center, s.outer_radius) for s in spec.shells]
-        for name, (center, radius) in zip(_barrier_names(spec), circles):
+        safe_set = spec.safe_set()
+        for name, center, radius in zip(safe_set.names, safe_set.centers, safe_set.radii):
             _write_rows(f, name + " %r %r %r\n", _circle_samples(center, radius))
 
     with open(paths[1], "w") as f:

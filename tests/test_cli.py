@@ -140,6 +140,8 @@ def test_config_errors_exit_2_and_name_the_key(tmp_path, capsys, config, named):
     (1, "controller.k_d = 1e6"),
     (4, "controller.k_d = 1e6"),
     (1, "dt = 0.005"),
+    (1, "controller.k_d = 3e5\nduration = 1"),
+    (1, "dt = 0.01\nduration = 1"),
 ])
 def test_diverged_plant_exits_3_with_its_name(tmp_path, capsys, scenario, override):
     cfg = tmp_path / "diverge.cfg"

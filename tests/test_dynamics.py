@@ -81,6 +81,16 @@ def test_forward_dynamics_inverts_equations_of_motion():
         np.testing.assert_allclose(lhs, u, atol=1e-8)
 
 
+def test_kinetic_energy_is_the_mass_matrix_quadratic_form():
+    # two independent routes to M: point-mass velocities and the closed-form entries
+    rng = np.random.default_rng(25)
+    for _ in range(1000):
+        q = _random_config(rng)
+        qd = rng.normal(0.0, 1.0, 3) * (10.0, 1.0, 1.0)
+        expected = 0.5 * float(qd @ mass_matrix(q, PARAMS) @ qd)
+        assert kinetic_energy(q, qd.tolist(), PARAMS) == pytest.approx(expected, rel=1e-13)
+
+
 def test_zero_gravity_coast_conserves_kinetic_energy():
     free = DynamicParams(gravity=(0.0, 0.0, 0.0))
     q, qd = (10.0, 0.2, -0.3), (4.0, 0.6, -0.8)

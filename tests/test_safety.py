@@ -7,32 +7,41 @@ import pytest
 
 from safecut.checks import qp_reference, random_qp_instance
 from safecut.safety import (DegeneratePointError, DepthShell, FilterParams,
-                            InfeasibleQPError, SafeSetSpec, TumorSpec,
-                            barrier_value, depth_barrier_value, filter_rows,
+                            InfeasibleQPError, SafeSetSpec, TumorSpec, filter_rows,
                             safety_filter, selected_barrier_values)
 
 TUMOR = TumorSpec(center=(0.0, 6.0, 30.0), margin=4.0)
 SHELL = DepthShell(center=(0.0, 6.0, 30.0), outer_radius=7.0)
 
 
+def _tumor_h(x):
+    """The barrier value of TUMOR alone at x."""
+    return SafeSetSpec([TUMOR], []).values(x)[0][0]
+
+
+def _shell_h(x):
+    """The barrier value of SHELL alone at x."""
+    return SafeSetSpec([], [SHELL]).values(x)[0][0]
+
+
 def _tumor_normal(x):
     """The filter's row normal of TUMOR alone at x."""
-    [(_, _, _, normal)] = selected_barrier_values(x, SafeSetSpec([TUMOR], []), FilterParams())
+    [(_, _, normal)] = selected_barrier_values(x, SafeSetSpec([TUMOR], []), FilterParams())
     return np.array(normal)
 
 
 def _shell_normal(x):
     """The filter's row normal of SHELL alone at x."""
-    [(_, _, _, normal)] = selected_barrier_values(
+    [(_, _, normal)] = selected_barrier_values(
         x, SafeSetSpec([], [SHELL]), FilterParams(mode="keep_out_and_depth"))
     return np.array(normal)
 
 
 def test_barrier_sign_convention():
-    assert barrier_value(np.array([0.0, 0.0, 30.0]), TUMOR) == pytest.approx(2.0)
-    assert barrier_value(np.array([0.0, 6.0, 33.0]), TUMOR) == pytest.approx(-1.0)
-    assert depth_barrier_value(np.array([0.0, 6.0, 30.0]), SHELL) == pytest.approx(7.0)
-    assert depth_barrier_value(np.array([0.0, 16.0, 30.0]), SHELL) == pytest.approx(-3.0)
+    assert _tumor_h(np.array([0.0, 0.0, 30.0])) == pytest.approx(2.0)
+    assert _tumor_h(np.array([0.0, 6.0, 33.0])) == pytest.approx(-1.0)
+    assert _shell_h(np.array([0.0, 6.0, 30.0])) == pytest.approx(7.0)
+    assert _shell_h(np.array([0.0, 16.0, 30.0])) == pytest.approx(-3.0)
 
 
 def test_gradients_are_unit_and_opposed():
@@ -53,7 +62,7 @@ def test_gradient_matches_finite_differences():
             plus, minus = x.copy(), x.copy()
             plus[j] += step
             minus[j] -= step
-            fd = (barrier_value(plus, TUMOR) - barrier_value(minus, TUMOR)) / (2 * step)
+            fd = (_tumor_h(plus) - _tumor_h(minus)) / (2 * step)
             assert g[j] == pytest.approx(fd, abs=1e-6)
 
 
@@ -86,7 +95,7 @@ def test_keep_out_only_ignores_shells():
     spec = SafeSetSpec(tumors=[TUMOR], shells=[SHELL])
     sel = selected_barrier_values(np.array([0.0, 0.0, 30.0]), spec,
                                   FilterParams(mode="keep_out_only"))
-    assert [(k, i) for k, i, _, _ in sel] == [("tumor", 0)]
+    assert [spec.names[b] for b, _, _ in sel] == ["tumor0"]
 
 
 def test_pair_selects_closer_barrier():
@@ -94,10 +103,10 @@ def test_pair_selects_closer_barrier():
     params = FilterParams(mode="keep_out_and_depth")
     near_tumor = np.array([0.0, 1.5, 30.0])     # h_in = 0.5, h_out = 2.5
     sel = selected_barrier_values(near_tumor, spec, params)
-    assert [(k, i) for k, i, _, _ in sel] == [("tumor", 0)]
+    assert [spec.names[b] for b, _, _ in sel] == ["tumor0"]
     near_shell = np.array([0.0, 12.5, 30.0])    # h_in = 2.5, h_out = 0.5
     sel = selected_barrier_values(near_shell, spec, params)
-    assert [(k, i) for k, i, _, _ in sel] == [("shell", 0)]
+    assert [spec.names[b] for b, _, _ in sel] == ["shell0"]
 
 
 def test_pair_tie_emits_both_rows():
@@ -105,16 +114,16 @@ def test_pair_tie_emits_both_rows():
     spec = SafeSetSpec(tumors=[TUMOR], shells=[SHELL])
     x = np.asarray(TUMOR.center) + np.array([0.0, 5.5, 0.0])
     sel = selected_barrier_values(x, spec, FilterParams(mode="keep_out_and_depth"))
-    kinds = sorted(k for k, _, _, _ in sel)
-    assert kinds == ["shell", "tumor"]
-    assert all(abs(h - 1.5) < 1e-12 for _, _, h, _ in sel)
+    kinds = sorted(spec.names[b] for b, _, _ in sel)
+    assert kinds == ["shell0", "tumor0"]
+    assert all(abs(h - 1.5) < 1e-12 for _, h, _ in sel)
 
 
 def test_unpaired_shell_always_selected():
     spec = SafeSetSpec(tumors=[], shells=[SHELL])
     sel = selected_barrier_values(np.array([0.0, 0.0, 30.0]), spec,
                                   FilterParams(mode="keep_out_and_depth"))
-    assert [(k, i) for k, i, _, _ in sel] == [("shell", 0)]
+    assert [spec.names[b] for b, _, _ in sel] == ["shell0"]
 
 
 def test_shell_pairs_with_nearest_tumor():
@@ -124,14 +133,74 @@ def test_shell_pairs_with_nearest_tumor():
     # near the shell boundary the shell row must replace TUMOR's, while the
     # far tumor keeps its own row
     sel = selected_barrier_values(np.array([0.0, 12.5, 30.0]), spec, params)
-    assert sorted((k, i) for k, i, _, _ in sel) == [("shell", 0), ("tumor", 0)]
+    assert sorted(spec.names[b] for b, _, _ in sel) == ["shell0", "tumor0"]
+
+
+def test_tumor_paired_with_two_shells_is_one_row():
+    # both shells pair with TUMOR; near it, each pair picks the tumor, which
+    # must still be a single filter row
+    spec = SafeSetSpec(tumors=[TUMOR], shells=[SHELL, DepthShell((0.0, 6.0, 30.1), 9.0)])
+    sel = selected_barrier_values(np.array([0.0, 1.5, 30.0]), spec,
+                                  FilterParams(mode="keep_out_and_depth"))
+    assert [spec.names[b] for b, _, _ in sel] == ["tumor0"]
+
+
+def _documented_selection(h, tumors, shells, mode):
+    """Indices the filter should act on, by the rule as documented, pair by pair.
+
+    keep_out_only: every tumor.  keep_out_and_depth: each shell pairs with its
+    nearest tumor (the first on a tie); per pair the barrier with smaller h,
+    both when the values agree to 1e-12; a tumor without shells and a shell
+    without a tumor always.  A set, so each barrier counts once.
+    """
+    nt = len(tumors)
+    if mode == "keep_out_only":
+        return set(range(nt))
+    paired = [int(np.argmin([np.linalg.norm(t.center - s.center) for t in tumors]))
+              if tumors else None for s in shells]
+    selected = {i for i in range(nt) if i not in paired}
+    for j, i in enumerate(paired):
+        if i is None:
+            selected.add(nt + j)
+        elif abs(h[i] - h[nt + j]) <= 1e-12:
+            selected |= {i, nt + j}
+        elif h[i] < h[nt + j]:
+            selected.add(i)
+        else:
+            selected.add(nt + j)
+    return selected
+
+
+@pytest.mark.parametrize("mode", ["keep_out_only", "keep_out_and_depth"])
+def test_selection_follows_documented_rule(mode):
+    rng = np.random.default_rng(41)
+    params = FilterParams(mode=mode)
+    for _ in range(400):
+        tumors = [TumorSpec(rng.uniform(-15.0, 15.0, 3), float(rng.uniform(1.0, 5.0)))
+                  for _ in range(rng.integers(0, 4))]
+        shells = [DepthShell(rng.uniform(-15.0, 15.0, 3), float(rng.uniform(6.0, 15.0)))
+                  for _ in range(rng.integers(0, 4))]
+        spec = SafeSetSpec(tumors, shells)
+        if not spec.centers:
+            continue
+        center = np.array(spec.centers[rng.integers(len(spec.centers))])
+        x = center + rng.uniform(0.5, 15.0) * _unit(rng)
+        h = spec.values(x)[0]
+        sel = selected_barrier_values(x, spec, params)
+        indices = [b for b, _, _ in sel]
+        assert indices == sorted(_documented_selection(h, tumors, shells, mode))
+        for b, hb, normal in sel:
+            offset = x - np.array(spec.centers[b])
+            assert hb == h[b]
+            np.testing.assert_allclose(normal, spec.signs[b] * offset / np.linalg.norm(offset),
+                                       atol=1e-12)
 
 
 def test_assemble_offsets_scale_with_alpha():
     # the row offset -alpha * h caps the approach speed along the normal at alpha * h
     spec = SafeSetSpec(tumors=[TUMOR], shells=[])
     x = np.array([0.0, 0.0, 30.0])
-    [(_, _, h, normal)] = selected_barrier_values(x, spec, FilterParams())
+    [(_, h, normal)] = selected_barrier_values(x, spec, FilterParams())
     assert h == pytest.approx(2.0)
     v_d = (0.0, 10.0, 0.0)   # straight at the tumor
     speeds = []

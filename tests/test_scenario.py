@@ -13,7 +13,7 @@ import pytest
 from safecut import scenario
 from safecut.checks import mass_matrix
 from safecut.kinematics import JointConfig, KinematicParams, forward_kinematics
-from safecut.safety import TumorSpec, barrier_value
+from safecut.safety import SafeSetSpec, TumorSpec
 from safecut.scenario import (SCENARIO_IDS, MarkingSet, ScenarioSpec,
                               build_reference, generate_marking_points,
                               inject_unsafe_points, load_scenario, parse_config,
@@ -58,7 +58,7 @@ def test_inject_unsafe_points_radial():
     ms = generate_marking_points(TUMOR, 8, (0, 0, 1))
     out = inject_unsafe_points(ms, [(2, TUMOR, 1.5)])
     assert out.unsafe[2] and out.unsafe.sum() == 1
-    assert barrier_value(out.points[2], TUMOR) == pytest.approx(-1.5)
+    assert SafeSetSpec([TUMOR], []).values(out.points[2])[0][0] == pytest.approx(-1.5)
     # untouched points and the original set stay as they were
     np.testing.assert_array_equal(out.points[3], ms.points[3])
     assert not ms.unsafe.any()
@@ -150,7 +150,7 @@ def test_validate_rejects_bad_geometry():
     d1 = 30.0 - 3.0 - (10.0 + 17.0 * math.cos(theta3))
     inside = replace(spec, initial_q=JointConfig(d1, 0.0, theta3))
     tip = forward_kinematics(inside.initial_q, inside.kinematics)
-    assert barrier_value(tip, spec.tumors[0]) < 0.0
+    assert spec.safe_set().values(tip)[0][0] < 0.0
     with pytest.raises(ValueError):
         inside.validate()
     off_margin = replace(spec, markings=[MarkingSet(spec.markings[0].points + 0.5,

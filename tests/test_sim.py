@@ -289,8 +289,8 @@ def test_logged_active_rows_match_row_builder():
         recount = np.zeros(len(log), dtype=np.int64)
         for k in np.nonzero(log.gate)[0]:
             selected = safety.selected_barrier_values(log.x[k], safe_set, spec.filter)
-            N = np.array([normal for _, _, _, normal in selected])
-            b = -spec.filter.alpha * np.array([h for _, _, h, _ in selected])
+            N = np.array([normal for _, _, normal in selected])
+            b = -spec.filter.alpha * np.array([h for _, h, _ in selected])
             recount[k] = np.count_nonzero(np.abs(N @ log.xdot_safe[k] - b) <= 1e-6)
         assert recount.max() == most_active
         np.testing.assert_array_equal(log.active_rows, recount)
@@ -299,9 +299,11 @@ def test_logged_active_rows_match_row_builder():
 @pytest.mark.parametrize("override", [
     dict(controller=ControllerParams(k_d=1e6)),
     dict(dt=0.005),
+    dict(controller=ControllerParams(k_d=3e5), duration=1.0),
+    dict(dt=0.01, duration=1.0),
 ])
 def test_diverged_plant_raises_with_last_finite_state(override):
-    spec = replace(scenario_catalog(1), duration=0.05, **override)
+    spec = replace(scenario_catalog(1), **{"duration": 0.05, **override})
     with pytest.raises(sim.PlantDivergedError, match="plant diverged") as err:
         sim.run(spec)
     exc = err.value
