@@ -4,9 +4,9 @@ bookkeeping, step halving), never against the code it is checking.
 
 The runtime modules hold one form of each quantity, the scalar one the
 closed loop runs on.  The oracles below (mass matrix, Coriolis matrix,
-gravity load, the damped pseudo-inverse, and the kinetic and potential
-energies) exist only to check those kernels, so they live here; each is
-derived on its own from the model and calls no kernel it checks.
+gravity load, and the kinetic and potential energies) exist only to check
+those kernels, so they live here; each is derived on its own from the model
+and calls no kernel it checks.
 
 Every suite returns (passed, detail).  The registry VERIFY_SUITES drives the
 command-line `verify` subcommand and keeps suite names stable.
@@ -125,16 +125,6 @@ def potential_energy(q, params: DynamicParams) -> float:
     # about its x-axis
     x3, y3, z3 = x2 + kp.l_end * s2 * c3, -kp.l_end * s3, z2 + kp.l_end * c2 * c3
     return -(m1 * gz * z1 + m2 * (gx * x2 + gz * z2) + m3 * (gx * x3 + gy * y3 + gz * z3))
-
-
-def damped_pseudo_inverse(J, damping: float = 1e-3) -> np.ndarray:
-    """J^T (J J^T + damping^2 I)^-1, the damped least-squares inverse as a matrix.
-
-    The matrix form of kinematics.damped_least_squares, by a dense inverse;
-    damping = 0 gives the exact inverse of a full-rank J.
-    """
-    J = np.asarray(J, dtype=float)
-    return J.T @ np.linalg.inv(J @ J.T + (damping * damping) * np.eye(3))
 
 
 # ---------------------------------------------------------------------------

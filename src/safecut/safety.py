@@ -130,9 +130,10 @@ class SafeSetSpec:
         # each shell pairs with its nearest tumor, None without tumors
         pairs = [min(range(nt), default=None, key=lambda i: float(
             np.linalg.norm(self.tumors[i].center - shell.center))) for shell in self.shells]
-        for shell, i in zip(self.shells, pairs):
+        for j, (shell, i) in enumerate(zip(self.shells, pairs)):
             if i is not None and shell.outer_radius <= self.tumors[i].margin:
-                raise ValueError("depth shell must lie outside the paired cutting margin")
+                raise ValueError(f"shell.{j}: depth shell must lie outside the cutting "
+                                 f"margin of its paired tumor.{i}")
         depth = [tuple(nt + j for j, t in enumerate(pairs) if t == i) for i in range(nt)]
         self.rivals = {"keep_out_only": [()] * nt + [None] * ns,
                        "keep_out_and_depth": depth + [() if i is None else (i,) for i in pairs]}

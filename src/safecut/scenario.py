@@ -99,6 +99,48 @@ class ReferenceTrajectory:
             return self.pos[-1].tolist(), (0.0, 0.0, 0.0)
         return self.pos[k].tolist(), self.vel[k].tolist()
 
+    def approached(self, x, tol: float) -> np.ndarray:
+        """Per sample, whether some point of x lies within tol of it, exactly.
+
+        build_reference lays each run of samples with equal vel in order on
+        one line, so the samples within a radius of one point of x form one
+        index range of that run.  Ranges at radius tol -/+ a rounding margin,
+        marked by a difference array, bracket the answer; only samples between
+        the two are tested directly against every point of x.  A run only
+        projects the points of x that lie within reach of its samples along
+        the axis where the fewest do.
+        """
+        pos, vel, n = self.pos, self.vel, len(self.pos)
+        margin = 1e-9 * (1.0 + max(np.abs(pos).max(), np.abs(x).max()))
+        cover = np.zeros((2, n + 1), dtype=np.int64)   # inner and outer ranges
+        order = np.argsort(x, axis=0)                    # points of x by each coordinate
+        keys = np.take_along_axis(x, order, axis=0)
+        starts = np.flatnonzero((vel[1:] != vel[:-1]).any(axis=1)) + 1
+        for a, b in zip([0, *starts], [*starts, n]):
+            d = vel[a] / np.linalg.norm(vel[a])
+            s = (pos[a:b] - pos[a]) @ d                  # along-line coordinate
+            reach = np.array([pos[a:b].min(axis=0) - tol - margin,
+                              pos[a:b].max(axis=0) + tol + margin])
+            spans = [np.searchsorted(keys[:, i], reach[:, i]) for i in range(3)]
+            i = min(range(3), key=lambda i: spans[i][1] - spans[i][0])
+            rel = x[order[spans[i][0]:spans[i][1], i]] - pos[a]
+            c = rel @ d
+            perp = rel - c[:, None] * d
+            r2 = np.einsum("ij,ij->i", perp, perp)
+            for row, radius in enumerate((tol - margin, tol + margin)):
+                if radius <= 0.0:
+                    continue
+                near = r2 <= radius * radius
+                w = np.sqrt(radius * radius - r2[near])
+                lo = np.searchsorted(s, c[near] - w, side="left")
+                hi = np.searchsorted(s, c[near] + w, side="right")
+                cover[row, a:b + 1] += (np.bincount(lo, minlength=b - a + 1)
+                                        - np.bincount(hi, minlength=b - a + 1))
+        hit, outer = np.cumsum(cover[:, :n], axis=1) > 0   # hit starts as the inner cover
+        for j in np.flatnonzero(outer & ~hit):
+            hit[j] = (np.linalg.norm(x - pos[j], axis=1) <= tol).any()
+        return hit
+
 
 def generate_marking_points(tumor: TumorSpec, count: int, plane_normal) -> MarkingSet:
     """count equally spaced safe markings on the margin circle of the tumor.
@@ -155,7 +197,8 @@ def build_reference(markings: list, speed: float, dt: float, approach_from) -> R
     The path starts at approach_from, runs to the first marking point, then
     around every loop back to its first point, all at constant speed.
     Velocity samples are the exact segment derivatives; a vertex sample takes
-    the outgoing direction.
+    the outgoing direction.  ReferenceTrajectory.approached relies on this
+    layout: each run of equal vel lies on one straight segment, in order.
     """
     if not markings:
         raise ValueError("cannot build a reference without marking sets")
@@ -260,13 +303,15 @@ class ScenarioSpec:
         for i, ms in enumerate(self.markings):
             if not 0 <= ms.tumor_index < nt:
                 raise ValueError(f"marking.{i}.tumor = {ms.tumor_index} names no tumor")
-            for p, bad in zip(ms.points, ms.unsafe):
+            for k, (p, bad) in enumerate(zip(ms.points, ms.unsafe)):
                 h = safe_set.values(p)[0][:nt]
                 if bad:
                     if min(h) >= 0.0:
-                        raise ValueError("unsafe marking does not intrude any keep-out sphere")
+                        raise ValueError(f"marking.{i} point {k} is flagged unsafe but "
+                                         "intrudes no keep-out sphere")
                 elif abs(h[ms.tumor_index]) > 1e-9:
-                    raise ValueError("safe marking off the cutting margin")
+                    raise ValueError(f"marking.{i} point {k} is flagged safe but lies off the "
+                                     f"cutting margin of tumor.{ms.tumor_index}")
 
 
 def scenario_catalog(scenario_id: int) -> ScenarioSpec:
@@ -425,9 +470,14 @@ def spec_from_dict(d: dict) -> ScenarioSpec:
         found = sorted(indices[prefix])
         if found != list(range(len(found))):
             raise ValueError(f"{prefix} indices must be contiguous from 0, got {found}")
-        args[attr] = [cls(**{arg: _parse(d, f"{prefix}.{i}.{key}", kind)
-                             for key, (arg, kind) in keys.items()})
-                      for i in found]
+        args[attr] = []
+        for i in found:
+            kwargs = {arg: _parse(d, f"{prefix}.{i}.{key}", kind)
+                      for key, (arg, kind) in keys.items()}
+            try:
+                args[attr].append(cls(**kwargs))
+            except ValueError as exc:
+                raise ValueError(f"{prefix}.{i}: {exc}") from None
     return ScenarioSpec(**args)
 
 
@@ -438,8 +488,11 @@ def scenario_to_config(spec: ScenarioSpec) -> str:
 
 
 def parse_config(text: str) -> dict:
-    """Key/value pairs from config text; no defaults are applied here."""
-    pairs = {}
+    """Key/value pairs from config text; no defaults are applied here.
+
+    A key set twice is refused, rather than letting one value silently win.
+    """
+    pairs, first_line = {}, {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -447,7 +500,11 @@ def parse_config(text: str) -> dict:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, value = line.partition("=")
-        pairs[key.strip()] = value.strip()
+        key = key.strip()
+        if key in pairs:
+            raise ValueError(f"line {lineno}: {key!r} is set again, "
+                             f"first set on line {first_line[key]}")
+        pairs[key], first_line[key] = value.strip(), lineno
     return pairs
 
 

@@ -23,7 +23,6 @@ from pathlib import Path
 from typing import Optional
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from . import control as ctl
 from . import safety
@@ -227,11 +226,7 @@ def summarize(log: TrajectoryLog, spec: ScenarioSpec,
     except ctl.InsufficientTransientError:
         decay = math.nan
     ref = spec.reference()
-    # samples farther than completion_tol count as missed whatever their
-    # distance, so the search is bounded there (inf beyond it)
-    dist, _ = cKDTree(log.x).query(ref.pos,
-                                   distance_upper_bound=np.nextafter(completion_tol, np.inf))
-    completion = float(np.mean(dist <= completion_tol))
+    completion = float(np.mean(ref.approached(log.x, completion_tol)))
     deviation = float(np.trapezoid(np.linalg.norm(log.xdot_safe - log.xdot_des, axis=1),
                                    log.t))
     return SafetyReport(

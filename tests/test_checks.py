@@ -148,14 +148,18 @@ def test_rk4_order_check_fails_a_second_order_step(monkeypatch):
     assert not ok and 1.8 < order < 2.2, detail
 
 
-def test_cli_import_keeps_scipy_solvers_out():
-    # scipy.integrate and scipy.optimize cost every safecut process import
-    # time and resident memory, so no module may pull them in
-    code = ("import safecut.cli, sys; print(' '.join(m for m in sys.modules "
-            "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+def test_cli_import_keeps_scipy_solvers_out(tmp_path):
+    # numpy is the only runtime dependency: importing scipy costs every
+    # safecut process import time and resident memory, so neither the import
+    # nor a reported run, summarize included, may load any scipy module
+    code = ("import sys, safecut.cli; "
+            "code = safecut.cli.main(['run', '--scenario', '1', '--emit', 'report', "
+            "'--out', sys.argv[1]]); "
+            "print('exit', code, *(m for m in sys.modules if m.startswith('scipy')))")
     src = os.path.dirname(os.path.dirname(safecut.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.split() == []
+    out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert "path completion" in out
+    assert out.splitlines()[-1].split() == ["exit", "0"]

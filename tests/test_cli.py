@@ -128,6 +128,19 @@ def test_verify_quick_pass(capsys):
     ("scenario_id = 1\ninitial.theta3 = -1.8\n", "initial.theta3 = -1.8 outside the workspace box"),
     ("scenario_id = 1\ndisturbance.seed = -1\n", "disturbance.seed must be a non-negative"),
     ("scenario_id = 1\nkp_gain = -5\n", "kp_gain must be finite and non-negative"),
+    # an indexed entry's own check names the entry
+    ("scenario_id = 1\ntumor.0.margin = -1\n", "tumor.0: cutting margin must be positive"),
+    ("scenario_id = 1\ntumor.0.center = 1, 2\n", "tumor.0: tumor centre must be 3 finite"),
+    ("scenario_id = 1\nmarking.0.points = 1,2,3\n", "marking.0: unsafe flags must match"),
+    ("scenario_id = 4\nshell.0.outer_radius = 3\n", "shell.0: depth shell must lie outside "
+                                                     "the cutting margin of its paired tumor.0"),
+    ("scenario_id = 1\nmarking.0.unsafe = 1, 0, 1, 0, 0, 1, 0, 0\n",
+     "marking.0 point 0 is flagged unsafe but intrudes no keep-out sphere"),
+    ("scenario_id = 1\nmarking.0.unsafe = 0, 0, 0, 0, 0, 1, 0, 0\n",
+     "marking.0 point 2 is flagged safe but lies off the cutting margin of tumor.0"),
+    # the last value of a repeated key would silently win
+    ("scenario_id = 1\nfilter.alpha = 0.4\nfilter.alpha = 0.8\n",
+     "line 3: 'filter.alpha' is set again, first set on line 2"),
 ])
 def test_config_errors_exit_2_and_name_the_key(tmp_path, capsys, config, named):
     cfg = tmp_path / "bad.cfg"
@@ -145,6 +158,8 @@ def test_config_errors_exit_2_and_name_the_key(tmp_path, capsys, config, named):
 ])
 def test_diverged_plant_exits_3_with_its_name(tmp_path, capsys, scenario, override):
     cfg = tmp_path / "diverge.cfg"
-    cfg.write_text(f"scenario_id = {scenario}\nduration = 0.05\n{override}\n")
+    # a short run, unless the override sets its own duration: a key may appear once
+    short = "" if "duration" in override else "duration = 0.05\n"
+    cfg.write_text(f"scenario_id = {scenario}\n{short}{override}\n")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert "PlantDivergedError: plant diverged" in capsys.readouterr().err

@@ -7,12 +7,17 @@ import math
 import numpy as np
 import pytest
 
-from safecut.checks import damped_pseudo_inverse
 from safecut.kinematics import (JointConfig, KinematicParams,
                                 SingularJacobianError, damped_least_squares,
                                 forward_kinematics, jacobian)
 
 KIN = KinematicParams()
+
+
+def damped_pseudo_inverse(J, damping: float = 1e-3) -> np.ndarray:
+    """J^T (J J^T + damping^2 I)^-1 by a dense inverse: damped_least_squares as a matrix."""
+    J = np.asarray(J, dtype=float)
+    return J.T @ np.linalg.inv(J @ J.T + (damping * damping) * np.eye(3))
 
 
 def test_straight_configuration():
@@ -76,6 +81,8 @@ def test_damped_pseudo_inverse_reconstructs_velocity():
         xd = J @ qd
         back = damped_pseudo_inverse(J, damping=1e-6) @ xd
         np.testing.assert_allclose(J @ back, xd, atol=1e-6)
+        np.testing.assert_allclose(damped_least_squares(J, xd, damping=1e-6), back,
+                                   rtol=1e-9, atol=1e-12)
 
 
 def test_undamped_inverse_raises_at_singularity():

@@ -265,16 +265,46 @@ def test_gate_aware_summary_excludes_approach():
     assert report.first_violation_time is None
 
 
+def _within(points, path, tol):
+    """Per point, whether some path point lies within tol, by exact norms.
+
+    Blocks of 128 path points are skipped for a point that the triangle
+    inequality, with a rounding margin, puts farther than tol from all of them.
+    """
+    hit = np.zeros(len(points), dtype=bool)
+    for block in np.array_split(path, -(-len(path) // 128)):
+        reach = tol + np.linalg.norm(block - block[0], axis=1).max() + 1e-9
+        near = np.flatnonzero(~hit & (np.linalg.norm(points - block[0], axis=1) <= reach))
+        hit[near] = (np.linalg.norm(points[near, None, :] - block, axis=2) <= tol).any(axis=1)
+    return hit
+
+
 def test_path_completion_matches_brute_force(small_run):
-    spec, log = small_run
+    # beside the short run: catalog 3 (two tumors, three unsafe points) and
+    # catalog 4 (gated shell), whose tip comes within 2 mm of every sample
+    runs = [(*small_run, (0.5, 2.0))] + [
+        (spec, sim.run(spec), below_one)
+        for spec, below_one in ((scenario_catalog(3), (0.5, 2.0)), (scenario_catalog(4), (0.5,)))]
+    for spec, log, below_one in runs:
+        ref = spec.reference()
+        for tol in (0.5, 2.0):
+            expected = float(np.mean(_within(ref.pos, log.x, tol)))
+            assert 0.0 < expected < 1.0 if tol in below_one else expected == 1.0
+            assert sim.summarize(log, spec, completion_tol=tol).path_completion == expected
+
+
+@pytest.mark.parametrize("offset, approached", [(0.5, True), (np.nextafter(0.5, np.inf), False)])
+def test_path_completion_boundary_is_inclusive(small_run, offset, approached):
+    # the reference starts at (0, 0, 43) and leaves it with x growing, so a
+    # tip at x = -offset is nearest reference sample 0, at exactly offset
+    spec, run_log = small_run
     ref = spec.reference()
-    nearest = np.concatenate([
-        np.min(np.linalg.norm(log.x[None, :, :] - chunk[:, None, :], axis=2), axis=1)
-        for chunk in np.array_split(ref.pos, max(1, len(ref.pos) // 500))])
-    for tol in (0.5, 2.0):
-        expected = float(np.mean(nearest <= tol))
-        assert 0.0 < expected < 1.0
-        assert sim.summarize(log, spec, completion_tol=tol).path_completion == expected
+    log = sim.TrajectoryLog(run_log.data[:1].copy(), run_log.active_rows[:1].copy(),
+                            run_log.gate[:1].copy(), run_log.barrier_names)
+    log.x[0] = ref.pos[0] - (offset, 0.0, 0.0)
+    assert np.linalg.norm(log.x[0] - ref.pos[0]) == offset
+    completion = sim.summarize(log, spec, completion_tol=0.5).path_completion
+    assert completion == (1.0 / len(ref.pos) if approached else 0.0)
 
 
 def test_logged_active_rows_match_row_builder():
