@@ -23,6 +23,7 @@ from .dynamics import DynamicParams, forward_dynamics, rk4_step
 from .kinematics import JointConfig, KinematicParams, forward_kinematics, jacobian
 from .safety import (DepthShell, FilterParams, InfeasibleQPError, SafeSetSpec,
                      TumorSpec, safety_filter, selected_barrier_values)
+from .scenario import JOINT_BOX
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +225,7 @@ def random_qp_instance(rng: np.random.Generator):
     return v_d, (normals, offsets)
 
 
-def check_qp_oracle(instances: int = 10000, seed: int = 0):
+def check_qp_oracle(instances: int, seed: int):
     """Filter output equals the brute-force reference on random programs."""
     rng = np.random.default_rng(seed)
     worst = 0.0
@@ -252,14 +253,13 @@ def check_qp_oracle(instances: int = 10000, seed: int = 0):
 
 
 def _random_config(rng: np.random.Generator) -> JointConfig:
-    return JointConfig(float(rng.uniform(0.0, 50.0)),
-                       float(rng.uniform(-math.pi / 2, math.pi / 2)),
-                       float(rng.uniform(-math.pi / 2, math.pi / 2)))
+    """A uniform draw from the scenario workspace box."""
+    return JointConfig(*(float(rng.uniform(low, high)) for low, high in JOINT_BOX.values()))
 
 
-def check_jacobian_fd(samples: int = 200, seed: int = 1):
+def check_jacobian_fd():
     """Analytic Jacobian against central differences of the kinematics."""
-    rng = np.random.default_rng(seed)
+    samples, rng = 200, np.random.default_rng(1)
     kin = KinematicParams()
     step = 1e-6
     worst = 0.0
@@ -275,13 +275,13 @@ def check_jacobian_fd(samples: int = 200, seed: int = 1):
     return worst <= 1e-4, f"{samples} samples, worst column error {worst:.2e} (tol 1e-4)"
 
 
-def check_barrier_gradients_fd(samples: int = 200, seed: int = 2):
+def check_barrier_gradients_fd():
     """Filter row normals against central differences of the barriers, plus unit norm.
 
     The normals are the ones the filter uses, from selected_barrier_values
     on a one-tumor and a one-shell safe set; the values are that set's table.
     """
-    rng = np.random.default_rng(seed)
+    samples, rng = 200, np.random.default_rng(2)
     step = 1e-6
     worst = 0.0
     keep_out, depth = FilterParams(), FilterParams(mode="keep_out_and_depth")
@@ -308,9 +308,9 @@ def _unit(rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def check_mass_matrix_spd(samples: int = 1000, seed: int = 3):
+def check_mass_matrix_spd():
     """Symmetry and positive definiteness across the workspace."""
-    rng = np.random.default_rng(seed)
+    samples, rng = 1000, np.random.default_rng(3)
     params = DynamicParams()
     min_eig = math.inf
     for _ in range(samples):
@@ -321,9 +321,9 @@ def check_mass_matrix_spd(samples: int = 1000, seed: int = 3):
     return min_eig > 0.0, f"{samples} samples, smallest eigenvalue {min_eig:.3e}"
 
 
-def check_skew_symmetry(samples: int = 200, seed: int = 4):
+def check_skew_symmetry():
     """dM/dt - 2C plus its transpose vanishes; dM/dt by Richardson differences."""
-    rng = np.random.default_rng(seed)
+    samples, rng = 200, np.random.default_rng(4)
     params = DynamicParams()
 
     def mdot_fd(q: JointConfig, qd: np.ndarray) -> np.ndarray:
@@ -346,9 +346,9 @@ def check_skew_symmetry(samples: int = 200, seed: int = 4):
     return worst <= 1e-8, f"{samples} states, worst residual {worst:.2e} (tol 1e-8)"
 
 
-def check_dynamics_residual(samples: int = 200, seed: int = 5):
+def check_dynamics_residual():
     """forward_dynamics inverts the equations of motion to 1e-9."""
-    rng = np.random.default_rng(6 + seed)
+    samples, rng = 200, np.random.default_rng(11)
     params = DynamicParams()
     worst = 0.0
     for _ in range(samples):
@@ -362,14 +362,12 @@ def check_dynamics_residual(samples: int = 200, seed: int = 5):
     return worst <= 1e-9, f"{samples} states, worst residual {worst:.2e} (tol 1e-9)"
 
 
-def check_energy_audit(gravity_sign: float = 1.0):
+def check_energy_audit():
     """Free motion conserves energy.
 
     Two passes: a zero-gravity coast whose kinetic energy must hold to 1e-6
     relative over one second at the control dt, and a gravity pass whose
     total energy is booked with kinetic_energy/potential_energy.
-    gravity_sign is a fault-injection hook: anything but +1 corrupts the
-    potential bookkeeping and must make the audit fail.
     """
     free = DynamicParams(gravity=(0.0, 0.0, 0.0))
     q, qd = (10.0, 0.2, -0.3), (4.0, 0.6, -0.8)
@@ -384,16 +382,15 @@ def check_energy_audit(gravity_sign: float = 1.0):
     # Gravity along x keeps the free motion a bounded swing: the prismatic
     # joint sees no net load, so total energy stays near the kinetic scale.
     grav = DynamicParams(gravity=(9810.0, 0.0, 0.0))
-    book = DynamicParams(gravity=tuple(gravity_sign * g for g in grav.gravity))
     q, qd = (10.0, 0.3, -0.2), (2.0, 0.4, -0.5)
-    ke = kinetic_energy(q, qd, book)
-    e0, scale = ke + potential_energy(q, book), max(ke, 1.0)
+    ke = kinetic_energy(q, qd, grav)
+    e0, scale = ke + potential_energy(q, grav), max(ke, 1.0)
     drift = 0.0
     for _ in range(5000):
         q, qd = rk4_step(q, qd, (0.0, 0.0, 0.0), 2e-4, grav)
-        ke = kinetic_energy(q, qd, book)
+        ke = kinetic_energy(q, qd, grav)
         scale = max(scale, ke)
-        drift = max(drift, abs(ke + potential_energy(q, book) - e0))
+        drift = max(drift, abs(ke + potential_energy(q, grav) - e0))
     rel = drift / scale
     return rel <= 1e-6, (f"zero-gravity kinetic drift {kinetic:.2e}, "
                          f"total-energy drift {rel:.2e} (tol 1e-6)")

@@ -79,7 +79,7 @@ def jacobian(q, params: KinematicParams) -> np.ndarray:
     return np.array(tip_kinematics(*q, params)[1])
 
 
-def damped_least_squares(J, e, damping: float = 1e-3):
+def damped_least_squares(J, e, damping: float):
     """J^T (J J^T + damping^2 I)^-1 e for a 3x3 J, as a tuple of floats.
 
     The damped pseudo-inverse applied to one vector: the symmetric 3x3

@@ -36,9 +36,10 @@ _UNSAFE_DEPTH = 1.5          # mm inside the keep-out sphere
 _MARKING_COUNT = 8
 _MARKING_PLANE = (0.0, 0.0, 1.0)
 
-# joint -> (low, high) in JointConfig order: validate's workspace box, not enforced by the plant
-_JOINT_BOX = dict(d1=(0.0, 50.0), theta2=(-math.pi / 2, math.pi / 2),
-                  theta3=(-math.pi / 2, math.pi / 2))
+# joint -> (low, high) in JointConfig order: validate's workspace box, not enforced by
+# the plant; the verify suites draw their joint configurations from it
+JOINT_BOX = dict(d1=(0.0, 50.0), theta2=(-math.pi / 2, math.pi / 2),
+                 theta3=(-math.pi / 2, math.pi / 2))
 
 _REMOVABLE = ((0.0, 6.0, 30.0), 4.0, True)       # TumorSpec arguments
 _PRESERVE = ((0.0, -6.0, 30.0), 4.0, False)
@@ -289,7 +290,7 @@ class ScenarioSpec:
 
     def validate(self):
         """Geometric sanity of the scenario; raises ValueError on failure."""
-        for (name, (low, high)), v in zip(_JOINT_BOX.items(), self.initial_q):
+        for (name, (low, high)), v in zip(JOINT_BOX.items(), self.initial_q):
             if not low <= v <= high:
                 raise ValueError(f"initial.{name} = {v!r} outside the workspace box "
                                  f"[{low:g}, {high:g}]")

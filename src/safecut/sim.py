@@ -3,10 +3,9 @@
 Each control step is strictly causal.  At step k the loop reads the reference
 sample, forms the desired tip velocity, assembles the barrier rows at the
 current tip position, filters the velocity, runs the model-free controller,
-adds the (unlogged) disturbance to the applied input, and integrates the
-plant one RK4 interval.  Everything observable is appended to the log before
-the state advances, so two runs of the same scenario produce bit-identical
-logs.
+adds the disturbance to the applied input, and integrates the plant one RK4
+interval.  Everything observable is appended to the log before the state
+advances, so two runs of the same scenario produce bit-identical logs.
 
 The log also round-trips through a versioned CSV schema, and three plain
 data files per scenario mirror the figures a run is meant to reproduce:
@@ -66,6 +65,8 @@ _COLUMNS = {
 }
 _H_COLUMN = sum(len(names) for names in _COLUMNS.values())
 _BLOCK_ROWS = 1024   # rows held as Python objects at a time while writing or parsing
+_COMPLETION_TOL = 0.5   # [mm] a reference sample counts as cut once the tip comes this close
+_CIRCLE_POINTS = 256    # samples per boundary circle in the path data file
 
 
 def _csv_columns(barrier_names: list) -> list:
@@ -146,8 +147,6 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
 
     q, qdot = spec.initial_q, spec.initial_qdot
     gate_engaged = not (fp.enabled and fp.activation_gate)
-    quiet = spec.disturbance.waveform == "none"
-    d = (0.0, 0.0, 0.0)
 
     for k in range(n):
         t = k * dt
@@ -172,8 +171,7 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
 
         edot = ctl.velocity_error(J, xdot, v_s, cp)
         u = ctl.control_law(edot, cp)
-        if not quiet:
-            d = ctl.disturbance(t, spec.disturbance)
+        d = ctl.disturbance(t, spec.disturbance)
         # one row in _COLUMNS order, then the barrier values
         log.data[k] = (t, *q, *qdot, *x, *xdot, *v_d, *v_s, *u, *d, *edot, *values[0])
 
@@ -198,12 +196,11 @@ def gate_engage_time(log: TrajectoryLog) -> Optional[float]:
     return float(log.t[idx[0]]) if idx.size else None
 
 
-def summarize(log: TrajectoryLog, spec: ScenarioSpec,
-              completion_tol: float = 0.5) -> SafetyReport:
+def summarize(log: TrajectoryLog, spec: ScenarioSpec) -> SafetyReport:
     """Condense a log into the report numbers.
 
     path_completion counts reference samples approached within
-    completion_tol [mm] at any time; reference samples pushed inside a
+    _COMPLETION_TOL (0.5 mm) at any time; reference samples pushed inside a
     keep-out sphere are unreachable by a safe run and lower the fraction.
 
     With an activation gate the run legitimately starts outside the safe
@@ -226,7 +223,7 @@ def summarize(log: TrajectoryLog, spec: ScenarioSpec,
     except ctl.InsufficientTransientError:
         decay = math.nan
     ref = spec.reference()
-    completion = float(np.mean(ref.approached(log.x, completion_tol)))
+    completion = float(np.mean(ref.approached(log.x, _COMPLETION_TOL)))
     deviation = float(np.trapezoid(np.linalg.norm(log.xdot_safe - log.xdot_des, axis=1),
                                    log.t))
     return SafetyReport(
@@ -284,11 +281,11 @@ def _write_rows(f, fmt: str, table: np.ndarray) -> None:
         f.writelines(fmt % tuple(row) for row in table[start:start + _BLOCK_ROWS].tolist())
 
 
-def _circle_samples(center, radius, count=256) -> np.ndarray:
-    ang = 2.0 * math.pi * np.arange(count) / count
+def _circle_samples(center, radius) -> np.ndarray:
+    ang = 2.0 * math.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS
     return np.stack([center[0] + radius * np.cos(ang),
                      center[1] + radius * np.sin(ang),
-                     np.full(count, center[2])], axis=1)
+                     np.full(_CIRCLE_POINTS, center[2])], axis=1)
 
 
 def export_plot_data(log: TrajectoryLog, spec: ScenarioSpec, out_dir) -> list:

@@ -1,6 +1,7 @@
 """checks.qp_reference against a slow, separate exact solve in Fractions; the
 program draws and the integrator order check against their own oracles."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -163,3 +164,15 @@ def test_cli_import_keeps_scipy_solvers_out(tmp_path):
                          capture_output=True, text=True, check=True).stdout
     assert "path completion" in out
     assert out.splitlines()[-1].split() == ["exit", "0"]
+
+
+def test_verify_suites_are_fixed_programs():
+    # `safecut verify` and the benchmark call every suite but the QP oracle as
+    # fn(): each is one fixed program, its sample counts and seeds its own
+    for name, fn in checks.VERIFY_SUITES:
+        params = inspect.signature(fn).parameters
+        if name == "qp-oracle":
+            assert list(params) == ["instances", "seed"]
+            assert all(p.default is inspect.Parameter.empty for p in params.values())
+        else:
+            assert not params, f"{name} takes {list(params)}"

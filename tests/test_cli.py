@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from safecut.cli import main
+from safecut.control import DisturbanceSpec, disturbance
+from safecut.sim import gate_engage_time, read_csv
 
 SHORT_CONFIG = "scenario_id = 1\nduration = 2.0\nspeed = 4.0\n"
 
@@ -61,6 +63,7 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--scenario", "1", "--alpha", "0.2,nope"]) == 2
     assert main(["run", "--scenario", "1", "--alpha", "-0.4"]) == 2
     assert main(["run", "--scenario", "1", "--disturbance", "ramp:1,2,3"]) == 2
+    assert main(["run", "--scenario", "1", "--disturbance", "constant:1,x,3"]) == 2
     assert main(["run", "--scenario", "1", "--emit", "json"]) == 2
     assert main(["run", "--scenario", "1", "--alpha", "0.4", "--no-filter"]) == 2
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
@@ -88,13 +91,34 @@ def test_argparse_rejects_unknown_scenario():
 def test_disturbance_override_reaches_run(tmp_path):
     cfg = tmp_path / "short.cfg"
     cfg.write_text(SHORT_CONFIG)
+    expected = {
+        "constant:50,50,50": DisturbanceSpec("constant", (50.0, 50.0, 50.0)),
+        "none": DisturbanceSpec(),
+        "sinusoid:2.5:40,-30,20": DisturbanceSpec("sinusoid", (40.0, -30.0, 20.0), 2.5),
+        "sinusoid:2.5:40,-30,20:7": DisturbanceSpec("sinusoid", (40.0, -30.0, 20.0), 2.5, 7),
+    }
+    logs = {}
+    for i, (text, spec) in enumerate(expected.items()):
+        out = tmp_path / f"out{i}"
+        code = main(["run", "--config", str(cfg), "--out", str(out), "--emit", "csv",
+                     "--disturbance", text])
+        assert code == 0
+        logs[text] = log = read_csv(out / "scenario1_log.csv")
+        assert log.d.tolist() == [list(disturbance(t, spec)) for t in log.t.tolist()], text
+    assert np.all(logs["constant:50,50,50"].d == 50.0)
+    assert np.all(logs["none"].d == 0.0)
+
+
+def test_report_prints_gate_engage_time(tmp_path, capsys):
+    # scenario 4 gates the filter on the depth shell; the report line is the
+    # engagement time of the run's own log
+    cfg = tmp_path / "short4.cfg"
+    cfg.write_text("scenario_id = 4\nduration = 2.0\n")
     out = tmp_path / "out"
-    code = main(["run", "--config", str(cfg), "--out", str(out), "--emit", "csv",
-                 "--disturbance", "constant:50,50,50"])
-    assert code == 0
-    from safecut.sim import read_csv
-    log = read_csv(out / "scenario1_log.csv")
-    assert np.all(log.d == 50.0)
+    assert main(["run", "--config", str(cfg), "--out", str(out), "--emit", "csv,report"]) == 0
+    tg = gate_engage_time(read_csv(out / "scenario4_log.csv"))
+    assert tg is not None
+    assert f"  gate engaged [s]:            {tg:.3f}\n" in capsys.readouterr().out
 
 
 def test_violation_exit_code(tmp_path):

@@ -130,13 +130,14 @@ def test_bad_parameters_rejected():
         DynamicParams(link_inertias=(0.0, -1.0, 1.0))
 
 
-def test_energy_audit_detects_corrupted_gravity_sign():
+def test_energy_audit_detects_corrupted_gravity_sign(monkeypatch):
     # fault injection: booking potential energy with the wrong sign must trip
     # the audit, proving it can actually fail
-    from safecut.checks import check_energy_audit
-    ok, _ = check_energy_audit()
+    ok, _ = checks.check_energy_audit()
     assert ok
-    bad, detail = check_energy_audit(gravity_sign=-1.0)
+    monkeypatch.setattr(checks, "potential_energy",
+                        lambda q, params: -potential_energy(q, params))
+    bad, detail = checks.check_energy_audit()
     assert not bad
     assert "drift" in detail
 

@@ -14,7 +14,7 @@ from safecut.kinematics import (JointConfig, KinematicParams,
 KIN = KinematicParams()
 
 
-def damped_pseudo_inverse(J, damping: float = 1e-3) -> np.ndarray:
+def damped_pseudo_inverse(J, damping: float) -> np.ndarray:
     """J^T (J J^T + damping^2 I)^-1 by a dense inverse: damped_least_squares as a matrix."""
     J = np.asarray(J, dtype=float)
     return J.T @ np.linalg.inv(J @ J.T + (damping * damping) * np.eye(3))

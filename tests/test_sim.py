@@ -287,10 +287,13 @@ def test_path_completion_matches_brute_force(small_run):
         for spec, below_one in ((scenario_catalog(3), (0.5, 2.0)), (scenario_catalog(4), (0.5,)))]
     for spec, log, below_one in runs:
         ref = spec.reference()
+        # summarize reports the 0.5 mm tolerance; 2.0 mm asks the reference directly
+        completion = {0.5: sim.summarize(log, spec).path_completion,
+                      2.0: float(np.mean(ref.approached(log.x, 2.0)))}
         for tol in (0.5, 2.0):
             expected = float(np.mean(_within(ref.pos, log.x, tol)))
             assert 0.0 < expected < 1.0 if tol in below_one else expected == 1.0
-            assert sim.summarize(log, spec, completion_tol=tol).path_completion == expected
+            assert completion[tol] == expected
 
 
 @pytest.mark.parametrize("offset, approached", [(0.5, True), (np.nextafter(0.5, np.inf), False)])
@@ -303,7 +306,7 @@ def test_path_completion_boundary_is_inclusive(small_run, offset, approached):
                             run_log.gate[:1].copy(), run_log.barrier_names)
     log.x[0] = ref.pos[0] - (offset, 0.0, 0.0)
     assert np.linalg.norm(log.x[0] - ref.pos[0]) == offset
-    completion = sim.summarize(log, spec, completion_tol=0.5).path_completion
+    completion = sim.summarize(log, spec).path_completion
     assert completion == (1.0 / len(ref.pos) if approached else 0.0)
 
 
