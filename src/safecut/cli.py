@@ -51,16 +51,6 @@ def _parse_disturbance(text: str) -> DisturbanceSpec:
         "or sinusoid:freq:ax,ay,az[:seed]")
 
 
-def _parse_alpha(text: str) -> list:
-    try:
-        values = [float(v) for v in text.split(",")]
-    except ValueError as exc:
-        raise _UsageError(f"bad alpha list {text!r}") from exc
-    if any(v <= 0.0 for v in values):
-        raise _UsageError("alpha values must be positive")
-    return values
-
-
 def _print_report(spec, report, log) -> None:
     mode = "off" if not spec.filter.enabled else \
         f"on (alpha {spec.filter.alpha:g}, {spec.filter.mode})"
@@ -125,10 +115,14 @@ def cmd_run(args) -> int:
     if args.alpha:
         if args.no_filter:
             raise _UsageError("--alpha and --no-filter are mutually exclusive")
+        try:   # FilterParams refuses values out of range
+            alphas = [float(v) for v in args.alpha.split(",")]
+        except ValueError as exc:
+            raise _UsageError(f"bad alpha list {args.alpha!r}") from exc
         runs = [("unfiltered", replace(spec, filter=replace(spec.filter, enabled=False)))]
         runs += [(f"alpha_{v:g}", replace(spec, filter=replace(spec.filter, alpha=v,
                                                                enabled=True)))
-                 for v in _parse_alpha(args.alpha)]
+                 for v in alphas]
         for label, sub in runs:
             worst = min(worst, _run_one(sub, out / label, emit))
     else:

@@ -14,6 +14,8 @@ import numpy as np
 
 from .kinematics import damped_least_squares
 
+_NOISE_FLOOR = 1e-12   # ||edot|| at or below it carries no transient to fit
+
 
 class InsufficientTransientError(RuntimeError):
     """Decay-rate fit requested on a log without a usable transient."""
@@ -97,17 +99,17 @@ def disturbance(t: float, spec: DisturbanceSpec) -> tuple:
     return (a1 * math.sin(wt + p1), a2 * math.sin(wt + p2), a3 * math.sin(wt + p3))
 
 
-def measure_decay_rate(t: np.ndarray, edot: np.ndarray, floor: float = 1e-12) -> float:
+def measure_decay_rate(t: np.ndarray, edot: np.ndarray) -> float:
     """Least-squares slope of -log||edot|| over the initial transient.
 
     The window runs from the peak of ||edot|| until the norm first drops
     below 1% of that peak (or the end of the log).  Raises
-    InsufficientTransientError when the peak never exceeds floor or the
+    InsufficientTransientError when the peak never exceeds _NOISE_FLOOR or the
     window is too short to fit a slope.
     """
     t = np.asarray(t, dtype=float)
     norms = np.linalg.norm(np.asarray(edot, dtype=float), axis=1)
-    if norms.size == 0 or float(norms.max()) <= floor:
+    if norms.size == 0 or float(norms.max()) <= _NOISE_FLOOR:
         raise InsufficientTransientError("no transient above the noise floor")
     start = int(norms.argmax())
     peak = norms[start]
@@ -115,7 +117,7 @@ def measure_decay_rate(t: np.ndarray, edot: np.ndarray, floor: float = 1e-12) ->
     stop = start + int(below[0]) + 1 if below.size else norms.size
     window = slice(start, stop)
     tw, nw = t[window], norms[window]
-    keep = nw > floor
+    keep = nw > _NOISE_FLOOR
     if keep.sum() < 3:
         raise InsufficientTransientError("transient window too short for a fit")
     slope, _ = np.polyfit(tw[keep], np.log(nw[keep]), 1)

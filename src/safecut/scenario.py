@@ -70,10 +70,14 @@ class MarkingSet:
     tumor_index: int = 0
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float).reshape(-1, 3)
-        self.unsafe = np.asarray(self.unsafe, dtype=bool).reshape(-1)
-        if len(self.points) == 0:
-            raise ValueError("marking set must contain at least one point")
+        self.points = np.asarray(self.points, dtype=float)
+        if self.points.ndim != 2 or self.points.shape[1] != 3 or len(self.points) == 0:
+            raise ValueError("marking points must be one or more rows of 3 coordinates, "
+                             f"got shape {self.points.shape}")
+        unsafe = np.asarray(self.unsafe).reshape(-1)
+        if not np.isin(unsafe, (0, 1)).all():
+            raise ValueError(f"unsafe flags must be 0 or 1, got {unsafe.tolist()}")
+        self.unsafe = unsafe.astype(bool)
         if len(self.unsafe) != len(self.points):
             raise ValueError("unsafe flags must match point count")
 
@@ -200,11 +204,8 @@ def build_reference(markings: list, speed: float, dt: float, approach_from) -> R
     Velocity samples are the exact segment derivatives; a vertex sample takes
     the outgoing direction.  ReferenceTrajectory.approached relies on this
     layout: each run of equal vel lies on one straight segment, in order.
+    ScenarioSpec ensures markings is non-empty and speed and dt are positive.
     """
-    if not markings:
-        raise ValueError("cannot build a reference without marking sets")
-    if speed <= 0.0 or dt <= 0.0:
-        raise ValueError("speed and dt must be positive")
     waypoints = [np.asarray(approach_from, dtype=float)]
     for ms in markings:
         for p in ms.points:
@@ -236,6 +237,8 @@ class ScenarioSpec:
 
     initial_q and initial_qdot are the joint position and velocity at t = 0
     (config keys initial.d1, initial.theta2, initial.theta3, initial.qdot).
+    Construction, dataclasses.replace included, runs validate(); safe_set is
+    the scenario's one barrier table, built then from tumors and shells.
     """
 
     scenario_id: int
@@ -253,6 +256,7 @@ class ScenarioSpec:
     dt: float = 1e-3
     settle: float = 1.0
     duration: Optional[float] = None       # None: reference duration + settle
+    safe_set: SafeSetSpec = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("dt", "speed", "settle", "duration"):
@@ -269,14 +273,13 @@ class ScenarioSpec:
         self.initial_qdot = tuple(map(float, self.initial_qdot))
         if len(self.initial_qdot) != 3 or not all(map(math.isfinite, self.initial_qdot)):
             raise ValueError(f"initial.qdot must be 3 finite values, got {self.initial_qdot!r}")
+        self.safe_set = SafeSetSpec(self.tumors, self.shells)
+        self.validate()
 
     @property
     def kinematics(self) -> KinematicParams:
         """The link lengths, held once on dynamics."""
         return self.dynamics.kinematics
-
-    def safe_set(self) -> SafeSetSpec:
-        return SafeSetSpec(self.tumors, self.shells)
 
     def reference(self) -> ReferenceTrajectory:
         start = forward_kinematics(self.initial_q, self.kinematics)
@@ -290,11 +293,13 @@ class ScenarioSpec:
 
     def validate(self):
         """Geometric sanity of the scenario; raises ValueError on failure."""
+        if not self.markings:
+            raise ValueError("a scenario needs at least one marking set")
         for (name, (low, high)), v in zip(JOINT_BOX.items(), self.initial_q):
             if not low <= v <= high:
                 raise ValueError(f"initial.{name} = {v!r} outside the workspace box "
                                  f"[{low:g}, {high:g}]")
-        safe_set, nt = self.safe_set(), len(self.tumors)
+        safe_set, nt = self.safe_set, len(self.tumors)
         tip = forward_kinematics(self.initial_q, self.kinematics)
         for i, h in enumerate(safe_set.values(tip)[0][:nt]):
             if h < 0.0:
@@ -322,7 +327,7 @@ def scenario_catalog(scenario_id: int) -> ScenarioSpec:
     tumor_args, shell_args, intrusions, filter_args, d1 = _CATALOG[scenario_id]
     tumors = [TumorSpec(*args) for args in tumor_args]
     loop = generate_marking_points(tumors[0], _MARKING_COUNT, _MARKING_PLANE)
-    spec = ScenarioSpec(
+    return ScenarioSpec(
         scenario_id=scenario_id,
         tumors=tumors,
         shells=[DepthShell(*args) for args in shell_args],
@@ -332,8 +337,6 @@ def scenario_catalog(scenario_id: int) -> ScenarioSpec:
         dynamics=DynamicParams(gravity=(0.0, 0.0, 0.0)),
         initial_q=JointConfig(d1, 0.0, 0.0),
     )
-    spec.validate()
-    return spec
 
 
 # ---------------------------------------------------------------------------
@@ -376,7 +379,7 @@ _KINDS = {
     "points": (lambda pts: "; ".join(_fmt_vec(p) for p in pts),
                lambda text: np.array([_parse_vec(p) for p in text.split(";")])),
     "flags": (lambda flags: ", ".join("1" if u else "0" for u in flags),
-              lambda text: np.array([bool(int(u)) for u in text.split(",")])),
+              lambda text: np.array([int(u) for u in text.split(",")])),
 }
 
 # config key -> (attribute path on ScenarioSpec, kind), in file order
@@ -522,6 +525,4 @@ def load_scenario(text: str, base_id: Optional[int] = None) -> ScenarioSpec:
     merged = spec_to_dict(scenario_catalog(sid))
     merged.update(overrides)
     merged["scenario_id"] = str(sid)
-    spec = spec_from_dict(merged)
-    spec.validate()
-    return spec
+    return spec_from_dict(merged)

@@ -140,7 +140,7 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
     ref = spec.reference()
     dt = spec.dt
     n = int(round(spec.run_duration(ref) / dt)) + 1
-    safe_set = spec.safe_set()
+    safe_set = spec.safe_set
     fp, cp, kin, dyn = spec.filter, spec.controller, spec.kinematics, spec.dynamics
     log = TrajectoryLog(np.zeros((n, _H_COLUMN + len(safe_set.names))),
                         np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool), safe_set.names)
@@ -313,7 +313,7 @@ def export_plot_data(log: TrajectoryLog, spec: ScenarioSpec, out_dir) -> list:
             _write_rows(f, f"{i} %d %.6f %.6f %.6f %d\n",
                         np.column_stack((np.arange(len(ms.points)), ms.points, ms.unsafe)))
         f.write("\n# section: boundary  columns: barrier x_mm y_mm z_mm\n")
-        safe_set = spec.safe_set()
+        safe_set = spec.safe_set
         for name, center, radius in zip(safe_set.names, safe_set.centers, safe_set.radii):
             _write_rows(f, name + " %r %r %r\n", _circle_samples(center, radius))
 

@@ -7,6 +7,7 @@ import pytest
 
 from safecut.cli import main
 from safecut.control import DisturbanceSpec, disturbance
+from safecut.safety import SafeSetSpec
 from safecut.sim import gate_engage_time, read_csv
 
 SHORT_CONFIG = "scenario_id = 1\nduration = 2.0\nspeed = 4.0\n"
@@ -162,6 +163,10 @@ def test_verify_quick_pass(capsys):
      "marking.0 point 0 is flagged unsafe but intrudes no keep-out sphere"),
     ("scenario_id = 1\nmarking.0.unsafe = 0, 0, 0, 0, 0, 1, 0, 0\n",
      "marking.0 point 2 is flagged safe but lies off the cutting margin of tumor.0"),
+    ("scenario_id = 1\nmarking.0.points = 1, 2; 3, 4; 5, 6\nmarking.0.unsafe = 0, 0\n",
+     "marking.0: marking points must be one or more rows of 3 coordinates, got shape (3, 2)"),
+    ("scenario_id = 1\nmarking.0.unsafe = 0, 0, 2, 0, 0, 1, 0, 0\n",
+     "marking.0: unsafe flags must be 0 or 1"),
     # the last value of a repeated key would silently win
     ("scenario_id = 1\nfilter.alpha = 0.4\nfilter.alpha = 0.8\n",
      "line 3: 'filter.alpha' is set again, first set on line 2"),
@@ -171,6 +176,21 @@ def test_config_errors_exit_2_and_name_the_key(tmp_path, capsys, config, named):
     cfg.write_text(config)
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     assert named in capsys.readouterr().err
+
+
+def test_one_barrier_table_per_spec(tmp_path, monkeypatch):
+    builds = []
+    build = SafeSetSpec.__post_init__
+    monkeypatch.setattr(SafeSetSpec, "__post_init__", lambda self: builds.append(build(self)))
+    assert main(["run", "--scenario", "4", "--emit", "csv,plotdata,report",
+                 "--out", str(tmp_path / "catalog")]) == 0
+    assert len(builds) == 1
+    cfg = tmp_path / "short.cfg"
+    cfg.write_text("scenario_id = 4\nduration = 3.0\n")
+    assert main(["run", "--config", str(cfg), "--emit", "csv,plotdata,report",
+                 "--out", str(tmp_path / "config")]) == 0
+    # one table for the catalog base the file overrides, one for the loaded spec
+    assert len(builds) == 3
 
 
 @pytest.mark.parametrize("scenario, override", [

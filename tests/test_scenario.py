@@ -13,7 +13,7 @@ import pytest
 from safecut import scenario
 from safecut.checks import mass_matrix
 from safecut.kinematics import JointConfig, KinematicParams, forward_kinematics
-from safecut.safety import SafeSetSpec, TumorSpec
+from safecut.safety import DepthShell, SafeSetSpec, TumorSpec
 from safecut.scenario import (SCENARIO_IDS, MarkingSet, ScenarioSpec,
                               build_reference, generate_marking_points,
                               inject_unsafe_points, load_scenario, parse_config,
@@ -52,6 +52,11 @@ def test_marking_validation():
         generate_marking_points(TUMOR, 4, (0, 0, 0))
     with pytest.raises(ValueError):
         MarkingSet(np.zeros((2, 3)), np.zeros(3, dtype=bool))
+    # three 2-D points, not to be regrouped into two 3-D ones
+    with pytest.raises(ValueError, match=r"rows of 3 coordinates, got shape \(3, 2\)"):
+        MarkingSet([[1, 2], [3, 4], [5, 6]], [False, False])
+    with pytest.raises(ValueError, match="unsafe flags must be 0 or 1"):
+        MarkingSet(np.zeros((2, 3)), [0, 2])
 
 
 def test_inject_unsafe_points_radial():
@@ -148,15 +153,19 @@ def test_validate_rejects_bad_geometry():
     # bend the tip onto the tumor centre: y = -l_end sin(theta3), z via d1
     theta3 = math.asin(-6.0 / 17.0)
     d1 = 30.0 - 3.0 - (10.0 + 17.0 * math.cos(theta3))
-    inside = replace(spec, initial_q=JointConfig(d1, 0.0, theta3))
-    tip = forward_kinematics(inside.initial_q, inside.kinematics)
-    assert spec.safe_set().values(tip)[0][0] < 0.0
-    with pytest.raises(ValueError):
-        inside.validate()
-    off_margin = replace(spec, markings=[MarkingSet(spec.markings[0].points + 0.5,
-                                                    spec.markings[0].unsafe)])
-    with pytest.raises(ValueError):
-        off_margin.validate()
+    tip = forward_kinematics(JointConfig(d1, 0.0, theta3), spec.kinematics)
+    assert spec.safe_set.values(tip)[0][0] < 0.0
+    # construction is the gate: each replace below raises before a spec exists
+    with pytest.raises(ValueError, match="initial tip inside keep-out sphere of tumor 0"):
+        replace(spec, initial_q=JointConfig(d1, 0.0, theta3))
+    with pytest.raises(ValueError, match="marking.0 point 0 is flagged safe but lies off"):
+        replace(spec, markings=[MarkingSet(spec.markings[0].points + 0.5,
+                                           spec.markings[0].unsafe)])
+    with pytest.raises(ValueError, match="at least one marking set"):
+        replace(spec, markings=[])
+    s4 = scenario_catalog(4)
+    with pytest.raises(ValueError, match="shell.0: depth shell must lie outside"):
+        replace(s4, shells=[DepthShell(s4.shells[0].center, 3.0)])
 
 
 def test_duration_override():

@@ -317,7 +317,7 @@ def test_logged_active_rows_match_row_builder():
     for scenario_id, gated_from_start, most_active in ((3, True, 2), (4, False, 1)):
         spec = scenario_catalog(scenario_id)
         log = sim.run(spec)
-        safe_set = spec.safe_set()
+        safe_set = spec.safe_set
         assert log.gate[0] == gated_from_start and log.gate[-1]
         recount = np.zeros(len(log), dtype=np.int64)
         for k in np.nonzero(log.gate)[0]:
