@@ -303,7 +303,8 @@ class ScenarioSpec:
         tip = forward_kinematics(self.initial_q, self.kinematics)
         for i, h in enumerate(safe_set.values(tip)[0][:nt]):
             if h < 0.0:
-                raise ValueError(f"initial tip inside keep-out sphere of tumor {i}")
+                raise ValueError(f"tumor.{i}: keep-out sphere holds the initial tip placed by "
+                                 "initial.d1, initial.theta2, initial.theta3")
         if not self.tumors:
             return
         for i, ms in enumerate(self.markings):

@@ -50,7 +50,7 @@ class PlantDivergedError(RuntimeError):
 
 
 # float field of the log -> its CSV columns, in row order.  The run's row buffer
-# and the CSV share this layout; h follows, and the CSV adds active_rows, gate.
+# and the CSV share this layout: h follows, then active_rows and gate.
 _COLUMNS = {
     "t": ("t_s",),
     "q": ("d1_mm", "theta2_rad", "theta3_rad"),
@@ -63,8 +63,7 @@ _COLUMNS = {
     "d": ("d_d1_gmm_s2", "d_th2_gmm2_s2", "d_th3_gmm2_s2"),
     "edot": ("edot_d1_mm_s", "edot_th2_rad_s", "edot_th3_rad_s"),
 }
-_H_COLUMN = sum(len(names) for names in _COLUMNS.values())
-_BLOCK_ROWS = 1024   # rows held as Python objects at a time while writing or parsing
+_BLOCK_ROWS = 1024   # rows held as Python objects at a time by _write_rows and read_csv
 _COMPLETION_TOL = 0.5   # [mm] a reference sample counts as cut once the tip comes this close
 _CIRCLE_POINTS = 256    # samples per boundary circle in the path data file
 
@@ -75,12 +74,14 @@ def _csv_columns(barrier_names: list) -> list:
 
 
 def _with_column_views(cls):
-    """Give cls one property per _COLUMNS field: that field's column view of data."""
-    start = 0
+    """Give cls one property per log field: that field's column view of data."""
+    start, views = 0, {}
     for field, names in _COLUMNS.items():
-        cols = start if len(names) == 1 else slice(start, start + len(names))
-        setattr(cls, field, property(lambda log, cols=cols: log.data[:, cols]))
+        views[field] = start if len(names) == 1 else slice(start, start + len(names))
         start += len(names)
+    views.update(h=slice(start, -2), active_rows=-2, gate=-1)
+    for field, cols in views.items():
+        setattr(cls, field, property(lambda log, cols=cols: log.data[:, cols]))
     return cls
 
 
@@ -89,25 +90,20 @@ def _with_column_views(cls):
 class TrajectoryLog:
     """Per-step record of one run: one row of data per control step.
 
-    data is the (steps, 28 + barriers) float buffer the run writes.  Its
-    column views, laid out by _COLUMNS, are the fields t (steps,), the
-    3-vectors q through edot (steps, 3), and h (steps, barriers), with one
-    column per barrier named in barrier_names, tumors first then shells.
-    d is the disturbance added to the applied input; u is the controller
-    output before that addition.
+    data is the (steps, 30 + barriers) float table the run writes and the CSV
+    holds, in _csv_columns order.  Its column views are the fields t (steps,),
+    the 3-vectors q through edot (steps, 3), h (steps, barriers), one column
+    per barrier named in barrier_names, tumors first then shells, and the
+    filter's active-row count active_rows and its engagement flag gate (1.0
+    or 0.0), both (steps,).  d is the disturbance added to the applied input;
+    u is the controller output before that addition.
     """
 
     data: np.ndarray
-    active_rows: np.ndarray
-    gate: np.ndarray
     barrier_names: list
 
     def __len__(self):
         return len(self.data)
-
-    @property
-    def h(self) -> np.ndarray:
-        return self.data[:, _H_COLUMN:]
 
 
 @dataclass
@@ -142,8 +138,7 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
     n = int(round(spec.run_duration(ref) / dt)) + 1
     safe_set = spec.safe_set
     fp, cp, kin, dyn = spec.filter, spec.controller, spec.kinematics, spec.dynamics
-    log = TrajectoryLog(np.zeros((n, _H_COLUMN + len(safe_set.names))),
-                        np.zeros(n, dtype=np.int64), np.zeros(n, dtype=bool), safe_set.names)
+    log = TrajectoryLog(np.zeros((n, len(_csv_columns(safe_set.names)))), safe_set.names)
 
     q, qdot = spec.initial_q, spec.initial_qdot
     gate_engaged = not (fp.enabled and fp.activation_gate)
@@ -159,21 +154,22 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
         v_d = desired_velocity(x, k, ref, spec.kp_gain)
         values = safe_set.values(x)
 
-        v_s = v_d
+        v_s, active, gated = v_d, 0, 0
         if fp.enabled:
             selected = safety.selected_barrier_values(x, safe_set, fp, values)
             if not gate_engaged and all(h >= 0.0 for _, h, _ in selected):
                 gate_engaged = True
             if gate_engaged and selected:
-                v_s, log.active_rows[k] = safety.filter_rows(
+                v_s, active = safety.filter_rows(
                     v_d, [nrm for *_, nrm in selected], [-fp.alpha * h for _, h, _ in selected])
-                log.gate[k] = True
+                gated = 1
 
         edot = ctl.velocity_error(J, xdot, v_s, cp)
         u = ctl.control_law(edot, cp)
         d = ctl.disturbance(t, spec.disturbance)
-        # one row in _COLUMNS order, then the barrier values
-        log.data[k] = (t, *q, *qdot, *x, *xdot, *v_d, *v_s, *u, *d, *edot, *values[0])
+        # one row in _csv_columns order
+        log.data[k] = (t, *q, *qdot, *x, *xdot, *v_d, *v_s, *u, *d, *edot, *values[0],
+                       active, gated)
 
         if k + 1 < n:
             try:
@@ -239,15 +235,18 @@ def summarize(log: TrajectoryLog, spec: ScenarioSpec) -> SafetyReport:
 # ---------------------------------------------------------------------------
 # CSV round-trip
 
+def _write_rows(f, fmt: str, table: np.ndarray) -> None:
+    """One line fmt % row per row of a 2-D table, converted a block at a time."""
+    for start in range(0, len(table), _BLOCK_ROWS):
+        f.writelines(fmt % tuple(row) for row in table[start:start + _BLOCK_ROWS].tolist())
+
+
 def export_csv(log: TrajectoryLog, path) -> None:
     """Write the log; floats use shortest round-trip decimal form."""
+    header = _csv_columns(log.barrier_names)
     with open(path, "w") as f:
-        f.write(_CSV_VERSION + "\n" + ",".join(_csv_columns(log.barrier_names)) + "\n")
-        for start in range(0, len(log), _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            flags = zip(log.active_rows[block].tolist(), log.gate[block].tolist())
-            f.writelines(f"{','.join(map(repr, row))},{active},{int(gate)}\n"
-                         for row, (active, gate) in zip(log.data[block].tolist(), flags))
+        f.write(_CSV_VERSION + "\n" + ",".join(header) + "\n")
+        _write_rows(f, "%r," * (len(header) - 2) + "%d,%d\n", log.data)
 
 
 def read_csv(path) -> TrajectoryLog:
@@ -267,19 +266,11 @@ def read_csv(path) -> TrajectoryLog:
             if block.size and block.shape[1] != len(header):
                 raise ValueError(f"rows of {block.shape[1]} fields under {len(header)} columns")
             blocks.append(block.reshape(-1, len(header)))
-    table = np.concatenate(blocks)
-    return TrajectoryLog(table[:, :-2], table[:, -2].astype(np.int64),
-                         table[:, -1].astype(bool), names)
+    return TrajectoryLog(np.concatenate(blocks), names)
 
 
 # ---------------------------------------------------------------------------
 # figure data files
-
-def _write_rows(f, fmt: str, table: np.ndarray) -> None:
-    """One line fmt % row per row of a 2-D table, converted a block at a time."""
-    for start in range(0, len(table), _BLOCK_ROWS):
-        f.writelines(fmt % tuple(row) for row in table[start:start + _BLOCK_ROWS].tolist())
-
 
 def _circle_samples(center, radius) -> np.ndarray:
     ang = 2.0 * math.pi * np.arange(_CIRCLE_POINTS) / _CIRCLE_POINTS

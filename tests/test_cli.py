@@ -156,6 +156,8 @@ def test_verify_quick_pass(capsys):
     # an indexed entry's own check names the entry
     ("scenario_id = 1\ntumor.0.margin = -1\n", "tumor.0: cutting margin must be positive"),
     ("scenario_id = 1\ntumor.0.center = 1, 2\n", "tumor.0: tumor centre must be 3 finite"),
+    ("scenario_id = 1\ntumor.0.center = 0, 0, 43\n", "tumor.0: keep-out sphere holds the "
+     "initial tip placed by initial.d1, initial.theta2, initial.theta3"),
     ("scenario_id = 1\nmarking.0.points = 1,2,3\n", "marking.0: unsafe flags must match"),
     ("scenario_id = 4\nshell.0.outer_radius = 3\n", "shell.0: depth shell must lie outside "
                                                      "the cutting margin of its paired tumor.0"),

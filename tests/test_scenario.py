@@ -156,7 +156,8 @@ def test_validate_rejects_bad_geometry():
     tip = forward_kinematics(JointConfig(d1, 0.0, theta3), spec.kinematics)
     assert spec.safe_set.values(tip)[0][0] < 0.0
     # construction is the gate: each replace below raises before a spec exists
-    with pytest.raises(ValueError, match="initial tip inside keep-out sphere of tumor 0"):
+    with pytest.raises(ValueError, match="tumor.0: keep-out sphere holds the initial tip placed "
+                                         "by initial.d1, initial.theta2, initial.theta3"):
         replace(spec, initial_q=JointConfig(d1, 0.0, theta3))
     with pytest.raises(ValueError, match="marking.0 point 0 is flagged safe but lies off"):
         replace(spec, markings=[MarkingSet(spec.markings[0].points + 0.5,

@@ -173,17 +173,22 @@ def test_run_is_deterministic():
 
 
 def test_csv_round_trip_exact(small_run, tmp_path):
-    _, log = small_run
-    path = tmp_path / "log.csv"
-    sim.export_csv(log, path)
-    back = sim.read_csv(path)
-    for field in ("t", "q", "qdot", "x", "xdot", "xdot_des", "xdot_safe",
-                  "u", "d", "edot", "h", "active_rows", "gate"):
-        np.testing.assert_array_equal(getattr(log, field), getattr(back, field))
-    assert back.barrier_names == log.barrier_names
-    second = tmp_path / "log2.csv"
-    sim.export_csv(back, second)
-    assert path.read_bytes() == second.read_bytes()
+    _, run_log = small_run
+    # the run's log, and a log of zero steps: 30 columns plus one per barrier
+    empty = sim.TrajectoryLog(run_log.data[:0], run_log.barrier_names)
+    for case, log in (("run", run_log), ("empty", empty)):
+        path = tmp_path / f"{case}.csv"
+        sim.export_csv(log, path)
+        back = sim.read_csv(path)
+        for field in ("t", "q", "qdot", "x", "xdot", "xdot_des", "xdot_safe",
+                      "u", "d", "edot", "h", "active_rows", "gate"):
+            np.testing.assert_array_equal(getattr(log, field), getattr(back, field))
+        assert back.data.shape == log.data.shape == (len(log), 30 + len(log.barrier_names))
+        assert back.data.tobytes() == log.data.tobytes()
+        assert back.barrier_names == log.barrier_names
+        second = tmp_path / f"{case}2.csv"
+        sim.export_csv(back, second)
+        assert path.read_bytes() == second.read_bytes()
 
 
 def test_read_csv_rejects_foreign_files(tmp_path):
@@ -216,19 +221,20 @@ def test_read_csv_rejects_rows_of_the_wrong_length(small_run, tmp_path, damage):
 
 def test_log_fields_write_through_to_data(small_run):
     _, run_log = small_run
-    log = sim.TrajectoryLog(run_log.data.copy(), run_log.active_rows, run_log.gate,
-                            run_log.barrier_names)
+    log = sim.TrajectoryLog(run_log.data.copy(), run_log.barrier_names)
     before = log.data.copy()
     log.h[7, 0] += 1.0
     log.xdot_safe[9, 2] = -5.0
-    # h0 is the column after the 28 float columns; xdot_safe z is column 18
-    assert np.argwhere(log.data != before).tolist() == [[7, 28], [9, 18]]
+    log.active_rows[11] += 1.0
+    log.gate[13] = 1.0 - log.gate[13]
+    # h0 is the column after the 28 float columns, xdot_safe z is column 18,
+    # and active_rows and gate are the last two columns
+    assert np.argwhere(log.data != before).tolist() == [[7, 28], [9, 18], [11, 29], [13, 30]]
 
 
 def test_summarize_rejects_empty_log(small_run):
     spec, _ = small_run
-    empty = sim.TrajectoryLog(np.zeros((0, 29)), np.zeros(0, dtype=np.int64),
-                              np.zeros(0, dtype=bool), ["tumor0"])
+    empty = sim.TrajectoryLog(np.zeros((0, 31)), ["tumor0"])
     with pytest.raises(sim.EmptyLogError):
         sim.summarize(empty, spec)
 
@@ -302,8 +308,7 @@ def test_path_completion_boundary_is_inclusive(small_run, offset, approached):
     # tip at x = -offset is nearest reference sample 0, at exactly offset
     spec, run_log = small_run
     ref = spec.reference()
-    log = sim.TrajectoryLog(run_log.data[:1].copy(), run_log.active_rows[:1].copy(),
-                            run_log.gate[:1].copy(), run_log.barrier_names)
+    log = sim.TrajectoryLog(run_log.data[:1].copy(), run_log.barrier_names)
     log.x[0] = ref.pos[0] - (offset, 0.0, 0.0)
     assert np.linalg.norm(log.x[0] - ref.pos[0]) == offset
     completion = sim.summarize(log, spec).path_completion
