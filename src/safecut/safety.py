@@ -8,13 +8,12 @@ then shells: barrier b has a name, a centre c_b, a radius r_b and a sign s_b
 
     h_b = s_b (||x - c_b|| - r_b),   normal_b = s_b (x - c_b) / ||x - c_b||,
 
-positive outside a keep-out sphere and inside a shell.  The table also fixes,
-per filter mode, which barriers each one is selected against.
+positive outside a keep-out sphere and inside a shell.
 
 The filter solves, at every control step,
 
     minimize    || v_s - v_d ||^2
-    subject to  n_i . v_s >= -alpha * h_i     for every selected barrier,
+    subject to  n_i . v_s >= -alpha * h_i     for every barrier of the mode,
 
 which keeps the commanded velocity safe while deviating minimally from the
 desired one.  The rows are plain floats, normals n_i and offsets -alpha * h_i.
@@ -32,12 +31,12 @@ from itertools import combinations
 
 import numpy as np
 
+CENTRE_TOL = 1e-9   # mm; closer to a barrier's centre its normal is undefined
 _DUAL_TOL = 1e-9
 _FEAS_TOL = 1e-9
-_TIE_TOL = 1e-12
 
 
-class DegeneratePointError(ValueError):
+class DegeneratePointError(RuntimeError):
     """Barrier gradient requested at a sphere centre, where it is undefined."""
 
 
@@ -79,11 +78,9 @@ class FilterParams:
     alpha: class-K gain [1/s] on the barrier value; larger values allow
         faster approach toward a boundary (less conservative).
     mode: "keep_out_only" emits one row per tumor; "keep_out_and_depth"
-        emits, per tumor/shell pair, only the row of whichever barrier is
-        currently closer (smaller h).  Ties emit both rows; a barrier is one
-        row however many pairs select it.
+        one row per tumor and one per shell.
     activation_gate: when True the filter stays disengaged until every
-        selected barrier is non-negative, mirroring an approach from outside
+        barrier of the mode is non-negative, mirroring an approach from outside
         the permitted shell; once engaged it never disengages.
     enabled: False bypasses filtering entirely (counterfactual runs).
     """
@@ -107,9 +104,8 @@ class SafeSetSpec:
     Fixed here, as they depend on geometry only, per barrier b (tumors first,
     then shells): names ("tumor<i>", "shell<j>"), centers (float triples),
     radii (cutting margin or outer radius) and signs (+1 tumor, -1 shell).
-    rivals[mode][b] is None if that filter mode never selects b, () if it
-    always does, else the barriers b is compared with: a shell pairs with its
-    nearest tumor, and a tumor with every shell paired to it.
+    A shell that contains a tumor's centre must contain its whole keep-out
+    sphere.
     """
 
     tumors: list
@@ -118,7 +114,6 @@ class SafeSetSpec:
     centers: list = field(init=False, repr=False, compare=False)
     radii: list = field(init=False, repr=False, compare=False)
     signs: list = field(init=False, repr=False, compare=False)
-    rivals: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nt, ns = len(self.tumors), len(self.shells)
@@ -127,16 +122,12 @@ class SafeSetSpec:
         self.radii = [float(t.margin) for t in self.tumors] + \
                      [float(s.outer_radius) for s in self.shells]
         self.signs = [1.0] * nt + [-1.0] * ns
-        # each shell pairs with its nearest tumor, None without tumors
-        pairs = [min(range(nt), default=None, key=lambda i: float(
-            np.linalg.norm(self.tumors[i].center - shell.center))) for shell in self.shells]
-        for j, (shell, i) in enumerate(zip(self.shells, pairs)):
-            if i is not None and shell.outer_radius <= self.tumors[i].margin:
-                raise ValueError(f"shell.{j}: depth shell must lie outside the cutting "
-                                 f"margin of its paired tumor.{i}")
-        depth = [tuple(nt + j for j, t in enumerate(pairs) if t == i) for i in range(nt)]
-        self.rivals = {"keep_out_only": [()] * nt + [None] * ns,
-                       "keep_out_and_depth": depth + [() if i is None else (i,) for i in pairs]}
+        for j, shell in enumerate(self.shells):
+            for i, tumor in enumerate(self.tumors):
+                dist = float(np.linalg.norm(tumor.center - shell.center))
+                if dist < shell.outer_radius and not dist + tumor.margin < shell.outer_radius:
+                    raise ValueError(f"shell.{j}: depth shell holds the centre of tumor.{i} "
+                                     "but not its whole keep-out sphere")
 
     def values(self, x):
         """(h, radial): every barrier value at x in table order, the order the log
@@ -161,22 +152,21 @@ def _radial(x, center):
 
 def selected_barrier_values(x, spec: SafeSetSpec, params: FilterParams,
                             values=None) -> list:
-    """Barriers the filter acts on at x, as (index, h, normal) in table order.
+    """Every barrier of params.mode at x, as (index, h, normal) in table order.
 
-    Barrier b is selected iff params.mode selects it (spec.rivals) and it has
-    no rivals or h_b - h_r <= 1e-12 for some rival r: of a tumor/shell pair
-    the closer barrier, both on a tie, and each barrier at most once however
-    many shells it pairs with.  values is spec.values(x) when the caller
-    already holds it.
+    The tumors, then in keep_out_and_depth mode the shells.  values is
+    spec.values(x) when the caller already holds it.  Raises
+    DegeneratePointError, naming the barrier, at a distance below CENTRE_TOL
+    from its centre.
     """
     h, radial = spec.values(x) if values is None else values
+    count = len(h) if params.mode == "keep_out_and_depth" else len(spec.tumors)
     selected = []
-    for b, rivals in enumerate(spec.rivals[params.mode]):
-        if rivals is None or (rivals and not any(h[b] - h[r] <= _TIE_TOL for r in rivals)):
-            continue
+    for b in range(count):
         dist, (dx, dy, dz) = radial[b]
-        if dist < 1e-9:
-            raise DegeneratePointError("barrier gradient undefined at the sphere centre")
+        if dist < CENTRE_TOL:
+            raise DegeneratePointError(
+                f"{spec.names[b]}: barrier gradient undefined at the sphere centre")
         s = spec.signs[b]
         selected.append((b, h[b], (s * dx / dist, s * dy / dist, s * dz / dist)))
     return selected

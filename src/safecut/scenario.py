@@ -9,8 +9,9 @@ position.
 
 Scenarios 1-3 exercise the keep-out filter at alpha = 0.4 with one or two
 tumors and one to three unsafe markings.  Scenario 4 adds a cutting-depth
-shell around the removable tumor, switches to closest-barrier selection at
-alpha = 1.5, and keeps the filter gated until the tip has entered the shell.
+shell around the removable tumor, filters on the tumor's and the shell's
+rows at alpha = 1.5, and keeps the filter gated until the tip has entered the
+shell.
 
 Every catalog run uses zero gravity: the velocity controller carries no
 gravity compensation, matching its model-free construction, so a constant
@@ -30,7 +31,7 @@ import numpy as np
 from .control import ControllerParams, DisturbanceSpec
 from .dynamics import DynamicParams
 from .kinematics import JointConfig, KinematicParams, forward_kinematics
-from .safety import DepthShell, FilterParams, SafeSetSpec, TumorSpec
+from .safety import CENTRE_TOL, DepthShell, FilterParams, SafeSetSpec, TumorSpec
 
 _UNSAFE_DEPTH = 1.5          # mm inside the keep-out sphere
 _MARKING_COUNT = 8
@@ -300,11 +301,14 @@ class ScenarioSpec:
                 raise ValueError(f"initial.{name} = {v!r} outside the workspace box "
                                  f"[{low:g}, {high:g}]")
         safe_set, nt = self.safe_set, len(self.tumors)
-        tip = forward_kinematics(self.initial_q, self.kinematics)
-        for i, h in enumerate(safe_set.values(tip)[0][:nt]):
-            if h < 0.0:
-                raise ValueError(f"tumor.{i}: keep-out sphere holds the initial tip placed by "
-                                 "initial.d1, initial.theta2, initial.theta3")
+        h, radial = safe_set.values(forward_kinematics(self.initial_q, self.kinematics))
+        placed = "the initial tip placed by initial.d1, initial.theta2, initial.theta3"
+        for i, hi in enumerate(h[:nt]):
+            if hi < 0.0:
+                raise ValueError(f"tumor.{i}: keep-out sphere holds {placed}")
+        for j, (dist, _) in enumerate(radial[nt:]):
+            if dist < CENTRE_TOL:
+                raise ValueError(f"shell.{j}: centre is within {CENTRE_TOL:g} mm of {placed}")
         if not self.tumors:
             return
         for i, ms in enumerate(self.markings):

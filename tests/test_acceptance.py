@@ -150,10 +150,10 @@ def test_criterion_6_tracking_and_rate(filtered_runs):
             f"scenario {sid}: decay {report.decay_rate} vs alpha {spec.filter.alpha}"
         rates[sid] = round(report.decay_rate, 1)
     for sid in (1, 2, 3):
-        _, log, _, _ = filtered_runs[sid]
+        spec, log, _, _ = filtered_runs[sid]
         norms = np.linalg.norm(log.edot, axis=1)
         peak_idx = int(norms.argmax())
-        window = norms[peak_idx:peak_idx + int(TRACK_SETTLE / 1e-3) + 1]
+        window = norms[peak_idx:peak_idx + round(TRACK_SETTLE / spec.dt) + 1]
         assert window.min() <= 0.05 * norms[peak_idx], \
             f"scenario {sid}: transient did not settle within {TRACK_SETTLE}s"
     _report(f"CRITERION 6 PASS: decay rates {rates} 1/s exceed alpha; "

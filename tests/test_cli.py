@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from safecut.cli import main
 from safecut.control import DisturbanceSpec, disturbance
 from safecut.safety import SafeSetSpec
-from safecut.sim import gate_engage_time, read_csv
+from safecut.scenario import scenario_catalog
+from safecut.sim import gate_engage_time, read_csv, run
 
 SHORT_CONFIG = "scenario_id = 1\nduration = 2.0\nspeed = 4.0\n"
 
@@ -159,8 +162,12 @@ def test_verify_quick_pass(capsys):
     ("scenario_id = 1\ntumor.0.center = 0, 0, 43\n", "tumor.0: keep-out sphere holds the "
      "initial tip placed by initial.d1, initial.theta2, initial.theta3"),
     ("scenario_id = 1\nmarking.0.points = 1,2,3\n", "marking.0: unsafe flags must match"),
-    ("scenario_id = 4\nshell.0.outer_radius = 3\n", "shell.0: depth shell must lie outside "
-                                                     "the cutting margin of its paired tumor.0"),
+    ("scenario_id = 4\nshell.0.outer_radius = 3\n", "shell.0: depth shell holds the centre "
+                                                     "of tumor.0 but not its whole keep-out sphere"),
+    # a shell's normal is undefined at its centre
+    ("scenario_id = 4\nduration = 0.05\nshell.1.center = 0, 0, 36.7\nshell.1.outer_radius = 40\n",
+     "shell.1: centre is within 1e-09 mm of the initial tip placed by initial.d1, "
+     "initial.theta2, initial.theta3"),
     ("scenario_id = 1\nmarking.0.unsafe = 1, 0, 1, 0, 0, 1, 0, 0\n",
      "marking.0 point 0 is flagged unsafe but intrudes no keep-out sphere"),
     ("scenario_id = 1\nmarking.0.unsafe = 0, 0, 0, 0, 0, 1, 0, 0\n",
@@ -209,3 +216,15 @@ def test_diverged_plant_exits_3_with_its_name(tmp_path, capsys, scenario, overri
     cfg.write_text(f"scenario_id = {scenario}\n{short}{override}\n")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert "PlantDivergedError: plant diverged" in capsys.readouterr().err
+
+
+def test_tip_reaching_a_shell_centre_exits_3_naming_it(tmp_path, capsys):
+    # a second shell centred on the tip's step-1 position: step 0 runs as in
+    # the catalog (the gate is still open), step 1 has no shell1 normal
+    spec = replace(scenario_catalog(4), duration=0.001)
+    centre = ", ".join(repr(float(c)) for c in run(spec).x[1])
+    cfg = tmp_path / "centre.cfg"
+    cfg.write_text(f"scenario_id = 4\nduration = 0.05\nshell.1.center = {centre}\n"
+                   "shell.1.outer_radius = 40\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
+    assert "DegeneratePointError: shell1: barrier gradient undefined" in capsys.readouterr().err

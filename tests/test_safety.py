@@ -1,4 +1,4 @@
-"""Barrier geometry, constraint selection and the velocity filter."""
+"""Barrier geometry, the filter rows of each mode and the velocity filter."""
 
 from __future__ import annotations
 
@@ -72,9 +72,9 @@ def _unit(rng):
 
 
 def test_degenerate_point_raises():
-    with pytest.raises(DegeneratePointError):
+    with pytest.raises(DegeneratePointError, match="tumor0: barrier gradient undefined"):
         _tumor_normal(np.asarray(TUMOR.center))
-    with pytest.raises(DegeneratePointError):
+    with pytest.raises(DegeneratePointError, match="shell0: barrier gradient undefined"):
         _shell_normal(np.asarray(SHELL.center))
 
 
@@ -98,15 +98,15 @@ def test_keep_out_only_ignores_shells():
     assert [spec.names[b] for b, _, _ in sel] == ["tumor0"]
 
 
-def test_pair_selects_closer_barrier():
+def test_depth_mode_emits_the_farther_barrier_too():
+    # each barrier of the mode is a row wherever the tip is, the farther one
+    # of a tumor/shell pair included
     spec = SafeSetSpec(tumors=[TUMOR], shells=[SHELL])
     params = FilterParams(mode="keep_out_and_depth")
-    near_tumor = np.array([0.0, 1.5, 30.0])     # h_in = 0.5, h_out = 2.5
-    sel = selected_barrier_values(near_tumor, spec, params)
-    assert [spec.names[b] for b, _, _ in sel] == ["tumor0"]
-    near_shell = np.array([0.0, 12.5, 30.0])    # h_in = 2.5, h_out = 0.5
-    sel = selected_barrier_values(near_shell, spec, params)
-    assert [spec.names[b] for b, _, _ in sel] == ["shell0"]
+    for x, h in (((0.0, 1.5, 30.0), [0.5, 2.5]), ((0.0, 12.5, 30.0), [2.5, 0.5])):
+        sel = selected_barrier_values(np.array(x), spec, params)
+        assert [spec.names[b] for b, _, _ in sel] == ["tumor0", "shell0"]
+        assert [hb for _, hb, _ in sel] == pytest.approx(h)
 
 
 def test_pair_tie_emits_both_rows():
@@ -126,49 +126,67 @@ def test_unpaired_shell_always_selected():
     assert [spec.names[b] for b, _, _ in sel] == ["shell0"]
 
 
-def test_shell_pairs_with_nearest_tumor():
+def test_depth_mode_rows_follow_table_order():
+    # near the shell boundary the shell's row joins TUMOR's, and the far
+    # tumor keeps its own: tumors first, then shells
     far = TumorSpec(center=(100.0, 0.0, 0.0), margin=4.0)
     spec = SafeSetSpec(tumors=[far, TUMOR], shells=[SHELL])
     params = FilterParams(mode="keep_out_and_depth")
-    # near the shell boundary the shell row must replace TUMOR's, while the
-    # far tumor keeps its own row
     sel = selected_barrier_values(np.array([0.0, 12.5, 30.0]), spec, params)
-    assert sorted(spec.names[b] for b, _, _ in sel) == ["shell0", "tumor0"]
+    assert [spec.names[b] for b, _, _ in sel] == ["tumor0", "tumor1", "shell0"]
 
 
 def test_tumor_paired_with_two_shells_is_one_row():
-    # both shells pair with TUMOR; near it, each pair picks the tumor, which
-    # must still be a single filter row
+    # near a tumor inside two shells the tumor is one row, beside one per shell
     spec = SafeSetSpec(tumors=[TUMOR], shells=[SHELL, DepthShell((0.0, 6.0, 30.1), 9.0)])
     sel = selected_barrier_values(np.array([0.0, 1.5, 30.0]), spec,
                                   FilterParams(mode="keep_out_and_depth"))
-    assert [spec.names[b] for b, _, _ in sel] == ["tumor0"]
+    assert [spec.names[b] for b, _, _ in sel] == ["tumor0", "shell0", "shell1"]
 
 
-def _documented_selection(h, tumors, shells, mode):
-    """Indices the filter should act on, by the rule as documented, pair by pair.
+@pytest.mark.parametrize("shell, refused", [
+    (DepthShell(TUMOR.center, 3.0), True),                  # inside the margin
+    (DepthShell(TUMOR.center, 4.0), True),                  # on the margin
+    (DepthShell((0.0, 6.0, 31.0), 4.5), True),              # holds the centre, cuts the sphere
+    (DepthShell((0.0, 6.0, 31.0), 5.5), False),             # holds the whole sphere
+    (DepthShell((0.0, 6.0, 36.0), 5.0), False),             # cuts the sphere, not the centre
+    (DepthShell((0.0, 6.0, 40.0), 3.0), False),             # apart
+])
+def test_shell_holding_a_tumor_centre_holds_its_sphere(shell, refused):
+    tumors, shells = [TumorSpec((50.0, 0.0, 0.0), 1.0), TUMOR], [SHELL, shell]
+    if refused:
+        with pytest.raises(ValueError, match=r"shell\.1: .* tumor\.1 "):
+            SafeSetSpec(tumors, shells)
+    else:
+        assert SafeSetSpec(tumors, shells).names[-1] == "shell1"
 
-    keep_out_only: every tumor.  keep_out_and_depth: each shell pairs with its
-    nearest tumor (the first on a tie); per pair the barrier with smaller h,
-    both when the values agree to 1e-12; a tumor without shells and a shell
-    without a tumor always.  A set, so each barrier counts once.
-    """
-    nt = len(tumors)
-    if mode == "keep_out_only":
-        return set(range(nt))
-    paired = [int(np.argmin([np.linalg.norm(t.center - s.center) for t in tumors]))
-              if tumors else None for s in shells]
-    selected = {i for i in range(nt) if i not in paired}
-    for j, i in enumerate(paired):
-        if i is None:
-            selected.add(nt + j)
-        elif abs(h[i] - h[nt + j]) <= 1e-12:
-            selected |= {i, nt + j}
-        elif h[i] < h[nt + j]:
-            selected.add(i)
-        else:
-            selected.add(nt + j)
-    return selected
+
+def _random_safe_set(rng, spread: float, tip=None) -> SafeSetSpec:
+    """A valid table of 1-6 random barriers; with tip given, every h(tip) >= 0."""
+    while True:
+        tumors, shells = [], []
+        for _ in range(rng.integers(0, 4)):
+            center = rng.uniform(-spread, spread, 3)
+            if tip is None:
+                margin = rng.uniform(1.0, 5.0)
+            else:   # outside the sphere, down to about 1e-12 mm
+                center = tip + center
+                margin = np.linalg.norm(center - tip) * (1.0 - 10.0 ** rng.uniform(-12.0, 0.0))
+            tumors.append(TumorSpec(center, float(margin)))
+        for _ in range(rng.integers(0, 4)):
+            center = rng.uniform(-spread, spread, 3)
+            if tip is None:
+                radius = rng.uniform(6.0, 15.0)
+            else:   # inside the shell, down to about 1e-12 mm
+                center = tip + center
+                radius = np.linalg.norm(center - tip) + 10.0 ** rng.uniform(-12.0, 1.0)
+            shells.append(DepthShell(center, float(radius)))
+        try:
+            spec = SafeSetSpec(tumors, shells)
+        except ValueError:      # a shell holds a tumor's centre but not its sphere
+            continue
+        if spec.centers and (tip is None or min(spec.values(tip)[0]) >= 0.0):
+            return spec
 
 
 @pytest.mark.parametrize("mode", ["keep_out_only", "keep_out_and_depth"])
@@ -176,24 +194,39 @@ def test_selection_follows_documented_rule(mode):
     rng = np.random.default_rng(41)
     params = FilterParams(mode=mode)
     for _ in range(400):
-        tumors = [TumorSpec(rng.uniform(-15.0, 15.0, 3), float(rng.uniform(1.0, 5.0)))
-                  for _ in range(rng.integers(0, 4))]
-        shells = [DepthShell(rng.uniform(-15.0, 15.0, 3), float(rng.uniform(6.0, 15.0)))
-                  for _ in range(rng.integers(0, 4))]
-        spec = SafeSetSpec(tumors, shells)
-        if not spec.centers:
-            continue
+        spec = _random_safe_set(rng, 15.0)
         center = np.array(spec.centers[rng.integers(len(spec.centers))])
         x = center + rng.uniform(0.5, 15.0) * _unit(rng)
         h = spec.values(x)[0]
         sel = selected_barrier_values(x, spec, params)
-        indices = [b for b, _, _ in sel]
-        assert indices == sorted(_documented_selection(h, tumors, shells, mode))
+        # the rule as documented: every barrier of the mode, in table order
+        assert [spec.names[b] for b, _, _ in sel] == \
+            [name for name in spec.names if mode == "keep_out_and_depth" or "tumor" in name]
         for b, hb, normal in sel:
             offset = x - np.array(spec.centers[b])
             assert hb == h[b]
             np.testing.assert_allclose(normal, spec.signs[b] * offset / np.linalg.norm(offset),
                                        atol=1e-12)
+
+
+def test_all_rows_feasible_inside_safe_set():
+    # with every h >= 0, v = 0 meets every row n . v >= -alpha h, so the
+    # all-rows program always has a solution, however the rows face
+    rng = np.random.default_rng(43)
+    params = FilterParams(mode="keep_out_and_depth")
+    most_rows = 0
+    for _ in range(2000):
+        tip = rng.uniform(-5.0, 5.0, 3)
+        spec = _random_safe_set(rng, 10.0, tip)
+        alpha = float(rng.uniform(0.05, 5.0))
+        v_d = (rng.normal(0.0, 1.0, 3) * 10.0 ** rng.uniform(-2.0, 2.0)).tolist()
+        sel = selected_barrier_values(tip, spec, params)
+        v_s, _ = filter_rows(v_d, [n for *_, n in sel], [-alpha * h for _, h, _ in sel])
+        tol = 1e-9 * max(1.0, float(np.linalg.norm(v_s)))
+        for _, h, normal in sel:
+            assert np.dot(normal, v_s) >= -alpha * h - tol
+        most_rows = max(most_rows, len(sel))
+    assert most_rows == 6
 
 
 def test_assemble_offsets_scale_with_alpha():

@@ -165,7 +165,7 @@ def test_validate_rejects_bad_geometry():
     with pytest.raises(ValueError, match="at least one marking set"):
         replace(spec, markings=[])
     s4 = scenario_catalog(4)
-    with pytest.raises(ValueError, match="shell.0: depth shell must lie outside"):
+    with pytest.raises(ValueError, match="shell.0: depth shell holds the centre of tumor.0"):
         replace(s4, shells=[DepthShell(s4.shells[0].center, 3.0)])
 
 

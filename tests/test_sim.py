@@ -334,6 +334,26 @@ def test_logged_active_rows_match_row_builder():
         np.testing.assert_array_equal(log.active_rows, recount)
 
 
+@pytest.mark.parametrize("alpha", [0.4, 0.8])
+def test_gated_steps_meet_the_farther_barrier_row(alpha):
+    # below scenario 4's catalog alpha the tip nears the shell while the
+    # tumor's row still binds; every barrier of the mode is a row, so on each
+    # gated step the logged safe velocity meets the tumor's and the shell's
+    base = scenario_catalog(4)
+    spec = replace(base, filter=replace(base.filter, alpha=alpha))
+    log = sim.run(spec)
+    safe_set = spec.safe_set
+    gated = np.nonzero(log.gate)[0]
+    v = log.xdot_safe[gated]
+    tol = 1e-9 * np.maximum(1.0, np.linalg.norm(v, axis=1))
+    assert safe_set.names == ["tumor0", "shell0"] and gated.size > 10000
+    for b in range(2):
+        offset = log.x[gated] - safe_set.centers[b]
+        normal = safe_set.signs[b] * offset / np.linalg.norm(offset, axis=1)[:, None]
+        slack = np.einsum("ij,ij->i", normal, v) + alpha * log.h[gated, b]
+        assert np.count_nonzero(slack < -tol) == 0, safe_set.names[b]
+
+
 @pytest.mark.parametrize("override", [
     dict(controller=ControllerParams(k_d=1e6)),
     dict(dt=0.005),
