@@ -61,7 +61,9 @@ def _print_report(spec, report, log) -> None:
     print(f"  first violation [s]:         {'none' if fv is None else f'{fv:.3f}'}")
     print(f"  max tracking error [mm/s]:   {report.max_tracking_error:.6f}")
     print(f"  velocity-error decay [1/s]:  {report.decay_rate:.3f}")
-    print(f"  path completion:             {report.path_completion:.4f}")
+    for i, (turns, excess) in enumerate(zip(report.enclosure_turns, report.radial_excess)):
+        print(f"  loop {i} enclosure [turns]:    {turns:.4f}")
+        print(f"  loop {i} radial excess [mm]:   " + "p50 %.3f  p95 %.3f  max %.3f" % excess)
     print(f"  deviation integral [mm]:     {report.deviation_integral:.6f}")
     if spec.filter.enabled and spec.filter.activation_gate:
         tg = sim.gate_engage_time(log)
@@ -112,17 +114,20 @@ def cmd_run(args) -> int:
 
     out = Path(args.out)
     worst = float("inf")
-    if args.alpha:
+    if args.alpha is not None:
         if args.no_filter:
             raise _UsageError("--alpha and --no-filter are mutually exclusive")
         try:   # FilterParams refuses values out of range
             alphas = [float(v) for v in args.alpha.split(",")]
         except ValueError as exc:
-            raise _UsageError(f"bad alpha list {args.alpha!r}") from exc
+            raise _UsageError(f"bad --alpha list {args.alpha!r}") from exc
         runs = [("unfiltered", replace(spec, filter=replace(spec.filter, enabled=False)))]
         runs += [(f"alpha_{v:g}", replace(spec, filter=replace(spec.filter, alpha=v,
                                                                enabled=True)))
                  for v in alphas]
+        if len({label for label, _ in runs}) < len(runs):
+            raise _UsageError(f"--alpha {args.alpha!r} repeats a gain, so two runs "
+                              "would share one alpha_<v>/ directory")
         for label, sub in runs:
             worst = min(worst, _run_one(sub, out / label, emit))
     else:

@@ -105,48 +105,6 @@ class ReferenceTrajectory:
             return self.pos[-1].tolist(), (0.0, 0.0, 0.0)
         return self.pos[k].tolist(), self.vel[k].tolist()
 
-    def approached(self, x, tol: float) -> np.ndarray:
-        """Per sample, whether some point of x lies within tol of it, exactly.
-
-        build_reference lays each run of samples with equal vel in order on
-        one line, so the samples within a radius of one point of x form one
-        index range of that run.  Ranges at radius tol -/+ a rounding margin,
-        marked by a difference array, bracket the answer; only samples between
-        the two are tested directly against every point of x.  A run only
-        projects the points of x that lie within reach of its samples along
-        the axis where the fewest do.
-        """
-        pos, vel, n = self.pos, self.vel, len(self.pos)
-        margin = 1e-9 * (1.0 + max(np.abs(pos).max(), np.abs(x).max()))
-        cover = np.zeros((2, n + 1), dtype=np.int64)   # inner and outer ranges
-        order = np.argsort(x, axis=0)                    # points of x by each coordinate
-        keys = np.take_along_axis(x, order, axis=0)
-        starts = np.flatnonzero((vel[1:] != vel[:-1]).any(axis=1)) + 1
-        for a, b in zip([0, *starts], [*starts, n]):
-            d = vel[a] / np.linalg.norm(vel[a])
-            s = (pos[a:b] - pos[a]) @ d                  # along-line coordinate
-            reach = np.array([pos[a:b].min(axis=0) - tol - margin,
-                              pos[a:b].max(axis=0) + tol + margin])
-            spans = [np.searchsorted(keys[:, i], reach[:, i]) for i in range(3)]
-            i = min(range(3), key=lambda i: spans[i][1] - spans[i][0])
-            rel = x[order[spans[i][0]:spans[i][1], i]] - pos[a]
-            c = rel @ d
-            perp = rel - c[:, None] * d
-            r2 = np.einsum("ij,ij->i", perp, perp)
-            for row, radius in enumerate((tol - margin, tol + margin)):
-                if radius <= 0.0:
-                    continue
-                near = r2 <= radius * radius
-                w = np.sqrt(radius * radius - r2[near])
-                lo = np.searchsorted(s, c[near] - w, side="left")
-                hi = np.searchsorted(s, c[near] + w, side="right")
-                cover[row, a:b + 1] += (np.bincount(lo, minlength=b - a + 1)
-                                        - np.bincount(hi, minlength=b - a + 1))
-        hit, outer = np.cumsum(cover[:, :n], axis=1) > 0   # hit starts as the inner cover
-        for j in np.flatnonzero(outer & ~hit):
-            hit[j] = (np.linalg.norm(x - pos[j], axis=1) <= tol).any()
-        return hit
-
 
 def generate_marking_points(tumor: TumorSpec, count: int, plane_normal) -> MarkingSet:
     """count equally spaced safe markings on the margin circle of the tumor.
@@ -203,9 +161,8 @@ def build_reference(markings: list, speed: float, dt: float, approach_from) -> R
     The path starts at approach_from, runs to the first marking point, then
     around every loop back to its first point, all at constant speed.
     Velocity samples are the exact segment derivatives; a vertex sample takes
-    the outgoing direction.  ReferenceTrajectory.approached relies on this
-    layout: each run of equal vel lies on one straight segment, in order.
-    ScenarioSpec ensures markings is non-empty and speed and dt are positive.
+    the outgoing direction.  ScenarioSpec ensures markings is non-empty and
+    speed and dt are positive.
     """
     waypoints = [np.asarray(approach_from, dtype=float)]
     for ms in markings:

@@ -64,7 +64,6 @@ _COLUMNS = {
     "edot": ("edot_d1_mm_s", "edot_th2_rad_s", "edot_th3_rad_s"),
 }
 _BLOCK_ROWS = 1024   # rows held as Python objects at a time by _write_rows and read_csv
-_COMPLETION_TOL = 0.5   # [mm] a reference sample counts as cut once the tip comes this close
 _CIRCLE_POINTS = 256    # samples per boundary circle in the path data file
 
 
@@ -108,13 +107,15 @@ class TrajectoryLog:
 
 @dataclass
 class SafetyReport:
-    """Headline numbers of a run."""
+    """Headline numbers of a run; enclosure_turns and radial_excess hold one
+    entry per marking loop (see _cut_measures), none without tumors."""
 
     min_h: dict
     first_violation_time: Optional[float]
     max_tracking_error: float
     decay_rate: float
-    path_completion: float
+    enclosure_turns: list
+    radial_excess: list
     deviation_integral: float
 
 
@@ -192,12 +193,41 @@ def gate_engage_time(log: TrajectoryLog) -> Optional[float]:
     return float(log.t[idx[0]]) if idx.size else None
 
 
+def _cut_measures(log: TrajectoryLog, spec: ScenarioSpec):
+    """Per marking loop, the enclosure turns and the radial excess of the cut.
+
+    A loop's window is its stretch of reference time: from the reference
+    reaching its first point p0 (at |p0 - x0| / speed for the first loop, x0
+    the logged start) up to its closing the loop.  Turns is the angle the tip
+    sweeps about the loop's tumor centre c, in the best-fit plane of the
+    loop's points, over 2 pi: 0 for an empty window, nan if they span no
+    plane.  The excess ||x - c|| - margin [mm] is (p50, p95, max), nan if empty.
+    """
+    turns, excess = [], []
+    end, prev = 0.0, log.x[0]        # path length and point where the next loop begins
+    for ms in spec.markings:
+        start = end + float(np.linalg.norm(ms.points[0] - prev))
+        end = start + float(np.linalg.norm(ms.points - np.roll(ms.points, 1, axis=0),
+                                           axis=1).sum())
+        prev = ms.points[0]
+        tumor = spec.tumors[ms.tumor_index]
+        first, stop = np.searchsorted(log.t, (start / spec.speed, end / spec.speed))
+        r = log.x[first:stop] - tumor.center
+        rel = ms.points - ms.points.mean(axis=0)
+        _, _, (e1, e2, _) = np.linalg.svd(rel)
+        if np.cross(e1, e2) @ np.cross(rel, np.roll(rel, -1, axis=0)).sum(axis=0) < 0.0:
+            e2 = -e2                 # the loop turns from e1 toward e2
+        angle = np.unwrap(np.arctan2(r @ e2, r @ e1))
+        turns.append(float(np.diff(angle).sum()) / math.tau
+                     if np.linalg.matrix_rank(rel) > 1 else math.nan)
+        dist = np.linalg.norm(r, axis=1) - tumor.margin
+        excess.append((*np.percentile(dist, (50, 95)).tolist(), float(dist.max()))
+                      if dist.size else (math.nan,) * 3)
+    return turns, excess
+
+
 def summarize(log: TrajectoryLog, spec: ScenarioSpec) -> SafetyReport:
     """Condense a log into the report numbers.
-
-    path_completion counts reference samples approached within
-    _COMPLETION_TOL (0.5 mm) at any time; reference samples pushed inside a
-    keep-out sphere are unreachable by a safe run and lower the fraction.
 
     With an activation gate the run legitimately starts outside the safe
     set, so barrier statistics begin at the engagement step.
@@ -218,8 +248,7 @@ def summarize(log: TrajectoryLog, spec: ScenarioSpec) -> SafetyReport:
         decay = ctl.measure_decay_rate(log.t, log.edot)
     except ctl.InsufficientTransientError:
         decay = math.nan
-    ref = spec.reference()
-    completion = float(np.mean(ref.approached(log.x, _COMPLETION_TOL)))
+    turns, excess = _cut_measures(log, spec) if spec.tumors else ([], [])
     deviation = float(np.trapezoid(np.linalg.norm(log.xdot_safe - log.xdot_des, axis=1),
                                    log.t))
     return SafetyReport(
@@ -227,7 +256,8 @@ def summarize(log: TrajectoryLog, spec: ScenarioSpec) -> SafetyReport:
         first_violation_time=first_violation,
         max_tracking_error=float(tracking.max()),
         decay_rate=decay,
-        path_completion=completion,
+        enclosure_turns=turns,
+        radial_excess=excess,
         deviation_integral=deviation,
     )
 

@@ -30,6 +30,7 @@ ISSF_CAP = 4.0          # mm; violations stay within one cutting margin
 QP_INSTANCES = 10000
 QP_REL_TOL = 1e-3
 TRACK_SETTLE = 0.5      # s for the velocity transient to reach 5% of peak
+ENCLOSURE_TOL = 0.02    # turns; the cut closes around the removable tumor
 
 
 def _report(line: str) -> None:
@@ -201,3 +202,15 @@ def test_criterion_9_determinism_and_round_trip(filtered_runs, tmp_path):
     sim.export_csv(back, second)
     assert path.read_bytes() == second.read_bytes()
     _report("CRITERION 9 PASS: identical rerun is bit-identical, CSV round-trips exactly")
+
+
+def test_criterion_10_cut_encloses_removable_tumor(filtered_runs):
+    turns, excess = {}, {}
+    for sid, (spec, _, report, _) in filtered_runs.items():
+        assert len(report.enclosure_turns) == len(spec.markings) == 1
+        (turns[sid],), (excess[sid],) = report.enclosure_turns, report.radial_excess
+        assert abs(turns[sid] - 1.0) <= ENCLOSURE_TOL, f"scenario {sid}: {turns[sid]} turns"
+    # the radial excess is reported, not gated: no bound on it rests on the paper
+    _report(f"CRITERION 10 PASS: enclosure turns {({s: round(t, 4) for s, t in turns.items()})} "
+            f"within {ENCLOSURE_TOL} of 1; radial excess p50/p95/max [mm] "
+            f"{({s: tuple(round(v, 2) for v in e) for s, e in excess.items()})}")

@@ -162,7 +162,7 @@ def test_cli_import_keeps_scipy_solvers_out(tmp_path):
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
                          capture_output=True, text=True, check=True).stdout
-    assert "path completion" in out
+    assert "enclosure [turns]" in out
     assert out.splitlines()[-1].split() == ["exit", "0"]
 
 

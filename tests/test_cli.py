@@ -70,6 +70,12 @@ def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["run", "--scenario", "1", "--disturbance", "constant:1,x,3"]) == 2
     assert main(["run", "--scenario", "1", "--emit", "json"]) == 2
     assert main(["run", "--scenario", "1", "--alpha", "0.4", "--no-filter"]) == 2
+    capsys.readouterr()
+    for alphas in ("", "0.4,0.4"):   # no gain; two gains into one alpha_0.4/
+        assert main(["run", "--scenario", "1", "--alpha", alphas,
+                     "--out", str(tmp_path / "sweep")]) == 2
+        assert "--alpha" in capsys.readouterr().err
+    assert not (tmp_path / "sweep").exists()
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
     assert main(["verify", "--qp-instances", "0"]) == 2
     assert main(["verify", "--qp-instances", "-5"]) == 2

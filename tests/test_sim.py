@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -123,6 +125,7 @@ def test_obstacle_free_run_is_transparent():
     assert report.deviation_integral == 0.0
     assert report.min_h == {}
     assert report.first_violation_time is None
+    assert report.enclosure_turns == report.radial_excess == []
 
 
 def test_summary_matches_log(small_run):
@@ -132,8 +135,72 @@ def test_summary_matches_log(small_run):
     assert report.first_violation_time is None
     assert report.max_tracking_error == pytest.approx(
         float(np.linalg.norm(log.xdot - log.xdot_safe, axis=1).max()))
-    assert 0.0 <= report.path_completion <= 1.0
     assert report.deviation_integral > 0.0
+
+
+def test_cut_measures_match_brute_force():
+    # the full-length run of the small spec: approach, then the 3-point loop
+    spec = _small_spec(duration=None)
+    log = sim.run(spec)
+    report = sim.summarize(log, spec)
+    pts, c = spec.markings[0].points, TUMOR.center
+    start = math.dist(pts[0], log.x[0]) / spec.speed
+    end = start + sum(math.dist(a, b) for a, b in zip(pts, [*pts[1:], pts[0]])) / spec.speed
+    angles, dists = [], []
+    for t, x in zip(log.t, log.x):
+        if start <= t < end:
+            angles.append(math.atan2(x[1] - c[1], x[0] - c[0]))   # the loop lies in z = 30
+            dists.append(math.dist(x, c) - TUMOR.margin)
+    swept = sum((b - a + math.pi) % (2.0 * math.pi) - math.pi
+                for a, b in zip(angles, angles[1:]))
+    assert len(dists) > 1000
+    assert report.enclosure_turns == [pytest.approx(swept / (2.0 * math.pi), abs=1e-9)]
+    assert report.radial_excess == [pytest.approx(
+        (float(np.percentile(dists, 50)), float(np.percentile(dists, 95)), max(dists)))]
+
+
+def _circle_log(radius, sweep):
+    """Hand-built 3 s log: the tip rests at angle 0 on a circle about TUMOR's
+    centre in the marking plane, sweeps `sweep` rad between 0.5 s and 1.5 s,
+    then rests again.  Every column but t and x is zero."""
+    t = np.linspace(0.0, 3.0, 3001)
+    angle = sweep * np.clip(t - 0.5, 0.0, 1.0)
+    log = sim.TrajectoryLog(np.zeros((len(t), 31)), ["tumor0"])
+    log.t[:] = t
+    log.x[:] = TUMOR.center + radius * np.stack(
+        [np.cos(angle), np.sin(angle), np.zeros_like(t)], axis=1)
+    return log
+
+
+@pytest.mark.parametrize("radius, sweep, turns, excess", [
+    (4.0, 2.0 * math.pi, 1.0, 0.0),    # a full circle at the margin
+    (4.0, math.pi, 0.5, 0.0),          # half of it
+    (4.0, -2.0 * math.pi, -1.0, 0.0),  # against the loop's direction
+    (5.0, 2.0 * math.pi, 1.0, 1.0),    # 1 mm outside the margin
+])
+def test_cut_measures_on_hand_built_logs(radius, sweep, turns, excess):
+    # the loop's window opens when the reference reaches its first point
+    # (radius - 4 mm from the start, at 4 mm/s) and ends after the 3 s log
+    spec = _small_spec()
+    report = sim.summarize(_circle_log(radius, sweep), spec)
+    assert report.enclosure_turns == [pytest.approx(turns, abs=1e-12)]
+    assert report.radial_excess == [pytest.approx((excess,) * 3, abs=1e-12)]
+
+
+def test_cut_measures_edge_cases_report_quietly(small_run):
+    # a 2 s run ends before its 3.7 s approach; a loop through two opposite
+    # margin points spans no plane.  Neither raises nor warns.
+    spec, log = small_run
+    flat = _small_spec(markings=[MarkingSet(TUMOR.center + [[4.0, 0, 0], [-4.0, 0, 0]],
+                                            [False, False])])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        early = sim.summarize(log, spec)
+        line = sim.summarize(_circle_log(4.0, 2.0 * math.pi), flat)
+    assert early.enclosure_turns == [0.0]
+    assert all(map(math.isnan, early.radial_excess[0]))
+    assert math.isnan(line.enclosure_turns[0])
+    assert line.radial_excess == [pytest.approx((0.0,) * 3, abs=1e-12)]
 
 
 def test_gate_starts_disengaged_and_latches():
@@ -269,50 +336,6 @@ def test_gate_aware_summary_excludes_approach():
     assert float(log.h[0].min()) < 0.0
     assert report.min_h["shell0"] >= -1e-3
     assert report.first_violation_time is None
-
-
-def _within(points, path, tol):
-    """Per point, whether some path point lies within tol, by exact norms.
-
-    Blocks of 128 path points are skipped for a point that the triangle
-    inequality, with a rounding margin, puts farther than tol from all of them.
-    """
-    hit = np.zeros(len(points), dtype=bool)
-    for block in np.array_split(path, -(-len(path) // 128)):
-        reach = tol + np.linalg.norm(block - block[0], axis=1).max() + 1e-9
-        near = np.flatnonzero(~hit & (np.linalg.norm(points - block[0], axis=1) <= reach))
-        hit[near] = (np.linalg.norm(points[near, None, :] - block, axis=2) <= tol).any(axis=1)
-    return hit
-
-
-def test_path_completion_matches_brute_force(small_run):
-    # beside the short run: catalog 3 (two tumors, three unsafe points) and
-    # catalog 4 (gated shell), whose tip comes within 2 mm of every sample
-    runs = [(*small_run, (0.5, 2.0))] + [
-        (spec, sim.run(spec), below_one)
-        for spec, below_one in ((scenario_catalog(3), (0.5, 2.0)), (scenario_catalog(4), (0.5,)))]
-    for spec, log, below_one in runs:
-        ref = spec.reference()
-        # summarize reports the 0.5 mm tolerance; 2.0 mm asks the reference directly
-        completion = {0.5: sim.summarize(log, spec).path_completion,
-                      2.0: float(np.mean(ref.approached(log.x, 2.0)))}
-        for tol in (0.5, 2.0):
-            expected = float(np.mean(_within(ref.pos, log.x, tol)))
-            assert 0.0 < expected < 1.0 if tol in below_one else expected == 1.0
-            assert completion[tol] == expected
-
-
-@pytest.mark.parametrize("offset, approached", [(0.5, True), (np.nextafter(0.5, np.inf), False)])
-def test_path_completion_boundary_is_inclusive(small_run, offset, approached):
-    # the reference starts at (0, 0, 43) and leaves it with x growing, so a
-    # tip at x = -offset is nearest reference sample 0, at exactly offset
-    spec, run_log = small_run
-    ref = spec.reference()
-    log = sim.TrajectoryLog(run_log.data[:1].copy(), run_log.barrier_names)
-    log.x[0] = ref.pos[0] - (offset, 0.0, 0.0)
-    assert np.linalg.norm(log.x[0] - ref.pos[0]) == offset
-    completion = sim.summarize(log, spec).path_completion
-    assert completion == (1.0 / len(ref.pos) if approached else 0.0)
 
 
 def test_logged_active_rows_match_row_builder():
