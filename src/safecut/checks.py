@@ -21,8 +21,8 @@ import numpy as np
 
 from .dynamics import DynamicParams, forward_dynamics, rk4_step
 from .kinematics import JointConfig, KinematicParams, forward_kinematics, jacobian
-from .safety import (DepthShell, FilterParams, InfeasibleQPError, SafeSetSpec,
-                     TumorSpec, safety_filter, selected_barrier_values)
+from .safety import (DepthShell, InfeasibleQPError, SafeSetSpec, TumorSpec, safety_filter,
+                     selected_barrier_values)
 from .scenario import JOINT_BOX
 
 
@@ -284,21 +284,20 @@ def check_barrier_gradients_fd():
     samples, rng = 200, np.random.default_rng(2)
     step = 1e-6
     worst = 0.0
-    keep_out, depth = FilterParams(), FilterParams(mode="keep_out_and_depth")
     for _ in range(samples):
         center = rng.uniform(-20.0, 40.0, 3)
         tumor = TumorSpec(center, float(rng.uniform(1.0, 8.0)))
         shell = DepthShell(center, float(rng.uniform(2.0, 12.0)))
         x = center + rng.uniform(0.5, 15.0) * _unit(rng)
-        for safe_set, params in ((SafeSetSpec([tumor], []), keep_out),
-                                 (SafeSetSpec([], [shell]), depth)):
-            [(_, _, g)] = selected_barrier_values(x, safe_set, params)
+        for safe_set in (SafeSetSpec([tumor], []), SafeSetSpec([], [shell])):
+            _, [g] = selected_barrier_values(x, safe_set, 1)
             worst = max(worst, abs(float(np.linalg.norm(g)) - 1.0))
             for j in range(3):
                 plus, minus = x.copy(), x.copy()
                 plus[j] += step
                 minus[j] -= step
-                fd = (safe_set.values(plus)[0][0] - safe_set.values(minus)[0][0]) / (2 * step)
+                fd = (selected_barrier_values(plus, safe_set, 0)[0][0]
+                      - selected_barrier_values(minus, safe_set, 0)[0][0]) / (2 * step)
                 worst = max(worst, abs(fd - float(g[j])))
     return worst <= 1e-6, f"{samples} samples, worst deviation {worst:.2e} (tol 1e-6)"
 

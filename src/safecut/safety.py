@@ -129,11 +129,11 @@ class SafeSetSpec:
                     raise ValueError(f"shell.{j}: depth shell holds the centre of tumor.{i} "
                                      "but not its whole keep-out sphere")
 
-    def values(self, x):
-        """(h, radial): every barrier value at x in table order, the order the log
-        keeps, and per barrier the (distance, offset) pair its normal is built from."""
-        radial = [_radial(x, c) for c in self.centers]
-        return [s * (dist - r) for (dist, _), r, s in zip(radial, self.radii, self.signs)], radial
+    def row_count(self, params: FilterParams) -> int:
+        """How many barriers, from the table's start, are filter rows under params:
+        the tumors, all in keep_out_and_depth mode, none when disabled."""
+        count = len(self.names) if params.mode == "keep_out_and_depth" else len(self.tumors)
+        return count if params.enabled else 0
 
 
 def _finite_point(p, what: str) -> np.ndarray:
@@ -143,33 +143,26 @@ def _finite_point(p, what: str) -> np.ndarray:
     return p
 
 
-def _radial(x, center):
-    """Distance ||x - center|| and the offset x - center, in floats."""
-    cx, cy, cz = center
-    dx, dy, dz = x[0] - cx, x[1] - cy, x[2] - cz
-    return math.sqrt(dx * dx + dy * dy + dz * dz), (dx, dy, dz)
+def selected_barrier_values(x, spec: SafeSetSpec, rows: int):
+    """(h, normals): the one evaluation of the barrier table at x, in floats.
 
-
-def selected_barrier_values(x, spec: SafeSetSpec, params: FilterParams,
-                            values=None) -> list:
-    """Every barrier of params.mode at x, as (index, h, normal) in table order.
-
-    The tumors, then in keep_out_and_depth mode the shells.  values is
-    spec.values(x) when the caller already holds it.  Raises
-    DegeneratePointError, naming the barrier, at a distance below CENTRE_TOL
-    from its centre.
+    h holds every barrier value in table order, the order the log keeps;
+    normals the unit normals of the first rows barriers, the filter's rows
+    (spec.row_count).  Raises DegeneratePointError, naming the barrier, when
+    x lies within CENTRE_TOL of a row's centre.
     """
-    h, radial = spec.values(x) if values is None else values
-    count = len(h) if params.mode == "keep_out_and_depth" else len(spec.tumors)
-    selected = []
-    for b in range(count):
-        dist, (dx, dy, dz) = radial[b]
-        if dist < CENTRE_TOL:
-            raise DegeneratePointError(
-                f"{spec.names[b]}: barrier gradient undefined at the sphere centre")
-        s = spec.signs[b]
-        selected.append((b, h[b], (s * dx / dist, s * dy / dist, s * dz / dist)))
-    return selected
+    x0, x1, x2 = x
+    h, normals = [], []
+    for b, ((cx, cy, cz), r, s) in enumerate(zip(spec.centers, spec.radii, spec.signs)):
+        dx, dy, dz = x0 - cx, x1 - cy, x2 - cz
+        dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+        h.append(s * (dist - r))
+        if b < rows:
+            if dist < CENTRE_TOL:
+                raise DegeneratePointError(
+                    f"{spec.names[b]}: barrier gradient undefined at the sphere centre")
+            normals.append((s * dx / dist, s * dy / dist, s * dz / dist))
+    return h, normals
 
 
 def safety_filter(v_d, rows) -> np.ndarray:
@@ -192,33 +185,35 @@ def filter_rows(v_d, normals, offsets):
     projected inline; larger ones solve N_A w = b_A - N_A v_d in floats
     (_vertex_step), never the normal equations, which square its condition.
     """
-    active = _active_rows(normals, offsets, v_d, 0.0)
+    vx, vy, vz = v_d
+    active = _active_rows(normals, offsets, vx, vy, vz, 0.0)
     if active is not None:
         return v_d, active
 
     # tolerances scale with the candidate so ill-conditioned rows (nearly
     # parallel normals, distant optima) stay decidable
-    for n, offset in zip(normals, offsets):
-        g = _dot(n, n)
+    for (nx, ny, nz), offset in zip(normals, offsets):
+        g = nx * nx + ny * ny + nz * nz
         if g == 0.0:
             continue
-        resid = offset - _dot(n, v_d)
+        resid = offset - (nx * vx + ny * vy + nz * vz)
         mu = resid / g
         if not math.isfinite(mu) or abs(g * mu - resid) > 1e-7 * max(1.0, abs(resid)):
             continue
         if mu < -_DUAL_TOL * max(1.0, abs(mu)):
             continue
-        v = [v_d[0] + n[0] * mu, v_d[1] + n[1] * mu, v_d[2] + n[2] * mu]
-        active = _active_rows(normals, offsets, v, _FEAS_TOL * max(1.0, math.sqrt(_dot(v, v))))
+        sx, sy, sz = vx + nx * mu, vy + ny * mu, vz + nz * mu
+        active = _active_rows(normals, offsets, sx, sy, sz,
+                              _FEAS_TOL * max(1.0, math.sqrt(sx * sx + sy * sy + sz * sz)))
         if active is not None:
-            return v, active
+            return [sx, sy, sz], active
 
     k = len(offsets)
     for size in (2, 3):
         for subset in combinations(range(k), size):
             v = _vertex_step(v_d, [normals[i] for i in subset], [offsets[i] for i in subset])
             if v:
-                active = _active_rows(normals, offsets, v,
+                active = _active_rows(normals, offsets, *v,
                                       _FEAS_TOL * max(1.0, math.sqrt(_dot(v, v))))
                 if active is not None:
                     return v, active
@@ -259,11 +254,11 @@ def _cross(a, b) -> tuple:
     return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
 
 
-def _active_rows(normals, offsets, v, slack: float):
+def _active_rows(normals, offsets, vx: float, vy: float, vz: float, slack: float):
     """Rows with |n . v - offset| <= 1e-6, or None unless n . v >= offset - slack on every row."""
     active = 0
-    for n, offset in zip(normals, offsets):
-        d = _dot(n, v)
+    for (nx, ny, nz), offset in zip(normals, offsets):
+        d = nx * vx + ny * vy + nz * vz
         if not d >= offset - slack:
             return None
         active += abs(d - offset) <= 1e-6

@@ -31,7 +31,8 @@ import numpy as np
 from .control import ControllerParams, DisturbanceSpec
 from .dynamics import DynamicParams
 from .kinematics import JointConfig, KinematicParams, forward_kinematics
-from .safety import CENTRE_TOL, DepthShell, FilterParams, SafeSetSpec, TumorSpec
+from .safety import (CENTRE_TOL, DepthShell, FilterParams, SafeSetSpec, TumorSpec,
+                     selected_barrier_values)
 
 _UNSAFE_DEPTH = 1.5          # mm inside the keep-out sphere
 _MARKING_COUNT = 8
@@ -94,16 +95,6 @@ class ReferenceTrajectory:
     @property
     def duration(self) -> float:
         return float(self.t[-1])
-
-    def sample(self, k: int):
-        """Reference position and feedforward velocity at grid step k, as floats.
-
-        Past the end the position clamps to the final point and the
-        feedforward vanishes, leaving pure proportional pull.
-        """
-        if k >= len(self.t):
-            return self.pos[-1].tolist(), (0.0, 0.0, 0.0)
-        return self.pos[k].tolist(), self.vel[k].tolist()
 
 
 def generate_marking_points(tumor: TumorSpec, count: int, plane_normal) -> MarkingSet:
@@ -258,13 +249,15 @@ class ScenarioSpec:
                 raise ValueError(f"initial.{name} = {v!r} outside the workspace box "
                                  f"[{low:g}, {high:g}]")
         safe_set, nt = self.safe_set, len(self.tumors)
-        h, radial = safe_set.values(forward_kinematics(self.initial_q, self.kinematics))
+        h, _ = selected_barrier_values(forward_kinematics(self.initial_q, self.kinematics),
+                                       safe_set, 0)
         placed = "the initial tip placed by initial.d1, initial.theta2, initial.theta3"
         for i, hi in enumerate(h[:nt]):
             if hi < 0.0:
                 raise ValueError(f"tumor.{i}: keep-out sphere holds {placed}")
-        for j, (dist, _) in enumerate(radial[nt:]):
-            if dist < CENTRE_TOL:
+        # a shell's h is its radius less the tip's distance from its centre
+        for j, (r, hj) in enumerate(zip(safe_set.radii[nt:], h[nt:])):
+            if r - hj < CENTRE_TOL:
                 raise ValueError(f"shell.{j}: centre is within {CENTRE_TOL:g} mm of {placed}")
         if not self.tumors:
             return
@@ -272,7 +265,7 @@ class ScenarioSpec:
             if not 0 <= ms.tumor_index < nt:
                 raise ValueError(f"marking.{i}.tumor = {ms.tumor_index} names no tumor")
             for k, (p, bad) in enumerate(zip(ms.points, ms.unsafe)):
-                h = safe_set.values(p)[0][:nt]
+                h = selected_barrier_values(p, safe_set, 0)[0][:nt]
                 if bad:
                     if min(h) >= 0.0:
                         raise ValueError(f"marking.{i} point {k} is flagged unsafe but "

@@ -16,8 +16,9 @@ the velocity triplet (desired, safe, actual).
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
-from itertools import islice
+from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -63,7 +64,7 @@ _COLUMNS = {
     "d": ("d_d1_gmm_s2", "d_th2_gmm2_s2", "d_th3_gmm2_s2"),
     "edot": ("edot_d1_mm_s", "edot_th2_rad_s", "edot_th3_rad_s"),
 }
-_BLOCK_ROWS = 1024   # rows held as Python objects at a time by _write_rows and read_csv
+_BLOCK_ROWS = 1024   # rows held as Python objects at a time by _reference_rows and _write_rows
 _CIRCLE_POINTS = 256    # samples per boundary circle in the path data file
 
 
@@ -119,32 +120,42 @@ class SafetyReport:
     deviation_integral: float
 
 
-def desired_velocity(x, k: int, ref: ReferenceTrajectory, kp_gain: float):
-    """Feedforward plus proportional pull toward reference sample k, as floats."""
-    (px, py, pz), (vx, vy, vz) = ref.sample(k)
-    return (vx + kp_gain * (px - x[0]), vy + kp_gain * (py - x[1]), vz + kp_gain * (pz - x[2]))
+def desired_velocity(x, p, v, kp_gain: float):
+    """Feedforward v plus proportional pull from x toward the reference position p, as floats."""
+    return (v[0] + kp_gain * (p[0] - x[0]), v[1] + kp_gain * (p[1] - x[1]),
+            v[2] + kp_gain * (p[2] - x[2]))
+
+
+def _reference_rows(ref: ReferenceTrajectory):
+    """(position, feedforward velocity) float rows, step by step, read a block at a time;
+    past its end the reference holds its final point with no feedforward."""
+    for start in range(0, len(ref.t), _BLOCK_ROWS):
+        block = slice(start, start + _BLOCK_ROWS)
+        yield from zip(ref.pos[block].tolist(), ref.vel[block].tolist())
+    yield from repeat((ref.pos[-1].tolist(), (0.0, 0.0, 0.0)))
 
 
 def run(spec: ScenarioSpec) -> TrajectoryLog:
     """Simulate the scenario over its full duration at fixed dt.
 
-    One control step samples the reference by step index and evaluates the
-    kinematics (tip position and Jacobian), the barrier values and the filter
-    (safe velocity and active-row count) once, in plain floats; the controller
-    reuses the step's Jacobian, and each step is written to the log as one
-    row.  Raises PlantDivergedError when the joint state stops being finite.
+    One control step reads its reference row and evaluates the kinematics
+    (tip position and Jacobian), the barrier table (every h, the rows' normals)
+    and the filter (safe velocity, active-row count) once, in plain floats; the
+    controller reuses the step's Jacobian, and the step is one row of the log.
+    Raises PlantDivergedError when the joint state stops being finite.
     """
     ref = spec.reference()
     dt = spec.dt
     n = int(round(spec.run_duration(ref) / dt)) + 1
     safe_set = spec.safe_set
     fp, cp, kin, dyn = spec.filter, spec.controller, spec.kinematics, spec.dynamics
+    alpha, rows, kp_gain = fp.alpha, safe_set.row_count(fp), spec.kp_gain
     log = TrajectoryLog(np.zeros((n, len(_csv_columns(safe_set.names)))), safe_set.names)
 
     q, qdot = spec.initial_q, spec.initial_qdot
     gate_engaged = not (fp.enabled and fp.activation_gate)
 
-    for k in range(n):
+    for k, (p_ref, v_ref) in zip(range(n), _reference_rows(ref)):
         t = k * dt
         x, J = tip_kinematics(*q, kin)
         (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J
@@ -152,24 +163,21 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
         xdot = (j00 * v1 + j01 * v2 + j02 * v3,
                 j10 * v1 + j11 * v2 + j12 * v3,
                 j20 * v1 + j21 * v2 + j22 * v3)
-        v_d = desired_velocity(x, k, ref, spec.kp_gain)
-        values = safe_set.values(x)
+        v_d = desired_velocity(x, p_ref, v_ref, kp_gain)
+        h, normals = safety.selected_barrier_values(x, safe_set, rows)
 
         v_s, active, gated = v_d, 0, 0
-        if fp.enabled:
-            selected = safety.selected_barrier_values(x, safe_set, fp, values)
-            if not gate_engaged and all(h >= 0.0 for _, h, _ in selected):
-                gate_engaged = True
-            if gate_engaged and selected:
-                v_s, active = safety.filter_rows(
-                    v_d, [nrm for *_, nrm in selected], [-fp.alpha * h for _, h, _ in selected])
-                gated = 1
+        if not gate_engaged and all(hb >= 0.0 for hb in h[:rows]):
+            gate_engaged = True
+        if gate_engaged and rows:
+            v_s, active = safety.filter_rows(v_d, normals, [-alpha * hb for hb in h[:rows]])
+            gated = 1
 
         edot = ctl.velocity_error(J, xdot, v_s, cp)
         u = ctl.control_law(edot, cp)
         d = ctl.disturbance(t, spec.disturbance)
         # one row in _csv_columns order
-        log.data[k] = (t, *q, *qdot, *x, *xdot, *v_d, *v_s, *u, *d, *edot, *values[0],
+        log.data[k] = (t, *q, *qdot, *x, *xdot, *v_d, *v_s, *u, *d, *edot, *h,
                        active, gated)
 
         if k + 1 < n:
@@ -289,14 +297,14 @@ def read_csv(path) -> TrajectoryLog:
         names = [c[2:-3] for c in header if c.startswith("h_") and c.endswith("_mm")]
         if _csv_columns(names) != header:
             raise ValueError("unexpected column layout")
-        blocks = [np.zeros((0, len(header)))]
-        while lines := list(islice(f, _BLOCK_ROWS)):
-            # a row of the wrong length makes the block ragged, and np.array refuses it
-            block = np.array([line.split(",") for line in lines if line.strip()], float)
-            if block.size and block.shape[1] != len(header):
-                raise ValueError(f"rows of {block.shape[1]} fields under {len(header)} columns")
-            blocks.append(block.reshape(-1, len(header)))
-    return TrajectoryLog(np.concatenate(blocks), names)
+        with warnings.catch_warnings():
+            # a header-only file is an empty log, which numpy warns about
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            data = np.loadtxt(f, delimiter=",", ndmin=2, comments=None)
+    # loadtxt refuses a ragged body; this refuses rows that are all too short or long
+    if data.size and data.shape[1] != len(header):
+        raise ValueError(f"rows of {data.shape[1]} fields under {len(header)} columns")
+    return TrajectoryLog(data.reshape(-1, len(header)), names)
 
 
 # ---------------------------------------------------------------------------

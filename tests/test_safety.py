@@ -14,26 +14,31 @@ TUMOR = TumorSpec(center=(0.0, 6.0, 30.0), margin=4.0)
 SHELL = DepthShell(center=(0.0, 6.0, 30.0), outer_radius=7.0)
 
 
+def _rows(x, spec: SafeSetSpec, params: FilterParams):
+    """(names, h, normals) of the filter rows params takes from spec at x."""
+    h, normals = selected_barrier_values(x, spec, spec.row_count(params))
+    return spec.names[:len(normals)], h[:len(normals)], normals
+
+
 def _tumor_h(x):
     """The barrier value of TUMOR alone at x."""
-    return SafeSetSpec([TUMOR], []).values(x)[0][0]
+    return selected_barrier_values(x, SafeSetSpec([TUMOR], []), 0)[0][0]
 
 
 def _shell_h(x):
     """The barrier value of SHELL alone at x."""
-    return SafeSetSpec([], [SHELL]).values(x)[0][0]
+    return selected_barrier_values(x, SafeSetSpec([], [SHELL]), 0)[0][0]
 
 
 def _tumor_normal(x):
     """The filter's row normal of TUMOR alone at x."""
-    [(_, _, normal)] = selected_barrier_values(x, SafeSetSpec([TUMOR], []), FilterParams())
+    _, _, [normal] = _rows(x, SafeSetSpec([TUMOR], []), FilterParams())
     return np.array(normal)
 
 
 def _shell_normal(x):
     """The filter's row normal of SHELL alone at x."""
-    [(_, _, normal)] = selected_barrier_values(
-        x, SafeSetSpec([], [SHELL]), FilterParams(mode="keep_out_and_depth"))
+    _, _, [normal] = _rows(x, SafeSetSpec([], [SHELL]), FilterParams(mode="keep_out_and_depth"))
     return np.array(normal)
 
 
@@ -93,9 +98,17 @@ def test_spec_validation():
 
 def test_keep_out_only_ignores_shells():
     spec = SafeSetSpec(tumors=[TUMOR], shells=[SHELL])
-    sel = selected_barrier_values(np.array([0.0, 0.0, 30.0]), spec,
-                                  FilterParams(mode="keep_out_only"))
-    assert [spec.names[b] for b, _, _ in sel] == ["tumor0"]
+    names, _, _ = _rows(np.array([0.0, 0.0, 30.0]), spec, FilterParams(mode="keep_out_only"))
+    assert names == ["tumor0"]
+
+
+def test_disabled_filter_takes_no_rows_and_needs_no_normal():
+    # h is still every barrier value, even at a centre, where no normal exists
+    spec = SafeSetSpec(tumors=[TUMOR], shells=[SHELL])
+    for mode in ("keep_out_only", "keep_out_and_depth"):
+        assert spec.row_count(FilterParams(mode=mode, enabled=False)) == 0
+    h, normals = selected_barrier_values(np.asarray(TUMOR.center), spec, 0)
+    assert h == [-4.0, 7.0] and normals == []
 
 
 def test_depth_mode_emits_the_farther_barrier_too():
@@ -104,26 +117,24 @@ def test_depth_mode_emits_the_farther_barrier_too():
     spec = SafeSetSpec(tumors=[TUMOR], shells=[SHELL])
     params = FilterParams(mode="keep_out_and_depth")
     for x, h in (((0.0, 1.5, 30.0), [0.5, 2.5]), ((0.0, 12.5, 30.0), [2.5, 0.5])):
-        sel = selected_barrier_values(np.array(x), spec, params)
-        assert [spec.names[b] for b, _, _ in sel] == ["tumor0", "shell0"]
-        assert [hb for _, hb, _ in sel] == pytest.approx(h)
+        names, hs, _ = _rows(np.array(x), spec, params)
+        assert names == ["tumor0", "shell0"]
+        assert hs == pytest.approx(h)
 
 
 def test_pair_tie_emits_both_rows():
     # midway: ||x - c|| = (margin + radius)/2 = 5.5 so h_in = h_out = 1.5
     spec = SafeSetSpec(tumors=[TUMOR], shells=[SHELL])
     x = np.asarray(TUMOR.center) + np.array([0.0, 5.5, 0.0])
-    sel = selected_barrier_values(x, spec, FilterParams(mode="keep_out_and_depth"))
-    kinds = sorted(spec.names[b] for b, _, _ in sel)
-    assert kinds == ["shell0", "tumor0"]
-    assert all(abs(h - 1.5) < 1e-12 for _, h, _ in sel)
+    names, hs, _ = _rows(x, spec, FilterParams(mode="keep_out_and_depth"))
+    assert sorted(names) == ["shell0", "tumor0"]
+    assert all(abs(h - 1.5) < 1e-12 for h in hs)
 
 
 def test_unpaired_shell_always_selected():
     spec = SafeSetSpec(tumors=[], shells=[SHELL])
-    sel = selected_barrier_values(np.array([0.0, 0.0, 30.0]), spec,
-                                  FilterParams(mode="keep_out_and_depth"))
-    assert [spec.names[b] for b, _, _ in sel] == ["shell0"]
+    names, _, _ = _rows(np.array([0.0, 0.0, 30.0]), spec, FilterParams(mode="keep_out_and_depth"))
+    assert names == ["shell0"]
 
 
 def test_depth_mode_rows_follow_table_order():
@@ -132,16 +143,15 @@ def test_depth_mode_rows_follow_table_order():
     far = TumorSpec(center=(100.0, 0.0, 0.0), margin=4.0)
     spec = SafeSetSpec(tumors=[far, TUMOR], shells=[SHELL])
     params = FilterParams(mode="keep_out_and_depth")
-    sel = selected_barrier_values(np.array([0.0, 12.5, 30.0]), spec, params)
-    assert [spec.names[b] for b, _, _ in sel] == ["tumor0", "tumor1", "shell0"]
+    names, _, _ = _rows(np.array([0.0, 12.5, 30.0]), spec, params)
+    assert names == ["tumor0", "tumor1", "shell0"]
 
 
 def test_tumor_paired_with_two_shells_is_one_row():
     # near a tumor inside two shells the tumor is one row, beside one per shell
     spec = SafeSetSpec(tumors=[TUMOR], shells=[SHELL, DepthShell((0.0, 6.0, 30.1), 9.0)])
-    sel = selected_barrier_values(np.array([0.0, 1.5, 30.0]), spec,
-                                  FilterParams(mode="keep_out_and_depth"))
-    assert [spec.names[b] for b, _, _ in sel] == ["tumor0", "shell0", "shell1"]
+    names, _, _ = _rows(np.array([0.0, 1.5, 30.0]), spec, FilterParams(mode="keep_out_and_depth"))
+    assert names == ["tumor0", "shell0", "shell1"]
 
 
 @pytest.mark.parametrize("shell, refused", [
@@ -185,7 +195,7 @@ def _random_safe_set(rng, spread: float, tip=None) -> SafeSetSpec:
             spec = SafeSetSpec(tumors, shells)
         except ValueError:      # a shell holds a tumor's centre but not its sphere
             continue
-        if spec.centers and (tip is None or min(spec.values(tip)[0]) >= 0.0):
+        if spec.centers and (tip is None or min(selected_barrier_values(tip, spec, 0)[0]) >= 0.0):
             return spec
 
 
@@ -197,12 +207,12 @@ def test_selection_follows_documented_rule(mode):
         spec = _random_safe_set(rng, 15.0)
         center = np.array(spec.centers[rng.integers(len(spec.centers))])
         x = center + rng.uniform(0.5, 15.0) * _unit(rng)
-        h = spec.values(x)[0]
-        sel = selected_barrier_values(x, spec, params)
+        h, _ = selected_barrier_values(x, spec, 0)
+        names, hs, normals = _rows(x, spec, params)
         # the rule as documented: every barrier of the mode, in table order
-        assert [spec.names[b] for b, _, _ in sel] == \
+        assert names == \
             [name for name in spec.names if mode == "keep_out_and_depth" or "tumor" in name]
-        for b, hb, normal in sel:
+        for b, (hb, normal) in enumerate(zip(hs, normals)):
             offset = x - np.array(spec.centers[b])
             assert hb == h[b]
             np.testing.assert_allclose(normal, spec.signs[b] * offset / np.linalg.norm(offset),
@@ -220,12 +230,12 @@ def test_all_rows_feasible_inside_safe_set():
         spec = _random_safe_set(rng, 10.0, tip)
         alpha = float(rng.uniform(0.05, 5.0))
         v_d = (rng.normal(0.0, 1.0, 3) * 10.0 ** rng.uniform(-2.0, 2.0)).tolist()
-        sel = selected_barrier_values(tip, spec, params)
-        v_s, _ = filter_rows(v_d, [n for *_, n in sel], [-alpha * h for _, h, _ in sel])
+        _, hs, normals = _rows(tip, spec, params)
+        v_s, _ = filter_rows(v_d, normals, [-alpha * h for h in hs])
         tol = 1e-9 * max(1.0, float(np.linalg.norm(v_s)))
-        for _, h, normal in sel:
+        for h, normal in zip(hs, normals):
             assert np.dot(normal, v_s) >= -alpha * h - tol
-        most_rows = max(most_rows, len(sel))
+        most_rows = max(most_rows, len(normals))
     assert most_rows == 6
 
 
@@ -233,7 +243,7 @@ def test_assemble_offsets_scale_with_alpha():
     # the row offset -alpha * h caps the approach speed along the normal at alpha * h
     spec = SafeSetSpec(tumors=[TUMOR], shells=[])
     x = np.array([0.0, 0.0, 30.0])
-    [(_, h, normal)] = selected_barrier_values(x, spec, FilterParams())
+    _, [h], [normal] = _rows(x, spec, FilterParams())
     assert h == pytest.approx(2.0)
     v_d = (0.0, 10.0, 0.0)   # straight at the tumor
     speeds = []

@@ -13,7 +13,7 @@ import pytest
 from safecut import scenario
 from safecut.checks import mass_matrix
 from safecut.kinematics import JointConfig, KinematicParams, forward_kinematics
-from safecut.safety import DepthShell, SafeSetSpec, TumorSpec
+from safecut.safety import DepthShell, SafeSetSpec, TumorSpec, selected_barrier_values
 from safecut.scenario import (SCENARIO_IDS, MarkingSet, ScenarioSpec,
                               build_reference, generate_marking_points,
                               inject_unsafe_points, load_scenario, parse_config,
@@ -63,7 +63,8 @@ def test_inject_unsafe_points_radial():
     ms = generate_marking_points(TUMOR, 8, (0, 0, 1))
     out = inject_unsafe_points(ms, [(2, TUMOR, 1.5)])
     assert out.unsafe[2] and out.unsafe.sum() == 1
-    assert SafeSetSpec([TUMOR], []).values(out.points[2])[0][0] == pytest.approx(-1.5)
+    h, _ = selected_barrier_values(out.points[2], SafeSetSpec([TUMOR], []), 0)
+    assert h[0] == pytest.approx(-1.5)
     # untouched points and the original set stay as they were
     np.testing.assert_array_equal(out.points[3], ms.points[3])
     assert not ms.unsafe.any()
@@ -105,21 +106,6 @@ def test_reference_closes_each_loop():
     assert ref.duration * 2.0 == pytest.approx(approach + loop, abs=2e-3 * 2.0)
 
 
-def test_reference_sample_clamps_past_end():
-    ms = generate_marking_points(TUMOR, 4, (0, 0, 1))
-    ref = build_reference([ms], speed=2.0, dt=1e-3, approach_from=(0.0, 0.0, 43.0))
-    last = len(ref.t) - 1
-    pos, vel = ref.sample(last + 5000)
-    np.testing.assert_array_equal(pos, ref.pos[-1])
-    np.testing.assert_array_equal(vel, np.zeros(3))
-    pos, vel = ref.sample(last)
-    np.testing.assert_array_equal(vel, ref.vel[-1])
-    assert np.any(ref.vel[-1] != 0.0)
-    pos0, vel0 = ref.sample(0)
-    np.testing.assert_array_equal(pos0, ref.pos[0])
-    assert np.linalg.norm(vel0) == pytest.approx(2.0)
-
-
 def test_catalog_ids_and_geometry():
     for sid in SCENARIO_IDS:
         spec = scenario_catalog(sid)
@@ -154,7 +140,7 @@ def test_validate_rejects_bad_geometry():
     theta3 = math.asin(-6.0 / 17.0)
     d1 = 30.0 - 3.0 - (10.0 + 17.0 * math.cos(theta3))
     tip = forward_kinematics(JointConfig(d1, 0.0, theta3), spec.kinematics)
-    assert spec.safe_set.values(tip)[0][0] < 0.0
+    assert selected_barrier_values(tip, spec.safe_set, 0)[0][0] < 0.0
     # construction is the gate: each replace below raises before a spec exists
     with pytest.raises(ValueError, match="tumor.0: keep-out sphere holds the initial tip placed "
                                          "by initial.d1, initial.theta2, initial.theta3"):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from safecut import safety, sim
 from safecut.control import ControllerParams, DisturbanceSpec
 from safecut.dynamics import DynamicParams, SingularMassError
 from safecut.kinematics import JointConfig, forward_kinematics
-from safecut.safety import DepthShell, FilterParams, TumorSpec
+from safecut.safety import DepthShell, FilterParams, SafeSetSpec, TumorSpec
 from safecut.scenario import (MarkingSet, ScenarioSpec, build_reference,
                               generate_marking_points, scenario_catalog)
 
@@ -69,9 +70,23 @@ def test_desired_velocity_formula():
     ms = generate_marking_points(TUMOR, 3, (0, 0, 1))
     ref = build_reference([ms], 2.0, 1e-3, (0.0, 0.0, 43.0))
     x = np.array([1.0, -2.0, 40.0])
-    v = sim.desired_velocity(x, 0, ref, kp_gain=5.0)
-    p0, v0 = ref.sample(0)
-    np.testing.assert_allclose(v, np.add(v0, 5.0 * (p0 - x)), atol=1e-12)
+    p0, v0 = ref.pos[0], ref.vel[0]
+    v = sim.desired_velocity(x, p0.tolist(), v0.tolist(), kp_gain=5.0)
+    np.testing.assert_allclose(v, v0 + 5.0 * (p0 - x), atol=1e-12)
+
+
+def test_reference_rows_clamp_past_end():
+    ms = generate_marking_points(TUMOR, 4, (0, 0, 1))
+    ref = build_reference([ms], speed=2.0, dt=1e-3, approach_from=(0.0, 0.0, 43.0))
+    m = len(ref.t)
+    assert m > 2 * sim._BLOCK_ROWS     # rows come from several blocks
+    rows = list(islice(sim._reference_rows(ref), m + 5000))
+    np.testing.assert_array_equal([p for p, _ in rows[:m]], ref.pos)
+    np.testing.assert_array_equal([v for _, v in rows[:m]], ref.vel)
+    assert np.any(ref.vel[-1] != 0.0)
+    # past the end: the final point, no feedforward
+    np.testing.assert_array_equal([p for p, _ in rows[m:]], np.tile(ref.pos[-1], (5000, 1)))
+    np.testing.assert_array_equal([v for _, v in rows[m:]], np.zeros((5000, 3)))
 
 
 def test_logged_desired_velocity_matches_reference_rows():
@@ -230,6 +245,47 @@ def test_disabled_filter_never_gates():
     np.testing.assert_array_equal(log.xdot_safe, log.xdot_des)
 
 
+@pytest.mark.parametrize("enabled", [True, False])
+def test_one_reference_per_run_and_one_barrier_evaluation_per_step(monkeypatch, enabled):
+    spec = _small_spec(filter=FilterParams(alpha=0.4, enabled=enabled), duration=0.5)
+    calls = {"reference": 0, "barriers": 0}
+    reference, evaluate = ScenarioSpec.reference, safety.selected_barrier_values
+
+    def counted_reference(self):
+        calls["reference"] += 1
+        return reference(self)
+
+    def counted_evaluate(*args):
+        calls["barriers"] += 1
+        return evaluate(*args)
+
+    monkeypatch.setattr(ScenarioSpec, "reference", counted_reference)
+    monkeypatch.setattr(safety, "selected_barrier_values", counted_evaluate)
+    log = sim.run(spec)
+    assert calls == {"reference": 1, "barriers": len(log)}
+
+
+@pytest.mark.parametrize("barrier", ["tumor0", "shell0"])
+def test_tip_on_a_barrier_centre_fails_only_a_filter_row(barrier):
+    # construction refuses a tip that starts on a centre, so the table is
+    # swapped in afterwards; the tumor's h < 0 keeps the gate disengaged
+    for enabled in (True, False):
+        spec = _small_spec(filter=FilterParams(mode="keep_out_and_depth", activation_gate=True,
+                                               enabled=enabled), duration=0.05)
+        tip = forward_kinematics(spec.initial_q, spec.kinematics)
+        if barrier == "tumor0":
+            spec.safe_set, h0 = SafeSetSpec([TumorSpec(tip, 4.0)], []), -4.0
+        else:
+            spec.safe_set, h0 = SafeSetSpec([], [DepthShell(tip, 7.0)]), 7.0
+        if enabled:
+            with pytest.raises(safety.DegeneratePointError,
+                               match=f"{barrier}: barrier gradient undefined"):
+                sim.run(spec)
+        else:
+            log = sim.run(spec)
+            assert log.h[0, 0] == h0 and not log.gate.any()
+
+
 def test_run_is_deterministic():
     spec_a = _small_spec(duration=1.0)
     spec_b = _small_spec(duration=1.0)
@@ -348,10 +404,11 @@ def test_logged_active_rows_match_row_builder():
         safe_set = spec.safe_set
         assert log.gate[0] == gated_from_start and log.gate[-1]
         recount = np.zeros(len(log), dtype=np.int64)
+        rows = safe_set.row_count(spec.filter)
         for k in np.nonzero(log.gate)[0]:
-            selected = safety.selected_barrier_values(log.x[k], safe_set, spec.filter)
-            N = np.array([normal for _, _, normal in selected])
-            b = -spec.filter.alpha * np.array([h for _, h, _ in selected])
+            h, normals = safety.selected_barrier_values(log.x[k], safe_set, rows)
+            N = np.array(normals)
+            b = -spec.filter.alpha * np.array(h[:rows])
             recount[k] = np.count_nonzero(np.abs(N @ log.xdot_safe[k] - b) <= 1e-6)
         assert recount.max() == most_active
         np.testing.assert_array_equal(log.active_rows, recount)
