@@ -146,38 +146,36 @@ def inject_unsafe_points(ms: MarkingSet, intrusions: list) -> MarkingSet:
     return MarkingSet(pts, flags, ms.tumor_index)
 
 
-def build_reference(markings: list, speed: float, dt: float, approach_from) -> ReferenceTrajectory:
-    """Approach segment plus each marking loop in order, closed and sampled.
+def reference_waypoints(markings: list, approach_from) -> tuple:
+    """The reference path as a polyline: (waypoints (m, 3), arcs (m,)) [mm].
 
-    The path starts at approach_from, runs to the first marking point, then
-    around every loop back to its first point, all at constant speed.
-    Velocity samples are the exact segment derivatives; a vertex sample takes
-    the outgoing direction.  ScenarioSpec ensures markings is non-empty and
-    speed and dt are positive.
+    The waypoints are approach_from, then each loop's points followed by that
+    loop's first point again; arcs[i] is the path length up to waypoint i.
     """
-    waypoints = [np.asarray(approach_from, dtype=float)]
-    for ms in markings:
-        for p in ms.points:
-            waypoints.append(p)
-        waypoints.append(ms.points[0])
-    pts = []
-    for w in waypoints:
-        if pts and float(np.linalg.norm(w - pts[-1])) < 1e-12:
-            continue
-        pts.append(w)
-    pts = np.array(pts)
-    seg = np.diff(pts, axis=0)
+    waypoints = np.concatenate([np.asarray(approach_from, dtype=float)[None]]
+                               + [np.vstack((ms.points, ms.points[:1])) for ms in markings])
+    seg_len = np.linalg.norm(np.diff(waypoints, axis=0), axis=1)
+    return waypoints, np.concatenate([[0.0], np.cumsum(seg_len)])
+
+
+def build_reference(markings: list, speed: float, dt: float, approach_from) -> ReferenceTrajectory:
+    """The path of reference_waypoints sampled at constant speed on the dt grid.
+
+    Segments under 1e-12 mm have no direction and are dropped.  Velocities are
+    the exact segment derivatives, the outgoing one at a vertex.  ScenarioSpec
+    ensures markings is non-empty and speed and dt are positive.
+    """
+    waypoints, arcs = reference_waypoints(markings, approach_from)
+    seg = np.diff(waypoints, axis=0)
     seg_len = np.linalg.norm(seg, axis=1)
-    seg_dir = seg / seg_len[:, None]
-    cum = np.concatenate([[0.0], np.cumsum(seg_len)])
-    total = float(cum[-1])
-    n = int(math.ceil(total / speed / dt - 1e-9))
-    t = np.arange(n + 1) * dt
+    kept = np.flatnonzero(seg_len >= 1e-12)
+    total = float(arcs[-1])
+    t = np.arange(int(math.ceil(total / speed / dt - 1e-9)) + 1) * dt
     s = np.minimum(t * speed, total)
-    idx = np.minimum(np.searchsorted(cum, s, side="right") - 1, len(seg_len) - 1)
-    pos = pts[idx] + (s - cum[idx])[:, None] * seg_dir[idx]
-    vel = seg_dir[idx] * speed
-    return ReferenceTrajectory(t, pos, vel)
+    idx = kept[np.maximum(np.searchsorted(arcs[kept], s, side="right") - 1, 0)]
+    direction = seg[idx] / seg_len[idx, None]
+    return ReferenceTrajectory(t, waypoints[idx] + (s - arcs[idx])[:, None] * direction,
+                               direction * speed)
 
 
 @dataclass

@@ -28,7 +28,7 @@ from . import control as ctl
 from . import safety
 from .dynamics import SingularMassError, rk4_step
 from .kinematics import tip_kinematics
-from .scenario import ReferenceTrajectory, ScenarioSpec
+from .scenario import ReferenceTrajectory, ScenarioSpec, reference_waypoints
 
 _CSV_VERSION = "# safecut-log v1"
 
@@ -109,7 +109,8 @@ class TrajectoryLog:
 @dataclass
 class SafetyReport:
     """Headline numbers of a run; enclosure_turns and radial_excess hold one
-    entry per marking loop (see _cut_measures), none without tumors."""
+    entry per marking loop (see _cut_measures), none without tumors.  If a
+    gate never engaged, every min_h is inf and first_violation_time None."""
 
     min_h: dict
     first_violation_time: Optional[float]
@@ -195,32 +196,35 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
     return log
 
 
+def _engage_step(log: TrajectoryLog) -> int:
+    """Index of the first step with the filter engaged, len(log) if it never was."""
+    return int(np.argmax(log.gate)) if log.gate.any() else len(log)
+
+
 def gate_engage_time(log: TrajectoryLog) -> Optional[float]:
     """Time of the first step with the filter engaged, None if it never was."""
-    idx = np.nonzero(log.gate)[0]
-    return float(log.t[idx[0]]) if idx.size else None
+    k = _engage_step(log)
+    return float(log.t[k]) if k < len(log) else None
 
 
 def _cut_measures(log: TrajectoryLog, spec: ScenarioSpec):
     """Per marking loop, the enclosure turns and the radial excess of the cut.
 
-    A loop's window is its stretch of reference time: from the reference
-    reaching its first point p0 (at |p0 - x0| / speed for the first loop, x0
-    the logged start) up to its closing the loop.  Turns is the angle the tip
-    sweeps about the loop's tumor centre c, in the best-fit plane of the
-    loop's points, over 2 pi: 0 for an empty window, nan if they span no
-    plane.  The excess ||x - c|| - margin [mm] is (p50, p95, max), nan if empty.
+    A loop's window is its stretch of reference time: arc / speed at the
+    waypoints of its first point and of its return there, the path starting
+    at the logged start x0.  Turns is the angle the tip sweeps about the
+    loop's tumor centre c, in the best-fit plane of the loop's points, over
+    2 pi: 0 for an empty window, nan if they span no plane.  The excess
+    ||x - c|| - margin [mm] is (p50, p95, max), nan if empty.
     """
     turns, excess = [], []
-    end, prev = 0.0, log.x[0]        # path length and point where the next loop begins
+    _, arcs = reference_waypoints(spec.markings, log.x[0])
+    first = 1                        # waypoint of the loop's first point
     for ms in spec.markings:
-        start = end + float(np.linalg.norm(ms.points[0] - prev))
-        end = start + float(np.linalg.norm(ms.points - np.roll(ms.points, 1, axis=0),
-                                           axis=1).sum())
-        prev = ms.points[0]
+        start, stop = np.searchsorted(log.t, arcs[[first, first + len(ms.points)]] / spec.speed)
+        first += len(ms.points) + 1
         tumor = spec.tumors[ms.tumor_index]
-        first, stop = np.searchsorted(log.t, (start / spec.speed, end / spec.speed))
-        r = log.x[first:stop] - tumor.center
+        r = log.x[start:stop] - tumor.center
         rel = ms.points - ms.points.mean(axis=0)
         _, _, (e1, e2, _) = np.linalg.svd(rel)
         if np.cross(e1, e2) @ np.cross(rel, np.roll(rel, -1, axis=0)).sum(axis=0) < 0.0:
@@ -237,19 +241,15 @@ def _cut_measures(log: TrajectoryLog, spec: ScenarioSpec):
 def summarize(log: TrajectoryLog, spec: ScenarioSpec) -> SafetyReport:
     """Condense a log into the report numbers.
 
-    With an activation gate the run legitimately starts outside the safe
-    set, so barrier statistics begin at the engagement step.
+    With an activation gate the run legitimately starts outside the safe set,
+    so barrier statistics begin at the engagement step, or cover no step.
     """
     if len(log) == 0:
         raise EmptyLogError("cannot summarize an empty log")
-    start = 0
-    if log.h.size and spec.filter.enabled and spec.filter.activation_gate:
-        idx = np.nonzero(log.gate)[0]
-        if idx.size:
-            start = int(idx[0])
+    start = _engage_step(log) if spec.filter.enabled and spec.filter.activation_gate else 0
     h = log.h[start:]
-    min_h = {name: float(h[:, i].min()) for i, name in enumerate(log.barrier_names)}
-    viol = np.nonzero((h < 0.0).any(axis=1))[0] if h.size else np.array([])
+    min_h = dict(zip(log.barrier_names, h.min(axis=0, initial=math.inf).tolist()))
+    viol = np.flatnonzero((h < 0.0).any(axis=1))
     first_violation = float(log.t[start + viol[0]]) if viol.size else None
     tracking = np.linalg.norm(log.xdot - log.xdot_safe, axis=1)
     try:
@@ -320,15 +320,16 @@ def _circle_samples(center, radius) -> np.ndarray:
 def export_plot_data(log: TrajectoryLog, spec: ScenarioSpec, out_dir) -> list:
     """Write scenario<id>_{path,barrier,velocity}.dat under out_dir.
 
-    path: actual and reference trajectories, marking points with their
-    unsafe flag, and boundary circles (cutting margins and depth shells)
-    sampled in the marking plane.  barrier: every barrier value over time.
+    path: actual trajectory, reference waypoints from the logged start with
+    the time the reference reaches each, marking points with their unsafe
+    flag, and boundary circles (cutting margins and depth shells) sampled in
+    the marking plane.  barrier: every barrier value over time.
     velocity: desired, safe and actual tip velocity components.
     """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sid = spec.scenario_id
-    ref = spec.reference()
+    waypoints, arcs = reference_waypoints(spec.markings, log.x[0])
     paths = [out / f"scenario{sid}_{kind}.dat" for kind in ("path", "barrier", "velocity")]
 
     with open(paths[0], "w") as f:
@@ -336,7 +337,7 @@ def export_plot_data(log: TrajectoryLog, spec: ScenarioSpec, out_dir) -> list:
         f.write("# section: actual  columns: t_s x_mm y_mm z_mm\n")
         _write_rows(f, "%.6f %.6f %.6f %.6f\n", np.column_stack((log.t, log.x)))
         f.write("\n# section: reference  columns: t_s x_mm y_mm z_mm\n")
-        _write_rows(f, "%.6f %.6f %.6f %.6f\n", np.column_stack((ref.t, ref.pos)))
+        _write_rows(f, "%r %r %r %r\n", np.column_stack((arcs / spec.speed, waypoints)))
         f.write("\n# section: markings  columns: loop point x_mm y_mm z_mm unsafe\n")
         for i, ms in enumerate(spec.markings):
             _write_rows(f, f"{i} %d %.6f %.6f %.6f %d\n",

@@ -10,7 +10,7 @@ import pytest
 from safecut.cli import main
 from safecut.control import DisturbanceSpec, disturbance
 from safecut.safety import SafeSetSpec
-from safecut.scenario import scenario_catalog
+from safecut.scenario import ScenarioSpec, scenario_catalog
 from safecut.sim import gate_engage_time, read_csv, run
 
 SHORT_CONFIG = "scenario_id = 1\nduration = 2.0\nspeed = 4.0\n"
@@ -131,6 +131,17 @@ def test_report_prints_gate_engage_time(tmp_path, capsys):
     assert f"  gate engaged [s]:            {tg:.3f}\n" in capsys.readouterr().out
 
 
+def test_gate_that_never_engages_is_no_breach(tmp_path, capsys):
+    # 0.5 s ends before scenario 4's tip enters the depth shell
+    cfg = tmp_path / "gated.cfg"
+    cfg.write_text("scenario_id = 4\nduration = 0.5\n")
+    assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                 "--emit", "report"]) == 0
+    report = capsys.readouterr().out
+    assert "  gate engaged [s]:            never\n" in report
+    assert "  first violation [s]:         none\n" in report
+
+
 def test_violation_exit_code(tmp_path):
     # a filtered run driven hard enough to dent the margin returns 1
     code = main(["run", "--scenario", "1", "--emit", "csv",
@@ -206,6 +217,15 @@ def test_one_barrier_table_per_spec(tmp_path, monkeypatch):
                  "--out", str(tmp_path / "config")]) == 0
     # one table for the catalog base the file overrides, one for the loaded spec
     assert len(builds) == 3
+
+
+def test_one_reference_per_run(tmp_path, monkeypatch):
+    builds = []
+    build = ScenarioSpec.reference
+    monkeypatch.setattr(ScenarioSpec, "reference", lambda self: builds.append(1) or build(self))
+    assert main(["run", "--scenario", "3", "--emit", "csv,plotdata,report",
+                 "--out", str(tmp_path)]) == 0
+    assert len(builds) == 1
 
 
 @pytest.mark.parametrize("scenario, override", [

@@ -106,6 +106,19 @@ def test_reference_closes_each_loop():
     assert ref.duration * 2.0 == pytest.approx(approach + loop, abs=2e-3 * 2.0)
 
 
+@pytest.mark.parametrize("offset", [0.0, 1e-13])
+def test_reference_drops_zero_length_segments(offset):
+    # an approach that starts on the loop's first point has no length
+    ms = generate_marking_points(TUMOR, 8, (0, 0, 1))
+    ref = build_reference([ms], speed=2.0, dt=1e-3,
+                          approach_from=ms.points[0] + [offset, 0.0, 0.0])
+    assert np.isfinite(ref.pos).all() and np.isfinite(ref.vel).all()
+    np.testing.assert_allclose(ref.pos[0], ms.points[0], atol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(ref.vel, axis=1), 2.0, atol=1e-9)
+    loop = 8 * float(np.linalg.norm(ms.points[1] - ms.points[0]))
+    assert ref.duration * 2.0 == pytest.approx(loop, abs=2e-3 * 2.0)
+
+
 def test_catalog_ids_and_geometry():
     for sid in SCENARIO_IDS:
         spec = scenario_catalog(sid)

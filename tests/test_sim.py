@@ -377,6 +377,42 @@ def test_export_plot_data_files(small_run, tmp_path):
     pts = np.array([[float(v) for v in line.split()[1:]] for line in boundary])
     radii = np.linalg.norm(pts - np.asarray(TUMOR.center), axis=1)
     np.testing.assert_allclose(radii, TUMOR.margin, atol=1e-9)
+    # the reference section holds the path's waypoints with their times: the
+    # start, each loop point and the loop's first point again.  Interpolated
+    # on the run's grid it is the reference the run followed.
+    assert len(_section(text, "reference")) == 5
+    for sid in (1, 2, 3, 4):
+        spec = replace(scenario_catalog(sid), duration=0.01)
+        sim.export_plot_data(sim.run(spec), spec, tmp_path)
+        rows = _section((tmp_path / f"scenario{sid}_path.dat").read_text(), "reference")
+        assert rows.shape == (10, 4)
+        ref = spec.reference()
+        interp = np.stack([np.interp(ref.t, rows[:, 0], rows[:, i]) for i in (1, 2, 3)],
+                          axis=1)
+        np.testing.assert_allclose(interp, ref.pos, rtol=0.0, atol=1e-9)
+
+
+def _section(text: str, name: str) -> np.ndarray:
+    """The rows of one section of a path data file."""
+    body = text.split(f"# section: {name} ", 1)[1].split("\n\n", 1)[0]
+    return np.array([[float(v) for v in line.split()] for line in body.splitlines()[1:]])
+
+
+def test_gate_that_never_engages_reports_no_barrier_statistics():
+    # the tip starts outside the depth shell and the run ends before it
+    # enters: no step is gated, so no barrier statistic and no violation
+    spec = _small_spec(
+        shells=[DepthShell(TUMOR.center, 7.0)],
+        filter=FilterParams(alpha=1.5, mode="keep_out_and_depth", activation_gate=True),
+        initial_q=JointConfig(6.7, 0.0, 0.0),
+        duration=0.2,
+    )
+    log = sim.run(spec)
+    assert sim.gate_engage_time(log) is None
+    assert float(log.h[:, 1].min()) < 0.0
+    report = sim.summarize(log, spec)
+    assert report.min_h == {"tumor0": math.inf, "shell0": math.inf}
+    assert report.first_violation_time is None
 
 
 def test_gate_aware_summary_excludes_approach():
