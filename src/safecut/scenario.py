@@ -37,6 +37,7 @@ from .safety import (CENTRE_TOL, DepthShell, FilterParams, SafeSetSpec, TumorSpe
 _UNSAFE_DEPTH = 1.5          # mm inside the keep-out sphere
 _MARKING_COUNT = 8
 _MARKING_PLANE = (0.0, 0.0, 1.0)
+_MIN_SEGMENT = 1e-12         # mm: a shorter reference segment has no direction
 
 # joint -> (low, high) in JointConfig order: validate's workspace box, not enforced by
 # the plant; the verify suites draw their joint configurations from it
@@ -82,19 +83,6 @@ class MarkingSet:
         self.unsafe = unsafe.astype(bool)
         if len(self.unsafe) != len(self.points):
             raise ValueError("unsafe flags must match point count")
-
-
-@dataclass
-class ReferenceTrajectory:
-    """Constant-speed piecewise-linear reference sampled on the control grid."""
-
-    t: np.ndarray
-    pos: np.ndarray
-    vel: np.ndarray
-
-    @property
-    def duration(self) -> float:
-        return float(self.t[-1])
 
 
 def generate_marking_points(tumor: TumorSpec, count: int, plane_normal) -> MarkingSet:
@@ -158,24 +146,35 @@ def reference_waypoints(markings: list, approach_from) -> tuple:
     return waypoints, np.concatenate([[0.0], np.cumsum(seg_len)])
 
 
-def build_reference(markings: list, speed: float, dt: float, approach_from) -> ReferenceTrajectory:
-    """The path of reference_waypoints sampled at constant speed on the dt grid.
+def reference_steps(total: float, speed: float, dt: float) -> int:
+    """The step at which a path of total [mm] at speed ends: total / speed in dt, rounded up."""
+    return math.ceil(total / speed / dt - 1e-9)
 
-    Segments under 1e-12 mm have no direction and are dropped.  Velocities are
-    the exact segment derivatives, the outgoing one at a vertex.  ScenarioSpec
-    ensures markings is non-empty and speed and dt are positive.
-    """
-    waypoints, arcs = reference_waypoints(markings, approach_from)
+
+def reference_rows(waypoints, arcs, speed: float, dt: float):
+    """One (position, feedforward velocity) float row per control step along the
+    reference_waypoints path at constant speed: row k at arc s = min(k dt speed, total),
+    on the segment holding s, moving at its direction times speed.  Segments under
+    _MIN_SEGMENT have no direction and are skipped; ScenarioSpec ensures one is kept.
+    After row reference_steps the position holds and the feedforward is zero."""
     seg = np.diff(waypoints, axis=0)
     seg_len = np.linalg.norm(seg, axis=1)
-    kept = np.flatnonzero(seg_len >= 1e-12)
-    total = float(arcs[-1])
-    t = np.arange(int(math.ceil(total / speed / dt - 1e-9)) + 1) * dt
-    s = np.minimum(t * speed, total)
-    idx = kept[np.maximum(np.searchsorted(arcs[kept], s, side="right") - 1, 0)]
-    direction = seg[idx] / seg_len[idx, None]
-    return ReferenceTrajectory(t, waypoints[idx] + (s - arcs[idx])[:, None] * direction,
-                               direction * speed)
+    kept = np.flatnonzero(seg_len >= _MIN_SEGMENT)
+    starts = arcs[kept].tolist()
+    # (origin, start arc, unit direction, the next kept segment's start arc)
+    segments = zip(waypoints[kept].tolist(), starts, (seg[kept] / seg_len[kept, None]).tolist(),
+                   starts[1:] + [math.inf])
+    total, end = float(arcs[-1]), -math.inf
+    for k in range(reference_steps(total, speed, dt) + 1):
+        s = min(k * dt * speed, total)
+        while s >= end:
+            (ox, oy, oz), arc, (ux, uy, uz), end = next(segments)
+            v = (ux * speed, uy * speed, uz * speed)
+        r = s - arc
+        p = (ox + r * ux, oy + r * uy, oz + r * uz)
+        yield p, v
+    while True:
+        yield p, (0.0, 0.0, 0.0)
 
 
 @dataclass
@@ -228,27 +227,36 @@ class ScenarioSpec:
         """The link lengths, held once on dynamics."""
         return self.dynamics.kinematics
 
-    def reference(self) -> ReferenceTrajectory:
-        start = forward_kinematics(self.initial_q, self.kinematics)
-        return build_reference(self.markings, self.speed, self.dt, start)
+    def reference(self) -> tuple:
+        """The reference path from the initial tip: (waypoints, arcs) of reference_waypoints."""
+        return reference_waypoints(self.markings, forward_kinematics(self.initial_q,
+                                                                     self.kinematics))
 
-    def run_duration(self, ref: ReferenceTrajectory) -> float:
-        """The fixed duration, or the duration of ref, this spec's reference, plus settle."""
+    def run_duration(self) -> float:
+        """The fixed duration, or the reference's time to the end of its path on the
+        dt grid, plus settle."""
         if self.duration is not None:
             return self.duration
-        return ref.duration + self.settle
+        # not reference(): sim.run's call is the run's one
+        _, arcs = reference_waypoints(self.markings, forward_kinematics(self.initial_q,
+                                                                        self.kinematics))
+        return reference_steps(float(arcs[-1]), self.speed, self.dt) * self.dt + self.settle
 
     def validate(self):
         """Geometric sanity of the scenario; raises ValueError on failure."""
         if not self.markings:
             raise ValueError("a scenario needs at least one marking set")
+        tip = forward_kinematics(self.initial_q, self.kinematics)
+        waypoints, _ = reference_waypoints(self.markings, tip)
+        if not (np.linalg.norm(np.diff(waypoints, axis=0), axis=1) >= _MIN_SEGMENT).any():
+            raise ValueError(f"markings: the reference path from the initial tip through the "
+                             f"marking points has no segment of {_MIN_SEGMENT:g} mm or longer")
         for (name, (low, high)), v in zip(JOINT_BOX.items(), self.initial_q):
             if not low <= v <= high:
                 raise ValueError(f"initial.{name} = {v!r} outside the workspace box "
                                  f"[{low:g}, {high:g}]")
         safe_set, nt = self.safe_set, len(self.tumors)
-        h, _ = selected_barrier_values(forward_kinematics(self.initial_q, self.kinematics),
-                                       safe_set, 0)
+        h, _ = selected_barrier_values(tip, safe_set, 0)
         placed = "the initial tip placed by initial.d1, initial.theta2, initial.theta3"
         for i, hi in enumerate(h[:nt]):
             if hi < 0.0:

@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import Optional
 
@@ -28,7 +27,7 @@ from . import control as ctl
 from . import safety
 from .dynamics import SingularMassError, rk4_step
 from .kinematics import tip_kinematics
-from .scenario import ReferenceTrajectory, ScenarioSpec, reference_waypoints
+from .scenario import ScenarioSpec, reference_rows, reference_waypoints
 
 _CSV_VERSION = "# safecut-log v1"
 
@@ -64,7 +63,7 @@ _COLUMNS = {
     "d": ("d_d1_gmm_s2", "d_th2_gmm2_s2", "d_th3_gmm2_s2"),
     "edot": ("edot_d1_mm_s", "edot_th2_rad_s", "edot_th3_rad_s"),
 }
-_BLOCK_ROWS = 1024   # rows held as Python objects at a time by _reference_rows and _write_rows
+_BLOCK_ROWS = 1024   # rows held as Python objects at a time by _write_rows
 _CIRCLE_POINTS = 256    # samples per boundary circle in the path data file
 
 
@@ -127,15 +126,6 @@ def desired_velocity(x, p, v, kp_gain: float):
             v[2] + kp_gain * (p[2] - x[2]))
 
 
-def _reference_rows(ref: ReferenceTrajectory):
-    """(position, feedforward velocity) float rows, step by step, read a block at a time;
-    past its end the reference holds its final point with no feedforward."""
-    for start in range(0, len(ref.t), _BLOCK_ROWS):
-        block = slice(start, start + _BLOCK_ROWS)
-        yield from zip(ref.pos[block].tolist(), ref.vel[block].tolist())
-    yield from repeat((ref.pos[-1].tolist(), (0.0, 0.0, 0.0)))
-
-
 def run(spec: ScenarioSpec) -> TrajectoryLog:
     """Simulate the scenario over its full duration at fixed dt.
 
@@ -145,9 +135,8 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
     controller reuses the step's Jacobian, and the step is one row of the log.
     Raises PlantDivergedError when the joint state stops being finite.
     """
-    ref = spec.reference()
     dt = spec.dt
-    n = int(round(spec.run_duration(ref) / dt)) + 1
+    n = int(round(spec.run_duration() / dt)) + 1
     safe_set = spec.safe_set
     fp, cp, kin, dyn = spec.filter, spec.controller, spec.kinematics, spec.dynamics
     alpha, rows, kp_gain = fp.alpha, safe_set.row_count(fp), spec.kp_gain
@@ -156,7 +145,7 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
     q, qdot = spec.initial_q, spec.initial_qdot
     gate_engaged = not (fp.enabled and fp.activation_gate)
 
-    for k, (p_ref, v_ref) in zip(range(n), _reference_rows(ref)):
+    for k, (p_ref, v_ref) in zip(range(n), reference_rows(*spec.reference(), spec.speed, dt)):
         t = k * dt
         x, J = tip_kinematics(*q, kin)
         (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J

@@ -10,8 +10,8 @@ import pytest
 from safecut.cli import main
 from safecut.control import DisturbanceSpec, disturbance
 from safecut.safety import SafeSetSpec
-from safecut.scenario import ScenarioSpec, scenario_catalog
-from safecut.sim import gate_engage_time, read_csv, run
+from safecut.scenario import ScenarioSpec, load_scenario, scenario_catalog, scenario_to_config
+from safecut.sim import export_plot_data, gate_engage_time, read_csv, run, summarize
 
 SHORT_CONFIG = "scenario_id = 1\nduration = 2.0\nspeed = 4.0\n"
 
@@ -196,6 +196,10 @@ def test_verify_quick_pass(capsys):
     # the last value of a repeated key would silently win
     ("scenario_id = 1\nfilter.alpha = 0.4\nfilter.alpha = 0.8\n",
      "line 3: 'filter.alpha' is set again, first set on line 2"),
+    # one marking point on the initial tip: a path of no length has no direction
+    ("scenario_id = 1\ntumor.0.center = 0.0, 4.0, 43.0\nmarking.0.points = 0.0, 0.0, 43.0\n"
+     "marking.0.unsafe = 0\n", "markings: the reference path from the initial tip through "
+                               "the marking points has no segment of 1e-12 mm or longer"),
 ])
 def test_config_errors_exit_2_and_name_the_key(tmp_path, capsys, config, named):
     cfg = tmp_path / "bad.cfg"
@@ -225,6 +229,13 @@ def test_one_reference_per_run(tmp_path, monkeypatch):
     monkeypatch.setattr(ScenarioSpec, "reference", lambda self: builds.append(1) or build(self))
     assert main(["run", "--scenario", "3", "--emit", "csv,plotdata,report",
                  "--out", str(tmp_path)]) == 0
+    assert len(builds) == 1
+    # a config's run, step by step: loading and validating it builds no reference
+    builds.clear()
+    spec = load_scenario(scenario_to_config(replace(scenario_catalog(4), duration=0.05)))
+    log = run(spec)
+    summarize(log, spec)
+    export_plot_data(log, spec, tmp_path / "plots")
     assert len(builds) == 1
 
 

@@ -6,21 +6,30 @@ import dataclasses
 import math
 import typing
 from dataclasses import replace
+from itertools import islice
 
 import numpy as np
 import pytest
 
-from safecut import scenario
+from safecut import scenario, sim
 from safecut.checks import mass_matrix
 from safecut.kinematics import JointConfig, KinematicParams, forward_kinematics
 from safecut.safety import DepthShell, SafeSetSpec, TumorSpec, selected_barrier_values
 from safecut.scenario import (SCENARIO_IDS, MarkingSet, ScenarioSpec,
-                              build_reference, generate_marking_points,
-                              inject_unsafe_points, load_scenario, parse_config,
-                              scenario_catalog, scenario_to_config,
-                              spec_from_dict, spec_to_dict)
+                              generate_marking_points, inject_unsafe_points,
+                              load_scenario, parse_config, reference_rows,
+                              reference_steps, reference_waypoints, scenario_catalog,
+                              scenario_to_config, spec_from_dict, spec_to_dict)
 
 TUMOR = TumorSpec(center=(0.0, 6.0, 30.0), margin=4.0)
+
+
+def _reference(markings, approach_from, speed=2.0, dt=1e-3):
+    """Positions and feedforward velocities of the reference rows up to the path's end."""
+    waypoints, arcs = reference_waypoints(markings, approach_from)
+    rows = list(islice(reference_rows(waypoints, arcs, speed, dt),
+                       reference_steps(float(arcs[-1]), speed, dt) + 1))
+    return np.array([p for p, _ in rows]), np.array([v for _, v in rows])
 
 
 def test_markings_on_margin_circle():
@@ -87,36 +96,35 @@ def test_inject_validation():
 
 def test_reference_constant_speed():
     ms = generate_marking_points(TUMOR, 8, (0, 0, 1))
-    ref = build_reference([ms], speed=2.0, dt=1e-3, approach_from=(0.0, 0.0, 43.0))
-    steps = np.linalg.norm(np.diff(ref.pos, axis=0), axis=1)
+    pos, vel = _reference([ms], (0.0, 0.0, 43.0))
+    steps = np.linalg.norm(np.diff(pos, axis=0), axis=1)
     # arc length advances by speed * dt every step; the Euclidean chord only
     # falls short on the 8 corner-straddling steps and the final one
     assert np.all(steps <= 2e-3 + 1e-12)
     assert int((steps < 2e-3 - 1e-9).sum()) <= 9
-    np.testing.assert_allclose(np.linalg.norm(ref.vel, axis=1), 2.0, atol=1e-9)
-    np.testing.assert_allclose(ref.pos[0], [0.0, 0.0, 43.0], atol=1e-12)
-    np.testing.assert_allclose(ref.pos[-1], ms.points[0], atol=1e-9)
+    np.testing.assert_allclose(np.linalg.norm(vel, axis=1), 2.0, atol=1e-9)
+    np.testing.assert_allclose(pos[0], [0.0, 0.0, 43.0], atol=1e-12)
+    np.testing.assert_allclose(pos[-1], ms.points[0], atol=1e-9)
 
 
 def test_reference_closes_each_loop():
     ms = generate_marking_points(TUMOR, 8, (0, 0, 1))
-    ref = build_reference([ms], speed=2.0, dt=1e-3, approach_from=(0.0, 0.0, 43.0))
+    pos, _ = _reference([ms], (0.0, 0.0, 43.0))
     approach = float(np.linalg.norm(ms.points[0] - np.array([0.0, 0.0, 43.0])))
     loop = 8 * float(np.linalg.norm(ms.points[1] - ms.points[0]))
-    assert ref.duration * 2.0 == pytest.approx(approach + loop, abs=2e-3 * 2.0)
+    assert (len(pos) - 1) * 1e-3 * 2.0 == pytest.approx(approach + loop, abs=2e-3 * 2.0)
 
 
 @pytest.mark.parametrize("offset", [0.0, 1e-13])
 def test_reference_drops_zero_length_segments(offset):
     # an approach that starts on the loop's first point has no length
     ms = generate_marking_points(TUMOR, 8, (0, 0, 1))
-    ref = build_reference([ms], speed=2.0, dt=1e-3,
-                          approach_from=ms.points[0] + [offset, 0.0, 0.0])
-    assert np.isfinite(ref.pos).all() and np.isfinite(ref.vel).all()
-    np.testing.assert_allclose(ref.pos[0], ms.points[0], atol=1e-12)
-    np.testing.assert_allclose(np.linalg.norm(ref.vel, axis=1), 2.0, atol=1e-9)
+    pos, vel = _reference([ms], ms.points[0] + [offset, 0.0, 0.0])
+    assert np.isfinite(pos).all() and np.isfinite(vel).all()
+    np.testing.assert_allclose(pos[0], ms.points[0], atol=1e-12)
+    np.testing.assert_allclose(np.linalg.norm(vel, axis=1), 2.0, atol=1e-9)
     loop = 8 * float(np.linalg.norm(ms.points[1] - ms.points[0]))
-    assert ref.duration * 2.0 == pytest.approx(loop, abs=2e-3 * 2.0)
+    assert (len(pos) - 1) * 1e-3 * 2.0 == pytest.approx(loop, abs=2e-3 * 2.0)
 
 
 def test_catalog_ids_and_geometry():
@@ -170,10 +178,19 @@ def test_validate_rejects_bad_geometry():
 
 def test_duration_override():
     spec = scenario_catalog(1)
-    ref = spec.reference()
-    assert spec.run_duration(ref) == pytest.approx(ref.duration + spec.settle)
+    _, arcs = spec.reference()
+    # the path's time at speed, rounded up to the dt grid, plus settle
+    assert 0.0 <= spec.run_duration() - (arcs[-1] / spec.speed + spec.settle) < spec.dt
     fixed = replace(spec, duration=3.0)
-    assert fixed.run_duration(ref) == 3.0
+    assert fixed.run_duration() == 3.0
+    assert len(sim.run(fixed)) == 3001
+
+
+@pytest.mark.parametrize("sid, steps", [(1, 20252), (2, 24865), (3, 24437), (4, 17741)])
+def test_run_step_counts(sid, steps):
+    # the reference's end on the dt grid plus 1 s of settling, and the t = 0 step
+    spec = scenario_catalog(sid)
+    assert int(round(spec.run_duration() / spec.dt)) + 1 == steps
 
 
 def test_config_round_trip():

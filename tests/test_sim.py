@@ -15,10 +15,24 @@ from safecut.control import ControllerParams, DisturbanceSpec
 from safecut.dynamics import DynamicParams, SingularMassError
 from safecut.kinematics import JointConfig, forward_kinematics
 from safecut.safety import DepthShell, FilterParams, SafeSetSpec, TumorSpec
-from safecut.scenario import (MarkingSet, ScenarioSpec, build_reference,
-                              generate_marking_points, scenario_catalog)
+from safecut.scenario import (MarkingSet, ScenarioSpec, generate_marking_points,
+                              reference_rows, reference_steps, reference_waypoints,
+                              scenario_catalog)
 
 TUMOR = TumorSpec(center=(0.0, 6.0, 30.0), margin=4.0)
+
+
+def _grid(waypoints, arcs, speed, dt):
+    """The reference on its grid, sampled with numpy apart from reference_rows:
+    t, positions and feedforward velocities of rows 0 to reference_steps."""
+    seg = np.diff(waypoints, axis=0)
+    seg_len = np.linalg.norm(seg, axis=1)
+    kept = np.flatnonzero(seg_len >= 1e-12)
+    t = np.arange(reference_steps(float(arcs[-1]), speed, dt) + 1) * dt
+    s = np.minimum(t * speed, arcs[-1])
+    idx = kept[np.maximum(np.searchsorted(arcs[kept], s, side="right") - 1, 0)]
+    direction = seg[idx] / seg_len[idx, None]
+    return t, waypoints[idx] + (s - arcs[idx])[:, None] * direction, direction * speed
 
 
 def _small_spec(**kw):
@@ -68,39 +82,40 @@ def test_initial_record_matches_spec(small_run):
 
 def test_desired_velocity_formula():
     ms = generate_marking_points(TUMOR, 3, (0, 0, 1))
-    ref = build_reference([ms], 2.0, 1e-3, (0.0, 0.0, 43.0))
+    p0, v0 = next(reference_rows(*reference_waypoints([ms], (0.0, 0.0, 43.0)), 2.0, 1e-3))
+    p0, v0 = np.array(p0), np.array(v0)
     x = np.array([1.0, -2.0, 40.0])
-    p0, v0 = ref.pos[0], ref.vel[0]
     v = sim.desired_velocity(x, p0.tolist(), v0.tolist(), kp_gain=5.0)
     np.testing.assert_allclose(v, v0 + 5.0 * (p0 - x), atol=1e-12)
 
 
 def test_reference_rows_clamp_past_end():
     ms = generate_marking_points(TUMOR, 4, (0, 0, 1))
-    ref = build_reference([ms], speed=2.0, dt=1e-3, approach_from=(0.0, 0.0, 43.0))
-    m = len(ref.t)
-    assert m > 2 * sim._BLOCK_ROWS     # rows come from several blocks
-    rows = list(islice(sim._reference_rows(ref), m + 5000))
-    np.testing.assert_array_equal([p for p, _ in rows[:m]], ref.pos)
-    np.testing.assert_array_equal([v for _, v in rows[:m]], ref.vel)
-    assert np.any(ref.vel[-1] != 0.0)
+    waypoints, arcs = reference_waypoints([ms], (0.0, 0.0, 43.0))
+    t, pos, vel = _grid(waypoints, arcs, 2.0, 1e-3)
+    m = len(t)
+    assert len(np.unique(vel, axis=0)) == len(waypoints) - 1     # a row on every segment
+    rows = list(islice(reference_rows(waypoints, arcs, 2.0, 1e-3), m + 5000))
+    np.testing.assert_array_equal([p for p, _ in rows[:m]], pos)
+    np.testing.assert_array_equal([v for _, v in rows[:m]], vel)
+    assert np.any(vel[-1] != 0.0)
     # past the end: the final point, no feedforward
-    np.testing.assert_array_equal([p for p, _ in rows[m:]], np.tile(ref.pos[-1], (5000, 1)))
+    np.testing.assert_array_equal([p for p, _ in rows[m:]], np.tile(pos[-1], (5000, 1)))
     np.testing.assert_array_equal([v for _, v in rows[m:]], np.zeros((5000, 3)))
 
 
 def test_logged_desired_velocity_matches_reference_rows():
-    # ref.vel[k] + kp (ref.pos[k] - x_k) on the grid; past the reference's
+    # vel[k] + kp (pos[k] - x_k) on the grid; past the reference's
     # end the final point with zero feedforward
     spec = _small_spec(duration=None, settle=0.3)
-    ref = spec.reference()
+    _, pos, vel = _grid(*spec.reference(), spec.speed, spec.dt)
     log = sim.run(spec)
-    m = len(ref.t)
+    m = len(pos)
     assert len(log) > m
     k = np.arange(len(log))
     on_grid = (k < m)[:, None]
     idx = np.minimum(k, m - 1)
-    expected = np.where(on_grid, ref.vel[idx], 0.0) + spec.kp_gain * (ref.pos[idx] - log.x)
+    expected = np.where(on_grid, vel[idx], 0.0) + spec.kp_gain * (pos[idx] - log.x)
     np.testing.assert_array_equal(log.xdot_des, expected)
 
 
@@ -386,10 +401,9 @@ def test_export_plot_data_files(small_run, tmp_path):
         sim.export_plot_data(sim.run(spec), spec, tmp_path)
         rows = _section((tmp_path / f"scenario{sid}_path.dat").read_text(), "reference")
         assert rows.shape == (10, 4)
-        ref = spec.reference()
-        interp = np.stack([np.interp(ref.t, rows[:, 0], rows[:, i]) for i in (1, 2, 3)],
-                          axis=1)
-        np.testing.assert_allclose(interp, ref.pos, rtol=0.0, atol=1e-9)
+        t, pos, _ = _grid(*spec.reference(), spec.speed, spec.dt)
+        interp = np.stack([np.interp(t, rows[:, 0], rows[:, i]) for i in (1, 2, 3)], axis=1)
+        np.testing.assert_allclose(interp, pos, rtol=0.0, atol=1e-9)
 
 
 def _section(text: str, name: str) -> np.ndarray:
