@@ -67,7 +67,7 @@ class DisturbanceSpec:
             raise ValueError("sinusoid waveform needs a positive frequency")
         if (isinstance(self.seed, bool) or not isinstance(self.seed, (int, np.integer))
                 or self.seed < 0):
-            raise ValueError(f"disturbance.seed must be a non-negative integer, got {self.seed!r}")
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         # drawn once here, not on every control step's sample
         self.phases = tuple(np.random.default_rng(self.seed).uniform(0.0, math.tau, 3).tolist())
 

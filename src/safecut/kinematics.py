@@ -54,9 +54,9 @@ class JointConfig(NamedTuple):
 def tip_kinematics(d1: float, theta2: float, theta3: float, params: KinematicParams):
     """Tip position [mm] and 3x3 tip Jacobian d(position)/d(q), as float tuples.
 
-    The one evaluation of the chain: forward_kinematics and jacobian wrap it,
-    and the closed loop calls it once per control step.  Column 1 of the
-    Jacobian is the prismatic axis (0, 0, 1) for every q.
+    The one evaluation of the chain: sim.run calls it once per control step, ScenarioSpec
+    once for the initial tip, and forward_kinematics and jacobian wrap it for the verify
+    Jacobian check and the tests.  Column 1 of J is the prismatic axis (0, 0, 1) for any q.
     """
     c2, s2 = math.cos(theta2), math.sin(theta2)
     c3, s3 = math.cos(theta3), math.sin(theta3)

@@ -30,7 +30,7 @@ import numpy as np
 
 from .control import ControllerParams, DisturbanceSpec
 from .dynamics import DynamicParams
-from .kinematics import JointConfig, KinematicParams, forward_kinematics
+from .kinematics import JointConfig, KinematicParams, tip_kinematics
 from .safety import (CENTRE_TOL, DepthShell, FilterParams, SafeSetSpec, TumorSpec,
                      selected_barrier_values)
 
@@ -183,8 +183,8 @@ class ScenarioSpec:
 
     initial_q and initial_qdot are the joint position and velocity at t = 0
     (config keys initial.d1, initial.theta2, initial.theta3, initial.qdot).
-    Construction, dataclasses.replace included, runs validate(); safe_set is
-    the scenario's one barrier table, built then from tumors and shells.
+    Construction, dataclasses.replace included, builds the barrier table safe_set and
+    the reference path (waypoints, arcs) from the initial tip, then runs validate().
     """
 
     scenario_id: int
@@ -203,6 +203,7 @@ class ScenarioSpec:
     settle: float = 1.0
     duration: Optional[float] = None       # None: reference duration + settle
     safe_set: SafeSetSpec = field(init=False, repr=False, compare=False)
+    path: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in ("dt", "speed", "settle", "duration"):
@@ -220,6 +221,8 @@ class ScenarioSpec:
         if len(self.initial_qdot) != 3 or not all(map(math.isfinite, self.initial_qdot)):
             raise ValueError(f"initial.qdot must be 3 finite values, got {self.initial_qdot!r}")
         self.safe_set = SafeSetSpec(self.tumors, self.shells)
+        tip, _ = tip_kinematics(*self.initial_q, self.kinematics)
+        self.path = reference_waypoints(self.markings, tip)
         self.validate()
 
     @property
@@ -228,26 +231,20 @@ class ScenarioSpec:
         return self.dynamics.kinematics
 
     def reference(self) -> tuple:
-        """The reference path from the initial tip: (waypoints, arcs) of reference_waypoints."""
-        return reference_waypoints(self.markings, forward_kinematics(self.initial_q,
-                                                                     self.kinematics))
+        """The path field: the reference (waypoints, arcs) from the initial tip."""
+        return self.path
 
     def run_duration(self) -> float:
-        """The fixed duration, or the reference's time to the end of its path on the
-        dt grid, plus settle."""
+        """duration, or the path's time at speed rounded up to the dt grid, plus settle."""
         if self.duration is not None:
             return self.duration
-        # not reference(): sim.run's call is the run's one
-        _, arcs = reference_waypoints(self.markings, forward_kinematics(self.initial_q,
-                                                                        self.kinematics))
-        return reference_steps(float(arcs[-1]), self.speed, self.dt) * self.dt + self.settle
+        return reference_steps(float(self.path[1][-1]), self.speed, self.dt) * self.dt + self.settle
 
     def validate(self):
         """Geometric sanity of the scenario; raises ValueError on failure."""
         if not self.markings:
             raise ValueError("a scenario needs at least one marking set")
-        tip = forward_kinematics(self.initial_q, self.kinematics)
-        waypoints, _ = reference_waypoints(self.markings, tip)
+        waypoints, _ = self.path
         if not (np.linalg.norm(np.diff(waypoints, axis=0), axis=1) >= _MIN_SEGMENT).any():
             raise ValueError(f"markings: the reference path from the initial tip through the "
                              f"marking points has no segment of {_MIN_SEGMENT:g} mm or longer")
@@ -256,7 +253,7 @@ class ScenarioSpec:
                 raise ValueError(f"initial.{name} = {v!r} outside the workspace box "
                                  f"[{low:g}, {high:g}]")
         safe_set, nt = self.safe_set, len(self.tumors)
-        h, _ = selected_barrier_values(tip, safe_set, 0)
+        h, _ = selected_barrier_values(waypoints[0], safe_set, 0)    # at the initial tip
         placed = "the initial tip placed by initial.d1, initial.theta2, initial.theta3"
         for i, hi in enumerate(h[:nt]):
             if hi < 0.0:
@@ -374,11 +371,12 @@ _SCALAR_KEYS = {
     "disturbance.seed": ("disturbance.seed", "int"),
 }
 
-# the class of each nested attribute path above, innermost first
-_NESTED = (("initial_q", JointConfig),
-           ("dynamics.kinematics", KinematicParams), ("dynamics", DynamicParams),
-           ("filter", FilterParams), ("controller", ControllerParams),
-           ("disturbance", DisturbanceSpec))
+# the config group and class of each nested attribute path above, innermost first
+_NESTED = (("initial_q", "initial", JointConfig),
+           ("dynamics.kinematics", "kinematics", KinematicParams),
+           ("dynamics", "dynamics", DynamicParams), ("filter", "filter", FilterParams),
+           ("controller", "controller", ControllerParams),
+           ("disturbance", "disturbance", DisturbanceSpec))
 
 # indexed families "<prefix>.<N>.<key>":
 # prefix -> (ScenarioSpec list, class, {key: (constructor argument, kind)})
@@ -405,13 +403,18 @@ def spec_to_dict(spec: ScenarioSpec) -> dict:
     return d
 
 
+def _named(name: str, build, *args, **kwargs):
+    """build(*args, **kwargs), its ValueError prefixed with the config name it checks."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ValueError(f"{name}: {exc}") from None
+
+
 def _parse(d: dict, key: str, kind: str):
     if key not in d:
         raise ValueError(f"missing configuration key {key!r}")
-    try:
-        return _KINDS[kind][1](d[key])
-    except ValueError as exc:
-        raise ValueError(f"{key}: {exc}") from None
+    return _named(key, _KINDS[kind][1], d[key])
 
 
 def spec_from_dict(d: dict) -> ScenarioSpec:
@@ -428,21 +431,16 @@ def spec_from_dict(d: dict) -> ScenarioSpec:
             raise ValueError(f"unknown configuration key {key!r}")
 
     args = {path: _parse(d, key, kind) for key, (path, kind) in _SCALAR_KEYS.items()}
-    for path, cls in _NESTED:
+    for path, group, cls in _NESTED:
         members = [p for p in args if p.rpartition(".")[0] == path]
-        args[path] = cls(**{p.rpartition(".")[2]: args.pop(p) for p in members})
+        args[path] = _named(group, cls, **{p.rpartition(".")[2]: args.pop(p) for p in members})
     for prefix, (attr, cls, keys) in _FAMILIES.items():
         found = sorted(indices[prefix])
         if found != list(range(len(found))):
             raise ValueError(f"{prefix} indices must be contiguous from 0, got {found}")
-        args[attr] = []
-        for i in found:
-            kwargs = {arg: _parse(d, f"{prefix}.{i}.{key}", kind)
-                      for key, (arg, kind) in keys.items()}
-            try:
-                args[attr].append(cls(**kwargs))
-            except ValueError as exc:
-                raise ValueError(f"{prefix}.{i}: {exc}") from None
+        args[attr] = [_named(f"{prefix}.{i}", cls, **{arg: _parse(d, f"{prefix}.{i}.{key}", kind)
+                                                      for key, (arg, kind) in keys.items()})
+                      for i in found]
     return ScenarioSpec(**args)
 
 
@@ -483,7 +481,5 @@ def load_scenario(text: str, base_id: Optional[int] = None) -> ScenarioSpec:
     sid = _parse(overrides, "scenario_id", "int") if "scenario_id" in overrides else base_id
     if sid is None:
         raise ValueError("config names no scenario_id and no base scenario given")
-    merged = spec_to_dict(scenario_catalog(sid))
-    merged.update(overrides)
-    merged["scenario_id"] = str(sid)
-    return spec_from_dict(merged)
+    return spec_from_dict({**spec_to_dict(scenario_catalog(sid)), **overrides,
+                           "scenario_id": str(sid)})

@@ -33,7 +33,7 @@ _CSV_VERSION = "# safecut-log v1"
 
 
 class EmptyLogError(ValueError):
-    """summarize was given a log with no recorded steps."""
+    """summarize or export_plot_data was given a log with no recorded steps."""
 
 
 class PlantDivergedError(RuntimeError):
@@ -315,6 +315,8 @@ def export_plot_data(log: TrajectoryLog, spec: ScenarioSpec, out_dir) -> list:
     the marking plane.  barrier: every barrier value over time.
     velocity: desired, safe and actual tip velocity components.
     """
+    if len(log) == 0:
+        raise EmptyLogError("cannot export plot data from an empty log")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sid = spec.scenario_id

@@ -171,7 +171,7 @@ def test_verify_quick_pass(capsys):
     ("scenario_id = 1\ninitial.d1 = -1\n", "initial.d1 = -1.0 outside the workspace box [0, 50]"),
     ("scenario_id = 1\ninitial.theta2 = 1.8\n", "initial.theta2 = 1.8 outside the workspace box"),
     ("scenario_id = 1\ninitial.theta3 = -1.8\n", "initial.theta3 = -1.8 outside the workspace box"),
-    ("scenario_id = 1\ndisturbance.seed = -1\n", "disturbance.seed must be a non-negative"),
+    ("scenario_id = 1\ndisturbance.seed = -1\n", "disturbance: seed must be a non-negative"),
     ("scenario_id = 1\nkp_gain = -5\n", "kp_gain must be finite and non-negative"),
     # an indexed entry's own check names the entry
     ("scenario_id = 1\ntumor.0.margin = -1\n", "tumor.0: cutting margin must be positive"),
@@ -196,6 +196,14 @@ def test_verify_quick_pass(capsys):
     # the last value of a repeated key would silently win
     ("scenario_id = 1\nfilter.alpha = 0.4\nfilter.alpha = 0.8\n",
      "line 3: 'filter.alpha' is set again, first set on line 2"),
+    # a nested group's own check names the group
+    ("scenario_id = 1\nfilter.alpha = 0\n", "filter: alpha must be positive and finite, got 0.0"),
+    ("scenario_id = 1\nfilter.mode = foo\n", "filter: unknown filter mode 'foo'"),
+    ("scenario_id = 1\ncontroller.k_d = -1\n", "controller: k_d must be positive and finite"),
+    ("scenario_id = 1\ncontroller.damping = -1\n", "controller: damping must be non-negative"),
+    ("scenario_id = 1\nkinematics.l2 = -1\n", "kinematics: l2 must be positive and finite"),
+    ("scenario_id = 1\ndynamics.masses = 1, 2\n", "dynamics: masses must be 3 finite values"),
+    ("scenario_id = 1\ndisturbance.frequency = nan\n", "disturbance: frequency must be finite"),
     # one marking point on the initial tip: a path of no length has no direction
     ("scenario_id = 1\ntumor.0.center = 0.0, 4.0, 43.0\nmarking.0.points = 0.0, 0.0, 43.0\n"
      "marking.0.unsafe = 0\n", "markings: the reference path from the initial tip through "

@@ -105,8 +105,8 @@ def test_sinusoid_phases_depend_on_seed():
 
 @pytest.mark.parametrize("seed", [1.5, True])
 def test_disturbance_seed_must_be_an_integer(seed):
-    # numpy took True as 1 and refused 1.5 without naming the key
-    with pytest.raises(ValueError, match="disturbance.seed must be a non-negative integer"):
+    # numpy took True as 1 and refused 1.5 without naming the field
+    with pytest.raises(ValueError, match="^seed must be a non-negative integer"):
         DisturbanceSpec(waveform="sinusoid", amplitude=(1, 1, 1), frequency=1.0, seed=seed)
 
 

@@ -186,6 +186,24 @@ def test_duration_override():
     assert len(sim.run(fixed)) == 3001
 
 
+def test_one_path_per_spec(monkeypatch):
+    calls = []
+    place = scenario.reference_waypoints
+    monkeypatch.setattr(scenario, "reference_waypoints",
+                        lambda *args: calls.append(1) or place(*args))
+    spec = scenario_catalog(1)
+    assert len(calls) == 1
+    # replace constructs a new spec, which places its own path
+    fixed = replace(spec, duration=0.05)
+    assert len(calls) == 2
+    # the auto duration, the validation and the run read the path built at construction
+    spec.validate()
+    assert len(sim.run(spec)) == 20252
+    sim.run(fixed)
+    assert len(calls) == 2
+    assert spec.reference() is spec.path
+
+
 @pytest.mark.parametrize("sid, steps", [(1, 20252), (2, 24865), (3, 24437), (4, 17741)])
 def test_run_step_counts(sid, steps):
     # the reference's end on the dt grid plus 1 s of settling, and the t = 0 step

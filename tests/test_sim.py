@@ -377,6 +377,15 @@ def test_summarize_rejects_empty_log(small_run):
         sim.summarize(empty, spec)
 
 
+def test_export_plot_data_rejects_empty_log(small_run, tmp_path):
+    spec, log = small_run
+    sim.export_csv(sim.TrajectoryLog(log.data[:0], log.barrier_names), tmp_path / "empty.csv")
+    empty = sim.read_csv(tmp_path / "empty.csv")
+    with pytest.raises(sim.EmptyLogError):
+        sim.export_plot_data(empty, spec, tmp_path / "plots")
+    assert not (tmp_path / "plots").exists()
+
+
 def test_export_plot_data_files(small_run, tmp_path):
     spec, log = small_run
     written = sim.export_plot_data(log, spec, tmp_path)
