@@ -290,14 +290,14 @@ def check_barrier_gradients_fd():
         shell = DepthShell(center, float(rng.uniform(2.0, 12.0)))
         x = center + rng.uniform(0.5, 15.0) * _unit(rng)
         for safe_set in (SafeSetSpec([tumor], []), SafeSetSpec([], [shell])):
-            _, [g] = selected_barrier_values(x, safe_set, 1)
+            _, [g] = selected_barrier_values(x, safe_set, True)
             worst = max(worst, abs(float(np.linalg.norm(g)) - 1.0))
             for j in range(3):
                 plus, minus = x.copy(), x.copy()
                 plus[j] += step
                 minus[j] -= step
-                fd = (selected_barrier_values(plus, safe_set, 0)[0][0]
-                      - selected_barrier_values(minus, safe_set, 0)[0][0]) / (2 * step)
+                fd = (selected_barrier_values(plus, safe_set, False)[0][0]
+                      - selected_barrier_values(minus, safe_set, False)[0][0]) / (2 * step)
                 worst = max(worst, abs(fd - float(g[j])))
     return worst <= 1e-6, f"{samples} samples, worst deviation {worst:.2e} (tol 1e-6)"
 

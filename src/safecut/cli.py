@@ -52,9 +52,8 @@ def _parse_disturbance(text: str) -> DisturbanceSpec:
 
 
 def _print_report(spec, report, log) -> None:
-    mode = "off" if not spec.filter.enabled else \
-        f"on (alpha {spec.filter.alpha:g}, {spec.filter.mode})"
-    print(f"scenario {spec.scenario_id}  filter {mode}")
+    state = f"on (alpha {spec.filter.alpha:g})" if spec.filter.enabled else "off"
+    print(f"scenario {spec.scenario_id}  filter {state}")
     for name, h in report.min_h.items():
         print(f"  min barrier {name} [mm]:      {h: .6f}")
     fv = report.first_violation_time

@@ -24,20 +24,17 @@ class SingularJacobianError(RuntimeError):
 
 @dataclass
 class KinematicParams:
-    """Link lengths [mm] and outer diameter [mm] of the instrument.
+    """Link lengths [mm] of the instrument.
 
-    A scenario holds its one copy on DynamicParams.kinematics.  outer_diameter
-    is validated and round-tripped through config files but enters no
-    computation: it is metadata only.
+    A scenario holds its one copy on DynamicParams.kinematics.
     """
 
     l1: float = 3.0
     l2: float = 10.0
     l_end: float = 17.0
-    outer_diameter: float = 3.7
 
     def __post_init__(self):
-        for name in ("l1", "l2", "l_end", "outer_diameter"):
+        for name in ("l1", "l2", "l_end"):
             value = getattr(self, name)
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value!r}")

@@ -13,7 +13,7 @@ positive outside a keep-out sphere and inside a shell.
 The filter solves, at every control step,
 
     minimize    || v_s - v_d ||^2
-    subject to  n_i . v_s >= -alpha * h_i     for every barrier of the mode,
+    subject to  n_i . v_s >= -alpha * h_i     for every barrier of the table,
 
 which keeps the commanded velocity safe while deviating minimally from the
 desired one.  The rows are plain floats, normals n_i and offsets -alpha * h_i.
@@ -73,28 +73,23 @@ class DepthShell:
 
 @dataclass
 class FilterParams:
-    """Filter configuration.
+    """Filter configuration; an enabled filter takes every barrier as a row.
 
     alpha: class-K gain [1/s] on the barrier value; larger values allow
         faster approach toward a boundary (less conservative).
-    mode: "keep_out_only" emits one row per tumor; "keep_out_and_depth"
-        one row per tumor and one per shell.
     activation_gate: when True the filter stays disengaged until every
-        barrier of the mode is non-negative, mirroring an approach from outside
-        the permitted shell; once engaged it never disengages.
+        barrier is non-negative, mirroring an approach from outside the
+        permitted shell; once engaged it never disengages.
     enabled: False bypasses filtering entirely (counterfactual runs).
     """
 
     alpha: float = 0.4
-    mode: str = "keep_out_only"
     activation_gate: bool = False
     enabled: bool = True
 
     def __post_init__(self):
         if not 0.0 < self.alpha < math.inf:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
-        if self.mode not in ("keep_out_only", "keep_out_and_depth"):
-            raise ValueError(f"unknown filter mode {self.mode!r}")
 
 
 @dataclass
@@ -129,12 +124,6 @@ class SafeSetSpec:
                     raise ValueError(f"shell.{j}: depth shell holds the centre of tumor.{i} "
                                      "but not its whole keep-out sphere")
 
-    def row_count(self, params: FilterParams) -> int:
-        """How many barriers, from the table's start, are filter rows under params:
-        the tumors, all in keep_out_and_depth mode, none when disabled."""
-        count = len(self.names) if params.mode == "keep_out_and_depth" else len(self.tumors)
-        return count if params.enabled else 0
-
 
 def _finite_point(p, what: str) -> np.ndarray:
     p = np.asarray(p, dtype=float)
@@ -143,13 +132,13 @@ def _finite_point(p, what: str) -> np.ndarray:
     return p
 
 
-def selected_barrier_values(x, spec: SafeSetSpec, rows: int):
+def selected_barrier_values(x, spec: SafeSetSpec, rows: bool):
     """(h, normals): the one evaluation of the barrier table at x, in floats.
 
     h holds every barrier value in table order, the order the log keeps;
-    normals the unit normals of the first rows barriers, the filter's rows
-    (spec.row_count).  Raises DegeneratePointError, naming the barrier, when
-    x lies within CENTRE_TOL of a row's centre.
+    normals the unit normals of every barrier, the filter's rows, when rows
+    is true, else none.  Raises DegeneratePointError, naming the barrier,
+    when a normal is asked for within CENTRE_TOL of its barrier's centre.
     """
     x0, x1, x2 = x
     h, normals = [], []
@@ -157,7 +146,7 @@ def selected_barrier_values(x, spec: SafeSetSpec, rows: int):
         dx, dy, dz = x0 - cx, x1 - cy, x2 - cz
         dist = math.sqrt(dx * dx + dy * dy + dz * dz)
         h.append(s * (dist - r))
-        if b < rows:
+        if rows:
             if dist < CENTRE_TOL:
                 raise DegeneratePointError(
                     f"{spec.names[b]}: barrier gradient undefined at the sphere centre")

@@ -55,7 +55,7 @@ _CATALOG = {
     3: ((_REMOVABLE, _PRESERVE), (), ((2, 0), (4, 0), (6, 1)), dict(alpha=0.4), 13.0),
     # starts just outside the shell so the gate engages about a second in
     4: ((_REMOVABLE,), (((0.0, 6.0, 30.0), 7.0),), ((2, 0), (4, 0)),
-        dict(alpha=1.5, mode="keep_out_and_depth", activation_gate=True), 6.7),
+        dict(alpha=1.5, activation_gate=True), 6.7),
 }
 SCENARIO_IDS = tuple(_CATALOG)
 
@@ -253,7 +253,7 @@ class ScenarioSpec:
                 raise ValueError(f"initial.{name} = {v!r} outside the workspace box "
                                  f"[{low:g}, {high:g}]")
         safe_set, nt = self.safe_set, len(self.tumors)
-        h, _ = selected_barrier_values(waypoints[0], safe_set, 0)    # at the initial tip
+        h, _ = selected_barrier_values(waypoints[0], safe_set, False)    # at the initial tip
         placed = "the initial tip placed by initial.d1, initial.theta2, initial.theta3"
         for i, hi in enumerate(h[:nt]):
             if hi < 0.0:
@@ -268,7 +268,7 @@ class ScenarioSpec:
             if not 0 <= ms.tumor_index < nt:
                 raise ValueError(f"marking.{i}.tumor = {ms.tumor_index} names no tumor")
             for k, (p, bad) in enumerate(zip(ms.points, ms.unsafe)):
-                h = selected_barrier_values(p, safe_set, 0)[0][:nt]
+                h = selected_barrier_values(p, safe_set, False)[0][:nt]
                 if bad:
                     if min(h) >= 0.0:
                         raise ValueError(f"marking.{i} point {k} is flagged unsafe but "
@@ -355,12 +355,10 @@ _SCALAR_KEYS = {
     "kinematics.l1": ("dynamics.kinematics.l1", "float"),
     "kinematics.l2": ("dynamics.kinematics.l2", "float"),
     "kinematics.l_end": ("dynamics.kinematics.l_end", "float"),
-    "kinematics.outer_diameter": ("dynamics.kinematics.outer_diameter", "float"),
     "dynamics.masses": ("dynamics.masses", "vec"),
     "dynamics.link_inertias": ("dynamics.link_inertias", "vec"),
     "dynamics.gravity": ("dynamics.gravity", "vec"),
     "filter.alpha": ("filter.alpha", "float"),
-    "filter.mode": ("filter.mode", "str"),
     "filter.activation_gate": ("filter.activation_gate", "bool"),
     "filter.enabled": ("filter.enabled", "bool"),
     "controller.k_d": ("controller.k_d", "float"),

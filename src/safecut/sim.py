@@ -139,7 +139,7 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
     n = int(round(spec.run_duration() / dt)) + 1
     safe_set = spec.safe_set
     fp, cp, kin, dyn = spec.filter, spec.controller, spec.kinematics, spec.dynamics
-    alpha, rows, kp_gain = fp.alpha, safe_set.row_count(fp), spec.kp_gain
+    alpha, kp_gain = fp.alpha, spec.kp_gain
     log = TrajectoryLog(np.zeros((n, len(_csv_columns(safe_set.names)))), safe_set.names)
 
     q, qdot = spec.initial_q, spec.initial_qdot
@@ -154,13 +154,13 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
                 j10 * v1 + j11 * v2 + j12 * v3,
                 j20 * v1 + j21 * v2 + j22 * v3)
         v_d = desired_velocity(x, p_ref, v_ref, kp_gain)
-        h, normals = safety.selected_barrier_values(x, safe_set, rows)
+        h, normals = safety.selected_barrier_values(x, safe_set, fp.enabled)
 
         v_s, active, gated = v_d, 0, 0
-        if not gate_engaged and all(hb >= 0.0 for hb in h[:rows]):
+        if not gate_engaged and all(hb >= 0.0 for hb in h):
             gate_engaged = True
-        if gate_engaged and rows:
-            v_s, active = safety.filter_rows(v_d, normals, [-alpha * hb for hb in h[:rows]])
+        if gate_engaged and normals:
+            v_s, active = safety.filter_rows(v_d, normals, [-alpha * hb for hb in h])
             gated = 1
 
         edot = ctl.velocity_error(J, xdot, v_s, cp)
@@ -230,12 +230,13 @@ def _cut_measures(log: TrajectoryLog, spec: ScenarioSpec):
 def summarize(log: TrajectoryLog, spec: ScenarioSpec) -> SafetyReport:
     """Condense a log into the report numbers.
 
-    With an activation gate the run legitimately starts outside the safe set,
-    so barrier statistics begin at the engagement step, or cover no step.
+    Barrier statistics of a filtered run begin at the step the log first marks
+    gated: the first step, unless an activation gate let the run start outside
+    the safe set, and no step if the filter never engaged.
     """
     if len(log) == 0:
         raise EmptyLogError("cannot summarize an empty log")
-    start = _engage_step(log) if spec.filter.enabled and spec.filter.activation_gate else 0
+    start = _engage_step(log) if spec.filter.enabled else 0
     h = log.h[start:]
     min_h = dict(zip(log.barrier_names, h.min(axis=0, initial=math.inf).tolist()))
     viol = np.flatnonzero((h < 0.0).any(axis=1))

@@ -162,6 +162,12 @@ def test_verify_quick_pass(capsys):
     ("scenario_id = 1\nmarking.0.tumor = 5\n", "marking.0.tumor"),
     ("scenario_id = 1\ntumor.0.margn = 3.0\n", "tumor.0.margn"),
     ("scenario_id = 4\nshell.0.radius = 9\n", "shell.0.radius"),
+    # retired keys: refused, never silently reinterpreted
+    ("scenario_id = 4\nfilter.mode = keep_out_and_depth\n",
+     "unknown configuration key 'filter.mode'"),
+    ("scenario_id = 1\nkinematics.outer_diameter = 3.7\n",
+     "unknown configuration key 'kinematics.outer_diameter'"),
+    ("scenario_id = 1\nfilter.mode = foo\n", "filter.mode"),
     ("scenario_id = 1\ntumor.x.margin = 3.0\n", "tumor.x.margin"),
     ("scenario_id = 2\ntumor.01.margin = 3.0\n", "tumor.01.margin"),
     ("scenario_id = 1\ntumor.0.margin = wide\n", "tumor.0.margin"),
@@ -198,7 +204,6 @@ def test_verify_quick_pass(capsys):
      "line 3: 'filter.alpha' is set again, first set on line 2"),
     # a nested group's own check names the group
     ("scenario_id = 1\nfilter.alpha = 0\n", "filter: alpha must be positive and finite, got 0.0"),
-    ("scenario_id = 1\nfilter.mode = foo\n", "filter: unknown filter mode 'foo'"),
     ("scenario_id = 1\ncontroller.k_d = -1\n", "controller: k_d must be positive and finite"),
     ("scenario_id = 1\ncontroller.damping = -1\n", "controller: damping must be non-negative"),
     ("scenario_id = 1\nkinematics.l2 = -1\n", "kinematics: l2 must be positive and finite"),

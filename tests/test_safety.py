@@ -1,4 +1,4 @@
-"""Barrier geometry, the filter rows of each mode and the velocity filter."""
+"""Barrier geometry, the filter rows and the velocity filter."""
 
 from __future__ import annotations
 
@@ -14,31 +14,31 @@ TUMOR = TumorSpec(center=(0.0, 6.0, 30.0), margin=4.0)
 SHELL = DepthShell(center=(0.0, 6.0, 30.0), outer_radius=7.0)
 
 
-def _rows(x, spec: SafeSetSpec, params: FilterParams):
-    """(names, h, normals) of the filter rows params takes from spec at x."""
-    h, normals = selected_barrier_values(x, spec, spec.row_count(params))
+def _rows(x, spec: SafeSetSpec):
+    """(names, h, normals) of the filter rows an enabled filter takes from spec at x."""
+    h, normals = selected_barrier_values(x, spec, True)
     return spec.names[:len(normals)], h[:len(normals)], normals
 
 
 def _tumor_h(x):
     """The barrier value of TUMOR alone at x."""
-    return selected_barrier_values(x, SafeSetSpec([TUMOR], []), 0)[0][0]
+    return selected_barrier_values(x, SafeSetSpec([TUMOR], []), False)[0][0]
 
 
 def _shell_h(x):
     """The barrier value of SHELL alone at x."""
-    return selected_barrier_values(x, SafeSetSpec([], [SHELL]), 0)[0][0]
+    return selected_barrier_values(x, SafeSetSpec([], [SHELL]), False)[0][0]
 
 
 def _tumor_normal(x):
     """The filter's row normal of TUMOR alone at x."""
-    _, _, [normal] = _rows(x, SafeSetSpec([TUMOR], []), FilterParams())
+    _, _, [normal] = _rows(x, SafeSetSpec([TUMOR], []))
     return np.array(normal)
 
 
 def _shell_normal(x):
     """The filter's row normal of SHELL alone at x."""
-    _, _, [normal] = _rows(x, SafeSetSpec([], [SHELL]), FilterParams(mode="keep_out_and_depth"))
+    _, _, [normal] = _rows(x, SafeSetSpec([], [SHELL]))
     return np.array(normal)
 
 
@@ -92,32 +92,22 @@ def test_spec_validation():
         SafeSetSpec(tumors=[TUMOR], shells=[DepthShell(TUMOR.center, 3.0)])
     with pytest.raises(ValueError):
         FilterParams(alpha=0.0)
-    with pytest.raises(ValueError):
-        FilterParams(mode="everything")
-
-
-def test_keep_out_only_ignores_shells():
-    spec = SafeSetSpec(tumors=[TUMOR], shells=[SHELL])
-    names, _, _ = _rows(np.array([0.0, 0.0, 30.0]), spec, FilterParams(mode="keep_out_only"))
-    assert names == ["tumor0"]
 
 
 def test_disabled_filter_takes_no_rows_and_needs_no_normal():
     # h is still every barrier value, even at a centre, where no normal exists
     spec = SafeSetSpec(tumors=[TUMOR], shells=[SHELL])
-    for mode in ("keep_out_only", "keep_out_and_depth"):
-        assert spec.row_count(FilterParams(mode=mode, enabled=False)) == 0
-    h, normals = selected_barrier_values(np.asarray(TUMOR.center), spec, 0)
+    h, normals = selected_barrier_values(np.asarray(TUMOR.center), spec, False)
     assert h == [-4.0, 7.0] and normals == []
 
 
 def test_depth_mode_emits_the_farther_barrier_too():
-    # each barrier of the mode is a row wherever the tip is, the farther one
-    # of a tumor/shell pair included
+    # a tumor and its depth shell are both rows wherever the tip is, the
+    # farther one of the pair included
     spec = SafeSetSpec(tumors=[TUMOR], shells=[SHELL])
-    params = FilterParams(mode="keep_out_and_depth")
-    for x, h in (((0.0, 1.5, 30.0), [0.5, 2.5]), ((0.0, 12.5, 30.0), [2.5, 0.5])):
-        names, hs, _ = _rows(np.array(x), spec, params)
+    for x, h in (((0.0, 0.0, 30.0), [2.0, 1.0]), ((0.0, 1.5, 30.0), [0.5, 2.5]),
+                 ((0.0, 12.5, 30.0), [2.5, 0.5])):
+        names, hs, _ = _rows(np.array(x), spec)
         assert names == ["tumor0", "shell0"]
         assert hs == pytest.approx(h)
 
@@ -126,14 +116,14 @@ def test_pair_tie_emits_both_rows():
     # midway: ||x - c|| = (margin + radius)/2 = 5.5 so h_in = h_out = 1.5
     spec = SafeSetSpec(tumors=[TUMOR], shells=[SHELL])
     x = np.asarray(TUMOR.center) + np.array([0.0, 5.5, 0.0])
-    names, hs, _ = _rows(x, spec, FilterParams(mode="keep_out_and_depth"))
-    assert sorted(names) == ["shell0", "tumor0"]
+    names, hs, _ = _rows(x, spec)
+    assert names == ["tumor0", "shell0"]
     assert all(abs(h - 1.5) < 1e-12 for h in hs)
 
 
 def test_unpaired_shell_always_selected():
     spec = SafeSetSpec(tumors=[], shells=[SHELL])
-    names, _, _ = _rows(np.array([0.0, 0.0, 30.0]), spec, FilterParams(mode="keep_out_and_depth"))
+    names, _, _ = _rows(np.array([0.0, 0.0, 30.0]), spec)
     assert names == ["shell0"]
 
 
@@ -142,15 +132,14 @@ def test_depth_mode_rows_follow_table_order():
     # tumor keeps its own: tumors first, then shells
     far = TumorSpec(center=(100.0, 0.0, 0.0), margin=4.0)
     spec = SafeSetSpec(tumors=[far, TUMOR], shells=[SHELL])
-    params = FilterParams(mode="keep_out_and_depth")
-    names, _, _ = _rows(np.array([0.0, 12.5, 30.0]), spec, params)
+    names, _, _ = _rows(np.array([0.0, 12.5, 30.0]), spec)
     assert names == ["tumor0", "tumor1", "shell0"]
 
 
 def test_tumor_paired_with_two_shells_is_one_row():
     # near a tumor inside two shells the tumor is one row, beside one per shell
     spec = SafeSetSpec(tumors=[TUMOR], shells=[SHELL, DepthShell((0.0, 6.0, 30.1), 9.0)])
-    names, _, _ = _rows(np.array([0.0, 1.5, 30.0]), spec, FilterParams(mode="keep_out_and_depth"))
+    names, _, _ = _rows(np.array([0.0, 1.5, 30.0]), spec)
     assert names == ["tumor0", "shell0", "shell1"]
 
 
@@ -195,26 +184,28 @@ def _random_safe_set(rng, spread: float, tip=None) -> SafeSetSpec:
             spec = SafeSetSpec(tumors, shells)
         except ValueError:      # a shell holds a tumor's centre but not its sphere
             continue
-        if spec.centers and (tip is None or min(selected_barrier_values(tip, spec, 0)[0]) >= 0.0):
+        if spec.centers and (tip is None
+                             or min(selected_barrier_values(tip, spec, False)[0]) >= 0.0):
             return spec
 
 
-@pytest.mark.parametrize("mode", ["keep_out_only", "keep_out_and_depth"])
-def test_selection_follows_documented_rule(mode):
+@pytest.mark.parametrize("table", ["keep_out_and_depth", "keep_out_only"])
+def test_selection_follows_documented_rule(table):
+    # the rule as documented, on tables of keep-out spheres and depth shells
+    # and on tables of keep-out spheres alone: every barrier is a row, in table
+    # order, with the table's h and the unit normal s_b (x - c_b) / ||x - c_b||
     rng = np.random.default_rng(41)
-    params = FilterParams(mode=mode)
     for _ in range(400):
         spec = _random_safe_set(rng, 15.0)
+        if table == "keep_out_only":
+            spec = SafeSetSpec(spec.tumors or [TUMOR], [])
         center = np.array(spec.centers[rng.integers(len(spec.centers))])
         x = center + rng.uniform(0.5, 15.0) * _unit(rng)
-        h, _ = selected_barrier_values(x, spec, 0)
-        names, hs, normals = _rows(x, spec, params)
-        # the rule as documented: every barrier of the mode, in table order
-        assert names == \
-            [name for name in spec.names if mode == "keep_out_and_depth" or "tumor" in name]
-        for b, (hb, normal) in enumerate(zip(hs, normals)):
+        h, _ = selected_barrier_values(x, spec, False)
+        names, hs, normals = _rows(x, spec)
+        assert names == spec.names and hs == h
+        for b, normal in enumerate(normals):
             offset = x - np.array(spec.centers[b])
-            assert hb == h[b]
             np.testing.assert_allclose(normal, spec.signs[b] * offset / np.linalg.norm(offset),
                                        atol=1e-12)
 
@@ -223,14 +214,13 @@ def test_all_rows_feasible_inside_safe_set():
     # with every h >= 0, v = 0 meets every row n . v >= -alpha h, so the
     # all-rows program always has a solution, however the rows face
     rng = np.random.default_rng(43)
-    params = FilterParams(mode="keep_out_and_depth")
     most_rows = 0
     for _ in range(2000):
         tip = rng.uniform(-5.0, 5.0, 3)
         spec = _random_safe_set(rng, 10.0, tip)
         alpha = float(rng.uniform(0.05, 5.0))
         v_d = (rng.normal(0.0, 1.0, 3) * 10.0 ** rng.uniform(-2.0, 2.0)).tolist()
-        _, hs, normals = _rows(tip, spec, params)
+        _, hs, normals = _rows(tip, spec)
         v_s, _ = filter_rows(v_d, normals, [-alpha * h for h in hs])
         tol = 1e-9 * max(1.0, float(np.linalg.norm(v_s)))
         for h, normal in zip(hs, normals):
@@ -243,7 +233,7 @@ def test_assemble_offsets_scale_with_alpha():
     # the row offset -alpha * h caps the approach speed along the normal at alpha * h
     spec = SafeSetSpec(tumors=[TUMOR], shells=[])
     x = np.array([0.0, 0.0, 30.0])
-    _, [h], [normal] = _rows(x, spec, FilterParams())
+    _, [h], [normal] = _rows(x, spec)
     assert h == pytest.approx(2.0)
     v_d = (0.0, 10.0, 0.0)   # straight at the tumor
     speeds = []

@@ -301,11 +301,9 @@ NON_DEFAULT = {
     "initial.d1": "12.5", "initial.theta2": "0.125", "initial.theta3": "-0.25",
     "initial.qdot": "0.5, -1.5, 2.25",
     "kinematics.l1": "3.5", "kinematics.l2": "12.0", "kinematics.l_end": "16.5",
-    "kinematics.outer_diameter": "4.25",
     "dynamics.masses": "2.5, 1.25, 0.75", "dynamics.link_inertias": "0.5, 2.5, 1.5",
     "dynamics.gravity": "1.0, -2.0, -9000.0",
-    "filter.alpha": "0.9", "filter.mode": "keep_out_and_depth",
-    "filter.activation_gate": "true", "filter.enabled": "false",
+    "filter.alpha": "0.9", "filter.activation_gate": "true", "filter.enabled": "false",
     "controller.k_d": "7000.0", "controller.damping": "0.002",
     "disturbance.waveform": "sinusoid", "disturbance.amplitude": "1.5, -2.5, 3.5",
     "disturbance.frequency": "1.75", "disturbance.seed": "17",

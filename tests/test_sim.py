@@ -236,7 +236,7 @@ def test_cut_measures_edge_cases_report_quietly(small_run):
 def test_gate_starts_disengaged_and_latches():
     spec = _small_spec(
         shells=[DepthShell(TUMOR.center, 7.0)],
-        filter=FilterParams(alpha=1.5, mode="keep_out_and_depth", activation_gate=True),
+        filter=FilterParams(alpha=1.5, activation_gate=True),
         initial_q=JointConfig(6.7, 0.0, 0.0),
         duration=2.5,
     )
@@ -246,7 +246,7 @@ def test_gate_starts_disengaged_and_latches():
     k = int(np.nonzero(log.gate)[0][0])
     assert not log.gate[:k].any()
     assert log.gate[k:].all()
-    # engagement requires every selected barrier non-negative at that step
+    # engagement requires every barrier non-negative at that step
     assert np.all(log.h[k] >= 0.0)
     report = sim.summarize(log, spec)
     assert min(report.min_h.values()) >= -1e-3
@@ -285,8 +285,8 @@ def test_tip_on_a_barrier_centre_fails_only_a_filter_row(barrier):
     # construction refuses a tip that starts on a centre, so the table is
     # swapped in afterwards; the tumor's h < 0 keeps the gate disengaged
     for enabled in (True, False):
-        spec = _small_spec(filter=FilterParams(mode="keep_out_and_depth", activation_gate=True,
-                                               enabled=enabled), duration=0.05)
+        spec = _small_spec(filter=FilterParams(activation_gate=True, enabled=enabled),
+                           duration=0.05)
         tip = forward_kinematics(spec.initial_q, spec.kinematics)
         if barrier == "tumor0":
             spec.safe_set, h0 = SafeSetSpec([TumorSpec(tip, 4.0)], []), -4.0
@@ -426,7 +426,7 @@ def test_gate_that_never_engages_reports_no_barrier_statistics():
     # enters: no step is gated, so no barrier statistic and no violation
     spec = _small_spec(
         shells=[DepthShell(TUMOR.center, 7.0)],
-        filter=FilterParams(alpha=1.5, mode="keep_out_and_depth", activation_gate=True),
+        filter=FilterParams(alpha=1.5, activation_gate=True),
         initial_q=JointConfig(6.7, 0.0, 0.0),
         duration=0.2,
     )
@@ -441,7 +441,7 @@ def test_gate_that_never_engages_reports_no_barrier_statistics():
 def test_gate_aware_summary_excludes_approach():
     spec = _small_spec(
         shells=[DepthShell(TUMOR.center, 7.0)],
-        filter=FilterParams(alpha=1.5, mode="keep_out_and_depth", activation_gate=True),
+        filter=FilterParams(alpha=1.5, activation_gate=True),
         initial_q=JointConfig(6.7, 0.0, 0.0),
         duration=2.5,
     )
@@ -455,7 +455,7 @@ def test_gate_aware_summary_excludes_approach():
 
 def test_logged_active_rows_match_row_builder():
     # recount |N v_s - b| <= 1e-6 from the logged x and xdot_safe, with N and
-    # b = -alpha h built in numpy from the selected barriers.  Scenario 3 has
+    # b = -alpha h built in numpy from every barrier.  Scenario 3 has
     # two-row active sets; scenario 4's gate engages about a second in.
     for scenario_id, gated_from_start, most_active in ((3, True, 2), (4, False, 1)):
         spec = scenario_catalog(scenario_id)
@@ -463,11 +463,10 @@ def test_logged_active_rows_match_row_builder():
         safe_set = spec.safe_set
         assert log.gate[0] == gated_from_start and log.gate[-1]
         recount = np.zeros(len(log), dtype=np.int64)
-        rows = safe_set.row_count(spec.filter)
         for k in np.nonzero(log.gate)[0]:
-            h, normals = safety.selected_barrier_values(log.x[k], safe_set, rows)
+            h, normals = safety.selected_barrier_values(log.x[k], safe_set, True)
             N = np.array(normals)
-            b = -spec.filter.alpha * np.array(h[:rows])
+            b = -spec.filter.alpha * np.array(h)
             recount[k] = np.count_nonzero(np.abs(N @ log.xdot_safe[k] - b) <= 1e-6)
         assert recount.max() == most_active
         np.testing.assert_array_equal(log.active_rows, recount)
@@ -476,7 +475,7 @@ def test_logged_active_rows_match_row_builder():
 @pytest.mark.parametrize("alpha", [0.4, 0.8])
 def test_gated_steps_meet_the_farther_barrier_row(alpha):
     # below scenario 4's catalog alpha the tip nears the shell while the
-    # tumor's row still binds; every barrier of the mode is a row, so on each
+    # tumor's row still binds; every barrier is a row, so on each
     # gated step the logged safe velocity meets the tumor's and the shell's
     base = scenario_catalog(4)
     spec = replace(base, filter=replace(base.filter, alpha=alpha))
