@@ -32,7 +32,7 @@ from .scenario import JOINT_BOX
 def mass_matrix(q, params: DynamicParams) -> np.ndarray:
     """Symmetric positive definite joint-space mass matrix at q = (d1, theta2, theta3)."""
     m1, m2, m3 = params.masses
-    _, i2, i3 = params.link_inertias
+    i2, i3 = params.link_inertias
     kp = params.kinematics
     _, theta2, theta3 = q
     c2, s2 = math.cos(theta2), math.sin(theta2)
@@ -97,7 +97,7 @@ def kinetic_energy(q, qdot, params: DynamicParams) -> float:
     """1/2 sum m |p'|^2 over the point masses potential_energy places, plus
     1/2 i theta'^2 for the two bending links; M is never formed."""
     m1, m2, m3 = params.masses
-    _, i2, i3 = params.link_inertias
+    i2, i3 = params.link_inertias
     kp = params.kinematics
     _, theta2, theta3 = q
     v1, w2, w3 = qdot
@@ -354,7 +354,7 @@ def check_dynamics_residual():
         q = _random_config(rng)
         qd = rng.normal(0.0, 1.0, 3)
         u = rng.normal(0.0, 1e4, 3)
-        qdd = np.array(forward_dynamics(q, qd, u, params))
+        qdd = np.array(forward_dynamics(q.theta2, q.theta3, *qd, *u, params))
         resid = (mass_matrix(q, params) @ qdd + coriolis_matrix(q, qd, params) @ qd
                  + gravity_vector(q, params) - u)
         worst = max(worst, float(np.max(np.abs(resid))))

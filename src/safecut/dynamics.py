@@ -35,9 +35,8 @@ class DynamicParams:
     """Inertial parameters of the arm.
 
     masses: point masses [g] of carried base, link l2, link l_end.
-    link_inertias: rotor inertia [g*mm^2] per link about its bending axis;
-        the first entry belongs to the prismatic link and never enters the
-        equations of motion.
+    link_inertias: rotor inertias [g*mm^2] (i2, i3) of the two bending
+        joints, each about its own axis.
     gravity: acceleration vector [mm/s^2] acting on every mass.
     kinematics: the link lengths the masses hang off.  This is the one copy
         of them: ScenarioSpec.kinematics reads it, so the controller and the
@@ -45,16 +44,16 @@ class DynamicParams:
     """
 
     masses: tuple = (2.0, 1.5, 1.0)
-    link_inertias: tuple = (0.0, 2.0, 1.0)
+    link_inertias: tuple = (2.0, 1.0)
     gravity: tuple = (0.0, 0.0, -9810.0)
     kinematics: KinematicParams = field(default_factory=KinematicParams)
 
     def __post_init__(self):
         # plain floats: the integrator runs on them every step
-        for name in ("masses", "link_inertias", "gravity"):
+        for name, size in (("masses", 3), ("link_inertias", 2), ("gravity", 3)):
             values = tuple(float(v) for v in getattr(self, name))
-            if len(values) != 3 or not all(math.isfinite(v) for v in values):
-                raise ValueError(f"{name} must be 3 finite values, got {values!r}")
+            if len(values) != size or not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{name} must be {size} finite values, got {values!r}")
             setattr(self, name, values)
         if min(self.masses) <= 0.0:
             raise ValueError("masses must be positive")
@@ -62,8 +61,10 @@ class DynamicParams:
             raise ValueError("link inertias must be non-negative")
 
 
-def _accel(theta2, theta3, v1, v2, v3, u1, u2, u3, params: DynamicParams):
-    """Joint accelerations M^-1 (u - C qdot - g) from plain floats.
+def forward_dynamics(theta2, theta3, v1, v2, v3, u1, u2, u3, params: DynamicParams):
+    """Joint accelerations M^-1 (u - C qdot - g) as plain floats, at bending angles
+    theta2, theta3 (d1 enters none of M, C and g), joint velocities v1, v2, v3
+    and joint forces/torques u1, u2, u3 (identity input map).
 
     M is arrowhead-shaped, [[m00, m01, m02], [m01, m11, 0], [m02, 0, m22]],
     so eliminating the two bending rows leaves one scalar Schur complement
@@ -71,7 +72,7 @@ def _accel(theta2, theta3, v1, v2, v3, u1, u2, u3, params: DynamicParams):
     mass_matrix, coriolis_matrix and gravity_vector, live in checks.
     """
     m1, m2, m3 = params.masses
-    _, i2, i3 = params.link_inertias
+    i2, i3 = params.link_inertias
     gx, gy, gz = params.gravity
     kp = params.kinematics
     l2, le = kp.l2, kp.l_end
@@ -106,17 +107,6 @@ def _accel(theta2, theta3, v1, v2, v3, u1, u2, u3, params: DynamicParams):
     return qdd1, (r1 - m01 * qdd1) / m11, (r2 - m02 * qdd1) / m22
 
 
-def forward_dynamics(q, qdot, u, params: DynamicParams):
-    """Joint accelerations for forces/torques u (identity input map), as floats.
-
-    q = (d1, theta2, theta3), qdot and u are 3-sequences.
-    """
-    _, theta2, theta3 = q
-    v1, v2, v3 = qdot
-    u1, u2, u3 = u
-    return _accel(theta2, theta3, v1, v2, v3, u1, u2, u3, params)
-
-
 def rk4_step(q, qdot, u, dt: float, params: DynamicParams):
     """One classical Runge-Kutta step with u held constant over the interval.
 
@@ -127,13 +117,13 @@ def rk4_step(q, qdot, u, dt: float, params: DynamicParams):
     v1, v2, v3 = qdot
     u1, u2, u3 = u
     h = 0.5 * dt
-    a1, a2, a3 = _accel(q2, q3, v1, v2, v3, u1, u2, u3, params)
+    a1, a2, a3 = forward_dynamics(q2, q3, v1, v2, v3, u1, u2, u3, params)
     w1, w2, w3 = v1 + h * a1, v2 + h * a2, v3 + h * a3
-    b1, b2, b3 = _accel(q2 + h * v2, q3 + h * v3, w1, w2, w3, u1, u2, u3, params)
+    b1, b2, b3 = forward_dynamics(q2 + h * v2, q3 + h * v3, w1, w2, w3, u1, u2, u3, params)
     x1, x2, x3 = v1 + h * b1, v2 + h * b2, v3 + h * b3
-    c1, c2, c3 = _accel(q2 + h * w2, q3 + h * w3, x1, x2, x3, u1, u2, u3, params)
+    c1, c2, c3 = forward_dynamics(q2 + h * w2, q3 + h * w3, x1, x2, x3, u1, u2, u3, params)
     y1, y2, y3 = v1 + dt * c1, v2 + dt * c2, v3 + dt * c3
-    d1, d2, d3 = _accel(q2 + dt * x2, q3 + dt * x3, y1, y2, y3, u1, u2, u3, params)
+    d1, d2, d3 = forward_dynamics(q2 + dt * x2, q3 + dt * x3, y1, y2, y3, u1, u2, u3, params)
     s = dt / 6.0
     return ((q1 + s * (v1 + 2.0 * w1 + 2.0 * x1 + y1),
              q2 + s * (v2 + 2.0 * w2 + 2.0 * x2 + y2),

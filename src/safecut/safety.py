@@ -46,11 +46,10 @@ class InfeasibleQPError(RuntimeError):
 
 @dataclass
 class TumorSpec:
-    """A marked tumor: centre [mm], cutting margin [mm], removable flag."""
+    """A marked tumor: centre, cutting margin [mm]; marking.N.tumor names the one a loop cuts."""
 
     center: np.ndarray
     margin: float
-    removable: bool = True
 
     def __post_init__(self):
         self.center = _finite_point(self.center, "tumor centre")

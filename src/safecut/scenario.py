@@ -38,14 +38,15 @@ _UNSAFE_DEPTH = 1.5          # mm inside the keep-out sphere
 _MARKING_COUNT = 8
 _MARKING_PLANE = (0.0, 0.0, 1.0)
 _MIN_SEGMENT = 1e-12         # mm: a shorter reference segment has no direction
+_LOG_COLUMNS = 30            # a run's log columns (sim.TrajectoryLog) besides one per barrier
 
 # joint -> (low, high) in JointConfig order: validate's workspace box, not enforced by
 # the plant; the verify suites draw their joint configurations from it
 JOINT_BOX = dict(d1=(0.0, 50.0), theta2=(-math.pi / 2, math.pi / 2),
                  theta3=(-math.pi / 2, math.pi / 2))
 
-_REMOVABLE = ((0.0, 6.0, 30.0), 4.0, True)       # TumorSpec arguments
-_PRESERVE = ((0.0, -6.0, 30.0), 4.0, False)
+_REMOVABLE = ((0.0, 6.0, 30.0), 4.0)       # TumorSpec arguments
+_PRESERVE = ((0.0, -6.0, 30.0), 4.0)
 
 # id -> (tumors, DepthShell arguments, (marking index, intruded tumor index)
 #        pairs, FilterParams arguments, initial d1 [mm]); the loop marks tumor 0
@@ -241,13 +242,22 @@ class ScenarioSpec:
         return reference_steps(float(self.path[1][-1]), self.speed, self.dt) * self.dt + self.settle
 
     def validate(self):
-        """Geometric sanity of the scenario; raises ValueError on failure."""
+        """Geometric and timing sanity of the scenario; raises ValueError on failure."""
         if not self.markings:
             raise ValueError("a scenario needs at least one marking set")
         waypoints, _ = self.path
         if not (np.linalg.norm(np.diff(waypoints, axis=0), axis=1) >= _MIN_SEGMENT).any():
             raise ValueError(f"markings: the reference path from the initial tip through the "
                              f"marking points has no segment of {_MIN_SEGMENT:g} mm or longer")
+        # the reference's step count first: run_duration rounds it up to an int
+        steps = float(self.path[1][-1]) / self.speed / self.dt
+        steps = self.run_duration() / self.dt if math.isfinite(steps) else steps
+        columns = _LOG_COLUMNS + len(self.safe_set.names)
+        if not (steps + 1.0) * columns * 8.0 <= np.iinfo(np.intp).max:    # inf steps too
+            end = "settle" if self.duration is None else "duration"
+            raise ValueError(f"dt = {self.dt!r}, speed = {self.speed!r}, {end} = "
+                             f"{getattr(self, end)!r}: {steps + 1.0:.3g} steps x {columns} "
+                             "float64 log columns are more than one array can address")
         for (name, (low, high)), v in zip(JOINT_BOX.items(), self.initial_q):
             if not low <= v <= high:
                 raise ValueError(f"initial.{name} = {v!r} outside the workspace box "
@@ -380,8 +390,7 @@ _NESTED = (("initial_q", "initial", JointConfig),
 # prefix -> (ScenarioSpec list, class, {key: (constructor argument, kind)})
 _FAMILIES = {
     "tumor": ("tumors", TumorSpec, {"center": ("center", "vec"),
-                                    "margin": ("margin", "float"),
-                                    "removable": ("removable", "bool")}),
+                                    "margin": ("margin", "float")}),
     "shell": ("shells", DepthShell, {"center": ("center", "vec"),
                                      "outer_radius": ("outer_radius", "float")}),
     "marking": ("markings", MarkingSet, {"tumor": ("tumor_index", "int"),

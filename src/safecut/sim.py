@@ -173,9 +173,10 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
         if k + 1 < n:
             try:
                 q1, qdot1 = rk4_step(q, qdot, (u[0] + d[0], u[1] + d[1], u[2] + d[2]), dt, dyn)
-            except SingularMassError as exc:
-                # at finite angles the arm itself is singular; else the state blew up
-                if math.isfinite(exc.theta2) and math.isfinite(exc.theta3):
+            except (SingularMassError, ValueError) as exc:
+                # a singular arm at finite angles keeps its name; else a stage angle blew
+                # up, to nan (singular pivots) or to inf (math.cos raises ValueError)
+                if isinstance(exc, SingularMassError) and math.isfinite(exc.theta2 + exc.theta3):
                     raise
                 raise PlantDivergedError(k, t, tuple(q), qdot) from exc
             # one sum tests all six values: it is nan or inf if any of them is

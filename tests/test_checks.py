@@ -132,10 +132,10 @@ def test_random_qp_instance_draws_match_linalg_norm_form(seed):
 
 def _heun_step(q, qdot, u, dt, params):
     """Second-order Heun step on forward_dynamics: the order check must refuse it."""
-    a = forward_dynamics(q, qdot, u, params)
+    a = forward_dynamics(*q[1:], *qdot, *u, params)
     q1 = [x + dt * v for x, v in zip(q, qdot)]
     v1 = [v + dt * x for v, x in zip(qdot, a)]
-    b = forward_dynamics(q1, v1, u, params)
+    b = forward_dynamics(*q1[1:], *v1, *u, params)
     return (tuple(x + 0.5 * dt * (v + w) for x, v, w in zip(q, qdot, v1)),
             tuple(v + 0.5 * dt * (x + y) for v, x, y in zip(qdot, a, b)))
 

@@ -167,6 +167,8 @@ def test_verify_quick_pass(capsys):
      "unknown configuration key 'filter.mode'"),
     ("scenario_id = 1\nkinematics.outer_diameter = 3.7\n",
      "unknown configuration key 'kinematics.outer_diameter'"),
+    ("scenario_id = 2\ntumor.0.removable = true\n",
+     "unknown configuration key 'tumor.0.removable'"),
     ("scenario_id = 1\nfilter.mode = foo\n", "filter.mode"),
     ("scenario_id = 1\ntumor.x.margin = 3.0\n", "tumor.x.margin"),
     ("scenario_id = 2\ntumor.01.margin = 3.0\n", "tumor.01.margin"),
@@ -208,11 +210,21 @@ def test_verify_quick_pass(capsys):
     ("scenario_id = 1\ncontroller.damping = -1\n", "controller: damping must be non-negative"),
     ("scenario_id = 1\nkinematics.l2 = -1\n", "kinematics: l2 must be positive and finite"),
     ("scenario_id = 1\ndynamics.masses = 1, 2\n", "dynamics: masses must be 3 finite values"),
+    ("scenario_id = 1\ndynamics.link_inertias = 0.0, 2.0, 1.0\n",
+     "dynamics: link_inertias must be 2 finite values"),
     ("scenario_id = 1\ndisturbance.frequency = nan\n", "disturbance: frequency must be finite"),
     # one marking point on the initial tip: a path of no length has no direction
     ("scenario_id = 1\ntumor.0.center = 0.0, 4.0, 43.0\nmarking.0.points = 0.0, 0.0, 43.0\n"
      "marking.0.unsafe = 0\n", "markings: the reference path from the initial tip through "
                                "the marking points has no segment of 1e-12 mm or longer"),
+    # timing whose step count is not finite, or whose log no array can hold
+    ("scenario_id = 1\nspeed = 5e-324\n", "speed = 5e-324, settle = 1.0: inf steps"),
+    ("scenario_id = 1\ndt = 5e-324\n", "dt = 5e-324, speed = 2.0, settle = 1.0: inf steps"),
+    ("scenario_id = 1\ndt = 1e-200\n", "dt = 1e-200, speed = 2.0, settle = 1.0: 2.03e+201 steps"),
+    ("scenario_id = 1\nspeed = 1e-200\n", "speed = 1e-200, settle = 1.0: 3.85e+204 steps"),
+    ("scenario_id = 1\nsettle = 1e300\n", "settle = 1e+300: 1e+303 steps x 31 float64 log columns "
+                                           "are more than one array can address"),
+    ("scenario_id = 1\nduration = 1e300\n", "dt = 0.001, speed = 2.0, duration = 1e+300: 1e+303"),
 ])
 def test_config_errors_exit_2_and_name_the_key(tmp_path, capsys, config, named):
     cfg = tmp_path / "bad.cfg"
@@ -258,6 +270,7 @@ def test_one_reference_per_run(tmp_path, monkeypatch):
     (1, "dt = 0.005"),
     (1, "controller.k_d = 3e5\nduration = 1"),
     (1, "dt = 0.01\nduration = 1"),
+    (1, "dynamics.masses = 1e-100, 1e-100, 1e-100"),
 ])
 def test_diverged_plant_exits_3_with_its_name(tmp_path, capsys, scenario, override):
     cfg = tmp_path / "diverge.cfg"

@@ -75,7 +75,7 @@ def test_forward_dynamics_inverts_equations_of_motion():
         q = _random_config(rng)
         qd = rng.normal(0.0, 1.0, 3)
         u = rng.normal(0.0, 1e4, 3)
-        qdd = np.array(forward_dynamics(q, qd, u, PARAMS))
+        qdd = np.array(forward_dynamics(q.theta2, q.theta3, *qd, *u, PARAMS))
         lhs = (mass_matrix(q, PARAMS) @ qdd + coriolis_matrix(q, qd, PARAMS) @ qd
                + gravity_vector(q, PARAMS))
         np.testing.assert_allclose(lhs, u, atol=1e-8)
@@ -127,7 +127,7 @@ def test_bad_parameters_rejected():
     with pytest.raises(ValueError):
         DynamicParams(masses=(0.0, 1.0, 1.0))
     with pytest.raises(ValueError):
-        DynamicParams(link_inertias=(0.0, -1.0, 1.0))
+        DynamicParams(link_inertias=(-1.0, 1.0))
 
 
 def test_energy_audit_detects_corrupted_gravity_sign(monkeypatch):
@@ -182,14 +182,14 @@ def test_non_finite_configuration_raises_singular_mass():
     with pytest.raises(SingularMassError):
         rk4_step((10.0, float("nan"), 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1e-3, PARAMS)
     bad = DynamicParams()
-    bad.link_inertias = (0.0, -1e9, 1.0)   # bypasses validation: M indefinite
+    bad.link_inertias = (-1e9, 1.0)   # bypasses validation: M indefinite
     with pytest.raises(SingularMassError):
-        forward_dynamics((10.0, 0.3, -0.2), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), bad)
+        forward_dynamics(0.3, -0.2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, bad)
 
 
 @pytest.mark.parametrize("kwargs", [
     dict(masses=(float("nan"), 1.5, 1.0)),
-    dict(link_inertias=(0.0, float("inf"), 1.0)),
+    dict(link_inertias=(float("inf"), 1.0)),
     dict(gravity=(0.0, 0.0, float("nan"))),
 ])
 def test_dynamic_params_reject_non_finite(kwargs):
@@ -200,7 +200,7 @@ def test_dynamic_params_reject_non_finite(kwargs):
 ORACLES = ("mass_matrix", "coriolis_matrix", "gravity_vector", "kinetic_energy",
            "potential_energy")
 KERNELS = {"tip_kinematics", "forward_kinematics", "jacobian", "damped_least_squares",
-           "_accel", "forward_dynamics", "rk4_step"}
+           "forward_dynamics", "rk4_step"}
 
 
 def test_runtime_modules_hold_one_form():

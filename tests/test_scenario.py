@@ -301,7 +301,7 @@ NON_DEFAULT = {
     "initial.d1": "12.5", "initial.theta2": "0.125", "initial.theta3": "-0.25",
     "initial.qdot": "0.5, -1.5, 2.25",
     "kinematics.l1": "3.5", "kinematics.l2": "12.0", "kinematics.l_end": "16.5",
-    "dynamics.masses": "2.5, 1.25, 0.75", "dynamics.link_inertias": "0.5, 2.5, 1.5",
+    "dynamics.masses": "2.5, 1.25, 0.75", "dynamics.link_inertias": "2.5, 1.5",
     "dynamics.gravity": "1.0, -2.0, -9000.0",
     "filter.alpha": "0.9", "filter.activation_gate": "true", "filter.enabled": "false",
     "controller.k_d": "7000.0", "controller.damping": "0.002",
@@ -326,6 +326,6 @@ def test_link_lengths_held_once():
     q = JointConfig(13.0, 0.3, 0.2)
     _, m2, m3 = spec.dynamics.masses
     a = 12.0 + spec.kinematics.l_end * math.cos(q.theta3)
-    expected = m2 * 12.0 ** 2 + m3 * a * a + spec.dynamics.link_inertias[1]
+    expected = m2 * 12.0 ** 2 + m3 * a * a + spec.dynamics.link_inertias[0]
     assert mass_matrix(q, spec.dynamics)[1, 1] == pytest.approx(expected, rel=1e-12)
     assert load_scenario("scenario_id = 1\nkinematics.l2 = 12.0\n").dynamics.kinematics.l2 == 12.0

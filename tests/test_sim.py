@@ -10,7 +10,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from safecut import safety, sim
+from safecut import safety, scenario, sim
 from safecut.control import ControllerParams, DisturbanceSpec
 from safecut.dynamics import DynamicParams, SingularMassError
 from safecut.kinematics import JointConfig, forward_kinematics
@@ -312,7 +312,8 @@ def test_run_is_deterministic():
 
 def test_csv_round_trip_exact(small_run, tmp_path):
     _, run_log = small_run
-    # the run's log, and a log of zero steps: 30 columns plus one per barrier
+    # the run's log, and a log of zero steps: 30 columns plus one per barrier, the
+    # width ScenarioSpec's log-size check counts (_LOG_COLUMNS)
     empty = sim.TrajectoryLog(run_log.data[:0], run_log.barrier_names)
     for case, log in (("run", run_log), ("empty", empty)):
         path = tmp_path / f"{case}.csv"
@@ -322,6 +323,7 @@ def test_csv_round_trip_exact(small_run, tmp_path):
                       "u", "d", "edot", "h", "active_rows", "gate"):
             np.testing.assert_array_equal(getattr(log, field), getattr(back, field))
         assert back.data.shape == log.data.shape == (len(log), 30 + len(log.barrier_names))
+        assert scenario._LOG_COLUMNS == 30
         assert back.data.tobytes() == log.data.tobytes()
         assert back.barrier_names == log.barrier_names
         second = tmp_path / f"{case}2.csv"
@@ -497,6 +499,8 @@ def test_gated_steps_meet_the_farther_barrier_row(alpha):
     dict(dt=0.005),
     dict(controller=ControllerParams(k_d=3e5), duration=1.0),
     dict(dt=0.01, duration=1.0),
+    # a stage angle overflows to inf within one interval, where math.cos raises
+    dict(dynamics=DynamicParams(masses=(1e-100, 1e-100, 1e-100), gravity=(0.0, 0.0, 0.0))),
 ])
 def test_diverged_plant_raises_with_last_finite_state(override):
     spec = replace(scenario_catalog(1), **{"duration": 0.05, **override})
@@ -510,6 +514,6 @@ def test_diverged_plant_raises_with_last_finite_state(override):
 
 def test_singular_mass_at_finite_angles_keeps_its_name():
     bad = DynamicParams(gravity=(0.0, 0.0, 0.0))
-    bad.link_inertias = (0.0, -1e9, 1.0)   # bypasses validation: M indefinite
+    bad.link_inertias = (-1e9, 1.0)   # bypasses validation: M indefinite
     with pytest.raises(SingularMassError):
         sim.run(replace(scenario_catalog(1), dynamics=bad, duration=0.05))
