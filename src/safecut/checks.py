@@ -212,8 +212,10 @@ def random_qp_instance(rng: np.random.Generator):
     """(v_d, (N, b)): one random program of 1 to 3 rows with unit normals."""
     v_d = rng.normal(0.0, 3.0, 3)
     k = int(rng.integers(1, 4))
-    normals = rng.normal(0.0, 1.0, (k, 3))
-    normals /= np.sqrt(np.add.reduce(normals * normals, axis=1))[:, None]
+    rows = rng.normal(0.0, 1.0, (k, 3)).tolist()
+    # each row over its length in floats, summed in the order of numpy's add.reduce
+    lengths = [math.sqrt(x * x + y * y + z * z) for x, y, z in rows]
+    normals = np.array([(x / n, y / n, z / n) for (x, y, z), n in zip(rows, lengths)])
     offsets = rng.uniform(-4.0, 4.0, k)
     if k >= 2 and rng.random() < 0.15:
         # (near-)antipodal pair: infeasible whenever the offsets sum positive

@@ -30,7 +30,7 @@ class SingularMassError(RuntimeError):
         self.theta2, self.theta3 = theta2, theta3
 
 
-@dataclass
+@dataclass(frozen=True)
 class DynamicParams:
     """Inertial parameters of the arm.
 
@@ -41,12 +41,19 @@ class DynamicParams:
     kinematics: the link lengths the masses hang off.  This is the one copy
         of them: ScenarioSpec.kinematics reads it, so the controller and the
         plant cannot disagree.
+
+    plant: the factors of forward_dynamics that no configuration changes
+        (m1 + m2 + m3, m2 l2, m2 l2^2, m3 le^2 + i3, (m1 + m2 + m3) gz, -2 m3,
+        m3 le, beside l2, le, m3, i2 and gravity), folded once at construction.
+        Frozen, like the KinematicParams it reads: a field assigned afterwards
+        would leave plant stale, so assignment raises instead.
     """
 
     masses: tuple = (2.0, 1.5, 1.0)
     link_inertias: tuple = (2.0, 1.0)
     gravity: tuple = (0.0, 0.0, -9810.0)
     kinematics: KinematicParams = field(default_factory=KinematicParams)
+    plant: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # plain floats: the integrator runs on them every step
@@ -54,11 +61,22 @@ class DynamicParams:
             values = tuple(float(v) for v in getattr(self, name))
             if len(values) != size or not all(math.isfinite(v) for v in values):
                 raise ValueError(f"{name} must be {size} finite values, got {values!r}")
-            setattr(self, name, values)
+            object.__setattr__(self, name, values)
         if min(self.masses) <= 0.0:
             raise ValueError("masses must be positive")
         if min(self.link_inertias) < 0.0:
             raise ValueError("link inertias must be non-negative")
+        (m1, m2, m3), (i2, i3), (gx, gy, gz) = self.masses, self.link_inertias, self.gravity
+        l2, le = self.kinematics.l2, self.kinematics.l_end
+        try:
+            l2sq = l2 ** 2
+        except OverflowError:
+            raise ValueError(f"kinematics.l2 = {l2!r} squared overflows a float") from None
+        m00 = m1 + m2 + m3
+        # each factor rounded as forward_dynamics evaluated it inline, so no float moves
+        object.__setattr__(self, "plant", (l2, le, m3, i2, gx, gy, gz, m00, m2 * l2,
+                                           m2 * l2sq, m3 * le * le + i3, m00 * gz,
+                                           -2.0 * m3, m3 * le))
 
 
 def forward_dynamics(theta2, theta3, v1, v2, v3, u1, u2, u3, params: DynamicParams):
@@ -68,32 +86,27 @@ def forward_dynamics(theta2, theta3, v1, v2, v3, u1, u2, u3, params: DynamicPara
 
     M is arrowhead-shaped, [[m00, m01, m02], [m01, m11, 0], [m02, 0, m22]],
     so eliminating the two bending rows leaves one scalar Schur complement
-    and the solve is exact in closed form.  Its matrix-form oracles,
+    and the solve is exact in closed form.  Its configuration-independent
+    factors are read from params.plant.  Its matrix-form oracles,
     mass_matrix, coriolis_matrix and gravity_vector, live in checks.
     """
-    m1, m2, m3 = params.masses
-    i2, i3 = params.link_inertias
-    gx, gy, gz = params.gravity
-    kp = params.kinematics
-    l2, le = kp.l2, kp.l_end
+    l2, le, m3, i2, gx, gy, gz, m00, m2l2, m2l2sq, m22, m00gz, neg2m3, m3le = params.plant
     c2, s2 = math.cos(theta2), math.sin(theta2)
     c3, s3 = math.cos(theta3), math.sin(theta3)
     a = l2 + le * c3
-    w = m2 * l2 + m3 * a
-    m00 = m1 + m2 + m3
+    w = m2l2 + m3 * a
     m01 = -s2 * w
     m02 = -m3 * c2 * le * s3
-    m11 = m2 * l2 ** 2 + m3 * a * a + i2
-    m22 = m3 * le * le + i3
+    m11 = m2l2sq + m3 * a * a + i2
     # nonzero derivatives of M: dM01/dth2, dM02/dth2 (= dM01/dth3),
     # dM02/dth3, dM11/dth3; they give the Coriolis/centrifugal vector
     a2 = -c2 * w
     b2 = m3 * s2 * le * s3
     b3 = -m3 * c2 * le * c3
-    d3 = -2.0 * m3 * a * le * s3
-    r0 = u1 - (a2 * v2 * v2 + 2.0 * b2 * v2 * v3 + b3 * v3 * v3) + m00 * gz
+    d3 = neg2m3 * a * le * s3
+    r0 = u1 - (a2 * v2 * v2 + 2.0 * b2 * v2 * v3 + b3 * v3 * v3) + m00gz
     r1 = u2 - d3 * v2 * v3 + w * (gx * c2 - gz * s2)
-    r2 = u3 + 0.5 * d3 * v2 * v2 - m3 * le * (gx * s2 * s3 + gy * c3 + gz * c2 * s3)
+    r2 = u3 + 0.5 * d3 * v2 * v2 - m3le * (gx * s2 * s3 + gy * c3 + gz * c2 * s3)
     if not (0.0 < m11 < math.inf and 0.0 < m22 < math.inf):
         raise SingularMassError(f"mass matrix pivot not positive and finite at "
                                 f"theta2={theta2!r}, theta3={theta3!r}", theta2, theta3)

@@ -22,11 +22,12 @@ class SingularJacobianError(RuntimeError):
     """Raised when an undamped least-squares solve hits a rank-deficient Jacobian."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class KinematicParams:
     """Link lengths [mm] of the instrument.
 
-    A scenario holds its one copy on DynamicParams.kinematics.
+    A scenario holds its one copy on DynamicParams.kinematics, which folds
+    them into its plant factors; frozen, so those cannot go stale.
     """
 
     l1: float = 3.0

@@ -3,8 +3,8 @@
 Each tumor carries a spherical keep-out region of radius equal to its cutting
 margin; each depth shell bounds how far the tip may wander outward while
 dissecting.  SafeSetSpec fixes them once as one barrier table, tumors first
-then shells: barrier b has a name, a centre c_b, a radius r_b and a sign s_b
-(+1 for a tumor, -1 for a shell), so
+then shells: barrier b has a name and one float row, its centre c_b, radius
+r_b and sign s_b (+1 for a tumor, -1 for a shell), so
 
     h_b = s_b (||x - c_b|| - r_b),   normal_b = s_b (x - c_b) / ||x - c_b||,
 
@@ -95,27 +95,23 @@ class FilterParams:
 class SafeSetSpec:
     """All barriers of a scenario as one table; the only place that knows the list.
 
-    Fixed here, as they depend on geometry only, per barrier b (tumors first,
-    then shells): names ("tumor<i>", "shell<j>"), centers (float triples),
-    radii (cutting margin or outer radius) and signs (+1 tumor, -1 shell).
-    A shell that contains a tumor's centre must contain its whole keep-out
-    sphere.
+    Fixed here, as they depend on geometry only, per barrier (tumors first,
+    then shells): its name in names ("tumor<i>", "shell<j>") and its float
+    row in barriers, (cx, cy, cz, r, s): centre, radius (cutting margin or
+    outer radius) and sign (+1 tumor, -1 shell).  A shell that contains a tumor's
+    centre must contain its whole keep-out sphere.
     """
 
     tumors: list
     shells: list
     names: list = field(init=False, repr=False, compare=False)
-    centers: list = field(init=False, repr=False, compare=False)
-    radii: list = field(init=False, repr=False, compare=False)
-    signs: list = field(init=False, repr=False, compare=False)
+    barriers: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         nt, ns = len(self.tumors), len(self.shells)
         self.names = [f"tumor{i}" for i in range(nt)] + [f"shell{j}" for j in range(ns)]
-        self.centers = [tuple(b.center.tolist()) for b in (*self.tumors, *self.shells)]
-        self.radii = [float(t.margin) for t in self.tumors] + \
-                     [float(s.outer_radius) for s in self.shells]
-        self.signs = [1.0] * nt + [-1.0] * ns
+        self.barriers = [(*t.center.tolist(), float(t.margin), 1.0) for t in self.tumors] + \
+                        [(*s.center.tolist(), float(s.outer_radius), -1.0) for s in self.shells]
         for j, shell in enumerate(self.shells):
             for i, tumor in enumerate(self.tumors):
                 dist = float(np.linalg.norm(tumor.center - shell.center))
@@ -141,14 +137,14 @@ def selected_barrier_values(x, spec: SafeSetSpec, rows: bool):
     """
     x0, x1, x2 = x
     h, normals = [], []
-    for b, ((cx, cy, cz), r, s) in enumerate(zip(spec.centers, spec.radii, spec.signs)):
+    for cx, cy, cz, r, s in spec.barriers:
         dx, dy, dz = x0 - cx, x1 - cy, x2 - cz
         dist = math.sqrt(dx * dx + dy * dy + dz * dz)
         h.append(s * (dist - r))
         if rows:
             if dist < CENTRE_TOL:
                 raise DegeneratePointError(
-                    f"{spec.names[b]}: barrier gradient undefined at the sphere centre")
+                    f"{spec.names[len(h) - 1]}: barrier gradient undefined at the sphere centre")
             normals.append((s * dx / dist, s * dy / dist, s * dz / dist))
     return h, normals
 

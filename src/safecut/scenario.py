@@ -143,8 +143,11 @@ def reference_waypoints(markings: list, approach_from) -> tuple:
     """
     waypoints = np.concatenate([np.asarray(approach_from, dtype=float)[None]]
                                + [np.vstack((ms.points, ms.points[:1])) for ms in markings])
-    seg_len = np.linalg.norm(np.diff(waypoints, axis=0), axis=1)
-    return waypoints, np.concatenate([[0.0], np.cumsum(seg_len)])
+    # a path longer than a float can hold gets an inf length, which validate refuses
+    with np.errstate(over="ignore"):
+        seg_len = np.linalg.norm(np.diff(waypoints, axis=0), axis=1)
+        arcs = np.concatenate([[0.0], np.cumsum(seg_len)])
+    return waypoints, arcs
 
 
 def reference_steps(total: float, speed: float, dt: float) -> int:
@@ -245,12 +248,18 @@ class ScenarioSpec:
         """Geometric and timing sanity of the scenario; raises ValueError on failure."""
         if not self.markings:
             raise ValueError("a scenario needs at least one marking set")
-        waypoints, _ = self.path
+        waypoints, arcs = self.path
+        if not math.isfinite(arcs[-1]):
+            # the marking holding the first waypoint past the float range
+            ends = np.cumsum([len(ms.points) + 1 for ms in self.markings])
+            j = int(np.searchsorted(ends, np.argmin(np.isfinite(arcs))))
+            raise ValueError(f"marking.{j}.points: the reference path from the initial tip "
+                             "through them is longer than a float can hold")
         if not (np.linalg.norm(np.diff(waypoints, axis=0), axis=1) >= _MIN_SEGMENT).any():
             raise ValueError(f"markings: the reference path from the initial tip through the "
                              f"marking points has no segment of {_MIN_SEGMENT:g} mm or longer")
         # the reference's step count first: run_duration rounds it up to an int
-        steps = float(self.path[1][-1]) / self.speed / self.dt
+        steps = float(arcs[-1]) / self.speed / self.dt
         steps = self.run_duration() / self.dt if math.isfinite(steps) else steps
         columns = _LOG_COLUMNS + len(self.safe_set.names)
         if not (steps + 1.0) * columns * 8.0 <= np.iinfo(np.intp).max:    # inf steps too
@@ -269,7 +278,7 @@ class ScenarioSpec:
             if hi < 0.0:
                 raise ValueError(f"tumor.{i}: keep-out sphere holds {placed}")
         # a shell's h is its radius less the tip's distance from its centre
-        for j, (r, hj) in enumerate(zip(safe_set.radii[nt:], h[nt:])):
+        for j, ((_, _, _, r, _), hj) in enumerate(zip(safe_set.barriers[nt:], h[nt:])):
             if r - hj < CENTRE_TOL:
                 raise ValueError(f"shell.{j}: centre is within {CENTRE_TOL:g} mm of {placed}")
         if not self.tumors:

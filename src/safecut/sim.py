@@ -16,6 +16,7 @@ the velocity triplet (desired, safe, actual).
 from __future__ import annotations
 
 import math
+import struct
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -138,12 +139,20 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
     dt = spec.dt
     n = int(round(spec.run_duration() / dt)) + 1
     safe_set = spec.safe_set
-    fp, cp, kin, dyn = spec.filter, spec.controller, spec.kinematics, spec.dynamics
-    alpha, kp_gain = fp.alpha, spec.kp_gain
-    log = TrajectoryLog(np.zeros((n, len(_csv_columns(safe_set.names)))), safe_set.names)
+    fp, cp, kin, dyn, dist = (spec.filter, spec.controller, spec.kinematics, spec.dynamics,
+                              spec.disturbance)
+    alpha, kp_gain, enabled = fp.alpha, spec.kp_gain, fp.enabled
+    columns = len(_csv_columns(safe_set.names))
+    log = TrajectoryLog(np.zeros((n, columns)), safe_set.names)
+    # one row in _csv_columns order, packed into the C-contiguous float64 buffer
+    row = struct.Struct(f"{columns}d")
+    pack, data, size = row.pack_into, log.data, row.size
+    # the step's callees, looked up once per run
+    barrier_values, filter_rows = safety.selected_barrier_values, safety.filter_rows
+    velocity_error, control_law, disturbance = ctl.velocity_error, ctl.control_law, ctl.disturbance
 
     q, qdot = spec.initial_q, spec.initial_qdot
-    gate_engaged = not (fp.enabled and fp.activation_gate)
+    gate_engaged = not (enabled and fp.activation_gate)
 
     for k, (p_ref, v_ref) in zip(range(n), reference_rows(*spec.reference(), spec.speed, dt)):
         t = k * dt
@@ -154,21 +163,20 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
                 j10 * v1 + j11 * v2 + j12 * v3,
                 j20 * v1 + j21 * v2 + j22 * v3)
         v_d = desired_velocity(x, p_ref, v_ref, kp_gain)
-        h, normals = safety.selected_barrier_values(x, safe_set, fp.enabled)
+        h, normals = barrier_values(x, safe_set, enabled)
 
         v_s, active, gated = v_d, 0, 0
         if not gate_engaged and all(hb >= 0.0 for hb in h):
             gate_engaged = True
         if gate_engaged and normals:
-            v_s, active = safety.filter_rows(v_d, normals, [-alpha * hb for hb in h])
+            v_s, active = filter_rows(v_d, normals, [-alpha * hb for hb in h])
             gated = 1
 
-        edot = ctl.velocity_error(J, xdot, v_s, cp)
-        u = ctl.control_law(edot, cp)
-        d = ctl.disturbance(t, spec.disturbance)
-        # one row in _csv_columns order
-        log.data[k] = (t, *q, *qdot, *x, *xdot, *v_d, *v_s, *u, *d, *edot, *h,
-                       active, gated)
+        edot = velocity_error(J, xdot, v_s, cp)
+        u = control_law(edot, cp)
+        d = disturbance(t, dist)
+        pack(data, k * size, t, *q, *qdot, *x, *xdot, *v_d, *v_s, *u, *d, *edot, *h,
+             active, gated)
 
         if k + 1 < n:
             try:
@@ -180,7 +188,8 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
                     raise
                 raise PlantDivergedError(k, t, tuple(q), qdot) from exc
             # one sum tests all six values: it is nan or inf if any of them is
-            if not math.isfinite(sum(q1) + sum(qdot1)):
+            (a1, a2, a3), (b1, b2, b3) = q1, qdot1
+            if not math.isfinite(a1 + a2 + a3 + (b1 + b2 + b3)):
                 raise PlantDivergedError(k, t, tuple(q), qdot)
             q, qdot = q1, qdot1
     return log
@@ -337,7 +346,7 @@ def export_plot_data(log: TrajectoryLog, spec: ScenarioSpec, out_dir) -> list:
                         np.column_stack((np.arange(len(ms.points)), ms.points, ms.unsafe)))
         f.write("\n# section: boundary  columns: barrier x_mm y_mm z_mm\n")
         safe_set = spec.safe_set
-        for name, center, radius in zip(safe_set.names, safe_set.centers, safe_set.radii):
+        for name, (*center, radius, _) in zip(safe_set.names, safe_set.barriers):
             _write_rows(f, name + " %r %r %r\n", _circle_samples(center, radius))
 
     with open(paths[1], "w") as f:

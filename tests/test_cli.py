@@ -217,6 +217,11 @@ def test_verify_quick_pass(capsys):
     ("scenario_id = 1\ntumor.0.center = 0.0, 4.0, 43.0\nmarking.0.points = 0.0, 0.0, 43.0\n"
      "marking.0.unsafe = 0\n", "markings: the reference path from the initial tip through "
                                "the marking points has no segment of 1e-12 mm or longer"),
+    # a path longer than a float can hold is the marking's, not the timing keys' fault
+    ("scenario_id = 1\nmarking.0.points = 0, 6, 30; 1e308, 0, 0\nmarking.0.unsafe = 0, 1\n",
+     "marking.0.points: the reference path from the initial tip through them is longer "
+     "than a float can hold"),
+    ("scenario_id = 1\nkinematics.l2 = 1e200\n", "kinematics.l2 = 1e+200 squared overflows"),
     # timing whose step count is not finite, or whose log no array can hold
     ("scenario_id = 1\nspeed = 5e-324\n", "speed = 5e-324, settle = 1.0: inf steps"),
     ("scenario_id = 1\ndt = 5e-324\n", "dt = 5e-324, speed = 2.0, settle = 1.0: inf steps"),

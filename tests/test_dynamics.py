@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import ast
+import dataclasses
 import inspect
+import math
 import types
 
 import numpy as np
@@ -181,10 +183,73 @@ def test_rk4_matches_matrix_form_oracle_on_stiff_loop():
 def test_non_finite_configuration_raises_singular_mass():
     with pytest.raises(SingularMassError):
         rk4_step((10.0, float("nan"), 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1e-3, PARAMS)
-    bad = DynamicParams()
-    bad.link_inertias = (-1e9, 1.0)   # bypasses validation: M indefinite
+    heavy = DynamicParams(masses=(1e306,) * 3)    # valid, but m3 a^2 overflows: m11 = inf
     with pytest.raises(SingularMassError):
-        forward_dynamics(0.3, -0.2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, bad)
+        forward_dynamics(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, heavy)
+
+
+@pytest.mark.parametrize("params, name", [(DynamicParams(), "masses"),
+                                          (DynamicParams(), "kinematics"),
+                                          (kinematics.KinematicParams(), "l2")])
+def test_params_are_frozen(params, name):
+    # DynamicParams folds its plant factors at construction: a later assignment
+    # to it, or to the link lengths it read, would leave them stale
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(params, name, getattr(params, name))
+
+
+def _unfolded_forward_dynamics(theta2, theta3, v1, v2, v3, u1, u2, u3, params):
+    """forward_dynamics with every factor evaluated inline, from the fields."""
+    m1, m2, m3 = params.masses
+    i2, i3 = params.link_inertias
+    gx, gy, gz = params.gravity
+    l2, le = params.kinematics.l2, params.kinematics.l_end
+    c2, s2 = math.cos(theta2), math.sin(theta2)
+    c3, s3 = math.cos(theta3), math.sin(theta3)
+    a = l2 + le * c3
+    w = m2 * l2 + m3 * a
+    m00 = m1 + m2 + m3
+    m01 = -s2 * w
+    m02 = -m3 * c2 * le * s3
+    m11 = m2 * l2 ** 2 + m3 * a * a + i2
+    m22 = m3 * le * le + i3
+    a2 = -c2 * w
+    b2 = m3 * s2 * le * s3
+    b3 = -m3 * c2 * le * c3
+    d3 = -2.0 * m3 * a * le * s3
+    r0 = u1 - (a2 * v2 * v2 + 2.0 * b2 * v2 * v3 + b3 * v3 * v3) + m00 * gz
+    r1 = u2 - d3 * v2 * v3 + w * (gx * c2 - gz * s2)
+    r2 = u3 + 0.5 * d3 * v2 * v2 - m3 * le * (gx * s2 * s3 + gy * c3 + gz * c2 * s3)
+    p1, p2 = m01 / m11, m02 / m22
+    schur = m00 - p1 * m01 - p2 * m02
+    qdd1 = (r0 - p1 * r1 - p2 * r2) / schur
+    return qdd1, (r1 - m01 * qdd1) / m11, (r2 - m02 * qdd1) / m22
+
+
+def test_folded_plant_matches_inline_factors_bit_for_bit(monkeypatch):
+    # m3 != 1, link lengths off their defaults and gx, gy != 0: a reordered
+    # fold such as m3 le would round differently (the catalog's m3 = 1 hides it)
+    rng = np.random.default_rng(31)
+    cases = []
+    for _ in range(10000):
+        m, inertia = rng.uniform(0.1, 10.0, 3), rng.uniform(0.0, 5.0, 2)
+        lengths, gravity = rng.uniform(1.0, 30.0, 3), rng.normal(0.0, 5000.0, 3)
+        assert m[2] != 1.0 and (gravity[:2] != 0.0).all()
+        params = DynamicParams(masses=m, link_inertias=inertia, gravity=gravity,
+                               kinematics=kinematics.KinematicParams(*lengths.tolist()))
+        q = (float(rng.uniform(0.0, 50.0)), *rng.uniform(-1.5, 1.5, 2).tolist())
+        cases.append((params, q, tuple(rng.normal(0.0, 2.0, 3).tolist()),
+                      tuple(rng.normal(0.0, 1e4, 3).tolist())))
+
+    def outputs(accel):
+        # the accelerations, then one RK4 step on whichever forward_dynamics dynamics holds
+        return np.array([(*accel(*q[1:], *qd, *u, p), *sum(rk4_step(q, qd, u, 1e-3, p), ()))
+                         for p, q, qd, u in cases])
+
+    folded = outputs(forward_dynamics)
+    monkeypatch.setattr(dynamics, "forward_dynamics", _unfolded_forward_dynamics)
+    inline = outputs(_unfolded_forward_dynamics)
+    assert np.isfinite(folded).all() and folded.tobytes() == inline.tobytes()
 
 
 @pytest.mark.parametrize("kwargs", [

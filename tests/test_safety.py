@@ -101,6 +101,17 @@ def test_disabled_filter_takes_no_rows_and_needs_no_normal():
     assert h == [-4.0, 7.0] and normals == []
 
 
+def test_table_is_one_float_row_per_barrier():
+    # (cx, cy, cz, r, s) in table order; a normal at a centre names its barrier
+    far = TumorSpec(center=(100.0, 0.0, 0.0), margin=4.0)
+    spec = SafeSetSpec(tumors=[far, TUMOR], shells=[SHELL])
+    assert spec.barriers == [(100.0, 0.0, 0.0, 4.0, 1.0), (0.0, 6.0, 30.0, 4.0, 1.0),
+                         (0.0, 6.0, 30.0, 7.0, -1.0)]
+    assert all(type(v) is float for row in spec.barriers for v in row)
+    with pytest.raises(DegeneratePointError, match="^tumor1: barrier gradient undefined"):
+        selected_barrier_values(np.asarray(TUMOR.center), spec, True)
+
+
 def test_depth_mode_emits_the_farther_barrier_too():
     # a tumor and its depth shell are both rows wherever the tip is, the
     # farther one of the pair included
@@ -184,8 +195,8 @@ def _random_safe_set(rng, spread: float, tip=None) -> SafeSetSpec:
             spec = SafeSetSpec(tumors, shells)
         except ValueError:      # a shell holds a tumor's centre but not its sphere
             continue
-        if spec.centers and (tip is None
-                             or min(selected_barrier_values(tip, spec, False)[0]) >= 0.0):
+        if spec.barriers and (tip is None
+                              or min(selected_barrier_values(tip, spec, False)[0]) >= 0.0):
             return spec
 
 
@@ -199,14 +210,14 @@ def test_selection_follows_documented_rule(table):
         spec = _random_safe_set(rng, 15.0)
         if table == "keep_out_only":
             spec = SafeSetSpec(spec.tumors or [TUMOR], [])
-        center = np.array(spec.centers[rng.integers(len(spec.centers))])
+        center = np.array(spec.barriers[rng.integers(len(spec.barriers))][:3])
         x = center + rng.uniform(0.5, 15.0) * _unit(rng)
         h, _ = selected_barrier_values(x, spec, False)
         names, hs, normals = _rows(x, spec)
         assert names == spec.names and hs == h
-        for b, normal in enumerate(normals):
-            offset = x - np.array(spec.centers[b])
-            np.testing.assert_allclose(normal, spec.signs[b] * offset / np.linalg.norm(offset),
+        for (*c, _, sign), normal in zip(spec.barriers, normals, strict=True):
+            offset = x - np.array(c)
+            np.testing.assert_allclose(normal, sign * offset / np.linalg.norm(offset),
                                        atol=1e-12)
 
 

@@ -487,9 +487,9 @@ def test_gated_steps_meet_the_farther_barrier_row(alpha):
     v = log.xdot_safe[gated]
     tol = 1e-9 * np.maximum(1.0, np.linalg.norm(v, axis=1))
     assert safe_set.names == ["tumor0", "shell0"] and gated.size > 10000
-    for b in range(2):
-        offset = log.x[gated] - safe_set.centers[b]
-        normal = safe_set.signs[b] * offset / np.linalg.norm(offset, axis=1)[:, None]
+    for b, (*center, _, sign) in enumerate(safe_set.barriers):
+        offset = log.x[gated] - center
+        normal = sign * offset / np.linalg.norm(offset, axis=1)[:, None]
         slack = np.einsum("ij,ij->i", normal, v) + alpha * log.h[gated, b]
         assert np.count_nonzero(slack < -tol) == 0, safe_set.names[b]
 
@@ -513,7 +513,7 @@ def test_diverged_plant_raises_with_last_finite_state(override):
 
 
 def test_singular_mass_at_finite_angles_keeps_its_name():
-    bad = DynamicParams(gravity=(0.0, 0.0, 0.0))
-    bad.link_inertias = (-1e9, 1.0)   # bypasses validation: M indefinite
+    # valid parameters whose m3 a^2 overflows: m11 = inf at the catalog's straight arm
+    bad = DynamicParams(masses=(1e306,) * 3, gravity=(0.0, 0.0, 0.0))
     with pytest.raises(SingularMassError):
         sim.run(replace(scenario_catalog(1), dynamics=bad, duration=0.05))
