@@ -18,7 +18,6 @@ from dataclasses import replace
 from pathlib import Path
 
 from . import checks, sim
-from .control import DisturbanceSpec
 from .scenario import SCENARIO_IDS, load_scenario, scenario_catalog
 
 _VIOLATION_TOL = 1e-3
@@ -27,28 +26,6 @@ _EMIT_CHOICES = ("csv", "plotdata", "report")
 
 class _UsageError(ValueError):
     pass
-
-
-def _parse_disturbance(text: str) -> DisturbanceSpec:
-    parts = text.split(":")
-    kind = parts[0]
-    try:
-        if kind == "none" and len(parts) == 1:
-            return DisturbanceSpec()
-        if kind == "constant" and len(parts) == 2:
-            ax, ay, az = (float(v) for v in parts[1].split(","))
-            return DisturbanceSpec(waveform="constant", amplitude=(ax, ay, az))
-        if kind == "sinusoid" and len(parts) in (3, 4):
-            freq = float(parts[1])
-            ax, ay, az = (float(v) for v in parts[2].split(","))
-            seed = int(parts[3]) if len(parts) == 4 else 0
-            return DisturbanceSpec(waveform="sinusoid", amplitude=(ax, ay, az),
-                                   frequency=freq, seed=seed)
-    except ValueError as exc:
-        raise _UsageError(f"bad disturbance {text!r}: {exc}") from exc
-    raise _UsageError(
-        f"bad disturbance {text!r}; expected none, constant:ax,ay,az "
-        "or sinusoid:freq:ax,ay,az[:seed]")
 
 
 def _print_report(spec, report, log) -> None:
@@ -101,11 +78,6 @@ def cmd_run(args) -> int:
     else:
         raise _UsageError("one of --scenario or --config is required")
 
-    if args.disturbance:
-        spec = replace(spec, disturbance=_parse_disturbance(args.disturbance))
-    if args.no_filter:
-        spec = replace(spec, filter=replace(spec.filter, enabled=False))
-
     emit = tuple(tok for tok in args.emit.split(",") if tok)
     for tok in emit:
         if tok not in _EMIT_CHOICES:
@@ -114,8 +86,6 @@ def cmd_run(args) -> int:
     out = Path(args.out)
     worst = float("inf")
     if args.alpha is not None:
-        if args.no_filter:
-            raise _UsageError("--alpha and --no-filter are mutually exclusive")
         try:   # FilterParams refuses values out of range
             alphas = [float(v) for v in args.alpha.split(",")]
         except ValueError as exc:
@@ -164,10 +134,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha",
                    help="comma list of filter gains; runs each into out/alpha_<v>/ "
                         "plus an unfiltered baseline into out/unfiltered/")
-    p.add_argument("--disturbance",
-                   help="none | constant:ax,ay,az | sinusoid:freq:ax,ay,az[:seed]")
-    p.add_argument("--no-filter", action="store_true",
-                   help="disable the safety filter for this run")
     p.add_argument("--emit", default="plotdata",
                    help="comma list of outputs: csv, plotdata, report (default plotdata)")
     p.add_argument("--out", default=os.environ.get("SAFECUT_OUT", "safecut_out"),

@@ -249,10 +249,16 @@ class ScenarioSpec:
         if not self.markings:
             raise ValueError("a scenario needs at least one marking set")
         waypoints, arcs = self.path
+        placed = ("the initial tip placed by initial.d1, initial.theta2, initial.theta3, "
+                  "kinematics.l1, kinematics.l2, kinematics.l_end")
         if not math.isfinite(arcs[-1]):
-            # the marking holding the first waypoint past the float range
+            k = int(np.argmin(np.isfinite(arcs)))    # the first waypoint past the float range
+            if k == 1:
+                # np.linalg.norm squares the segment, so a length in range can still overflow
+                raise ValueError(f"the reference path's approach from {placed} to the first of "
+                                 "marking.0.points has a squared length past the float range")
             ends = np.cumsum([len(ms.points) + 1 for ms in self.markings])
-            j = int(np.searchsorted(ends, np.argmin(np.isfinite(arcs))))
+            j = int(np.searchsorted(ends, k))    # the marking holding waypoint k
             raise ValueError(f"marking.{j}.points: the reference path from the initial tip "
                              "through them is longer than a float can hold")
         if not (np.linalg.norm(np.diff(waypoints, axis=0), axis=1) >= _MIN_SEGMENT).any():
@@ -273,7 +279,6 @@ class ScenarioSpec:
                                  f"[{low:g}, {high:g}]")
         safe_set, nt = self.safe_set, len(self.tumors)
         h, _ = selected_barrier_values(waypoints[0], safe_set, False)    # at the initial tip
-        placed = "the initial tip placed by initial.d1, initial.theta2, initial.theta3"
         for i, hi in enumerate(h[:nt]):
             if hi < 0.0:
                 raise ValueError(f"tumor.{i}: keep-out sphere holds {placed}")

@@ -28,7 +28,7 @@ from . import control as ctl
 from . import safety
 from .dynamics import SingularMassError, rk4_step
 from .kinematics import tip_kinematics
-from .scenario import ScenarioSpec, reference_rows, reference_waypoints
+from .scenario import ScenarioSpec, reference_rows
 
 _CSV_VERSION = "# safecut-log v1"
 
@@ -109,8 +109,9 @@ class TrajectoryLog:
 @dataclass
 class SafetyReport:
     """Headline numbers of a run; enclosure_turns and radial_excess hold one
-    entry per marking loop (see _cut_measures), none without tumors.  If a
-    gate never engaged, every min_h is inf and first_violation_time None."""
+    entry per marking loop (see _cut_measures), none without tumors.  Each
+    barrier's min_h and violations count from its first step with h >= 0;
+    a barrier never satisfied has min_h inf."""
 
     min_h: dict
     first_violation_time: Optional[float]
@@ -195,29 +196,23 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
     return log
 
 
-def _engage_step(log: TrajectoryLog) -> int:
-    """Index of the first step with the filter engaged, len(log) if it never was."""
-    return int(np.argmax(log.gate)) if log.gate.any() else len(log)
-
-
 def gate_engage_time(log: TrajectoryLog) -> Optional[float]:
     """Time of the first step with the filter engaged, None if it never was."""
-    k = _engage_step(log)
-    return float(log.t[k]) if k < len(log) else None
+    return float(log.t[np.argmax(log.gate)]) if log.gate.any() else None
 
 
 def _cut_measures(log: TrajectoryLog, spec: ScenarioSpec):
     """Per marking loop, the enclosure turns and the radial excess of the cut.
 
     A loop's window is its stretch of reference time: arc / speed at the
-    waypoints of its first point and of its return there, the path starting
-    at the logged start x0.  Turns is the angle the tip sweeps about the
-    loop's tumor centre c, in the best-fit plane of the loop's points, over
-    2 pi: 0 for an empty window, nan if they span no plane.  The excess
-    ||x - c|| - margin [mm] is (p50, p95, max), nan if empty.
+    waypoints of its first point and of its return there, on spec.path.
+    Turns is the angle the tip sweeps about the loop's tumor centre c, in
+    the best-fit plane of the loop's points, over 2 pi: 0 for an empty
+    window, nan if they span no plane.  The excess ||x - c|| - margin [mm]
+    is (p50, p95, max), nan if empty.
     """
     turns, excess = [], []
-    _, arcs = reference_waypoints(spec.markings, log.x[0])
+    _, arcs = spec.path
     first = 1                        # waypoint of the loop's first point
     for ms in spec.markings:
         start, stop = np.searchsorted(log.t, arcs[[first, first + len(ms.points)]] / spec.speed)
@@ -240,17 +235,17 @@ def _cut_measures(log: TrajectoryLog, spec: ScenarioSpec):
 def summarize(log: TrajectoryLog, spec: ScenarioSpec) -> SafetyReport:
     """Condense a log into the report numbers.
 
-    Barrier statistics of a filtered run begin at the step the log first marks
-    gated: the first step, unless an activation gate let the run start outside
-    the safe set, and no step if the filter never engaged.
+    Each barrier's statistics begin at its first step with h >= 0, filter on
+    or off: the first step for a tumor, whose keep-out the initial tip is
+    outside of, and the step the tip enters for a shell it starts outside of.
     """
     if len(log) == 0:
         raise EmptyLogError("cannot summarize an empty log")
-    start = _engage_step(log) if spec.filter.enabled else 0
-    h = log.h[start:]
-    min_h = dict(zip(log.barrier_names, h.min(axis=0, initial=math.inf).tolist()))
+    # inf before a barrier's first satisfied step, so it counts toward no statistic
+    h = np.where(np.logical_or.accumulate(log.h >= 0.0, axis=0), log.h, math.inf)
+    min_h = dict(zip(log.barrier_names, h.min(axis=0).tolist()))
     viol = np.flatnonzero((h < 0.0).any(axis=1))
-    first_violation = float(log.t[start + viol[0]]) if viol.size else None
+    first_violation = float(log.t[viol[0]]) if viol.size else None
     tracking = np.linalg.norm(log.xdot - log.xdot_safe, axis=1)
     try:
         decay = ctl.measure_decay_rate(log.t, log.edot)
@@ -320,10 +315,10 @@ def _circle_samples(center, radius) -> np.ndarray:
 def export_plot_data(log: TrajectoryLog, spec: ScenarioSpec, out_dir) -> list:
     """Write scenario<id>_{path,barrier,velocity}.dat under out_dir.
 
-    path: actual trajectory, reference waypoints from the logged start with
-    the time the reference reaches each, marking points with their unsafe
-    flag, and boundary circles (cutting margins and depth shells) sampled in
-    the marking plane.  barrier: every barrier value over time.
+    path: actual trajectory, the reference waypoints of spec.path (from the
+    initial tip) with the time the reference reaches each, marking points
+    with their unsafe flag, and boundary circles (cutting margins and depth
+    shells) sampled in the marking plane.  barrier: every barrier value over time.
     velocity: desired, safe and actual tip velocity components.
     """
     if len(log) == 0:
@@ -331,7 +326,7 @@ def export_plot_data(log: TrajectoryLog, spec: ScenarioSpec, out_dir) -> list:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sid = spec.scenario_id
-    waypoints, arcs = reference_waypoints(spec.markings, log.x[0])
+    waypoints, arcs = spec.path
     paths = [out / f"scenario{sid}_{kind}.dat" for kind in ("path", "barrier", "velocity")]
 
     with open(paths[0], "w") as f:

@@ -55,21 +55,19 @@ def test_run_alpha_sweep_directories(tmp_path):
 
 def test_run_no_filter_baseline(tmp_path):
     cfg = tmp_path / "short.cfg"
-    cfg.write_text(SHORT_CONFIG)
+    cfg.write_text(SHORT_CONFIG + "filter.enabled = false\n")
     out = tmp_path / "out"
-    code = main(["run", "--config", str(cfg), "--out", str(out),
-                 "--no-filter", "--emit", "csv"])
+    code = main(["run", "--config", str(cfg), "--out", str(out), "--emit", "csv"])
     assert code == 0
+    log = read_csv(out / "scenario1_log.csv")
+    assert not log.gate.any() and np.array_equal(log.xdot_safe, log.xdot_des)
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
     assert main(["run"]) == 2
     assert main(["run", "--scenario", "1", "--alpha", "0.2,nope"]) == 2
     assert main(["run", "--scenario", "1", "--alpha", "-0.4"]) == 2
-    assert main(["run", "--scenario", "1", "--disturbance", "ramp:1,2,3"]) == 2
-    assert main(["run", "--scenario", "1", "--disturbance", "constant:1,x,3"]) == 2
     assert main(["run", "--scenario", "1", "--emit", "json"]) == 2
-    assert main(["run", "--scenario", "1", "--alpha", "0.4", "--no-filter"]) == 2
     capsys.readouterr()
     for alphas in ("", "0.4,0.4"):   # no gain; two gains into one alpha_0.4/
         assert main(["run", "--scenario", "1", "--alpha", alphas,
@@ -98,25 +96,36 @@ def test_argparse_rejects_unknown_scenario():
     assert err.value.code == 2
 
 
+@pytest.mark.parametrize("flag", [["--disturbance", "constant:200,200,200"], ["--no-filter"]])
+def test_argparse_rejects_retired_flags(capsys, flag):
+    # the disturbance and the filter switch are config keys, parsed in one place
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--scenario", "1", *flag])
+    assert err.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+
+
 def test_disturbance_override_reaches_run(tmp_path):
-    cfg = tmp_path / "short.cfg"
-    cfg.write_text(SHORT_CONFIG)
+    sinusoid = ("disturbance.waveform = sinusoid\ndisturbance.frequency = 2.5\n"
+                "disturbance.amplitude = 40, -30, 20\n")
     expected = {
-        "constant:50,50,50": DisturbanceSpec("constant", (50.0, 50.0, 50.0)),
-        "none": DisturbanceSpec(),
-        "sinusoid:2.5:40,-30,20": DisturbanceSpec("sinusoid", (40.0, -30.0, 20.0), 2.5),
-        "sinusoid:2.5:40,-30,20:7": DisturbanceSpec("sinusoid", (40.0, -30.0, 20.0), 2.5, 7),
+        "disturbance.waveform = constant\ndisturbance.amplitude = 50, 50, 50\n":
+            DisturbanceSpec("constant", (50.0, 50.0, 50.0)),
+        "disturbance.waveform = none\n": DisturbanceSpec(),
+        sinusoid: DisturbanceSpec("sinusoid", (40.0, -30.0, 20.0), 2.5),
+        sinusoid + "disturbance.seed = 7\n":
+            DisturbanceSpec("sinusoid", (40.0, -30.0, 20.0), 2.5, 7),
     }
-    logs = {}
-    for i, (text, spec) in enumerate(expected.items()):
+    logs = []
+    for i, (keys, spec) in enumerate(expected.items()):
+        cfg = tmp_path / f"disturbed{i}.cfg"
+        cfg.write_text(SHORT_CONFIG + keys)
         out = tmp_path / f"out{i}"
-        code = main(["run", "--config", str(cfg), "--out", str(out), "--emit", "csv",
-                     "--disturbance", text])
-        assert code == 0
-        logs[text] = log = read_csv(out / "scenario1_log.csv")
-        assert log.d.tolist() == [list(disturbance(t, spec)) for t in log.t.tolist()], text
-    assert np.all(logs["constant:50,50,50"].d == 50.0)
-    assert np.all(logs["none"].d == 0.0)
+        assert main(["run", "--config", str(cfg), "--out", str(out), "--emit", "csv"]) == 0
+        logs.append(log := read_csv(out / "scenario1_log.csv"))
+        assert log.d.tolist() == [list(disturbance(t, spec)) for t in log.t.tolist()], keys
+    assert np.all(logs[0].d == 50.0)
+    assert np.all(logs[1].d == 0.0)
 
 
 def test_report_prints_gate_engage_time(tmp_path, capsys):
@@ -144,10 +153,23 @@ def test_gate_that_never_engages_is_no_breach(tmp_path, capsys):
 
 def test_violation_exit_code(tmp_path):
     # a filtered run driven hard enough to dent the margin returns 1
-    code = main(["run", "--scenario", "1", "--emit", "csv",
-                 "--disturbance", "constant:200,200,200",
-                 "--out", str(tmp_path / "viol")])
+    cfg = tmp_path / "viol.cfg"
+    cfg.write_text("scenario_id = 1\ndisturbance.waveform = constant\n"
+                   "disturbance.amplitude = 200, 200, 200\n")
+    code = main(["run", "--config", str(cfg), "--emit", "csv", "--out", str(tmp_path / "viol")])
     assert code == 1
+
+
+def test_breach_before_the_gate_engages_is_reported(tmp_path, capsys):
+    # tumor 1 sits on scenario 4's approach, which its activation gate leaves
+    # unfiltered: the tip passes 0.498 mm deep into the keep-out sphere
+    cfg = tmp_path / "approach.cfg"
+    cfg.write_text("scenario_id = 4\ntumor.1.center = 0.8, 1.2, 35.36\ntumor.1.margin = 0.5\n")
+    assert main(["run", "--config", str(cfg), "--emit", "report",
+                 "--out", str(tmp_path / "o")]) == 1
+    report = capsys.readouterr().out
+    assert "  min barrier tumor1 [mm]:      -0.498329\n" in report
+    assert "  first violation [s]:         0.734\n" in report
 
 
 def test_verify_quick_pass(capsys):
@@ -180,6 +202,8 @@ def test_verify_quick_pass(capsys):
     ("scenario_id = 1\ninitial.theta2 = 1.8\n", "initial.theta2 = 1.8 outside the workspace box"),
     ("scenario_id = 1\ninitial.theta3 = -1.8\n", "initial.theta3 = -1.8 outside the workspace box"),
     ("scenario_id = 1\ndisturbance.seed = -1\n", "disturbance: seed must be a non-negative"),
+    ("scenario_id = 1\ndisturbance.waveform = ramp\n", "disturbance: unknown waveform 'ramp'"),
+    ("scenario_id = 1\ndisturbance.amplitude = 1, x, 3\n", "disturbance.amplitude: "),
     ("scenario_id = 1\nkp_gain = -5\n", "kp_gain must be finite and non-negative"),
     # an indexed entry's own check names the entry
     ("scenario_id = 1\ntumor.0.margin = -1\n", "tumor.0: cutting margin must be positive"),
@@ -222,6 +246,10 @@ def test_verify_quick_pass(capsys):
      "marking.0.points: the reference path from the initial tip through them is longer "
      "than a float can hold"),
     ("scenario_id = 1\nkinematics.l2 = 1e200\n", "kinematics.l2 = 1e+200 squared overflows"),
+    # an approach too long to square is the initial tip's fault, not the marking's
+    ("scenario_id = 1\nkinematics.l1 = 1e300\n", "the reference path's approach from the "
+     "initial tip placed by initial.d1, initial.theta2, initial.theta3, kinematics.l1, "
+     "kinematics.l2, kinematics.l_end to the first of marking.0.points has a squared length"),
     # timing whose step count is not finite, or whose log no array can hold
     ("scenario_id = 1\nspeed = 5e-324\n", "speed = 5e-324, settle = 1.0: inf steps"),
     ("scenario_id = 1\ndt = 5e-324\n", "dt = 5e-324, speed = 2.0, settle = 1.0: inf steps"),

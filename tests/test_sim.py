@@ -189,12 +189,15 @@ def test_cut_measures_match_brute_force():
         (float(np.percentile(dists, 50)), float(np.percentile(dists, 95)), max(dists)))]
 
 
-def _circle_log(radius, sweep):
-    """Hand-built 3 s log: the tip rests at angle 0 on a circle about TUMOR's
-    centre in the marking plane, sweeps `sweep` rad between 0.5 s and 1.5 s,
-    then rests again.  Every column but t and x is zero."""
-    t = np.linspace(0.0, 3.0, 3001)
-    angle = sweep * np.clip(t - 0.5, 0.0, 1.0)
+def _circle_log(spec, radius, sweep):
+    """Hand-built log on spec's reference timing: t0 is the time spec.path
+    reaches the loop's first point.  The tip rests at angle 0 on a circle
+    about TUMOR's centre in the marking plane, sweeps `sweep` rad between
+    t0 + 0.5 s and t0 + 1.5 s, then rests again until t0 + 3 s.  Every
+    column but t and x is zero."""
+    t0 = spec.path[1][1] / spec.speed
+    t = np.arange(round((t0 + 3.0) / spec.dt) + 1) * spec.dt
+    angle = sweep * np.clip(t - t0 - 0.5, 0.0, 1.0)
     log = sim.TrajectoryLog(np.zeros((len(t), 31)), ["tumor0"])
     log.t[:] = t
     log.x[:] = TUMOR.center + radius * np.stack(
@@ -210,9 +213,9 @@ def _circle_log(radius, sweep):
 ])
 def test_cut_measures_on_hand_built_logs(radius, sweep, turns, excess):
     # the loop's window opens when the reference reaches its first point
-    # (radius - 4 mm from the start, at 4 mm/s) and ends after the 3 s log
+    # (at t0) and ends after the log, 5.2 s of loop at 4 mm/s
     spec = _small_spec()
-    report = sim.summarize(_circle_log(radius, sweep), spec)
+    report = sim.summarize(_circle_log(spec, radius, sweep), spec)
     assert report.enclosure_turns == [pytest.approx(turns, abs=1e-12)]
     assert report.radial_excess == [pytest.approx((excess,) * 3, abs=1e-12)]
 
@@ -226,7 +229,7 @@ def test_cut_measures_edge_cases_report_quietly(small_run):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         early = sim.summarize(log, spec)
-        line = sim.summarize(_circle_log(4.0, 2.0 * math.pi), flat)
+        line = sim.summarize(_circle_log(flat, 4.0, 2.0 * math.pi), flat)
     assert early.enclosure_turns == [0.0]
     assert all(map(math.isnan, early.radial_excess[0]))
     assert math.isnan(line.enclosure_turns[0])
@@ -423,9 +426,9 @@ def _section(text: str, name: str) -> np.ndarray:
     return np.array([[float(v) for v in line.split()] for line in body.splitlines()[1:]])
 
 
-def test_gate_that_never_engages_reports_no_barrier_statistics():
+def test_gate_that_never_engages_still_reports_the_tumor():
     # the tip starts outside the depth shell and the run ends before it
-    # enters: no step is gated, so no barrier statistic and no violation
+    # enters: the shell has no statistic, the tumor is watched from step 0
     spec = _small_spec(
         shells=[DepthShell(TUMOR.center, 7.0)],
         filter=FilterParams(alpha=1.5, activation_gate=True),
@@ -434,9 +437,10 @@ def test_gate_that_never_engages_reports_no_barrier_statistics():
     )
     log = sim.run(spec)
     assert sim.gate_engage_time(log) is None
-    assert float(log.h[:, 1].min()) < 0.0
+    assert float(log.h[:, 1].max()) < 0.0
     report = sim.summarize(log, spec)
-    assert report.min_h == {"tumor0": math.inf, "shell0": math.inf}
+    assert report.min_h == {"tumor0": float(log.h[:, 0].min()), "shell0": math.inf}
+    assert report.min_h["tumor0"] == pytest.approx(4.294, abs=1e-3)
     assert report.first_violation_time is None
 
 
