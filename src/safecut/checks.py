@@ -156,15 +156,21 @@ def qp_reference(v_d: np.ndarray, rows):
     N, b = rows
     k = len(b)
     ratios = [x.as_integer_ratio() for x in np.concatenate((v_d, N, b), None).tolist()]
-    den = max([d for _, d in ratios])
-    ints = [n * (den // d) for n, d in ratios]
+    # each denominator is a power of two, so scaling to the largest is a shift
+    e = max([d.bit_length() for _, d in ratios])
+    den = 1 << (e - 1)
+    ints = [n << (e - d.bit_length()) for n, d in ratios]
     v0, v1, v2 = V = ints[:3]
     A = [ints[i:i + 3] for i in range(3, 3 + 3 * k, 3)]
     slack = [a0 * v0 + a1 * v1 + a2 * v2 - den * n     # A V - c
              for (a0, a1, a2), n in zip(A, ints[3 + 3 * k:])]
     if min(slack, default=0) >= 0:
         return np.array([x / den for x in V])
-    G = [[p0 * q0 + p1 * q1 + p2 * q2 for q0, q1, q2 in A] for p0, p1, p2 in A]
+    G = [[0] * k for _ in range(k)]
+    for i, (p0, p1, p2) in enumerate(A):
+        for j in range(i, k):
+            q0, q1, q2 = A[j]
+            G[i][j] = G[j][i] = p0 * q0 + p1 * q1 + p2 * q2
     # S gives det = det G_S, lam = det times its multipliers, num = det |w - V|^2 and
     # det (A w - c)_m = det slack_m + sum_i lam_i G_mi (0 on S); best holds det w
     best, best_num, best_det = None, 0, 1
@@ -290,17 +296,17 @@ def check_barrier_gradients_fd():
         center = rng.uniform(-20.0, 40.0, 3)
         tumor = TumorSpec(center, float(rng.uniform(1.0, 8.0)))
         shell = DepthShell(center, float(rng.uniform(2.0, 12.0)))
-        x = center + rng.uniform(0.5, 15.0) * _unit(rng)
+        x = (center + rng.uniform(0.5, 15.0) * _unit(rng)).tolist()
         for safe_set in (SafeSetSpec([tumor], []), SafeSetSpec([], [shell])):
             _, [g] = selected_barrier_values(x, safe_set, True)
             worst = max(worst, abs(float(np.linalg.norm(g)) - 1.0))
             for j in range(3):
-                plus, minus = x.copy(), x.copy()
+                plus, minus = list(x), list(x)
                 plus[j] += step
                 minus[j] -= step
                 fd = (selected_barrier_values(plus, safe_set, False)[0][0]
                       - selected_barrier_values(minus, safe_set, False)[0][0]) / (2 * step)
-                worst = max(worst, abs(fd - float(g[j])))
+                worst = max(worst, abs(fd - g[j]))
     return worst <= 1e-6, f"{samples} samples, worst deviation {worst:.2e} (tol 1e-6)"
 
 
@@ -313,12 +319,10 @@ def check_mass_matrix_spd():
     """Symmetry and positive definiteness across the workspace."""
     samples, rng = 1000, np.random.default_rng(3)
     params = DynamicParams()
-    min_eig = math.inf
-    for _ in range(samples):
-        M = mass_matrix(_random_config(rng), params)
-        if float(np.max(np.abs(M - M.T))) > 0.0:
-            return False, "mass matrix not exactly symmetric"
-        min_eig = min(min_eig, float(np.linalg.eigvalsh(M).min()))
+    M = np.array([mass_matrix(_random_config(rng), params) for _ in range(samples)])
+    if float(np.max(np.abs(M - M.transpose(0, 2, 1)))) > 0.0:
+        return False, "mass matrix not exactly symmetric"
+    min_eig = float(np.linalg.eigvalsh(M).min())
     return min_eig > 0.0, f"{samples} samples, smallest eigenvalue {min_eig:.3e}"
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -168,6 +168,8 @@ def filter_rows(v_d, normals, offsets):
     The one-row candidates, which the closed loop almost always ends on, are
     projected inline; larger ones solve N_A w = b_A - N_A v_d in floats
     (_vertex_step), never the normal equations, which square its condition.
+    Each row's residual b_i - n_i . v_d is computed once per call, by the
+    one-row loop, and handed to every larger candidate.
     """
     vx, vy, vz = v_d
     active = _active_rows(normals, offsets, vx, vy, vz, 0.0)
@@ -176,11 +178,13 @@ def filter_rows(v_d, normals, offsets):
 
     # tolerances scale with the candidate so ill-conditioned rows (nearly
     # parallel normals, distant optima) stay decidable
+    resids = []
     for (nx, ny, nz), offset in zip(normals, offsets):
+        resid = offset - (nx * vx + ny * vy + nz * vz)
+        resids.append(resid)
         g = nx * nx + ny * ny + nz * nz
         if g == 0.0:
             continue
-        resid = offset - (nx * vx + ny * vy + nz * vz)
         mu = resid / g
         if not math.isfinite(mu) or abs(g * mu - resid) > 1e-7 * max(1.0, abs(resid)):
             continue
@@ -193,49 +197,56 @@ def filter_rows(v_d, normals, offsets):
             return [sx, sy, sz], active
 
     k = len(offsets)
-    for size in (2, 3):
-        for subset in combinations(range(k), size):
-            v = _vertex_step(v_d, [normals[i] for i in subset], [offsets[i] for i in subset])
-            if v:
-                active = _active_rows(normals, offsets, *v,
-                                      _FEAS_TOL * max(1.0, math.sqrt(_dot(v, v))))
-                if active is not None:
-                    return v, active
+    for subset in chain(combinations(range(k), 2), combinations(range(k), 3)):
+        v = _vertex_step(vx, vy, vz, normals, resids, subset)
+        if v:
+            sx, sy, sz = v
+            active = _active_rows(normals, offsets, sx, sy, sz,
+                                  _FEAS_TOL * max(1.0, math.sqrt(sx * sx + sy * sy + sz * sz)))
+            if active is not None:
+                return v, active
     raise InfeasibleQPError(f"no velocity satisfies all {k} constraint rows")
 
 
-def _vertex_step(v0: list, active: list, offsets: list):
-    """v0 + w with n_i . (v0 + w) = b_i on two or three rows, or None.
+def _vertex_step(vx: float, vy: float, vz: float, normals, resids, subset):
+    """v + w with n_i . (v + w) = b_i on the two or three rows of subset, or None.
 
-    By the dual basis c_i = n_j x n_k (n_i . c_i = det, n_j . c_i = 0, j != i),
-    w = sum (r_i / det) c_i with multipliers mu_i = (w . c_i) / det.  Two rows
-    gain n_0 x n_1 with r = 0, so w stays still along their planes' common line.
-    None when w misses r by over 1e-7 max(1, |r|), a nan residual included,
-    or when a multiplier is negative beyond _DUAL_TOL.
+    resids holds r_i = b_i - n_i . v for every row, computed once per
+    filter_rows call.  By the dual basis c_i = n_j x n_k (n_i . c_i = det,
+    n_j . c_i = 0, j != i), w = sum (r_i / det) c_i with multipliers
+    mu_i = (w . c_i) / det.  Two rows gain n_0 x n_1 (their c_2) with r = 0, so
+    w stays still along their planes' common line.  None when det is 0, when
+    w misses r by over 1e-7 max(1, |r|), a nan residual included, or when a
+    multiplier is negative beyond _DUAL_TOL.
     """
-    size = len(active)
-    r = [b - _dot(n, v0) for n, b in zip(active, offsets)]
-    if size == 2:
-        active, r = active + [_cross(*active)], r + [0.0]
-    n0, n1, n2 = active
-    c = (_cross(n1, n2), _cross(n2, n0), _cross(n0, n1))
-    det = _dot(n0, c[0])
-    w = [_dot(r, col) / det for col in zip(*c)] if det else [math.nan] * 3
-    tol = 1e-7 * max(1.0, math.hypot(*r))
-    if not all(abs(_dot(n, w) - ri) <= tol for n, ri in zip(active, r)):
+    i, j = subset[0], subset[1]
+    (a0, a1, a2), (b0, b1, b2) = normals[i], normals[j]
+    r0, r1 = resids[i], resids[j]
+    e0, e1, e2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0    # c_2
+    triple = len(subset) == 3
+    if triple:
+        (d0, d1, d2), r2 = normals[subset[2]], resids[subset[2]]
+    else:
+        d0, d1, d2, r2 = e0, e1, e2, 0.0
+    c00, c01, c02 = b1 * d2 - b2 * d1, b2 * d0 - b0 * d2, b0 * d1 - b1 * d0
+    c10, c11, c12 = d1 * a2 - d2 * a1, d2 * a0 - d0 * a2, d0 * a1 - d1 * a0
+    det = a0 * c00 + a1 * c01 + a2 * c02
+    if not det:
         return None
-    mu = [_dot(w, ci) / det for ci in c[:size]]
+    w0 = (r0 * c00 + r1 * c10 + r2 * e0) / det
+    w1 = (r0 * c01 + r1 * c11 + r2 * e1) / det
+    w2 = (r0 * c02 + r1 * c12 + r2 * e2) / det
+    tol = 1e-7 * max(1.0, math.hypot(r0, r1, r2))
+    if not (abs(a0 * w0 + a1 * w1 + a2 * w2 - r0) <= tol
+            and abs(b0 * w0 + b1 * w1 + b2 * w2 - r1) <= tol
+            and abs(d0 * w0 + d1 * w1 + d2 * w2 - r2) <= tol):
+        return None
+    mu0 = (w0 * c00 + w1 * c01 + w2 * c02) / det
+    mu1 = (w0 * c10 + w1 * c11 + w2 * c12) / det
+    mu = (mu0, mu1, (w0 * e0 + w1 * e1 + w2 * e2) / det) if triple else (mu0, mu1)
     if min(mu) < -_DUAL_TOL * max(1.0, math.hypot(*mu)):
         return None
-    return [v0[0] + w[0], v0[1] + w[1], v0[2] + w[2]]
-
-
-def _dot(a, b) -> float:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _cross(a, b) -> tuple:
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+    return [vx + w0, vy + w1, vz + w2]
 
 
 def _active_rows(normals, offsets, vx: float, vy: float, vz: float, slack: float):

@@ -259,6 +259,10 @@ class ScenarioSpec:
                                  "marking.0.points has a squared length past the float range")
             ends = np.cumsum([len(ms.points) + 1 for ms in self.markings])
             j = int(np.searchsorted(ends, k))    # the marking holding waypoint k
+            pts = waypoints.tolist()
+            if math.isfinite(sum(map(math.dist, pts, pts[1:]))):    # lengths never squared
+                raise ValueError(f"marking.{j}.points: a segment of the reference path through "
+                                 "them has a squared length past the float range")
             raise ValueError(f"marking.{j}.points: the reference path from the initial tip "
                              "through them is longer than a float can hold")
         if not (np.linalg.norm(np.diff(waypoints, axis=0), axis=1) >= _MIN_SEGMENT).any():

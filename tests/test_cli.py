@@ -172,6 +172,31 @@ def test_breach_before_the_gate_engages_is_reported(tmp_path, capsys):
     assert "  first violation [s]:         0.734\n" in report
 
 
+# catalog 3 with tumor 1 moved up to touch tumor 0's keep-out sphere (gap 0 mm) and
+# marking 6 put back on tumor 0's margin: the paper's close-proximity regime
+GAP0_CONFIG = (
+    "scenario_id = 3\ntumor.1.center = 0.0, -2.0, 30.0\n"
+    "marking.0.points = 4.0, 6.0, 30.0; 2.8284271247461903, 8.82842712474619, 30.0; "
+    "1.5308084989341916e-16, 8.5, 30.0; -2.82842712474619, 8.82842712474619, 30.0; "
+    "-2.5, 6.000000000000001, 30.0; -2.8284271247461907, 3.17157287525381, 30.0; "
+    "0.0, 2.0, 30.0; 2.8284271247461894, 3.1715728752538093, 30.0\n"
+    "marking.0.unsafe = 0, 0, 1, 0, 1, 0, 0, 0\n")
+
+
+def test_close_proximity_crease_stays_safe(tmp_path, capsys):
+    # where the two keep-out spheres meet, a quarter of the steps bind both rows at once
+    log = run(load_scenario(GAP0_CONFIG))
+    assert len(log.data) == 20252
+    assert np.count_nonzero(log.active_rows == 2) == 5024
+    cfg = tmp_path / "gap0.cfg"
+    cfg.write_text(GAP0_CONFIG)
+    assert main(["run", "--config", str(cfg), "--emit", "report",
+                 "--out", str(tmp_path / "o")]) == 0
+    report = capsys.readouterr().out
+    assert "  min barrier tumor0 [mm]:       0.076435\n" in report
+    assert "  min barrier tumor1 [mm]:       0.959196\n" in report
+
+
 def test_verify_quick_pass(capsys):
     assert main(["verify", "--qp-instances", "200"]) == 0
     captured = capsys.readouterr().out
@@ -245,6 +270,10 @@ def test_verify_quick_pass(capsys):
     ("scenario_id = 1\nmarking.0.points = 0, 6, 30; 1e308, 0, 0\nmarking.0.unsafe = 0, 1\n",
      "marking.0.points: the reference path from the initial tip through them is longer "
      "than a float can hold"),
+    # a path of about 2e200 mm fits a float; only a segment's squared length does not
+    ("scenario_id = 1\nmarking.0.points = 0, 6, 30; 1e200, 0, 0\nmarking.0.unsafe = 0, 1\n",
+     "marking.0.points: a segment of the reference path through them has a squared length "
+     "past the float range"),
     ("scenario_id = 1\nkinematics.l2 = 1e200\n", "kinematics.l2 = 1e+200 squared overflows"),
     # an approach too long to square is the initial tip's fault, not the marking's
     ("scenario_id = 1\nkinematics.l1 = 1e300\n", "the reference path's approach from the "

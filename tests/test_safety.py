@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import math
+import struct
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -336,22 +340,28 @@ def test_kernel_active_count_matches_numpy_recount():
 _TILTED = np.array([1.0, 2.0, 3.0]) / np.sqrt(14.0)
 
 
-@pytest.mark.parametrize("N, b", [
+_ANTIPODAL = [
     pytest.param([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]], [1.0, 1.0], id="axis"),
     # the rounded triple product of these three is about 1e-17, not 0: only
     # the residual refusal keeps a velocity near 1e16 from being returned
     pytest.param([_TILTED, -_TILTED, [0.6, 0.8, 0.0]], [1.0, 1.0, 0.0], id="tilted"),
-])
+]
+
+# (batch, index): program `index` of default_rng([100, batch])
+_ILL_CONDITIONED = [
+    (0, 9854), (1, 4486), (1, 9209), (2, 27), (2, 1699),
+    (2, 2257), (2, 8033), (3, 3055), (3, 4127), (3, 8671),
+]
+
+
+@pytest.mark.parametrize("N, b", _ANTIPODAL)
 def test_filter_infeasible_antipodal(N, b):
     rows = (np.array(N, dtype=float), np.array(b))
     with pytest.raises(InfeasibleQPError):
         safety_filter(np.zeros(3), rows)
 
 
-@pytest.mark.parametrize("batch, index", [
-    (0, 9854), (1, 4486), (1, 9209), (2, 27), (2, 1699),
-    (2, 2257), (2, 8033), (3, 3055), (3, 4127), (3, 8671),
-])
+@pytest.mark.parametrize("batch, index", _ILL_CONDITIONED)
 def test_filter_solves_ill_conditioned_feasible_programs(batch, index):
     # program `index` of default_rng([100, batch]): a near-antipodal pair puts
     # the optimum far out, where a normal-equations solve misses its residual
@@ -377,6 +387,119 @@ def test_exact_oracle_on_programs_least_squares_got_wrong(seed, batch, index):
     assert expected is not None
     got = safety_filter(v_d, rows)
     assert np.linalg.norm(got - expected) <= 1e-8 * max(1.0, np.linalg.norm(expected))
+
+
+def _frozen_filter_rows(v_d, normals, offsets):
+    """filter_rows as it was before its vertex path was written on named floats:
+    list-form candidates, each recomputing its rows' residuals.  Frozen here as
+    the bitwise reference for the rewrite."""
+    dot = lambda a, b: a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+    cross = lambda a, b: (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                          a[0] * b[1] - a[1] * b[0])
+
+    def active_rows(vx, vy, vz, slack):
+        active = 0
+        for (nx, ny, nz), offset in zip(normals, offsets):
+            d = nx * vx + ny * vy + nz * vz
+            if not d >= offset - slack:
+                return None
+            active += abs(d - offset) <= 1e-6
+        return active
+
+    def vertex_step(active, subset_offsets):
+        size = len(active)
+        r = [b - dot(n, v_d) for n, b in zip(active, subset_offsets)]
+        if size == 2:
+            active, r = active + [cross(*active)], r + [0.0]
+        n0, n1, n2 = active
+        c = (cross(n1, n2), cross(n2, n0), cross(n0, n1))
+        det = dot(n0, c[0])
+        w = [dot(r, col) / det for col in zip(*c)] if det else [math.nan] * 3
+        tol = 1e-7 * max(1.0, math.hypot(*r))
+        if not all(abs(dot(n, w) - ri) <= tol for n, ri in zip(active, r)):
+            return None
+        mu = [dot(w, ci) / det for ci in c[:size]]
+        if min(mu) < -1e-9 * max(1.0, math.hypot(*mu)):
+            return None
+        return [v_d[0] + w[0], v_d[1] + w[1], v_d[2] + w[2]]
+
+    vx, vy, vz = v_d
+    active = active_rows(vx, vy, vz, 0.0)
+    if active is not None:
+        return v_d, active
+    for (nx, ny, nz), offset in zip(normals, offsets):
+        g = nx * nx + ny * ny + nz * nz
+        if g == 0.0:
+            continue
+        resid = offset - (nx * vx + ny * vy + nz * vz)
+        mu = resid / g
+        if not math.isfinite(mu) or abs(g * mu - resid) > 1e-7 * max(1.0, abs(resid)):
+            continue
+        if mu < -1e-9 * max(1.0, abs(mu)):
+            continue
+        sx, sy, sz = vx + nx * mu, vy + ny * mu, vz + nz * mu
+        active = active_rows(sx, sy, sz, 1e-9 * max(1.0, math.sqrt(sx * sx + sy * sy + sz * sz)))
+        if active is not None:
+            return [sx, sy, sz], active
+    k = len(offsets)
+    for size in (2, 3):
+        for subset in combinations(range(k), size):
+            v = vertex_step([normals[i] for i in subset], [offsets[i] for i in subset])
+            if v:
+                active = active_rows(*v, 1e-9 * max(1.0, math.sqrt(dot(v, v))))
+                if active is not None:
+                    return v, active
+    raise InfeasibleQPError(f"no velocity satisfies all {k} constraint rows")
+
+
+def _outcome(solve, v_d, normals, offsets) -> bytes:
+    """The exact bytes of a solve: its velocity and active count, or its error message."""
+    try:
+        v, active = solve(v_d, normals, offsets)
+    except InfeasibleQPError as exc:
+        return str(exc).encode()
+    return struct.pack("3di", *v, active)
+
+
+def test_vertex_path_is_bitwise_the_frozen_enumeration():
+    programs = []
+    rng = np.random.default_rng(44)
+    for _ in range(10000):
+        v_d, (N, b) = random_qp_instance(rng)
+        programs.append((v_d.tolist(), N.tolist(), b.tolist()))
+    for case in _ANTIPODAL:
+        N, b = case.values
+        programs.append(([0.0, 0.0, 0.0], np.asarray(N, dtype=float).tolist(), b))
+    for batch, index in _ILL_CONDITIONED:
+        rng = np.random.default_rng([100, batch])
+        for _ in range(index):
+            random_qp_instance(rng)
+        v_d, (N, b) = random_qp_instance(rng)
+        programs.append((v_d.tolist(), N.tolist(), b.tolist()))
+    # 4 and 5 rows, generic and with every plane through one rounded point
+    rng = np.random.default_rng(45)
+    for i in range(2000):
+        k = 4 + i % 2
+        N = rng.normal(0.0, 1.0, (k, 3))
+        N /= np.linalg.norm(N, axis=1)[:, None]
+        b = N @ rng.normal(0.0, 2.0, 3).round(1) if i % 4 >= 2 else rng.uniform(-4.0, 4.0, k)
+        programs.append((rng.normal(0.0, 3.0, 3).tolist(), N.tolist(), b.tolist()))
+    # nearly (anti)parallel pairs whose offsets differ in scale: the residual
+    # tolerance decides whether their vertex is taken
+    for i in range(2000):
+        n0 = rng.normal(0.0, 1.0, 3)
+        n0 /= np.linalg.norm(n0)
+        n1 = (1 if i % 2 else -1) * n0 + 10.0 ** rng.uniform(-12, -4) * rng.normal(0.0, 1.0, 3)
+        n1 /= np.linalg.norm(n1)
+        b = rng.uniform(-1.0, 1.0, 2) * 10.0 ** rng.uniform(-1, 3, 2)
+        programs.append((rng.normal(0.0, 3.0, 3).tolist(), [n0.tolist(), n1.tolist()], b.tolist()))
+    outcomes = set()
+    for program in programs:
+        got = _outcome(filter_rows, *program)
+        assert got == _outcome(_frozen_filter_rows, *program), program
+        outcomes.add(got[-4:] if len(got) == 28 else b"raise")
+    # every kind of outcome is compared: passthrough, one to three active rows, infeasible
+    assert outcomes >= {struct.pack("i", a) for a in range(4)} | {b"raise"}
 
 
 def test_filter_empty_rows_identity():
