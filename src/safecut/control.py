@@ -1,8 +1,9 @@
 """Model-free velocity tracking and disturbance shaping.
 
-The control law needs only the Jacobian: u = -k_d * edot with
-edot = Jpinv(q) (xdot - xdot_safe).  No inertial quantity appears here, which
-is what makes the tracking loop model-free.
+The control law reads only the Jacobian and one gain: u = -k_d * edot with
+edot = Jpinv(q) (xdot - xdot_safe), Jpinv the least-squares inverse damped by
+the constant DAMPING.  No inertial quantity appears here, which is what makes
+the tracking loop model-free.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 from .kinematics import damped_least_squares
 
 _NOISE_FLOOR = 1e-12   # ||edot|| at or below it carries no transient to fit
+DAMPING = 1e-3         # regularizes Jpinv where J loses rank
 
 
 class InsufficientTransientError(RuntimeError):
@@ -23,7 +25,7 @@ class InsufficientTransientError(RuntimeError):
 
 @dataclass
 class ControllerParams:
-    """k_d maps velocity error to joint force/torque; damping regularizes Jpinv.
+    """k_d maps velocity error to joint force/torque.
 
     The default gain is tuned so the measured closed-loop decay rate stays a
     few times above the largest filter alpha in the scenario catalog while
@@ -31,13 +33,10 @@ class ControllerParams:
     """
 
     k_d: float = 8000.0
-    damping: float = 1e-3
 
     def __post_init__(self):
         if not 0.0 < self.k_d < math.inf:
             raise ValueError(f"k_d must be positive and finite, got {self.k_d!r}")
-        if not 0.0 <= self.damping < math.inf:
-            raise ValueError(f"damping must be non-negative and finite, got {self.damping!r}")
 
 
 @dataclass
@@ -72,14 +71,14 @@ class DisturbanceSpec:
         self.phases = tuple(np.random.default_rng(self.seed).uniform(0.0, math.tau, 3).tolist())
 
 
-def velocity_error(J, xdot, xdot_safe, params: ControllerParams):
+def velocity_error(J, xdot, xdot_safe):
     """Joint-space velocity error edot = Jpinv (xdot - xdot_safe), as floats.
 
     J is the step's tip Jacobian and xdot = J qdot the measured tip
-    velocity; Jpinv is the damped least-squares inverse of J.
+    velocity; Jpinv is the least-squares inverse of J damped by DAMPING.
     """
     e = (xdot[0] - xdot_safe[0], xdot[1] - xdot_safe[1], xdot[2] - xdot_safe[2])
-    return damped_least_squares(J, e, params.damping)
+    return damped_least_squares(J, e, DAMPING)
 
 
 def control_law(edot, params: ControllerParams):

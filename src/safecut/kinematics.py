@@ -6,7 +6,8 @@ about the rotated x-axis.  The carried base link l1 and the two bending
 links l2, l_end extend along the successive local z-axes, so at zero
 bending the tip sits at (0, 0, d1 + l1 + l2 + l_end).
 
-Lengths in mm, angles in rad.
+Lengths in mm, angles in rad.  The module is the chain and its one damped
+solve, in plain floats.
 """
 
 from __future__ import annotations
@@ -14,12 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
-
-import numpy as np
-
-
-class SingularJacobianError(RuntimeError):
-    """Raised when an undamped least-squares solve hits a rank-deficient Jacobian."""
 
 
 @dataclass(frozen=True)
@@ -53,8 +48,8 @@ def tip_kinematics(d1: float, theta2: float, theta3: float, params: KinematicPar
     """Tip position [mm] and 3x3 tip Jacobian d(position)/d(q), as float tuples.
 
     The one evaluation of the chain: sim.run calls it once per control step, ScenarioSpec
-    once for the initial tip, and forward_kinematics and jacobian wrap it for the verify
-    Jacobian check and the tests.  Column 1 of J is the prismatic axis (0, 0, 1) for any q.
+    once for the initial tip, and the verify Jacobian check differences its position
+    against its J.  Column 1 of J is the prismatic axis (0, 0, 1) for any q.
     """
     c2, s2 = math.cos(theta2), math.sin(theta2)
     c3, s3 = math.cos(theta3), math.sin(theta3)
@@ -67,31 +62,17 @@ def tip_kinematics(d1: float, theta2: float, theta3: float, params: KinematicPar
     return x, J
 
 
-def forward_kinematics(q, params: KinematicParams) -> np.ndarray:
-    """Tip position [mm] in the base frame for any (d1, theta2, theta3) triple."""
-    return np.array(tip_kinematics(*q, params)[0])
-
-
-def jacobian(q, params: KinematicParams) -> np.ndarray:
-    """3x3 tip Jacobian d(position)/d(q) for any (d1, theta2, theta3) triple."""
-    return np.array(tip_kinematics(*q, params)[1])
-
-
 def damped_least_squares(J, e, damping: float):
     """J^T (J J^T + damping^2 I)^-1 e for a 3x3 J, as a tuple of floats.
 
-    The damped pseudo-inverse applied to one vector: the symmetric 3x3
-    system is solved in closed form by its adjugate, and the inverse is
-    never formed.  With damping = 0 a numerically singular J (condition
-    number of J J^T above 1e12) raises SingularJacobianError.
+    The damped pseudo-inverse applied to one vector, for damping > 0: the
+    symmetric 3x3 system is solved in closed form by its adjugate, and the
+    inverse is never formed.  The damping keeps the system regular where J
+    loses rank, as at theta2 = pi/2.
     """
     (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J
     e0, e1, e2 = e
     lam = damping * damping
-    if lam == 0.0:
-        Jm = np.array(J, dtype=float)
-        if np.linalg.cond(Jm @ Jm.T) > 1e12:
-            raise SingularJacobianError("Jacobian is numerically singular and damping is zero")
     a00 = j00 * j00 + j01 * j01 + j02 * j02 + lam
     a01 = j00 * j10 + j01 * j11 + j02 * j12
     a02 = j00 * j20 + j01 * j21 + j02 * j22

@@ -234,10 +234,6 @@ class ScenarioSpec:
         """The link lengths, held once on dynamics."""
         return self.dynamics.kinematics
 
-    def reference(self) -> tuple:
-        """The path field: the reference (waypoints, arcs) from the initial tip."""
-        return self.path
-
     def run_duration(self) -> float:
         """duration, or the path's time at speed rounded up to the dt grid, plus settle."""
         if self.duration is not None:
@@ -390,7 +386,6 @@ _SCALAR_KEYS = {
     "filter.activation_gate": ("filter.activation_gate", "bool"),
     "filter.enabled": ("filter.enabled", "bool"),
     "controller.k_d": ("controller.k_d", "float"),
-    "controller.damping": ("controller.damping", "float"),
     "disturbance.waveform": ("disturbance.waveform", "str"),
     "disturbance.amplitude": ("disturbance.amplitude", "vec"),
     "disturbance.frequency": ("disturbance.frequency", "float"),

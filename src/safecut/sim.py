@@ -155,7 +155,7 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
     q, qdot = spec.initial_q, spec.initial_qdot
     gate_engaged = not (enabled and fp.activation_gate)
 
-    for k, (p_ref, v_ref) in zip(range(n), reference_rows(*spec.reference(), spec.speed, dt)):
+    for k, (p_ref, v_ref) in zip(range(n), reference_rows(*spec.path, spec.speed, dt)):
         t = k * dt
         x, J = tip_kinematics(*q, kin)
         (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J
@@ -173,7 +173,7 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
             v_s, active = filter_rows(v_d, normals, [-alpha * hb for hb in h])
             gated = 1
 
-        edot = velocity_error(J, xdot, v_s, cp)
+        edot = velocity_error(J, xdot, v_s)
         u = control_law(edot, cp)
         d = disturbance(t, dist)
         pack(data, k * size, t, *q, *qdot, *x, *xdot, *v_d, *v_s, *u, *d, *edot, *h,

@@ -7,10 +7,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from safecut import scenario
 from safecut.cli import main
 from safecut.control import DisturbanceSpec, disturbance
 from safecut.safety import SafeSetSpec
-from safecut.scenario import ScenarioSpec, load_scenario, scenario_catalog, scenario_to_config
+from safecut.scenario import load_scenario, scenario_catalog, scenario_to_config
 from safecut.sim import export_plot_data, gate_engage_time, read_csv, run, summarize
 
 SHORT_CONFIG = "scenario_id = 1\nduration = 2.0\nspeed = 4.0\n"
@@ -216,6 +217,8 @@ def test_verify_quick_pass(capsys):
      "unknown configuration key 'kinematics.outer_diameter'"),
     ("scenario_id = 2\ntumor.0.removable = true\n",
      "unknown configuration key 'tumor.0.removable'"),
+    ("scenario_id = 1\ncontroller.damping = 0.002\n",
+     "unknown configuration key 'controller.damping'"),
     ("scenario_id = 1\nfilter.mode = foo\n", "filter.mode"),
     ("scenario_id = 1\ntumor.x.margin = 3.0\n", "tumor.x.margin"),
     ("scenario_id = 2\ntumor.01.margin = 3.0\n", "tumor.01.margin"),
@@ -256,7 +259,6 @@ def test_verify_quick_pass(capsys):
     # a nested group's own check names the group
     ("scenario_id = 1\nfilter.alpha = 0\n", "filter: alpha must be positive and finite, got 0.0"),
     ("scenario_id = 1\ncontroller.k_d = -1\n", "controller: k_d must be positive and finite"),
-    ("scenario_id = 1\ncontroller.damping = -1\n", "controller: damping must be non-negative"),
     ("scenario_id = 1\nkinematics.l2 = -1\n", "kinematics: l2 must be positive and finite"),
     ("scenario_id = 1\ndynamics.masses = 1, 2\n", "dynamics: masses must be 3 finite values"),
     ("scenario_id = 1\ndynamics.link_inertias = 0.0, 2.0, 1.0\n",
@@ -312,18 +314,20 @@ def test_one_barrier_table_per_spec(tmp_path, monkeypatch):
 
 def test_one_reference_per_run(tmp_path, monkeypatch):
     builds = []
-    build = ScenarioSpec.reference
-    monkeypatch.setattr(ScenarioSpec, "reference", lambda self: builds.append(1) or build(self))
+    build = scenario.reference_waypoints
+    monkeypatch.setattr(scenario, "reference_waypoints",
+                        lambda *args: builds.append(1) or build(*args))
     assert main(["run", "--scenario", "3", "--emit", "csv,plotdata,report",
                  "--out", str(tmp_path)]) == 0
     assert len(builds) == 1
-    # a config's run, step by step: loading and validating it builds no reference
-    builds.clear()
+    # a config's run, step by step: the loaded spec's path is the one the run,
+    # summary and plot data read; none of them builds another
     spec = load_scenario(scenario_to_config(replace(scenario_catalog(4), duration=0.05)))
+    builds.clear()
     log = run(spec)
     summarize(log, spec)
     export_plot_data(log, spec, tmp_path / "plots")
-    assert len(builds) == 1
+    assert not builds
 
 
 @pytest.mark.parametrize("scenario, override", [

@@ -7,13 +7,18 @@ import math
 import numpy as np
 import pytest
 
-from safecut.control import (ControllerParams, DisturbanceSpec,
+from safecut.control import (DAMPING, ControllerParams, DisturbanceSpec,
                              InsufficientTransientError, control_law,
                              disturbance, measure_decay_rate, velocity_error)
-from safecut.kinematics import JointConfig, KinematicParams, SingularJacobianError, jacobian
+from safecut.kinematics import (JointConfig, KinematicParams, damped_least_squares,
+                                tip_kinematics)
 
 KIN = KinematicParams()
 CTL = ControllerParams()
+
+
+def jacobian(q) -> np.ndarray:
+    return np.array(tip_kinematics(*q, KIN)[1])
 
 
 def test_zero_error_when_tracking_exactly():
@@ -21,17 +26,17 @@ def test_zero_error_when_tracking_exactly():
     for _ in range(30):
         q = JointConfig(rng.uniform(0, 40), rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
         qd = rng.normal(0.0, 1.0, 3)
-        J = jacobian(q, KIN)
-        edot = velocity_error(J, J @ qd, J @ qd, CTL)
+        J = jacobian(q)
+        edot = velocity_error(J, J @ qd, J @ qd)
         np.testing.assert_allclose(edot, np.zeros(3), atol=1e-12)
 
 
 def test_error_sign_opposes_command():
     q = JointConfig(10.0, 0.3, -0.5)
-    edot = velocity_error(jacobian(q, KIN), np.zeros(3), np.array([1.0, 0.0, 0.0]), CTL)
+    edot = velocity_error(jacobian(q), np.zeros(3), np.array([1.0, 0.0, 0.0]))
     u = control_law(edot, CTL)
     # stationary arm told to move: u must push the tip along +x
-    xdot_dir = jacobian(q, KIN) @ u
+    xdot_dir = jacobian(q) @ u
     assert xdot_dir[0] > 0.0
 
 
@@ -45,7 +50,7 @@ def test_gain_validation():
     with pytest.raises(ValueError):
         ControllerParams(k_d=0.0)
     with pytest.raises(ValueError):
-        ControllerParams(damping=-1e-6)
+        ControllerParams(k_d=-1e-6)
 
 
 def test_disturbance_waveforms():
@@ -125,32 +130,29 @@ def test_controller_is_model_free():
 
 def test_velocity_error_matches_pseudo_inverse_matrix():
     # the closed-form solve against the matrix form, near and far from the
-    # singular flat configuration; both carry an error of order cond * eps
+    # singular flat configuration; both carry an error of order cond * eps.
+    # velocity_error runs at the loop's DAMPING, the solve alone at a larger one
     rng = np.random.default_rng(42)
     for theta2 in (0.3, np.pi / 2 - 1e-4, np.pi / 2):
-        for damping in (1e-3, 1e-1):
-            ctl = ControllerParams(damping=damping)
-            J = jacobian(JointConfig(10.0, theta2, -0.4), KIN)
+        for damping in (DAMPING, 1e-1):
+            J = jacobian(JointConfig(10.0, theta2, -0.4))
             gram = J @ J.T + (damping * damping) * np.eye(3)
             cond = np.linalg.cond(gram)
             xdot, xdot_safe = rng.normal(0.0, 3.0, 3), rng.normal(0.0, 3.0, 3)
             # the damped pseudo-inverse as a matrix, by a dense inverse
             expected = J.T @ np.linalg.inv(gram) @ (xdot - xdot_safe)
-            got = velocity_error(J, xdot, xdot_safe, ctl)
+            if damping == DAMPING:
+                got = velocity_error(J, xdot, xdot_safe)
+            else:
+                got = damped_least_squares(J, xdot - xdot_safe, damping)
             tol = 10.0 * cond * np.finfo(float).eps * np.linalg.norm(expected)
             assert np.linalg.norm(np.asarray(got) - expected) <= tol
-
-
-def test_zero_damping_velocity_error_raises_at_singularity():
-    J = jacobian(JointConfig(0.0, np.pi / 2, 0.0), KIN)
-    with pytest.raises(SingularJacobianError):
-        velocity_error(J, np.zeros(3), np.ones(3), ControllerParams(damping=0.0))
 
 
 @pytest.mark.parametrize("make", [
     lambda: ControllerParams(k_d=float("nan")),
     lambda: ControllerParams(k_d=float("inf")),
-    lambda: ControllerParams(damping=float("nan")),
+    lambda: ControllerParams(k_d=-float("inf")),
     lambda: DisturbanceSpec(waveform="constant", amplitude=(1.0, float("nan"), 0.0)),
     lambda: DisturbanceSpec(waveform="sinusoid", amplitude=(1.0, 1.0, 1.0),
                             frequency=float("inf")),

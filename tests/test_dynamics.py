@@ -264,19 +264,23 @@ def test_dynamic_params_reject_non_finite(kwargs):
 
 ORACLES = ("mass_matrix", "coriolis_matrix", "gravity_vector", "kinetic_energy",
            "potential_energy")
-KERNELS = {"tip_kinematics", "forward_kinematics", "jacobian", "damped_least_squares",
-           "forward_dynamics", "rk4_step"}
+KERNELS = {"tip_kinematics", "damped_least_squares", "forward_dynamics", "rk4_step"}
 
 
 def test_runtime_modules_hold_one_form():
     # the matrix forms and test-only wrappers live in checks (the pseudo-inverse
-    # oracle in the tests), nowhere in a runtime module
+    # oracle in the tests), nowhere in a runtime module; nor do the retired numpy
+    # wrappers of tip_kinematics or the undamped solve's error
     banned = set(ORACLES) | {"barrier_gradient", "depth_barrier_gradient", "RobotState",
-                             "damped_pseudo_inverse"}
+                             "damped_pseudo_inverse", "forward_kinematics", "jacobian",
+                             "SingularJacobianError"}
     for module in (kinematics, dynamics, safety, control, sim, scenario):
         assert not banned & set(vars(module)), module.__name__
-    assert not any(isinstance(v, types.ModuleType) and v.__name__.startswith("numpy")
-                   for v in vars(dynamics).values())
+    for module in (kinematics, dynamics):
+        assert not any(isinstance(v, types.ModuleType) and v.__name__.startswith("numpy")
+                       for v in vars(module).values()), module.__name__
+    # the path is the spec's field, read directly
+    assert not hasattr(scenario.ScenarioSpec, "reference")
 
 
 def test_oracles_call_no_kernel():

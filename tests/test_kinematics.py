@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from safecut.kinematics import (JointConfig, KinematicParams,
-                                SingularJacobianError, damped_least_squares,
-                                forward_kinematics, jacobian)
+from safecut.control import velocity_error
+from safecut.kinematics import (JointConfig, KinematicParams, damped_least_squares,
+                                tip_kinematics)
 
 KIN = KinematicParams()
 
@@ -20,18 +20,26 @@ def damped_pseudo_inverse(J, damping: float) -> np.ndarray:
     return J.T @ np.linalg.inv(J @ J.T + (damping * damping) * np.eye(3))
 
 
+def position(q) -> np.ndarray:
+    return np.array(tip_kinematics(*q, KIN)[0])
+
+
+def jacobian(q) -> np.ndarray:
+    return np.array(tip_kinematics(*q, KIN)[1])
+
+
 def test_straight_configuration():
-    x = forward_kinematics(JointConfig(5.0, 0.0, 0.0), KIN)
+    x = position(JointConfig(5.0, 0.0, 0.0))
     np.testing.assert_allclose(x, [0.0, 0.0, 35.0], atol=1e-12)
 
 
 def test_right_angle_bend():
-    x = forward_kinematics(JointConfig(0.0, math.pi / 2, 0.0), KIN)
+    x = position(JointConfig(0.0, math.pi / 2, 0.0))
     np.testing.assert_allclose(x, [27.0, 0.0, 3.0], atol=1e-12)
 
 
 def test_tip_bend_moves_in_minus_y():
-    x = forward_kinematics(JointConfig(0.0, 0.0, math.pi / 2), KIN)
+    x = position(JointConfig(0.0, 0.0, math.pi / 2))
     np.testing.assert_allclose(x, [0.0, -17.0, 13.0], atol=1e-12)
 
 
@@ -39,7 +47,7 @@ def test_prismatic_column_is_vertical():
     rng = np.random.default_rng(11)
     for _ in range(50):
         q = JointConfig(*rng.uniform(-1.0, 1.0, 3))
-        J = jacobian(q, KIN)
+        J = jacobian(q)
         np.testing.assert_allclose(J[:, 0], [0.0, 0.0, 1.0], atol=1e-12)
 
 
@@ -49,12 +57,12 @@ def test_jacobian_matches_finite_differences():
     for _ in range(100):
         arr = np.array([rng.uniform(0.0, 50.0),
                         rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)])
-        J = jacobian(JointConfig(*arr), KIN)
+        J = jacobian(JointConfig(*arr))
         for j in range(3):
             plus, minus = arr.copy(), arr.copy()
             plus[j] += step
             minus[j] -= step
-            fd = (forward_kinematics(plus, KIN) - forward_kinematics(minus, KIN)) / (2 * step)
+            fd = (position(plus) - position(minus)) / (2 * step)
             np.testing.assert_allclose(J[:, j], fd, atol=1e-4)
 
 
@@ -63,8 +71,7 @@ def test_joint_config_array_round_trip():
     q = JointConfig(3.0, 0.2, -0.4)
     assert q == (3.0, 0.2, -0.4)
     assert JointConfig(*np.array(q)) == q
-    np.testing.assert_array_equal(forward_kinematics(q, KIN),
-                                  forward_kinematics(tuple(q), KIN))
+    assert tip_kinematics(*np.array(q), KIN) == tip_kinematics(*q, KIN)
 
 
 def test_positive_lengths_enforced():
@@ -76,7 +83,7 @@ def test_damped_pseudo_inverse_reconstructs_velocity():
     rng = np.random.default_rng(13)
     for _ in range(50):
         q = JointConfig(rng.uniform(0, 50), rng.uniform(-1.2, 1.2), rng.uniform(-1.2, 1.2))
-        J = jacobian(q, KIN)
+        J = jacobian(q)
         qd = rng.normal(0.0, 1.0, 3)
         xd = J @ qd
         back = damped_pseudo_inverse(J, damping=1e-6) @ xd
@@ -85,18 +92,13 @@ def test_damped_pseudo_inverse_reconstructs_velocity():
                                    rtol=1e-9, atol=1e-12)
 
 
-def test_undamped_inverse_raises_at_singularity():
+def test_damping_keeps_singularity_finite():
     # theta2 = pi/2 lays the arm flat: insertion and pitch both move the tip
     # along x, rank drops to 2
-    J = jacobian(JointConfig(0.0, np.pi / 2, 0.0), KIN)
-    with pytest.raises(SingularJacobianError):
-        damped_least_squares(J, (1.0, 0.0, 0.0), damping=0.0)
-
-
-def test_damping_keeps_singularity_finite():
-    J = jacobian(JointConfig(0.0, np.pi / 2, 0.0), KIN)
-    pinv = damped_pseudo_inverse(J, damping=1e-3)
-    assert np.all(np.isfinite(pinv))
+    _, J = tip_kinematics(0.0, math.pi / 2, 0.0, KIN)
+    assert np.linalg.matrix_rank(J) == 2
+    for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)):
+        assert all(map(math.isfinite, velocity_error(J, e, (0.0, 0.0, 0.0))))
 
 
 @pytest.mark.parametrize("name", ["l1", "l2", "l_end"])

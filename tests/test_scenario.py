@@ -13,7 +13,7 @@ import pytest
 
 from safecut import scenario, sim
 from safecut.checks import mass_matrix
-from safecut.kinematics import JointConfig, KinematicParams, forward_kinematics
+from safecut.kinematics import JointConfig, KinematicParams, tip_kinematics
 from safecut.safety import DepthShell, SafeSetSpec, TumorSpec, selected_barrier_values
 from safecut.scenario import (SCENARIO_IDS, MarkingSet, ScenarioSpec,
                               generate_marking_points, inject_unsafe_points,
@@ -146,13 +146,13 @@ def test_catalog_ids_and_geometry():
 def test_catalog_initial_tip_positions():
     for sid in (1, 2, 3):
         spec = scenario_catalog(sid)
-        tip = forward_kinematics(spec.initial_q, spec.kinematics)
+        tip, _ = tip_kinematics(*spec.initial_q, spec.kinematics)
         np.testing.assert_allclose(tip, [0.0, 0.0, 43.0], atol=1e-12)
     s4 = scenario_catalog(4)
-    tip = forward_kinematics(s4.initial_q, s4.kinematics)
+    tip, _ = tip_kinematics(*s4.initial_q, s4.kinematics)
     np.testing.assert_allclose(tip, [0.0, 0.0, 36.7], atol=1e-12)
     # outside the depth shell, so the gate starts disengaged
-    assert np.linalg.norm(tip - s4.shells[0].center) > s4.shells[0].outer_radius
+    assert math.dist(tip, s4.shells[0].center) > s4.shells[0].outer_radius
 
 
 def test_validate_rejects_bad_geometry():
@@ -160,7 +160,7 @@ def test_validate_rejects_bad_geometry():
     # bend the tip onto the tumor centre: y = -l_end sin(theta3), z via d1
     theta3 = math.asin(-6.0 / 17.0)
     d1 = 30.0 - 3.0 - (10.0 + 17.0 * math.cos(theta3))
-    tip = forward_kinematics(JointConfig(d1, 0.0, theta3), spec.kinematics)
+    tip, _ = tip_kinematics(d1, 0.0, theta3, spec.kinematics)
     assert selected_barrier_values(tip, spec.safe_set, 0)[0][0] < 0.0
     # construction is the gate: each replace below raises before a spec exists
     with pytest.raises(ValueError, match="tumor.0: keep-out sphere holds the initial tip placed "
@@ -178,7 +178,7 @@ def test_validate_rejects_bad_geometry():
 
 def test_duration_override():
     spec = scenario_catalog(1)
-    _, arcs = spec.reference()
+    _, arcs = spec.path
     # the path's time at speed, rounded up to the dt grid, plus settle
     assert 0.0 <= spec.run_duration() - (arcs[-1] / spec.speed + spec.settle) < spec.dt
     fixed = replace(spec, duration=3.0)
@@ -201,7 +201,6 @@ def test_one_path_per_spec(monkeypatch):
     assert len(sim.run(spec)) == 20252
     sim.run(fixed)
     assert len(calls) == 2
-    assert spec.reference() is spec.path
 
 
 @pytest.mark.parametrize("sid, steps", [(1, 20252), (2, 24865), (3, 24437), (4, 17741)])
@@ -304,7 +303,7 @@ NON_DEFAULT = {
     "dynamics.masses": "2.5, 1.25, 0.75", "dynamics.link_inertias": "2.5, 1.5",
     "dynamics.gravity": "1.0, -2.0, -9000.0",
     "filter.alpha": "0.9", "filter.activation_gate": "true", "filter.enabled": "false",
-    "controller.k_d": "7000.0", "controller.damping": "0.002",
+    "controller.k_d": "7000.0",
     "disturbance.waveform": "sinusoid", "disturbance.amplitude": "1.5, -2.5, 3.5",
     "disturbance.frequency": "1.75", "disturbance.seed": "17",
 }

@@ -13,7 +13,7 @@ import pytest
 from safecut import safety, scenario, sim
 from safecut.control import ControllerParams, DisturbanceSpec
 from safecut.dynamics import DynamicParams, SingularMassError
-from safecut.kinematics import JointConfig, forward_kinematics
+from safecut.kinematics import JointConfig, tip_kinematics
 from safecut.safety import DepthShell, FilterParams, SafeSetSpec, TumorSpec
 from safecut.scenario import (MarkingSet, ScenarioSpec, generate_marking_points,
                               reference_rows, reference_steps, reference_waypoints,
@@ -70,7 +70,7 @@ def test_log_shapes_and_time_grid(small_run):
 def test_log_positions_consistent_with_joints(small_run):
     spec, log = small_run
     for k in (0, len(log) // 2, len(log) - 1):
-        x = forward_kinematics(log.q[k], spec.kinematics)
+        x, _ = tip_kinematics(*log.q[k], spec.kinematics)
         np.testing.assert_allclose(x, log.x[k], atol=1e-12)
 
 
@@ -108,7 +108,7 @@ def test_logged_desired_velocity_matches_reference_rows():
     # vel[k] + kp (pos[k] - x_k) on the grid; past the reference's
     # end the final point with zero feedforward
     spec = _small_spec(duration=None, settle=0.3)
-    _, pos, vel = _grid(*spec.reference(), spec.speed, spec.dt)
+    _, pos, vel = _grid(*spec.path, spec.speed, spec.dt)
     log = sim.run(spec)
     m = len(pos)
     assert len(log) > m
@@ -267,17 +267,17 @@ def test_disabled_filter_never_gates():
 def test_one_reference_per_run_and_one_barrier_evaluation_per_step(monkeypatch, enabled):
     spec = _small_spec(filter=FilterParams(alpha=0.4, enabled=enabled), duration=0.5)
     calls = {"reference": 0, "barriers": 0}
-    reference, evaluate = ScenarioSpec.reference, safety.selected_barrier_values
+    reference, evaluate = sim.reference_rows, safety.selected_barrier_values
 
-    def counted_reference(self):
+    def counted_reference(*args):
         calls["reference"] += 1
-        return reference(self)
+        return reference(*args)
 
     def counted_evaluate(*args):
         calls["barriers"] += 1
         return evaluate(*args)
 
-    monkeypatch.setattr(ScenarioSpec, "reference", counted_reference)
+    monkeypatch.setattr(sim, "reference_rows", counted_reference)
     monkeypatch.setattr(safety, "selected_barrier_values", counted_evaluate)
     log = sim.run(spec)
     assert calls == {"reference": 1, "barriers": len(log)}
@@ -290,7 +290,7 @@ def test_tip_on_a_barrier_centre_fails_only_a_filter_row(barrier):
     for enabled in (True, False):
         spec = _small_spec(filter=FilterParams(activation_gate=True, enabled=enabled),
                            duration=0.05)
-        tip = forward_kinematics(spec.initial_q, spec.kinematics)
+        tip, _ = tip_kinematics(*spec.initial_q, spec.kinematics)
         if barrier == "tumor0":
             spec.safe_set, h0 = SafeSetSpec([TumorSpec(tip, 4.0)], []), -4.0
         else:
@@ -311,6 +311,12 @@ def test_run_is_deterministic():
     for field in ("t", "q", "qdot", "x", "xdot", "xdot_des", "xdot_safe",
                   "u", "d", "edot", "h", "active_rows", "gate"):
         np.testing.assert_array_equal(getattr(log_a, field), getattr(log_b, field))
+
+
+def test_log_size_check_counts_the_log_layout():
+    # ScenarioSpec refuses a log no array can address by counting the log's
+    # columns; its count is the layout the run writes, less one per barrier
+    assert scenario._LOG_COLUMNS == len(sim._csv_columns([]))
 
 
 def test_csv_round_trip_exact(small_run, tmp_path):
@@ -415,7 +421,7 @@ def test_export_plot_data_files(small_run, tmp_path):
         sim.export_plot_data(sim.run(spec), spec, tmp_path)
         rows = _section((tmp_path / f"scenario{sid}_path.dat").read_text(), "reference")
         assert rows.shape == (10, 4)
-        t, pos, _ = _grid(*spec.reference(), spec.speed, spec.dt)
+        t, pos, _ = _grid(*spec.path, spec.speed, spec.dt)
         interp = np.stack([np.interp(t, rows[:, 0], rows[:, i]) for i in (1, 2, 3)], axis=1)
         np.testing.assert_allclose(interp, pos, rtol=0.0, atol=1e-9)
 
