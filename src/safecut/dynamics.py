@@ -68,14 +68,10 @@ class DynamicParams:
             raise ValueError("link inertias must be non-negative")
         (m1, m2, m3), (i2, i3), (gx, gy, gz) = self.masses, self.link_inertias, self.gravity
         l2, le = self.kinematics.l2, self.kinematics.l_end
-        try:
-            l2sq = l2 ** 2
-        except OverflowError:
-            raise ValueError(f"kinematics.l2 = {l2!r} squared overflows a float") from None
         m00 = m1 + m2 + m3
         # each factor rounded as forward_dynamics evaluated it inline, so no float moves
         object.__setattr__(self, "plant", (l2, le, m3, i2, gx, gy, gz, m00, m2 * l2,
-                                           m2 * l2sq, m3 * le * le + i3, m00 * gz,
+                                           m2 * l2 ** 2, m3 * le * le + i3, m00 * gz,
                                            -2.0 * m3, m3 * le))
 
 

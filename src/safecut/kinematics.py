@@ -16,6 +16,10 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
+# mm, the bound on every length and coordinate, checked where each is built: inside it a
+# coordinate's float spacing (1.2e-10 mm) stays under the 1e-9 mm tolerances
+WORKSPACE_MM = 1e6
+
 
 @dataclass(frozen=True)
 class KinematicParams:
@@ -32,8 +36,9 @@ class KinematicParams:
     def __post_init__(self):
         for name in ("l1", "l2", "l_end"):
             value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            if not 0.0 < value <= WORKSPACE_MM:
+                raise ValueError(f"{name} must be positive and finite, at most "
+                                 f"{WORKSPACE_MM:g} mm, got {value!r}")
 
 
 class JointConfig(NamedTuple):

@@ -31,6 +31,8 @@ from itertools import chain, combinations
 
 import numpy as np
 
+from .kinematics import WORKSPACE_MM
+
 CENTRE_TOL = 1e-9   # mm; closer to a barrier's centre its normal is undefined
 _DUAL_TOL = 1e-9
 _FEAS_TOL = 1e-9
@@ -53,8 +55,9 @@ class TumorSpec:
 
     def __post_init__(self):
         self.center = _finite_point(self.center, "tumor centre")
-        if not 0.0 < self.margin < math.inf:
-            raise ValueError(f"cutting margin must be positive and finite, got {self.margin!r}")
+        if not 0.0 < self.margin <= WORKSPACE_MM:
+            raise ValueError(f"cutting margin must be positive and finite, at most "
+                             f"{WORKSPACE_MM:g} mm, got {self.margin!r}")
 
 
 @dataclass
@@ -66,8 +69,9 @@ class DepthShell:
 
     def __post_init__(self):
         self.center = _finite_point(self.center, "shell centre")
-        if not 0.0 < self.outer_radius < math.inf:
-            raise ValueError(f"outer radius must be positive and finite, got {self.outer_radius!r}")
+        if not 0.0 < self.outer_radius <= WORKSPACE_MM:
+            raise ValueError(f"outer radius must be positive and finite, at most "
+                             f"{WORKSPACE_MM:g} mm, got {self.outer_radius!r}")
 
 
 @dataclass
@@ -121,9 +125,11 @@ class SafeSetSpec:
 
 
 def _finite_point(p, what: str) -> np.ndarray:
+    """p as a float array of 3 coordinates, each within WORKSPACE_MM of 0 (so not nan or inf)."""
     p = np.asarray(p, dtype=float)
-    if p.shape != (3,) or not np.all(np.isfinite(p)):
-        raise ValueError(f"{what} must be 3 finite coordinates, got {p!r}")
+    if p.shape != (3,) or not np.all(np.abs(p) <= WORKSPACE_MM):
+        raise ValueError(f"{what} must be 3 finite coordinates, each at most "
+                         f"{WORKSPACE_MM:g} mm, got {p.tolist()}")
     return p
 
 

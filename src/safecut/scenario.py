@@ -32,7 +32,7 @@ from .control import ControllerParams, DisturbanceSpec
 from .dynamics import DynamicParams
 from .kinematics import JointConfig, KinematicParams, tip_kinematics
 from .safety import (CENTRE_TOL, DepthShell, FilterParams, SafeSetSpec, TumorSpec,
-                     selected_barrier_values)
+                     _finite_point, selected_barrier_values)
 
 _UNSAFE_DEPTH = 1.5          # mm inside the keep-out sphere
 _MARKING_COUNT = 8
@@ -40,8 +40,8 @@ _MARKING_PLANE = (0.0, 0.0, 1.0)
 _MIN_SEGMENT = 1e-12         # mm: a shorter reference segment has no direction
 _LOG_COLUMNS = 30            # a run's log columns (sim.TrajectoryLog) besides one per barrier
 
-# joint -> (low, high) in JointConfig order: validate's workspace box, not enforced by
-# the plant; the verify suites draw their joint configurations from it
+# joint -> (low, high) in JointConfig order: an initial joint's box, checked before the
+# initial tip is placed; not enforced by the plant, and the verify suites draw from it
 JOINT_BOX = dict(d1=(0.0, 50.0), theta2=(-math.pi / 2, math.pi / 2),
                  theta3=(-math.pi / 2, math.pi / 2))
 
@@ -78,6 +78,8 @@ class MarkingSet:
         if self.points.ndim != 2 or self.points.shape[1] != 3 or len(self.points) == 0:
             raise ValueError("marking points must be one or more rows of 3 coordinates, "
                              f"got shape {self.points.shape}")
+        for k, p in enumerate(self.points):
+            _finite_point(p, f"point {k}")
         unsafe = np.asarray(self.unsafe).reshape(-1)
         if not np.isin(unsafe, (0, 1)).all():
             raise ValueError(f"unsafe flags must be 0 or 1, got {unsafe.tolist()}")
@@ -143,11 +145,8 @@ def reference_waypoints(markings: list, approach_from) -> tuple:
     """
     waypoints = np.concatenate([np.asarray(approach_from, dtype=float)[None]]
                                + [np.vstack((ms.points, ms.points[:1])) for ms in markings])
-    # a path longer than a float can hold gets an inf length, which validate refuses
-    with np.errstate(over="ignore"):
-        seg_len = np.linalg.norm(np.diff(waypoints, axis=0), axis=1)
-        arcs = np.concatenate([[0.0], np.cumsum(seg_len)])
-    return waypoints, arcs
+    seg_len = np.linalg.norm(np.diff(waypoints, axis=0), axis=1)
+    return waypoints, np.concatenate([[0.0], np.cumsum(seg_len)])
 
 
 def reference_steps(total: float, speed: float, dt: float) -> int:
@@ -218,9 +217,10 @@ class ScenarioSpec:
             raise ValueError(f"kp_gain must be finite and non-negative, got {self.kp_gain!r}")
         # plain floats, named by their config keys: the run starts from them
         self.initial_q = JointConfig._make(map(float, self.initial_q))
-        for name, value in zip(JointConfig._fields, self.initial_q):
-            if not math.isfinite(value):
-                raise ValueError(f"initial.{name} must be finite, got {value!r}")
+        for (name, (low, high)), v in zip(JOINT_BOX.items(), self.initial_q):
+            if not low <= v <= high:    # nan too
+                raise ValueError(f"initial.{name} = {v!r} outside the workspace box "
+                                 f"[{low:g}, {high:g}]")
         self.initial_qdot = tuple(map(float, self.initial_qdot))
         if len(self.initial_qdot) != 3 or not all(map(math.isfinite, self.initial_qdot)):
             raise ValueError(f"initial.qdot must be 3 finite values, got {self.initial_qdot!r}")
@@ -241,26 +241,13 @@ class ScenarioSpec:
         return reference_steps(float(self.path[1][-1]), self.speed, self.dt) * self.dt + self.settle
 
     def validate(self):
-        """Geometric and timing sanity of the scenario; raises ValueError on failure."""
+        """Checks across parts of the scenario; raises ValueError.  Each length, coordinate and
+        initial joint was bounded where built (WORKSPACE_MM, JOINT_BOX), so the path is finite."""
         if not self.markings:
             raise ValueError("a scenario needs at least one marking set")
         waypoints, arcs = self.path
         placed = ("the initial tip placed by initial.d1, initial.theta2, initial.theta3, "
                   "kinematics.l1, kinematics.l2, kinematics.l_end")
-        if not math.isfinite(arcs[-1]):
-            k = int(np.argmin(np.isfinite(arcs)))    # the first waypoint past the float range
-            if k == 1:
-                # np.linalg.norm squares the segment, so a length in range can still overflow
-                raise ValueError(f"the reference path's approach from {placed} to the first of "
-                                 "marking.0.points has a squared length past the float range")
-            ends = np.cumsum([len(ms.points) + 1 for ms in self.markings])
-            j = int(np.searchsorted(ends, k))    # the marking holding waypoint k
-            pts = waypoints.tolist()
-            if math.isfinite(sum(map(math.dist, pts, pts[1:]))):    # lengths never squared
-                raise ValueError(f"marking.{j}.points: a segment of the reference path through "
-                                 "them has a squared length past the float range")
-            raise ValueError(f"marking.{j}.points: the reference path from the initial tip "
-                             "through them is longer than a float can hold")
         if not (np.linalg.norm(np.diff(waypoints, axis=0), axis=1) >= _MIN_SEGMENT).any():
             raise ValueError(f"markings: the reference path from the initial tip through the "
                              f"marking points has no segment of {_MIN_SEGMENT:g} mm or longer")
@@ -273,10 +260,6 @@ class ScenarioSpec:
             raise ValueError(f"dt = {self.dt!r}, speed = {self.speed!r}, {end} = "
                              f"{getattr(self, end)!r}: {steps + 1.0:.3g} steps x {columns} "
                              "float64 log columns are more than one array can address")
-        for (name, (low, high)), v in zip(JOINT_BOX.items(), self.initial_q):
-            if not low <= v <= high:
-                raise ValueError(f"initial.{name} = {v!r} outside the workspace box "
-                                 f"[{low:g}, {high:g}]")
         safe_set, nt = self.safe_set, len(self.tumors)
         h, _ = selected_barrier_values(waypoints[0], safe_set, False)    # at the initial tip
         for i, hi in enumerate(h[:nt]):

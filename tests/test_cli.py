@@ -268,19 +268,25 @@ def test_verify_quick_pass(capsys):
     ("scenario_id = 1\ntumor.0.center = 0.0, 4.0, 43.0\nmarking.0.points = 0.0, 0.0, 43.0\n"
      "marking.0.unsafe = 0\n", "markings: the reference path from the initial tip through "
                                "the marking points has no segment of 1e-12 mm or longer"),
-    # a path longer than a float can hold is the marking's, not the timing keys' fault
+    # a marking point outside the workspace bound is named where its marking is built, not
+    # downstream as a path too long for a float: the expected text runs to the message's end
+    ("scenario_id = 1\nmarking.0.points = 0, 6, 30; nan, 0, 30\nmarking.0.unsafe = 0, 1\n",
+     "marking.0: point 1 must be 3 finite coordinates, each at most 1e+06 mm, "
+     "got [nan, 0.0, 30.0]\n"),
     ("scenario_id = 1\nmarking.0.points = 0, 6, 30; 1e308, 0, 0\nmarking.0.unsafe = 0, 1\n",
-     "marking.0.points: the reference path from the initial tip through them is longer "
-     "than a float can hold"),
-    # a path of about 2e200 mm fits a float; only a segment's squared length does not
+     "marking.0: point 1 must be 3 finite coordinates, each at most 1e+06 mm, "
+     "got [1e+308, 0.0, 0.0]"),
     ("scenario_id = 1\nmarking.0.points = 0, 6, 30; 1e200, 0, 0\nmarking.0.unsafe = 0, 1\n",
-     "marking.0.points: a segment of the reference path through them has a squared length "
-     "past the float range"),
-    ("scenario_id = 1\nkinematics.l2 = 1e200\n", "kinematics.l2 = 1e+200 squared overflows"),
-    # an approach too long to square is the initial tip's fault, not the marking's
-    ("scenario_id = 1\nkinematics.l1 = 1e300\n", "the reference path's approach from the "
-     "initial tip placed by initial.d1, initial.theta2, initial.theta3, kinematics.l1, "
-     "kinematics.l2, kinematics.l_end to the first of marking.0.points has a squared length"),
+     "marking.0: point 1 must be 3 finite coordinates, each at most 1e+06 mm, "
+     "got [1e+200, 0.0, 0.0]"),
+    # a length outside the bound is its own key's fault, not the timing keys' or the path's
+    ("scenario_id = 1\nkinematics.l2 = 1e200\n",
+     "kinematics: l2 must be positive and finite, at most 1e+06 mm, got 1e+200"),
+    ("scenario_id = 1\nkinematics.l1 = 1e300\n",
+     "kinematics: l1 must be positive and finite, at most 1e+06 mm, got 1e+300"),
+    ("scenario_id = 1\nkinematics.l_end = 1e100\n", "kinematics: l_end"),
+    # the joint box is checked before the initial tip is placed
+    ("scenario_id = 1\ninitial.d1 = 1e100\n", "initial.d1 = 1e+100 outside the workspace box"),
     # timing whose step count is not finite, or whose log no array can hold
     ("scenario_id = 1\nspeed = 5e-324\n", "speed = 5e-324, settle = 1.0: inf steps"),
     ("scenario_id = 1\ndt = 5e-324\n", "dt = 5e-324, speed = 2.0, settle = 1.0: inf steps"),

@@ -7,11 +7,16 @@ closed loop (reference, barrier rows, filter, controller, plant) keeps either
 symmetry bit for bit, so each mirrored run's log is the original's with the
 mirrored axis and joint negated.  No oracle code is involved: a sign slip in
 the Jacobian, the plant or the loop's wiring breaks the relation.
+
+Shifting every tumor, shell and marking point and the initial d1 by delta
+along z translates the whole loop along the prismatic axis.  Each shifted z
+rounds differently, so that relation holds to rounding, not bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from functools import cache
 
 import numpy as np
 import pytest
@@ -24,6 +29,18 @@ from safecut.scenario import MarkingSet, scenario_catalog
 MIRRORS = {"x": (0, 1), "y": (1, 2)}
 CARTESIAN = ("x", "xdot", "xdot_des", "xdot_safe")
 JOINT = ("q", "qdot", "u", "d", "edot")
+# z-shift tolerances, with margin over the worst of catalog 1-4 at delta = 0.1, 0.5 and
+# 4 mm: h differs by a few ulps of a z near 40 mm (7.1e-15 each), 4.4e-14 mm measured;
+# u is k_d times a velocity error of that rounding, 2.3e-9 measured against a peak |u| of
+# 17,378 g mm/s^2, so it is bounded relative to each joint's peak |u| (1.3e-13 measured)
+Z_SHIFT_H_TOL_MM = 1e-12
+Z_SHIFT_U_TOL = 1e-11
+
+
+@cache
+def catalog_log(sid: int):
+    """The catalog run every relation compares against, run once per scenario."""
+    return sim.run(scenario_catalog(sid))
 
 
 def mirrored(spec, axis: int, joint: int):
@@ -39,6 +56,17 @@ def mirrored(spec, axis: int, joint: int):
         initial_q=spec.initial_q._replace(**{name: -getattr(spec.initial_q, name)}))
 
 
+def z_shifted(spec, delta: float):
+    """spec with every tumor, shell and marking point and the initial d1 moved delta along z."""
+    shift = np.array([0.0, 0.0, delta])
+    return replace(
+        spec,
+        tumors=[TumorSpec(t.center + shift, t.margin) for t in spec.tumors],
+        shells=[DepthShell(s.center + shift, s.outer_radius) for s in spec.shells],
+        markings=[MarkingSet(m.points + shift, m.unsafe, m.tumor_index) for m in spec.markings],
+        initial_q=spec.initial_q._replace(d1=spec.initial_q.d1 + delta))
+
+
 @pytest.mark.parametrize("mirror", sorted(MIRRORS))
 @pytest.mark.parametrize("sid", [1, 2, 3, 4])
 def test_mirrored_catalog_run_is_the_mirrored_log(sid, mirror):
@@ -47,7 +75,7 @@ def test_mirrored_catalog_run_is_the_mirrored_log(sid, mirror):
     # the relation holds with nothing acting along the mirrored axis or joint
     assert spec.dynamics.gravity[axis] == 0.0 and spec.disturbance.waveform == "none"
     assert spec.initial_qdot[joint] == 0.0
-    log = sim.run(spec)
+    log = catalog_log(sid)
     image = sim.run(mirrored(spec, axis, joint))
     negated = {sim._COLUMNS[f][axis] for f in CARTESIAN} | {sim._COLUMNS[f][joint] for f in JOINT}
     sign = np.array([-1.0 if c in negated else 1.0 for c in sim._csv_columns(log.barrier_names)])
@@ -56,3 +84,17 @@ def test_mirrored_catalog_run_is_the_mirrored_log(sid, mirror):
     differing = np.count_nonzero(image.data != expected)
     assert image.barrier_names == log.barrier_names
     assert np.array_equal(image.data, expected), f"{differing} values differ"
+
+
+@pytest.mark.parametrize("delta", [0.1, 0.5, 4.0])
+@pytest.mark.parametrize("sid", [1, 2, 3, 4])
+def test_z_shifted_catalog_run_keeps_its_rows_and_barriers(sid, delta):
+    spec = scenario_catalog(sid)
+    # the relation holds with no gravity and no disturbance: neither moves with the arm
+    assert spec.dynamics.gravity == (0.0, 0.0, 0.0) and spec.disturbance.waveform == "none"
+    log = catalog_log(sid)
+    image = sim.run(z_shifted(spec, delta))
+    assert len(image) == len(log)
+    assert np.array_equal(image.active_rows, log.active_rows)
+    assert np.abs(image.h - log.h).max() <= Z_SHIFT_H_TOL_MM
+    assert np.all(np.abs(image.u - log.u) <= Z_SHIFT_U_TOL * np.abs(log.u).max(axis=0))

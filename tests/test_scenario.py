@@ -13,7 +13,7 @@ import pytest
 
 from safecut import scenario, sim
 from safecut.checks import mass_matrix
-from safecut.kinematics import JointConfig, KinematicParams, tip_kinematics
+from safecut.kinematics import WORKSPACE_MM, JointConfig, KinematicParams, tip_kinematics
 from safecut.safety import DepthShell, SafeSetSpec, TumorSpec, selected_barrier_values
 from safecut.scenario import (SCENARIO_IDS, MarkingSet, ScenarioSpec,
                               generate_marking_points, inject_unsafe_points,
@@ -258,6 +258,28 @@ def test_timing_parameters_rejected_by_name(name, value):
     # duration = -1 used to reach the log allocation and fail there
     with pytest.raises(ValueError, match=f"{name} must be positive and finite"):
         replace(scenario_catalog(1), **{name: value})
+
+
+# site -> the object built with one length or coordinate set to the value
+WORKSPACE_SITES = {
+    "l1": lambda v: KinematicParams(l1=v),
+    "l2": lambda v: KinematicParams(l2=v),
+    "l_end": lambda v: KinematicParams(l_end=v),
+    "tumor centre": lambda v: TumorSpec((0.0, 0.0, v), 4.0),
+    "margin": lambda v: TumorSpec((0.0, 6.0, 30.0), v),
+    "shell centre": lambda v: DepthShell((-v, 0.0, 0.0), 7.0),
+    "outer radius": lambda v: DepthShell((0.0, 6.0, 30.0), v),
+    "marking point": lambda v: MarkingSet([(0.0, 6.0, 30.0), (0.0, v, 30.0)], [0, 0]),
+}
+
+
+@pytest.mark.parametrize("site", list(WORKSPACE_SITES))
+def test_workspace_bound_is_checked_where_each_value_is_built(site):
+    build = WORKSPACE_SITES[site]
+    build(WORKSPACE_MM)
+    for value in (math.nextafter(WORKSPACE_MM, math.inf), math.nan):
+        with pytest.raises(ValueError, match=r"at most 1e\+06 mm"):
+            build(value)
 
 
 def test_non_finite_kp_gain_rejected():
