@@ -176,6 +176,12 @@ def filter_rows(v_d, normals, offsets):
     (_vertex_step), never the normal equations, which square its condition.
     Each row's residual b_i - n_i . v_d is computed once per call, by the
     one-row loop, and handed to every larger candidate.
+
+    Degenerate programs, every plane through one point, may have that point
+    as their only solution, and rounding b can leave the exact program
+    infeasible.  There a v may still be returned; any v returned satisfies
+    max(b - N v) <= _FEAS_TOL * max(1, |v|).  Where the exact optimum w
+    exists, v is within 1e-3 * max(1, |w|) of it.
     """
     vx, vy, vz = v_d
     active = _active_rows(normals, offsets, vx, vy, vz, 0.0)

@@ -2,17 +2,22 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import safecut
 from safecut import scenario
 from safecut.cli import main
 from safecut.control import DisturbanceSpec, disturbance
 from safecut.safety import SafeSetSpec
 from safecut.scenario import load_scenario, scenario_catalog, scenario_to_config
-from safecut.sim import export_plot_data, gate_engage_time, read_csv, run, summarize
+from safecut.sim import (export_csv, export_plot_data, gate_engage_time, read_csv, run,
+                         summarize)
 
 SHORT_CONFIG = "scenario_id = 1\nduration = 2.0\nspeed = 4.0\n"
 
@@ -161,15 +166,19 @@ def test_violation_exit_code(tmp_path):
     assert code == 1
 
 
+# tumor 1 sits on scenario 4's approach, which its activation gate leaves
+# unfiltered: the tip passes 0.498 mm deep into the keep-out sphere
+APPROACH_BREACH_CONFIG = "scenario_id = 4\ntumor.1.center = 0.8, 1.2, 35.36\ntumor.1.margin = 0.5\n"
+APPROACH_BREACH_LINE = "  min barrier tumor1 [mm]:      -0.498329\n"
+
+
 def test_breach_before_the_gate_engages_is_reported(tmp_path, capsys):
-    # tumor 1 sits on scenario 4's approach, which its activation gate leaves
-    # unfiltered: the tip passes 0.498 mm deep into the keep-out sphere
     cfg = tmp_path / "approach.cfg"
-    cfg.write_text("scenario_id = 4\ntumor.1.center = 0.8, 1.2, 35.36\ntumor.1.margin = 0.5\n")
+    cfg.write_text(APPROACH_BREACH_CONFIG)
     assert main(["run", "--config", str(cfg), "--emit", "report",
                  "--out", str(tmp_path / "o")]) == 1
     report = capsys.readouterr().out
-    assert "  min barrier tumor1 [mm]:      -0.498329\n" in report
+    assert APPROACH_BREACH_LINE in report
     assert "  first violation [s]:         0.734\n" in report
 
 
@@ -205,7 +214,13 @@ def test_verify_quick_pass(capsys):
     assert "8/8 suites passed" in captured
 
 
-@pytest.mark.parametrize("config, named", [
+# a marking point far outside the workspace bound: refused where its marking is built
+FAR_POINT_ERROR = ("scenario_id = 1\nmarking.0.points = 0, 6, 30; 1e308, 0, 0\n"
+                   "marking.0.unsafe = 0, 1\n",
+                   "marking.0: point 1 must be 3 finite coordinates, each at most 1e+06 mm, "
+                   "got [1e+308, 0.0, 0.0]")
+
+CONFIG_ERRORS = [
     ("scenario_id = 1\ntumor.1.margin = 3.0\n", "tumor.1.center"),
     ("scenario_id = 1\nmarking.0.tumor = 5\n", "marking.0.tumor"),
     ("scenario_id = 1\ntumor.0.margn = 3.0\n", "tumor.0.margn"),
@@ -273,9 +288,7 @@ def test_verify_quick_pass(capsys):
     ("scenario_id = 1\nmarking.0.points = 0, 6, 30; nan, 0, 30\nmarking.0.unsafe = 0, 1\n",
      "marking.0: point 1 must be 3 finite coordinates, each at most 1e+06 mm, "
      "got [nan, 0.0, 30.0]\n"),
-    ("scenario_id = 1\nmarking.0.points = 0, 6, 30; 1e308, 0, 0\nmarking.0.unsafe = 0, 1\n",
-     "marking.0: point 1 must be 3 finite coordinates, each at most 1e+06 mm, "
-     "got [1e+308, 0.0, 0.0]"),
+    FAR_POINT_ERROR,
     ("scenario_id = 1\nmarking.0.points = 0, 6, 30; 1e200, 0, 0\nmarking.0.unsafe = 0, 1\n",
      "marking.0: point 1 must be 3 finite coordinates, each at most 1e+06 mm, "
      "got [1e+200, 0.0, 0.0]"),
@@ -295,7 +308,12 @@ def test_verify_quick_pass(capsys):
     ("scenario_id = 1\nsettle = 1e300\n", "settle = 1e+300: 1e+303 steps x 31 float64 log columns "
                                            "are more than one array can address"),
     ("scenario_id = 1\nduration = 1e300\n", "dt = 0.001, speed = 2.0, duration = 1e+300: 1e+303"),
-])
+    ("scenario_id = 4\nfilter.mode = keep_out_only\n",
+     "unknown configuration key 'filter.mode'"),
+]
+
+
+@pytest.mark.parametrize("config, named", CONFIG_ERRORS)
 def test_config_errors_exit_2_and_name_the_key(tmp_path, capsys, config, named):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text(config)
@@ -303,31 +321,61 @@ def test_config_errors_exit_2_and_name_the_key(tmp_path, capsys, config, named):
     assert named in capsys.readouterr().err
 
 
-def test_one_barrier_table_per_spec(tmp_path, monkeypatch):
-    builds = []
-    build = SafeSetSpec.__post_init__
-    monkeypatch.setattr(SafeSetSpec, "__post_init__", lambda self: builds.append(build(self)))
-    assert main(["run", "--scenario", "4", "--emit", "csv,plotdata,report",
-                 "--out", str(tmp_path / "catalog")]) == 0
-    assert len(builds) == 1
-    cfg = tmp_path / "short.cfg"
-    cfg.write_text("scenario_id = 4\nduration = 3.0\n")
-    assert main(["run", "--config", str(cfg), "--emit", "csv,plotdata,report",
-                 "--out", str(tmp_path / "config")]) == 0
-    # one table for the catalog base the file overrides, one for the loaded spec
-    assert len(builds) == 3
+@pytest.fixture(scope="module")
+def round_trips(tmp_path_factory):
+    """Scenarios 3 and 4, each run with every emit by --scenario and again by its
+    scenario_to_config file: {(id, "catalog" or "config"): (output directory,
+    barrier tables built, reference paths built)}.  Scenario 3's filter reaches
+    two-row candidates; scenario 4's is gated on its depth shell."""
+    out = {}
+    with pytest.MonkeyPatch.context() as patch:
+        tables, paths = [], []
+        build_table, build_path = SafeSetSpec.__post_init__, scenario.reference_waypoints
+        patch.setattr(SafeSetSpec, "__post_init__", lambda self: tables.append(build_table(self)))
+        patch.setattr(scenario, "reference_waypoints",
+                      lambda *args: paths.append(1) or build_path(*args))
+        for sid in (3, 4):
+            root = tmp_path_factory.mktemp(f"scenario{sid}")
+            cfg = root / "catalog.cfg"
+            cfg.write_text(scenario_to_config(scenario_catalog(sid)))
+            for how, args in (("catalog", ["--scenario", str(sid)]),
+                              ("config", ["--config", str(cfg)])):
+                tables.clear()
+                paths.clear()
+                assert main(["run", *args, "--emit", "csv,plotdata,report",
+                             "--out", str(root / how)]) == 0
+                out[sid, how] = (root / how, len(tables), len(paths))
+    return out
 
 
-def test_one_reference_per_run(tmp_path, monkeypatch):
+@pytest.mark.parametrize("scenario_id", [3, 4])
+def test_catalog_run_is_its_config_round_trip(round_trips, tmp_path, scenario_id):
+    catalog, config = round_trips[scenario_id, "catalog"][0], round_trips[scenario_id, "config"][0]
+    for kind in ("log.csv", "path.dat", "barrier.dat", "velocity.dat"):
+        name = f"scenario{scenario_id}_{kind}"
+        assert (catalog / name).read_bytes() == (config / name).read_bytes(), name
+    # the log read back and written again is the same file
+    log = catalog / f"scenario{scenario_id}_log.csv"
+    export_csv(read_csv(log), tmp_path / "again.csv")
+    assert (tmp_path / "again.csv").read_bytes() == log.read_bytes()
+
+
+def test_one_barrier_table_per_spec(round_trips):
+    for sid in (3, 4):
+        assert round_trips[sid, "catalog"][1] == 1
+        # one table for the catalog base the file overrides, one for the loaded spec
+        assert round_trips[sid, "config"][1] == 2
+
+
+def test_one_reference_per_run(round_trips, tmp_path, monkeypatch):
+    for sid in (3, 4):
+        assert round_trips[sid, "catalog"][2] == 1
+    # a config's run, step by step: the loaded spec's path is the one the run,
+    # summary and plot data read; none of them builds another
     builds = []
     build = scenario.reference_waypoints
     monkeypatch.setattr(scenario, "reference_waypoints",
                         lambda *args: builds.append(1) or build(*args))
-    assert main(["run", "--scenario", "3", "--emit", "csv,plotdata,report",
-                 "--out", str(tmp_path)]) == 0
-    assert len(builds) == 1
-    # a config's run, step by step: the loaded spec's path is the one the run,
-    # summary and plot data read; none of them builds another
     spec = load_scenario(scenario_to_config(replace(scenario_catalog(4), duration=0.05)))
     builds.clear()
     log = run(spec)
@@ -336,21 +384,29 @@ def test_one_reference_per_run(tmp_path, monkeypatch):
     assert not builds
 
 
-@pytest.mark.parametrize("scenario, override", [
+DIVERGED = [
     (1, "controller.k_d = 1e6"),
     (4, "controller.k_d = 1e6"),
     (1, "dt = 0.005"),
     (1, "controller.k_d = 3e5\nduration = 1"),
     (1, "dt = 0.01\nduration = 1"),
     (1, "dynamics.masses = 1e-100, 1e-100, 1e-100"),
-])
-def test_diverged_plant_exits_3_with_its_name(tmp_path, capsys, scenario, override):
-    cfg = tmp_path / "diverge.cfg"
+]
+DIVERGED_ERROR = "PlantDivergedError: plant diverged"
+
+
+def _diverged_config(scenario, override):
     # a short run, unless the override sets its own duration: a key may appear once
     short = "" if "duration" in override else "duration = 0.05\n"
-    cfg.write_text(f"scenario_id = {scenario}\n{short}{override}\n")
+    return f"scenario_id = {scenario}\n{short}{override}\n"
+
+
+@pytest.mark.parametrize("scenario, override", DIVERGED)
+def test_diverged_plant_exits_3_with_its_name(tmp_path, capsys, scenario, override):
+    cfg = tmp_path / "diverge.cfg"
+    cfg.write_text(_diverged_config(scenario, override))
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
-    assert "PlantDivergedError: plant diverged" in capsys.readouterr().err
+    assert DIVERGED_ERROR in capsys.readouterr().err
 
 
 def test_tip_reaching_a_shell_centre_exits_3_naming_it(tmp_path, capsys):
@@ -363,3 +419,28 @@ def test_tip_reaching_a_shell_centre_exits_3_naming_it(tmp_path, capsys):
                    "shell.1.outer_radius = 40\n")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 3
     assert "DegeneratePointError: shell1: barrier gradient undefined" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args, config, code, expected", [
+    # a sweep below scenario 4's catalog alpha: the unfiltered baseline dents tumor 0,
+    # and a baseline never counts toward exit 1
+    pytest.param(["--scenario", "4", "--alpha", "0.4,0.8,1.5"], None, 0,
+                 "scenario 4  filter off\n  min barrier tumor0 [mm]:      -1.504184\n", id="0"),
+    pytest.param([], APPROACH_BREACH_CONFIG, 1, APPROACH_BREACH_LINE, id="1"),
+    pytest.param([], FAR_POINT_ERROR[0], 2, FAR_POINT_ERROR[1], id="2"),
+    pytest.param([], _diverged_config(*DIVERGED[0]), 3, DIVERGED_ERROR, id="3"),
+])
+def test_process_exit_code_and_message(tmp_path, args, config, code, expected):
+    # the CLI contract through a real process: entry()'s sys.exit, the report on
+    # stdout for exits 0 and 1 and the error on stderr for exits 2 and 3
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        args = ["--config", str(cfg)]
+    src = os.path.dirname(os.path.dirname(safecut.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "safecut.cli",
+                           "run", *args, "--emit", "report", "--out", str(tmp_path / "o")],
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+    assert done.returncode == code, done.stderr
+    assert expected in (done.stdout if code < 2 else done.stderr)

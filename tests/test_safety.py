@@ -4,13 +4,13 @@ from __future__ import annotations
 
 import math
 import struct
-from itertools import combinations
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
 
 from safecut.checks import qp_reference, random_qp_instance
-from safecut.safety import (DegeneratePointError, DepthShell, FilterParams,
+from safecut.safety import (_FEAS_TOL, DegeneratePointError, DepthShell, FilterParams,
                             InfeasibleQPError, SafeSetSpec, TumorSpec, filter_rows,
                             safety_filter, selected_barrier_values)
 
@@ -387,6 +387,70 @@ def test_exact_oracle_on_programs_least_squares_got_wrong(seed, batch, index):
     assert expected is not None
     got = safety_filter(v_d, rows)
     assert np.linalg.norm(got - expected) <= 1e-8 * max(1.0, np.linalg.norm(expected))
+
+
+def _solve(v_d, N, b):
+    """safety_filter's v_s, or None where it raises InfeasibleQPError."""
+    try:
+        return safety_filter(v_d, (N, b))
+    except InfeasibleQPError:
+        return None
+
+
+def _unit_rows(rng, k):
+    N = rng.normal(0.0, 1.0, (k, 3))
+    return N / np.linalg.norm(N, axis=1)[:, None]
+
+
+def test_row_order_leaves_the_optimum():
+    # the optimum is unique, so the exact oracle returns it correctly rounded in every
+    # row order, bit for bit.  An order changes which candidate the filter tries first
+    # and the order of the float operations inside each; the filter must agree within
+    # _FEAS_TOL relative, the slack it grants every row of the candidate it accepts,
+    # and keep its verdict
+    rng = np.random.default_rng(11)
+    orders = infeasible = 0
+    for i in range(200):
+        if i % 2 == 0:   # the verify draw: 1-3 rows, (near-)antipodal pairs included
+            v_d, (N, b) = random_qp_instance(rng)
+        else:            # 4-6 rows
+            k = 4 + i // 2 % 3
+            v_d, N, b = rng.normal(0.0, 3.0, 3), _unit_rows(rng, k), rng.uniform(-4.0, 4.0, k)
+        k = len(b)
+        expected, got = qp_reference(v_d, (N, b)), _solve(v_d, N, b)
+        infeasible += expected is None
+        orders_k = permutations(range(k)) if k <= 3 else (rng.permutation(k) for _ in range(12))
+        for order in map(list, orders_k):
+            orders += 1
+            permuted = qp_reference(v_d, (N[order], b[order]))
+            assert (permuted is None) == (expected is None), (i, order)
+            assert permuted is None or permuted.tobytes() == expected.tobytes(), (i, order)
+            v = _solve(v_d, N[order], b[order])
+            assert (v is None) == (got is None), (i, order)
+            if v is not None:
+                bound = _FEAS_TOL * max(1.0, np.linalg.norm(got))
+                assert np.linalg.norm(v - got) <= bound, (i, order)
+    assert orders > 1000 and infeasible > 5
+
+
+def test_programs_with_every_plane_through_one_point():
+    # 4-6 rows through one point p (b = N p, rounded): the exact feasible set may be p
+    # alone, and rounding b can empty it.  The contract stated in filter_rows' docstring
+    rng = np.random.default_rng(12)
+    empty = 0
+    for i in range(1000):
+        N = _unit_rows(rng, 4 + i % 3)
+        b = N @ rng.normal(0.0, 2.0, 3).round(1)
+        v_d = rng.normal(0.0, 3.0, 3)
+        expected = qp_reference(v_d, (N, b))
+        if expected is None:
+            empty += 1
+            v = _solve(v_d, N, b)
+            assert v is None or np.max(b - N @ v) <= _FEAS_TOL * max(1.0, np.linalg.norm(v)), i
+        else:
+            got = safety_filter(v_d, (N, b))
+            assert np.linalg.norm(got - expected) <= 1e-3 * max(1.0, np.linalg.norm(expected)), i
+    assert empty > 50
 
 
 def _frozen_filter_rows(v_d, normals, offsets):
