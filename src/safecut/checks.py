@@ -328,7 +328,11 @@ def check_mass_matrix_spd():
 
 
 def check_skew_symmetry():
-    """dM/dt - 2C plus its transpose vanishes; dM/dt by Richardson differences."""
+    """dM/dt - 2C plus its transpose vanishes; dM/dt by Richardson differences.
+
+    The property reads C only through C + C^T, so it cannot tell C from its
+    transpose: dynamics-residual is the suite that tells them apart.
+    """
     samples, rng = 200, np.random.default_rng(4)
     params = DynamicParams()
 

@@ -1,13 +1,13 @@
 """Acceptance gate: one test per numbered criterion, tolerances pinned here.
 
 Every test prints a single CRITERION line so a -s / failure transcript reads
-as a checklist.  Expensive runs are shared through module-scoped fixtures;
-all of them use the unmodified scenario catalog.
+as a checklist.  Expensive runs are shared through fixtures: the catalog runs
+through conftest's session-wide catalog_runs, their variants through the
+module-scoped ones below.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import replace
 
 import numpy as np
@@ -38,15 +38,9 @@ def _report(line: str) -> None:
 
 
 @pytest.fixture(scope="module")
-def filtered_runs():
-    out = {}
-    for sid in (1, 2, 3, 4):
-        spec = scenario_catalog(sid)
-        t0 = time.perf_counter()
-        log = sim.run(spec)
-        elapsed = time.perf_counter() - t0
-        out[sid] = (spec, log, sim.summarize(log, spec), elapsed)
-    return out
+def filtered_runs(catalog_runs):
+    return {sid: (spec, log, sim.summarize(log, spec), elapsed)
+            for sid, (spec, log, elapsed) in catalog_runs.items()}
 
 
 @pytest.fixture(scope="module")

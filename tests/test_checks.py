@@ -1,11 +1,14 @@
 """checks.qp_reference against a slow, separate exact solve in Fractions; the
-program draws and the integrator order check against their own oracles."""
+program draws against their first form; every verify suite against a fault it
+must catch."""
 
 import inspect
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import numpy as np
@@ -130,7 +133,45 @@ def test_random_qp_instance_draws_match_linalg_norm_form(seed):
         assert (v_d.tobytes(), N.tobytes(), b.tobytes()) == (w_d.tobytes(), M.tobytes(), c.tobytes())
 
 
-def _heun_step(q, qdot, u, dt, params):
+def _passes_v_d_through(real, v_d, rows):
+    return v_d
+
+
+def _one_jacobian_entry_off(real, *args):
+    x, (row0, row1, (j20, j21, j22)) = real(*args)
+    return x, (row0, row1, (1.001 * j20, j21, j22))
+
+
+def _normals_lengthened(real, *args):
+    h, normals = real(*args)
+    return h, [tuple(1.001 * c for c in n) for n in normals]
+
+
+def _mass_matrix_asymmetric(real, *args):
+    M = real(*args)
+    M[0, 1] *= 1.0 + 1e-12
+    return M
+
+
+def _coriolis_scaled(real, *args):
+    return 1.01 * real(*args)
+
+
+def _coriolis_transposed(real, *args):
+    # C + C^T is unchanged, so skew-symmetry passes it; dynamics-residual does not
+    return real(*args).T
+
+
+def _first_acceleration_off(real, *args):
+    qdd1, *rest = real(*args)
+    return (qdd1 * (1.0 + 1e-6), *rest)
+
+
+def _potential_sign_flipped(real, *args):
+    return -real(*args)
+
+
+def _heun_step(real, q, qdot, u, dt, params):
     """Second-order Heun step on forward_dynamics: the order check must refuse it."""
     a = forward_dynamics(*q[1:], *qdot, *u, params)
     q1 = [x + dt * v for x, v in zip(q, qdot)]
@@ -140,13 +181,45 @@ def _heun_step(q, qdot, u, dt, params):
             tuple(v + 0.5 * dt * (x + y) for v, x, y in zip(qdot, a, b)))
 
 
-def test_rk4_order_check_fails_a_second_order_step(monkeypatch):
-    ok, detail = checks.check_rk4_order()
-    assert ok, detail
-    monkeypatch.setattr(checks, "rk4_step", _heun_step)
-    ok, detail = checks.check_rk4_order()
-    order = float(detail.split()[2])
-    assert not ok and 1.8 < order < 2.2, detail
+# (suite, the name in checks the fault replaces, the fault, a pattern of the failing
+# detail); the fault is called with the function it replaces, then that one's arguments
+FAULTS = [
+    pytest.param("qp-oracle", "safety_filter", _passes_v_d_through, r"^instance \d+: ",
+                 id="qp-oracle"),
+    pytest.param("jacobian-fd", "tip_kinematics", _one_jacobian_entry_off, "worst column error",
+                 id="jacobian-fd"),
+    pytest.param("barrier-gradients-fd", "selected_barrier_values", _normals_lengthened,
+                 "worst deviation", id="barrier-gradients-fd"),
+    pytest.param("mass-matrix-spd", "mass_matrix", _mass_matrix_asymmetric, "not exactly symmetric",
+                 id="mass-matrix-spd"),
+    pytest.param("skew-symmetry", "coriolis_matrix", _coriolis_scaled, "worst residual",
+                 id="skew-symmetry"),
+    pytest.param("dynamics-residual", "coriolis_matrix", _coriolis_transposed, "worst residual",
+                 id="dynamics-residual-C-transposed"),
+    pytest.param("dynamics-residual", "forward_dynamics", _first_acceleration_off,
+                 "worst residual", id="dynamics-residual"),
+    pytest.param("energy-audit", "potential_energy", _potential_sign_flipped, "drift",
+                 id="energy-audit"),
+    # an order between 1.8 and 2.2: the second-order step, seen as one
+    pytest.param("rk4-order", "rk4_step", _heun_step, r"observed order (1\.8[1-9]|1\.9|2\.[01])",
+                 id="rk4-order"),
+]
+
+
+def _verdict(suite):
+    fn = dict(checks.VERIFY_SUITES)[suite]
+    return fn(200, 0) if suite == "qp-oracle" else fn()
+
+
+@pytest.mark.parametrize("suite, name, fault, detail", FAULTS)
+def test_suite_fails_its_planted_fault(monkeypatch, suite, name, fault, detail):
+    # each suite passes the code as it is and fails it with one planted fault,
+    # so a passing suite is evidence, not a check that cannot fail
+    ok, unpatched = _verdict(suite)
+    assert ok, unpatched
+    monkeypatch.setattr(checks, name, partial(fault, getattr(checks, name)))
+    ok, patched = _verdict(suite)
+    assert not ok and re.search(detail, patched), patched
 
 
 def test_cli_import_keeps_scipy_solvers_out(tmp_path):
@@ -161,14 +234,16 @@ def test_cli_import_keeps_scipy_solvers_out(tmp_path):
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     out = subprocess.run([sys.executable, "-c", code, str(tmp_path)], env=env,
-                         capture_output=True, text=True, check=True).stdout
+                         capture_output=True, text=True, check=True, timeout=120).stdout
     assert "enclosure [turns]" in out
     assert out.splitlines()[-1].split() == ["exit", "0"]
 
 
 def test_verify_suites_are_fixed_programs():
     # `safecut verify` and the benchmark call every suite but the QP oracle as
-    # fn(): each is one fixed program, its sample counts and seeds its own
+    # fn(): each is one fixed program, its sample counts and seeds its own.
+    # Every suite has a row in FAULTS
+    assert {p.values[0] for p in FAULTS} == {name for name, _ in checks.VERIFY_SUITES}
     for name, fn in checks.VERIFY_SUITES:
         params = inspect.signature(fn).parameters
         if name == "qp-oracle":

@@ -195,13 +195,13 @@ GAP0_CONFIG = (
 
 def test_close_proximity_crease_stays_safe(tmp_path, capsys):
     # where the two keep-out spheres meet, a quarter of the steps bind both rows at once
-    log = run(load_scenario(GAP0_CONFIG))
-    assert len(log.data) == 20252
-    assert np.count_nonzero(log.active_rows == 2) == 5024
     cfg = tmp_path / "gap0.cfg"
     cfg.write_text(GAP0_CONFIG)
-    assert main(["run", "--config", str(cfg), "--emit", "report",
+    assert main(["run", "--config", str(cfg), "--emit", "csv,report",
                  "--out", str(tmp_path / "o")]) == 0
+    log = read_csv(tmp_path / "o" / "scenario3_log.csv")
+    assert len(log.data) == 20252
+    assert np.count_nonzero(log.active_rows == 2) == 5024
     report = capsys.readouterr().out
     assert "  min barrier tumor0 [mm]:       0.076435\n" in report
     assert "  min barrier tumor1 [mm]:       0.959196\n" in report
@@ -441,6 +441,7 @@ def test_process_exit_code_and_message(tmp_path, args, config, code, expected):
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-m", "safecut.cli",
                            "run", *args, "--emit", "report", "--out", str(tmp_path / "o")],
-                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+                          env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+                          timeout=120)
     assert done.returncode == code, done.stderr
     assert expected in (done.stdout if code < 2 else done.stderr)

@@ -51,21 +51,6 @@ def test_prismatic_column_is_vertical():
         np.testing.assert_allclose(J[:, 0], [0.0, 0.0, 1.0], atol=1e-12)
 
 
-def test_jacobian_matches_finite_differences():
-    rng = np.random.default_rng(12)
-    step = 1e-6
-    for _ in range(100):
-        arr = np.array([rng.uniform(0.0, 50.0),
-                        rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)])
-        J = jacobian(JointConfig(*arr))
-        for j in range(3):
-            plus, minus = arr.copy(), arr.copy()
-            plus[j] += step
-            minus[j] -= step
-            fd = (position(plus) - position(minus)) / (2 * step)
-            np.testing.assert_allclose(J[:, j], fd, atol=1e-4)
-
-
 def test_joint_config_array_round_trip():
     # a JointConfig is the plain (d1, theta2, theta3) triple the kernels unpack
     q = JointConfig(3.0, 0.2, -0.4)

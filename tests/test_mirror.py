@@ -16,14 +16,13 @@ rounds differently, so that relation holds to rounding, not bit for bit.
 from __future__ import annotations
 
 from dataclasses import replace
-from functools import cache
 
 import numpy as np
 import pytest
 
 from safecut import sim
 from safecut.safety import DepthShell, TumorSpec
-from safecut.scenario import MarkingSet, scenario_catalog
+from safecut.scenario import MarkingSet
 
 # mirror -> (the Cartesian axis it negates, the joint that moves the tip along it)
 MIRRORS = {"x": (0, 1), "y": (1, 2)}
@@ -35,12 +34,6 @@ JOINT = ("q", "qdot", "u", "d", "edot")
 # 17,378 g mm/s^2, so it is bounded relative to each joint's peak |u| (1.3e-13 measured)
 Z_SHIFT_H_TOL_MM = 1e-12
 Z_SHIFT_U_TOL = 1e-11
-
-
-@cache
-def catalog_log(sid: int):
-    """The catalog run every relation compares against, run once per scenario."""
-    return sim.run(scenario_catalog(sid))
 
 
 def mirrored(spec, axis: int, joint: int):
@@ -69,13 +62,12 @@ def z_shifted(spec, delta: float):
 
 @pytest.mark.parametrize("mirror", sorted(MIRRORS))
 @pytest.mark.parametrize("sid", [1, 2, 3, 4])
-def test_mirrored_catalog_run_is_the_mirrored_log(sid, mirror):
+def test_mirrored_catalog_run_is_the_mirrored_log(catalog_runs, sid, mirror):
     axis, joint = MIRRORS[mirror]
-    spec = scenario_catalog(sid)
+    spec, log, _ = catalog_runs[sid]
     # the relation holds with nothing acting along the mirrored axis or joint
     assert spec.dynamics.gravity[axis] == 0.0 and spec.disturbance.waveform == "none"
     assert spec.initial_qdot[joint] == 0.0
-    log = catalog_log(sid)
     image = sim.run(mirrored(spec, axis, joint))
     negated = {sim._COLUMNS[f][axis] for f in CARTESIAN} | {sim._COLUMNS[f][joint] for f in JOINT}
     sign = np.array([-1.0 if c in negated else 1.0 for c in sim._csv_columns(log.barrier_names)])
@@ -88,11 +80,10 @@ def test_mirrored_catalog_run_is_the_mirrored_log(sid, mirror):
 
 @pytest.mark.parametrize("delta", [0.1, 0.5, 4.0])
 @pytest.mark.parametrize("sid", [1, 2, 3, 4])
-def test_z_shifted_catalog_run_keeps_its_rows_and_barriers(sid, delta):
-    spec = scenario_catalog(sid)
+def test_z_shifted_catalog_run_keeps_its_rows_and_barriers(catalog_runs, sid, delta):
+    spec, log, _ = catalog_runs[sid]
     # the relation holds with no gravity and no disturbance: neither moves with the arm
     assert spec.dynamics.gravity == (0.0, 0.0, 0.0) and spec.disturbance.waveform == "none"
-    log = catalog_log(sid)
     image = sim.run(z_shifted(spec, delta))
     assert len(image) == len(log)
     assert np.array_equal(image.active_rows, log.active_rows)

@@ -61,20 +61,6 @@ def test_gradients_are_unit_and_opposed():
     np.testing.assert_allclose(g_in, -g_out, atol=1e-12)
 
 
-def test_gradient_matches_finite_differences():
-    rng = np.random.default_rng(31)
-    step = 1e-6
-    for _ in range(50):
-        x = TUMOR.center + rng.uniform(0.5, 12.0) * _unit(rng)
-        g = _tumor_normal(x)
-        for j in range(3):
-            plus, minus = x.copy(), x.copy()
-            plus[j] += step
-            minus[j] -= step
-            fd = (_tumor_h(plus) - _tumor_h(minus)) / (2 * step)
-            assert g[j] == pytest.approx(fd, abs=1e-6)
-
-
 def _unit(rng):
     v = rng.normal(0.0, 1.0, 3)
     return v / np.linalg.norm(v)
@@ -114,48 +100,6 @@ def test_table_is_one_float_row_per_barrier():
     assert all(type(v) is float for row in spec.barriers for v in row)
     with pytest.raises(DegeneratePointError, match="^tumor1: barrier gradient undefined"):
         selected_barrier_values(np.asarray(TUMOR.center), spec, True)
-
-
-def test_depth_mode_emits_the_farther_barrier_too():
-    # a tumor and its depth shell are both rows wherever the tip is, the
-    # farther one of the pair included
-    spec = SafeSetSpec(tumors=[TUMOR], shells=[SHELL])
-    for x, h in (((0.0, 0.0, 30.0), [2.0, 1.0]), ((0.0, 1.5, 30.0), [0.5, 2.5]),
-                 ((0.0, 12.5, 30.0), [2.5, 0.5])):
-        names, hs, _ = _rows(np.array(x), spec)
-        assert names == ["tumor0", "shell0"]
-        assert hs == pytest.approx(h)
-
-
-def test_pair_tie_emits_both_rows():
-    # midway: ||x - c|| = (margin + radius)/2 = 5.5 so h_in = h_out = 1.5
-    spec = SafeSetSpec(tumors=[TUMOR], shells=[SHELL])
-    x = np.asarray(TUMOR.center) + np.array([0.0, 5.5, 0.0])
-    names, hs, _ = _rows(x, spec)
-    assert names == ["tumor0", "shell0"]
-    assert all(abs(h - 1.5) < 1e-12 for h in hs)
-
-
-def test_unpaired_shell_always_selected():
-    spec = SafeSetSpec(tumors=[], shells=[SHELL])
-    names, _, _ = _rows(np.array([0.0, 0.0, 30.0]), spec)
-    assert names == ["shell0"]
-
-
-def test_depth_mode_rows_follow_table_order():
-    # near the shell boundary the shell's row joins TUMOR's, and the far
-    # tumor keeps its own: tumors first, then shells
-    far = TumorSpec(center=(100.0, 0.0, 0.0), margin=4.0)
-    spec = SafeSetSpec(tumors=[far, TUMOR], shells=[SHELL])
-    names, _, _ = _rows(np.array([0.0, 12.5, 30.0]), spec)
-    assert names == ["tumor0", "tumor1", "shell0"]
-
-
-def test_tumor_paired_with_two_shells_is_one_row():
-    # near a tumor inside two shells the tumor is one row, beside one per shell
-    spec = SafeSetSpec(tumors=[TUMOR], shells=[SHELL, DepthShell((0.0, 6.0, 30.1), 9.0)])
-    names, _, _ = _rows(np.array([0.0, 1.5, 30.0]), spec)
-    assert names == ["tumor0", "shell0", "shell1"]
 
 
 @pytest.mark.parametrize("shell, refused", [
@@ -204,18 +148,12 @@ def _random_safe_set(rng, spread: float, tip=None) -> SafeSetSpec:
             return spec
 
 
-@pytest.mark.parametrize("table", ["keep_out_and_depth", "keep_out_only"])
+@pytest.mark.parametrize("table", ["tumors_and_shells", "tumors_only"])
 def test_selection_follows_documented_rule(table):
     # the rule as documented, on tables of keep-out spheres and depth shells
     # and on tables of keep-out spheres alone: every barrier is a row, in table
     # order, with the table's h and the unit normal s_b (x - c_b) / ||x - c_b||
-    rng = np.random.default_rng(41)
-    for _ in range(400):
-        spec = _random_safe_set(rng, 15.0)
-        if table == "keep_out_only":
-            spec = SafeSetSpec(spec.tumors or [TUMOR], [])
-        center = np.array(spec.barriers[rng.integers(len(spec.barriers))][:3])
-        x = center + rng.uniform(0.5, 15.0) * _unit(rng)
+    def rows_follow_rule(x, spec):
         h, _ = selected_barrier_values(x, spec, False)
         names, hs, normals = _rows(x, spec)
         assert names == spec.names and hs == h
@@ -223,6 +161,18 @@ def test_selection_follows_documented_rule(table):
             offset = x - np.array(c)
             np.testing.assert_allclose(normal, sign * offset / np.linalg.norm(offset),
                                        atol=1e-12)
+        return h
+
+    # by hand: 4.5 mm from the shared centre, 0.5 mm outside TUMOR and 2.5 mm inside SHELL
+    fixed = SafeSetSpec([TUMOR], [SHELL] if table == "tumors_and_shells" else [])
+    assert rows_follow_rule(np.array([0.0, 1.5, 30.0]), fixed) == [0.5, 2.5][:len(fixed.names)]
+    rng = np.random.default_rng(41)
+    for _ in range(400):
+        spec = _random_safe_set(rng, 15.0)
+        if table == "tumors_only":
+            spec = SafeSetSpec(spec.tumors or [TUMOR], [])
+        center = np.array(spec.barriers[rng.integers(len(spec.barriers))][:3])
+        rows_follow_rule(center + rng.uniform(0.5, 15.0) * _unit(rng), spec)
 
 
 def test_all_rows_feasible_inside_safe_set():
@@ -298,22 +248,6 @@ def test_filter_matches_dense_grid():
         # optimal: feasible, and no feasible grid point beats it
         assert np.all(normals @ out >= offsets - 1e-7)
         assert float(np.sum((out - v_d) ** 2)) <= float(np.min(cost)) + 1e-9
-
-
-def test_filter_matches_reference_batch():
-    rng = np.random.default_rng(33)
-    infeasible = 0
-    for _ in range(2000):
-        v_d, rows = random_qp_instance(rng)
-        expected = qp_reference(v_d, rows)
-        if expected is None:
-            infeasible += 1
-            with pytest.raises(InfeasibleQPError):
-                safety_filter(v_d, rows)
-            continue
-        got = safety_filter(v_d, rows)
-        assert np.linalg.norm(got - expected) <= 1e-3 * max(1.0, np.linalg.norm(expected))
-    assert infeasible > 10
 
 
 def test_kernel_active_count_matches_numpy_recount():

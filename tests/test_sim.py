@@ -304,15 +304,6 @@ def test_tip_on_a_barrier_centre_fails_only_a_filter_row(barrier):
             assert log.h[0, 0] == h0 and not log.gate.any()
 
 
-def test_run_is_deterministic():
-    spec_a = _small_spec(duration=1.0)
-    spec_b = _small_spec(duration=1.0)
-    log_a, log_b = sim.run(spec_a), sim.run(spec_b)
-    for field in ("t", "q", "qdot", "x", "xdot", "xdot_des", "xdot_safe",
-                  "u", "d", "edot", "h", "active_rows", "gate"):
-        np.testing.assert_array_equal(getattr(log_a, field), getattr(log_b, field))
-
-
 def test_log_size_check_counts_the_log_layout():
     # ScenarioSpec refuses a log no array can address by counting the log's
     # columns; its count is the layout the run writes, less one per barrier
@@ -465,13 +456,12 @@ def test_gate_aware_summary_excludes_approach():
     assert report.first_violation_time is None
 
 
-def test_logged_active_rows_match_row_builder():
+def test_logged_active_rows_match_row_builder(catalog_runs):
     # recount |N v_s - b| <= 1e-6 from the logged x and xdot_safe, with N and
     # b = -alpha h built in numpy from every barrier.  Scenario 3 has
     # two-row active sets; scenario 4's gate engages about a second in.
     for scenario_id, gated_from_start, most_active in ((3, True, 2), (4, False, 1)):
-        spec = scenario_catalog(scenario_id)
-        log = sim.run(spec)
+        spec, log, _ = catalog_runs[scenario_id]
         safe_set = spec.safe_set
         assert log.gate[0] == gated_from_start and log.gate[-1]
         recount = np.zeros(len(log), dtype=np.int64)
