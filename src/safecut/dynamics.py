@@ -1,10 +1,9 @@
 """Rigid-body dynamics of the cutting arm: M(q) qdd + C(q, qd) qd + g(q) = u.
 
 The three moving links are modelled as point masses at their distal ends
-(carried base, bending link l2, tip link l_end), plus small constant rotor
-inertias on the two bending joints.  That keeps the mass matrix symmetric
-positive definite over the workspace while M[0][0] stays equal to the total
-moved mass.  The input map is the identity: one generalized force per joint.
+(carried base, bending link l2, tip link l_end), plus constant rotor inertias
+on the two bending joints, which leave M[0][0] the total moved mass.  The
+input map is the identity: one generalized force per joint.
 Only the scalar closed-form solve lives here; the matrix forms M, C, g and
 the energies that check it are in checks.
 
@@ -14,20 +13,12 @@ Masses in g, lengths in mm, so forces are g*mm/s^2 and torques g*mm^2/s^2.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 from .kinematics import KinematicParams
 
-
-class SingularMassError(RuntimeError):
-    """Raised if the mass matrix is not positive definite at a configuration.
-
-    theta2, theta3 are the bending angles [rad] it was evaluated at.
-    """
-
-    def __init__(self, message: str, theta2: float, theta3: float):
-        super().__init__(message)
-        self.theta2, self.theta3 = theta2, theta3
+_KAPPA = 1e-12   # least m1 / (m2 + m3): see DynamicParams.__post_init__
 
 
 @dataclass(frozen=True)
@@ -44,9 +35,10 @@ class DynamicParams:
 
     plant: the factors of forward_dynamics that no configuration changes
         (m1 + m2 + m3, m2 l2, m2 l2^2, m3 le^2 + i3, (m1 + m2 + m3) gz, -2 m3,
-        m3 le, beside l2, le, m3, i2 and gravity), folded once at construction.
-        Frozen, like the KinematicParams it reads: a field assigned afterwards
-        would leave plant stale, so assignment raises instead.
+        m3 le, beside l2, le, m3, i2 and gravity), folded once at construction,
+        which refuses a set, naming its fields, where one would overflow or a
+        pivot could fail.  Frozen, like the KinematicParams it reads: a field
+        assigned afterwards would leave plant stale, so assignment raises instead.
     """
 
     masses: tuple = (2.0, 1.5, 1.0)
@@ -62,17 +54,38 @@ class DynamicParams:
             if len(values) != size or not all(math.isfinite(v) for v in values):
                 raise ValueError(f"{name} must be {size} finite values, got {values!r}")
             object.__setattr__(self, name, values)
-        if min(self.masses) <= 0.0:
-            raise ValueError("masses must be positive")
-        if min(self.link_inertias) < 0.0:
-            raise ValueError("link inertias must be non-negative")
         (m1, m2, m3), (i2, i3), (gx, gy, gz) = self.masses, self.link_inertias, self.gravity
         l2, le = self.kinematics.l2, self.kinematics.l_end
-        m00 = m1 + m2 + m3
         # each factor rounded as forward_dynamics evaluated it inline, so no float moves
-        object.__setattr__(self, "plant", (l2, le, m3, i2, gx, gy, gz, m00, m2 * l2,
-                                           m2 * l2 ** 2, m3 * le * le + i3, m00 * gz,
-                                           -2.0 * m3, m3 * le))
+        m00, m2l2sq, m22 = m1 + m2 + m3, m2 * l2 ** 2, m3 * le * le + i3
+        plant = (l2, le, m3, i2, gx, gy, gz, m00, m2 * l2, m2l2sq, m22, m00 * gz, -2.0 * m3,
+                 m3 * le)
+        # The kernel's pivots, fixed for every finite angle.  m22 is constant; m11 lies, as
+        # |a| = |l2 + le c3| <= l2 + le and rounding is monotone, between its values at
+        # a = 0 and theta3 = 0.  At any a, with c^2 + s^2 = 1, the Schur complement is
+        #   S = m1 + m2 c2^2 + m3 c2^2 c3^2 + s2^2 (m2 m3 (l2 - a)^2 + (m2 + m3) i2) / m11
+        #       + c2^2 s3^2 m3 i3 / m22  >=  m1,
+        # and the kernel's S is within 40u (m1 + m2 + m3) of it at its rounded a, u = 2^-53
+        # (12u (m2 + m3) from m01^2/m11, 11u m3 from m02^2/m22, 8u (m2 + m3) from sin and
+        # cos an ulp off the unit circle, 4u (m1 + m2 + m3) from m00 and the subtractions):
+        # S > 0 if m1 > 4.4e-15 (m2 + m3), and _KAPPA keeps a 225x margin.  Normal floats keep
+        # underflow's error below u m1; finite 2 m00, m22 and m11 bound the rest of plant.
+        tiny = sys.float_info.min
+        low, high = m2l2sq + i2, m2l2sq + m3 * (l2 + le) * (l2 + le) + i2
+        for ok, fault in (
+                (tiny <= min(self.masses) and 2.0 * m00 < math.inf, f"masses must each be at "
+                 f"least {tiny!r} g, summing below {sys.float_info.max / 2:g} g"),
+                (min(i2, i3) >= 0.0, "link inertias must be non-negative"),
+                (tiny <= m22 < math.inf, f"masses, link_inertias, l_end: pivot m22 = "
+                 f"m3 l_end^2 + i3 = {m22!r} is outside [{tiny!r}, inf)"),
+                (tiny <= low and high < math.inf, f"masses, link_inertias, l2, l_end: pivot "
+                 f"m11 spans [{low!r}, {high!r}], outside [{tiny!r}, inf)"),
+                (m1 >= _KAPPA * (m2 + m3), f"masses: m1 = {m1!r} is below {_KAPPA:g} "
+                 f"(m2 + m3), where rounding can take the Schur complement to zero"),
+                (abs(m00 * gz) < math.inf, "gravity, masses: (m1 + m2 + m3) gz overflows")):
+            if not ok:
+                raise ValueError(fault)
+        object.__setattr__(self, "plant", plant)
 
 
 def forward_dynamics(theta2, theta3, v1, v2, v3, u1, u2, u3, params: DynamicParams):
@@ -82,9 +95,10 @@ def forward_dynamics(theta2, theta3, v1, v2, v3, u1, u2, u3, params: DynamicPara
 
     M is arrowhead-shaped, [[m00, m01, m02], [m01, m11, 0], [m02, 0, m22]],
     so eliminating the two bending rows leaves one scalar Schur complement
-    and the solve is exact in closed form.  Its configuration-independent
-    factors are read from params.plant.  Its matrix-form oracles,
-    mass_matrix, coriolis_matrix and gravity_vector, live in checks.
+    and the solve is exact in closed form.  DynamicParams folds its
+    configuration-independent factors into params.plant and fixes its pivots
+    positive at every finite angle.  Its matrix-form oracles, mass_matrix,
+    coriolis_matrix and gravity_vector, live in checks.
     """
     l2, le, m3, i2, gx, gy, gz, m00, m2l2, m2l2sq, m22, m00gz, neg2m3, m3le = params.plant
     c2, s2 = math.cos(theta2), math.sin(theta2)
@@ -103,15 +117,8 @@ def forward_dynamics(theta2, theta3, v1, v2, v3, u1, u2, u3, params: DynamicPara
     r0 = u1 - (a2 * v2 * v2 + 2.0 * b2 * v2 * v3 + b3 * v3 * v3) + m00gz
     r1 = u2 - d3 * v2 * v3 + w * (gx * c2 - gz * s2)
     r2 = u3 + 0.5 * d3 * v2 * v2 - m3le * (gx * s2 * s3 + gy * c3 + gz * c2 * s3)
-    if not (0.0 < m11 < math.inf and 0.0 < m22 < math.inf):
-        raise SingularMassError(f"mass matrix pivot not positive and finite at "
-                                f"theta2={theta2!r}, theta3={theta3!r}", theta2, theta3)
     p1, p2 = m01 / m11, m02 / m22
     schur = m00 - p1 * m01 - p2 * m02
-    if not 0.0 < schur < math.inf:
-        raise SingularMassError(f"mass matrix Schur complement {schur!r} not positive "
-                                f"and finite at theta2={theta2!r}, theta3={theta3!r}",
-                                theta2, theta3)
     qdd1 = (r0 - p1 * r1 - p2 * r2) / schur
     return qdd1, (r1 - m01 * qdd1) / m11, (r2 - m02 * qdd1) / m22
 

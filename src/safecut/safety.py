@@ -174,8 +174,8 @@ def filter_rows(v_d, normals, offsets):
     The one-row candidates, which the closed loop almost always ends on, are
     projected inline; larger ones solve N_A w = b_A - N_A v_d in floats
     (_vertex_step), never the normal equations, which square its condition.
-    Each row's residual b_i - n_i . v_d is computed once per call, by the
-    one-row loop, and handed to every larger candidate.
+    Each row's residual b_i - n_i . v_d is computed once per call, for the
+    passthrough test, its active count and every candidate.
 
     Degenerate programs, every plane through one point, may have that point
     as their only solution, and rounding b can leave the exact program
@@ -184,16 +184,18 @@ def filter_rows(v_d, normals, offsets):
     exists, v is within 1e-3 * max(1, |w|) of it.
     """
     vx, vy, vz = v_d
-    active = _active_rows(normals, offsets, vx, vy, vz, 0.0)
-    if active is not None:
+    resids, active, inside = [], 0, True
+    for (nx, ny, nz), offset in zip(normals, offsets):
+        resid = offset - (nx * vx + ny * vy + nz * vz)
+        resids.append(resid)
+        inside = inside and resid <= 0.0
+        active += abs(resid) <= 1e-6
+    if inside:
         return v_d, active
 
     # tolerances scale with the candidate so ill-conditioned rows (nearly
     # parallel normals, distant optima) stay decidable
-    resids = []
-    for (nx, ny, nz), offset in zip(normals, offsets):
-        resid = offset - (nx * vx + ny * vy + nz * vz)
-        resids.append(resid)
+    for (nx, ny, nz), resid in zip(normals, resids):
         g = nx * nx + ny * ny + nz * nz
         if g == 0.0:
             continue
@@ -202,21 +204,17 @@ def filter_rows(v_d, normals, offsets):
             continue
         if mu < -_DUAL_TOL * max(1.0, abs(mu)):
             continue
-        sx, sy, sz = vx + nx * mu, vy + ny * mu, vz + nz * mu
-        active = _active_rows(normals, offsets, sx, sy, sz,
-                              _FEAS_TOL * max(1.0, math.sqrt(sx * sx + sy * sy + sz * sz)))
+        v = [vx + nx * mu, vy + ny * mu, vz + nz * mu]
+        active = _active_rows(normals, offsets, v)
         if active is not None:
-            return [sx, sy, sz], active
+            return v, active
 
     k = len(offsets)
     for subset in chain(combinations(range(k), 2), combinations(range(k), 3)):
         v = _vertex_step(vx, vy, vz, normals, resids, subset)
-        if v:
-            sx, sy, sz = v
-            active = _active_rows(normals, offsets, sx, sy, sz,
-                                  _FEAS_TOL * max(1.0, math.sqrt(sx * sx + sy * sy + sz * sz)))
-            if active is not None:
-                return v, active
+        active = _active_rows(normals, offsets, v) if v else None
+        if active is not None:
+            return v, active
     raise InfeasibleQPError(f"no velocity satisfies all {k} constraint rows")
 
 
@@ -261,8 +259,10 @@ def _vertex_step(vx: float, vy: float, vz: float, normals, resids, subset):
     return [vx + w0, vy + w1, vz + w2]
 
 
-def _active_rows(normals, offsets, vx: float, vy: float, vz: float, slack: float):
-    """Rows with |n . v - offset| <= 1e-6, or None unless n . v >= offset - slack on every row."""
+def _active_rows(normals, offsets, v):
+    """Rows with |n . v - b| <= 1e-6, or None unless n . v >= b - _FEAS_TOL max(1, |v|) on all."""
+    vx, vy, vz = v
+    slack = _FEAS_TOL * max(1.0, math.sqrt(vx * vx + vy * vy + vz * vz))
     active = 0
     for (nx, ny, nz), offset in zip(normals, offsets):
         d = nx * vx + ny * vy + nz * vz

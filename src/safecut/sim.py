@@ -26,7 +26,7 @@ import numpy as np
 
 from . import control as ctl
 from . import safety
-from .dynamics import SingularMassError, rk4_step
+from .dynamics import rk4_step
 from .kinematics import tip_kinematics
 from .scenario import ScenarioSpec, reference_rows
 
@@ -182,11 +182,8 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
         if k + 1 < n:
             try:
                 q1, qdot1 = rk4_step(q, qdot, (u[0] + d[0], u[1] + d[1], u[2] + d[2]), dt, dyn)
-            except (SingularMassError, ValueError) as exc:
-                # a singular arm at finite angles keeps its name; else a stage angle blew
-                # up, to nan (singular pivots) or to inf (math.cos raises ValueError)
-                if isinstance(exc, SingularMassError) and math.isfinite(exc.theta2 + exc.theta3):
-                    raise
+            except ValueError as exc:
+                # math.cos raises on a stage angle gone to inf; a nan one reaches the test below
                 raise PlantDivergedError(k, t, tuple(q), qdot) from exc
             # one sum tests all six values: it is nan or inf if any of them is
             (a1, a2, a3), (b1, b2, b3) = q1, qdot1

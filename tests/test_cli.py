@@ -278,6 +278,15 @@ CONFIG_ERRORS = [
     ("scenario_id = 1\ndynamics.masses = 1, 2\n", "dynamics: masses must be 3 finite values"),
     ("scenario_id = 1\ndynamics.link_inertias = 0.0, 2.0, 1.0\n",
      "dynamics: link_inertias must be 2 finite values"),
+    # a plant whose mass matrix could turn singular, or whose folded gravity load
+    # overflows, is refused where DynamicParams is built, not met mid-run
+    ("scenario_id = 1\ndynamics.masses = 1e306, 1e306, 1e306\n",
+     "dynamics: masses, link_inertias, l_end: pivot m22 = m3 l_end^2 + i3 = inf is outside"),
+    ("scenario_id = 1\ndynamics.masses = 2e-16, 1, 1\ndynamics.link_inertias = 0, 0\n",
+     "dynamics: masses: m1 = 2e-16 is below 1e-12 (m2 + m3), where rounding can take the Schur "
+     "complement to zero"),
+    ("scenario_id = 1\ndynamics.gravity = 0, 0, 1e308\n",
+     "dynamics: gravity, masses: (m1 + m2 + m3) gz overflows"),
     ("scenario_id = 1\ndisturbance.frequency = nan\n", "disturbance: frequency must be finite"),
     # one marking point on the initial tip: a path of no length has no direction
     ("scenario_id = 1\ntumor.0.center = 0.0, 4.0, 43.0\nmarking.0.points = 0.0, 0.0, 43.0\n"

@@ -10,8 +10,10 @@ from __future__ import annotations
 import ast
 import dataclasses
 import inspect
+import itertools
 import math
 import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,8 +21,8 @@ import pytest
 from safecut import checks, control, dynamics, kinematics, safety, scenario, sim
 from safecut.checks import (coriolis_matrix, gravity_vector, kinetic_energy,
                             mass_matrix, potential_energy)
-from safecut.dynamics import DynamicParams, SingularMassError, forward_dynamics, rk4_step
-from safecut.kinematics import JointConfig
+from safecut.dynamics import _KAPPA, DynamicParams, forward_dynamics, rk4_step
+from safecut.kinematics import JointConfig, KinematicParams
 
 PARAMS = DynamicParams()
 
@@ -114,12 +116,76 @@ def test_rk4_matches_matrix_form_oracle_on_stiff_loop():
     assert np.all(np.isfinite(fast))
 
 
-def test_non_finite_configuration_raises_singular_mass():
-    with pytest.raises(SingularMassError):
-        rk4_step((10.0, float("nan"), 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1e-3, PARAMS)
-    heavy = DynamicParams(masses=(1e306,) * 3)    # valid, but m3 a^2 overflows: m11 = inf
-    with pytest.raises(SingularMassError):
-        forward_dynamics(0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, heavy)
+def test_non_finite_angle_is_no_error_of_the_kernel():
+    # the pivots are fixed at construction, so forward_dynamics raises nothing itself:
+    # a nan angle flows through to a non-finite state, and only math.cos refuses inf
+    kernel = ast.parse(inspect.getsource(forward_dynamics))
+    assert not any(isinstance(node, ast.Raise) for node in ast.walk(kernel))
+    q, qdot = rk4_step((10.0, math.nan, 0.0), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1e-3, PARAMS)
+    assert not any(map(math.isfinite, q[1:] + qdot))
+    with pytest.raises(ValueError, match="math domain error"):
+        rk4_step((10.0, 0.0, math.inf), (0.0, 0.0, 0.0), (0.0, 0.0, 0.0), 1e-3, PARAMS)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    pytest.param(dict(masses=(1e-310, 1.0, 1.0)),
+                 "masses must each be at least 2.2250738585072014e-308 g", id="subnormal-mass"),
+    pytest.param(dict(masses=(1.0, 1.0, 1e308)),
+                 "masses must each be at least .* summing below", id="mass-sum-overflows"),
+    pytest.param(dict(masses=(1e306,) * 3), r"masses, link_inertias, l_end: pivot m22 = m3 "
+                 r"l_end\^2 \+ i3 = inf", id="m22-overflows"),
+    pytest.param(dict(masses=(1.0, 1.0, 1e-300), link_inertias=(1.0, 0.0),
+                      kinematics=KinematicParams(3.0, 10.0, 1e-5)), "pivot m22 = .* = 1e-310",
+                 id="m22-subnormal"),
+    pytest.param(dict(masses=(1.0, 1e-300, 1.0), link_inertias=(0.0, 1.0),
+                      kinematics=KinematicParams(3.0, 1e-5, 17.0)),
+                 r"masses, link_inertias, l2, l_end: pivot m11 spans \[1e-310, ",
+                 id="m11-subnormal"),
+    pytest.param(dict(masses=(1.0, 1.0, 1e297), kinematics=KinematicParams(3.0, 1e6, 1.0)),
+                 r"pivot m11 spans \[1000000000002.0, inf\]", id="m11-overflows"),
+    pytest.param(dict(masses=(2e-16, 1.0, 1.0), link_inertias=(0.0, 0.0)),
+                 r"masses: m1 = 2e-16 is below 1e-12 \(m2 \+ m3\)", id="schur-complement"),
+    pytest.param(dict(gravity=(0.0, 0.0, 1e308)),
+                 r"gravity, masses: \(m1 \+ m2 \+ m3\) gz overflows", id="gravity-load"),
+])
+def test_dynamic_params_refuse_a_plant_the_kernel_cannot_solve(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        DynamicParams(**kwargs)
+
+
+def test_kappa_keeps_the_schur_complement_positive():
+    # m1 exactly at _KAPPA (m2 + m3), no rotor inertia, masses and lengths at the
+    # extremes, angles on the corners where the complement is smallest: at theta2 =
+    # +-pi/2 it is m1 + m2 m3 (l2 - a)^2 / m11, just m1 where a = l2, at theta3 = +-pi/2.
+    # With u = (1, 0, 0) and the arm at rest, qdd1 = 1 / S, so 1 / qdd1 reads the
+    # kernel's S back to 2u; DynamicParams states the kernel's S within 40u (m1 + m2 + m3)
+    # of the identity S = m1 + m2 c2^2 + m3 c2^2 c3^2 + s2^2 m2 m3 (l2 - a)^2 / m11 at its
+    # own rounded a.
+    u = 2.0 ** -53
+    angles = [0.0] + [x + k * math.ulp(x) for x in (math.pi / 2, -math.pi / 2)
+                      for k in (-3, -1, 0, 1, 3)]
+    worst = 0.0
+    for m2, m3, l2, le in itertools.product((1e-6, 1.0, 1e6), (1e-6, 1.0, 1e6),
+                                            (1e-3, 1.0, 1e6), (1e-3, 1.0, 1e6)):
+        m1 = _KAPPA * (m2 + m3)
+        params = DynamicParams(masses=(m1, m2, m3), link_inertias=(0.0, 0.0),
+                               gravity=(0.0, 0.0, 0.0), kinematics=KinematicParams(1.0, l2, le))
+        with pytest.raises(ValueError, match="masses: m1"):
+            DynamicParams(masses=(m1 / 2, m2, m3), link_inertias=(0.0, 0.0),
+                          kinematics=params.kinematics)
+        f1, f2, f3, fl2 = map(Fraction, (m1, m2, m3, l2))
+        for theta2, theta3 in itertools.product(angles, angles):
+            accel = forward_dynamics(theta2, theta3, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, params)
+            assert all(map(math.isfinite, accel)) and accel[0] > 0.0
+            c2, s2 = Fraction(math.cos(theta2)), Fraction(math.sin(theta2))
+            c3 = Fraction(math.cos(theta3))
+            a = Fraction(l2 + le * math.cos(theta3))    # the kernel's rounded lever arm
+            m11 = f2 * fl2 * fl2 + f3 * a * a
+            exact = (f1 + f2 * c2 ** 2 + f3 * c2 ** 2 * c3 ** 2
+                     + s2 ** 2 * f2 * f3 * (fl2 - a) ** 2 / m11)
+            err = abs(Fraction(1.0 / accel[0]) - exact) / (f1 + f2 + f3)
+            worst = max(worst, float(err) / u)
+    assert worst <= 40 + 2, worst
 
 
 @pytest.mark.parametrize("params, name", [(DynamicParams(), "masses"),
@@ -204,10 +270,10 @@ KERNELS = {"tip_kinematics", "damped_least_squares", "forward_dynamics", "rk4_st
 def test_runtime_modules_hold_one_form():
     # the matrix forms and test-only wrappers live in checks (the pseudo-inverse
     # oracle in the tests), nowhere in a runtime module; nor do the retired numpy
-    # wrappers of tip_kinematics or the undamped solve's error
+    # wrappers of tip_kinematics, the undamped solve's error or the per-step pivot test's
     banned = set(ORACLES) | {"barrier_gradient", "depth_barrier_gradient", "RobotState",
                              "damped_pseudo_inverse", "forward_kinematics", "jacobian",
-                             "SingularJacobianError"}
+                             "SingularJacobianError", "SingularMassError"}
     for module in (kinematics, dynamics, safety, control, sim, scenario):
         assert not banned & set(vars(module)), module.__name__
     for module in (kinematics, dynamics):

@@ -10,9 +10,9 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from safecut import safety, scenario, sim
+from safecut import control, safety, scenario, sim
 from safecut.control import ControllerParams, DisturbanceSpec
-from safecut.dynamics import DynamicParams, SingularMassError
+from safecut.dynamics import DynamicParams
 from safecut.kinematics import JointConfig, tip_kinematics
 from safecut.safety import DepthShell, FilterParams, SafeSetSpec, TumorSpec
 from safecut.scenario import (MarkingSet, ScenarioSpec, generate_marking_points,
@@ -510,10 +510,15 @@ def test_diverged_plant_raises_with_last_finite_state(override):
     assert 0 < exc.step < round(spec.duration / spec.dt)
     assert exc.t == exc.step * spec.dt
     assert np.all(np.isfinite(exc.q + exc.qdot))
+    # only the light plant's angle reaches inf inside a step, where math.cos raises
+    assert isinstance(exc.__cause__, ValueError) == ("dynamics" in override)
 
 
-def test_singular_mass_at_finite_angles_keeps_its_name():
-    # valid parameters whose m3 a^2 overflows: m11 = inf at the catalog's straight arm
-    bad = DynamicParams(masses=(1e306,) * 3, gravity=(0.0, 0.0, 0.0))
-    with pytest.raises(SingularMassError):
-        sim.run(replace(scenario_catalog(1), dynamics=bad, duration=0.05))
+def test_nan_stage_angle_is_named_plant_diverged(monkeypatch):
+    # a nan input makes the second RK4 stage's angles nan; forward_dynamics passes them
+    # through without raising, and the finiteness test names the step
+    monkeypatch.setattr(control, "control_law", lambda edot, params: (0.0, math.nan, 0.0))
+    with pytest.raises(sim.PlantDivergedError, match="plant diverged: the joint state stopped "
+                       "being finite after step 0 ") as err:
+        sim.run(replace(scenario_catalog(1), duration=0.05))
+    assert err.value.__cause__ is None and err.value.q == scenario_catalog(1).initial_q
