@@ -19,26 +19,6 @@ _NOISE_FLOOR = 1e-12   # ||edot|| at or below it carries no transient to fit
 DAMPING = 1e-3         # regularizes Jpinv where J loses rank
 
 
-class InsufficientTransientError(RuntimeError):
-    """Decay-rate fit requested on a log without a usable transient."""
-
-
-@dataclass
-class ControllerParams:
-    """k_d maps velocity error to joint force/torque.
-
-    The default gain is tuned so the measured closed-loop decay rate stays a
-    few times above the largest filter alpha in the scenario catalog while
-    the stiffest joint remains stable under RK4 at dt = 1e-3 s.
-    """
-
-    k_d: float = 8000.0
-
-    def __post_init__(self):
-        if not 0.0 < self.k_d < math.inf:
-            raise ValueError(f"k_d must be positive and finite, got {self.k_d!r}")
-
-
 @dataclass
 class DisturbanceSpec:
     """Additive joint-space disturbance d(t) with ||d||_inf <= amplitude.
@@ -81,10 +61,9 @@ def velocity_error(J, xdot, xdot_safe):
     return damped_least_squares(J, e, DAMPING)
 
 
-def control_law(edot, params: ControllerParams):
+def control_law(edot, k_d: float):
     """u = -k_d * edot."""
-    k = -params.k_d
-    return (k * edot[0], k * edot[1], k * edot[2])
+    return (-k_d * edot[0], -k_d * edot[1], -k_d * edot[2])
 
 
 def disturbance(t: float, spec: DisturbanceSpec) -> tuple:
@@ -102,14 +81,13 @@ def measure_decay_rate(t: np.ndarray, edot: np.ndarray) -> float:
     """Least-squares slope of -log||edot|| over the initial transient.
 
     The window runs from the peak of ||edot|| until the norm first drops
-    below 1% of that peak (or the end of the log).  Raises
-    InsufficientTransientError when the peak never exceeds _NOISE_FLOOR or the
-    window is too short to fit a slope.
+    below 1% of that peak (or the end of the log).  nan when the peak never
+    exceeds _NOISE_FLOOR or the window is too short to fit a slope.
     """
     t = np.asarray(t, dtype=float)
     norms = np.linalg.norm(np.asarray(edot, dtype=float), axis=1)
-    if norms.size == 0 or float(norms.max()) <= _NOISE_FLOOR:
-        raise InsufficientTransientError("no transient above the noise floor")
+    if float(norms.max()) <= _NOISE_FLOOR:
+        return math.nan
     start = int(norms.argmax())
     peak = norms[start]
     below = np.nonzero(norms[start:] < 0.01 * peak)[0]
@@ -118,6 +96,6 @@ def measure_decay_rate(t: np.ndarray, edot: np.ndarray) -> float:
     tw, nw = t[window], norms[window]
     keep = nw > _NOISE_FLOOR
     if keep.sum() < 3:
-        raise InsufficientTransientError("transient window too short for a fit")
+        return math.nan
     slope, _ = np.polyfit(tw[keep], np.log(nw[keep]), 1)
     return float(-slope)

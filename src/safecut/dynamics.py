@@ -36,9 +36,10 @@ class DynamicParams:
     plant: the factors of forward_dynamics that no configuration changes
         (m1 + m2 + m3, m2 l2, m2 l2^2, m3 le^2 + i3, (m1 + m2 + m3) gz, -2 m3,
         m3 le, beside l2, le, m3, i2 and gravity), folded once at construction,
-        which refuses a set, naming its fields, where one would overflow or a
-        pivot could fail.  Frozen, like the KinematicParams it reads: a field
-        assigned afterwards would leave plant stale, so assignment raises instead.
+        which refuses a set, naming its fields, where one or a joint's gravity
+        load would overflow or a pivot could fail.  Frozen, like the
+        KinematicParams it reads: a field assigned afterwards would leave plant
+        stale, so assignment raises instead.
     """
 
     masses: tuple = (2.0, 1.5, 1.0)
@@ -82,7 +83,13 @@ class DynamicParams:
                  f"m11 spans [{low!r}, {high!r}], outside [{tiny!r}, inf)"),
                 (m1 >= _KAPPA * (m2 + m3), f"masses: m1 = {m1!r} is below {_KAPPA:g} "
                  f"(m2 + m3), where rounding can take the Schur complement to zero"),
-                (abs(m00 * gz) < math.inf, "gravity, masses: (m1 + m2 + m3) gz overflows")):
+                (abs(m00 * gz) < math.inf, "gravity, masses: (m1 + m2 + m3) gz overflows"),
+                # the bending joints' loads in r1 and r2, with |a| <= l2 + le and |c|, |s| <= 1
+                ((m2 * l2 + m3 * (l2 + le)) * (abs(gx) + abs(gz)) < math.inf, "gravity, masses, "
+                 "l2, l_end: the theta2 load bound (m2 l2 + m3 (l2 + l_end)) (|gx| + |gz|) "
+                 "overflows"),
+                (m3 * le * (abs(gx) + abs(gy) + abs(gz)) < math.inf, "gravity, masses, l_end: the "
+                 "theta3 load bound m3 l_end (|gx| + |gy| + |gz|) overflows")):
             if not ok:
                 raise ValueError(fault)
         object.__setattr__(self, "plant", plant)

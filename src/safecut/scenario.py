@@ -28,7 +28,7 @@ from typing import Optional
 
 import numpy as np
 
-from .control import ControllerParams, DisturbanceSpec
+from .control import DisturbanceSpec
 from .dynamics import DynamicParams
 from .kinematics import JointConfig, KinematicParams, tip_kinematics
 from .safety import (CENTRE_TOL, DepthShell, FilterParams, SafeSetSpec, TumorSpec,
@@ -195,13 +195,16 @@ class ScenarioSpec:
     shells: list
     markings: list
     filter: FilterParams
-    controller: ControllerParams = field(default_factory=ControllerParams)
     disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
     dynamics: DynamicParams = field(default_factory=DynamicParams)
     initial_q: JointConfig = JointConfig(0.0, 0.0, 0.0)
     initial_qdot: tuple = (0.0, 0.0, 0.0)
     speed: float = 2.0
     kp_gain: float = 5.0
+    # config key controller.k_d, the gain of u = -k_d edot.  At dt = 1e-3 s catalog 1-3
+    # reach r = dt k_d / lambda_min(M) = 1.941 and catalog 4 reaches 1.929, just inside the
+    # sampled loop's stability edge near r = 2
+    k_d: float = 8000.0
     dt: float = 1e-3
     settle: float = 1.0
     duration: Optional[float] = None       # None: reference duration + settle
@@ -209,10 +212,10 @@ class ScenarioSpec:
     path: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("dt", "speed", "settle", "duration"):
-            value = getattr(self, name)
+        for key, value in (("dt", self.dt), ("speed", self.speed), ("settle", self.settle),
+                           ("duration", self.duration), ("controller.k_d", self.k_d)):
             if value is not None and not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+                raise ValueError(f"{key} must be positive and finite, got {value!r}")
         if not 0.0 <= self.kp_gain < math.inf:
             raise ValueError(f"kp_gain must be finite and non-negative, got {self.kp_gain!r}")
         # plain floats, named by their config keys: the run starts from them
@@ -368,7 +371,7 @@ _SCALAR_KEYS = {
     "filter.alpha": ("filter.alpha", "float"),
     "filter.activation_gate": ("filter.activation_gate", "bool"),
     "filter.enabled": ("filter.enabled", "bool"),
-    "controller.k_d": ("controller.k_d", "float"),
+    "controller.k_d": ("k_d", "float"),
     "disturbance.waveform": ("disturbance.waveform", "str"),
     "disturbance.amplitude": ("disturbance.amplitude", "vec"),
     "disturbance.frequency": ("disturbance.frequency", "float"),
@@ -379,7 +382,6 @@ _SCALAR_KEYS = {
 _NESTED = (("initial_q", "initial", JointConfig),
            ("dynamics.kinematics", "kinematics", KinematicParams),
            ("dynamics", "dynamics", DynamicParams), ("filter", "filter", FilterParams),
-           ("controller", "controller", ControllerParams),
            ("disturbance", "disturbance", DisturbanceSpec))
 
 # indexed families "<prefix>.<N>.<key>":

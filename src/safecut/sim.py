@@ -33,10 +33,6 @@ from .scenario import ScenarioSpec, reference_rows
 _CSV_VERSION = "# safecut-log v1"
 
 
-class EmptyLogError(ValueError):
-    """summarize or export_plot_data was given a log with no recorded steps."""
-
-
 class PlantDivergedError(RuntimeError):
     """The plant state stopped being finite during a run.
 
@@ -140,9 +136,8 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
     dt = spec.dt
     n = int(round(spec.run_duration() / dt)) + 1
     safe_set = spec.safe_set
-    fp, cp, kin, dyn, dist = (spec.filter, spec.controller, spec.kinematics, spec.dynamics,
-                              spec.disturbance)
-    alpha, kp_gain, enabled = fp.alpha, spec.kp_gain, fp.enabled
+    fp, kin, dyn, dist = spec.filter, spec.kinematics, spec.dynamics, spec.disturbance
+    alpha, kp_gain, k_d, enabled = fp.alpha, spec.kp_gain, spec.k_d, fp.enabled
     columns = len(_csv_columns(safe_set.names))
     log = TrajectoryLog(np.zeros((n, columns)), safe_set.names)
     # one row in _csv_columns order, packed into the C-contiguous float64 buffer
@@ -174,7 +169,7 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
             gated = 1
 
         edot = velocity_error(J, xdot, v_s)
-        u = control_law(edot, cp)
+        u = control_law(edot, k_d)
         d = disturbance(t, dist)
         pack(data, k * size, t, *q, *qdot, *x, *xdot, *v_d, *v_s, *u, *d, *edot, *h,
              active, gated)
@@ -236,18 +231,12 @@ def summarize(log: TrajectoryLog, spec: ScenarioSpec) -> SafetyReport:
     or off: the first step for a tumor, whose keep-out the initial tip is
     outside of, and the step the tip enters for a shell it starts outside of.
     """
-    if len(log) == 0:
-        raise EmptyLogError("cannot summarize an empty log")
     # inf before a barrier's first satisfied step, so it counts toward no statistic
     h = np.where(np.logical_or.accumulate(log.h >= 0.0, axis=0), log.h, math.inf)
     min_h = dict(zip(log.barrier_names, h.min(axis=0).tolist()))
     viol = np.flatnonzero((h < 0.0).any(axis=1))
     first_violation = float(log.t[viol[0]]) if viol.size else None
     tracking = np.linalg.norm(log.xdot - log.xdot_safe, axis=1)
-    try:
-        decay = ctl.measure_decay_rate(log.t, log.edot)
-    except ctl.InsufficientTransientError:
-        decay = math.nan
     turns, excess = _cut_measures(log, spec) if spec.tumors else ([], [])
     deviation = float(np.trapezoid(np.linalg.norm(log.xdot_safe - log.xdot_des, axis=1),
                                    log.t))
@@ -255,7 +244,7 @@ def summarize(log: TrajectoryLog, spec: ScenarioSpec) -> SafetyReport:
         min_h=min_h,
         first_violation_time=first_violation,
         max_tracking_error=float(tracking.max()),
-        decay_rate=decay,
+        decay_rate=ctl.measure_decay_rate(log.t, log.edot),
         enclosure_turns=turns,
         radial_excess=excess,
         deviation_integral=deviation,
@@ -290,13 +279,15 @@ def read_csv(path) -> TrajectoryLog:
         if _csv_columns(names) != header:
             raise ValueError("unexpected column layout")
         with warnings.catch_warnings():
-            # a header-only file is an empty log, which numpy warns about
+            # numpy warns about a file with no rows, which is refused below
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             data = np.loadtxt(f, delimiter=",", ndmin=2, comments=None)
+    if not len(data):
+        raise ValueError("no rows: a run logs at least its first step")
     # loadtxt refuses a ragged body; this refuses rows that are all too short or long
-    if data.size and data.shape[1] != len(header):
+    if data.shape[1] != len(header):
         raise ValueError(f"rows of {data.shape[1]} fields under {len(header)} columns")
-    return TrajectoryLog(data.reshape(-1, len(header)), names)
+    return TrajectoryLog(data, names)
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +309,6 @@ def export_plot_data(log: TrajectoryLog, spec: ScenarioSpec, out_dir) -> list:
     shells) sampled in the marking plane.  barrier: every barrier value over time.
     velocity: desired, safe and actual tip velocity components.
     """
-    if len(log) == 0:
-        raise EmptyLogError("cannot export plot data from an empty log")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sid = spec.scenario_id

@@ -273,7 +273,7 @@ CONFIG_ERRORS = [
      "line 3: 'filter.alpha' is set again, first set on line 2"),
     # a nested group's own check names the group
     ("scenario_id = 1\nfilter.alpha = 0\n", "filter: alpha must be positive and finite, got 0.0"),
-    ("scenario_id = 1\ncontroller.k_d = -1\n", "controller: k_d must be positive and finite"),
+    ("scenario_id = 1\ncontroller.k_d = -1\n", "controller.k_d must be positive and finite"),
     ("scenario_id = 1\nkinematics.l2 = -1\n", "kinematics: l2 must be positive and finite"),
     ("scenario_id = 1\ndynamics.masses = 1, 2\n", "dynamics: masses must be 3 finite values"),
     ("scenario_id = 1\ndynamics.link_inertias = 0.0, 2.0, 1.0\n",
@@ -287,6 +287,10 @@ CONFIG_ERRORS = [
      "complement to zero"),
     ("scenario_id = 1\ndynamics.gravity = 0, 0, 1e308\n",
      "dynamics: gravity, masses: (m1 + m2 + m3) gz overflows"),
+    ("scenario_id = 1\nduration = 0.05\ndynamics.gravity = 1e308, 0, 0\n",
+     "dynamics: gravity, masses, l2, l_end: the theta2 load bound"),
+    ("scenario_id = 1\nduration = 0.05\ndynamics.gravity = 0, 1e308, 0\n",
+     "dynamics: gravity, masses, l_end: the theta3 load bound"),
     ("scenario_id = 1\ndisturbance.frequency = nan\n", "disturbance: frequency must be finite"),
     # one marking point on the initial tip: a path of no length has no direction
     ("scenario_id = 1\ntumor.0.center = 0.0, 4.0, 43.0\nmarking.0.points = 0.0, 0.0, 43.0\n"

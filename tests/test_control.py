@@ -3,18 +3,19 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from safecut.control import (DAMPING, ControllerParams, DisturbanceSpec,
-                             InsufficientTransientError, control_law,
-                             disturbance, measure_decay_rate, velocity_error)
+from safecut.control import (DAMPING, DisturbanceSpec, control_law, disturbance,
+                             measure_decay_rate, velocity_error)
 from safecut.kinematics import (JointConfig, KinematicParams, damped_least_squares,
                                 tip_kinematics)
+from safecut.scenario import scenario_catalog
 
 KIN = KinematicParams()
-CTL = ControllerParams()
+K_D = 8000.0
 
 
 def jacobian(q) -> np.ndarray:
@@ -34,7 +35,7 @@ def test_zero_error_when_tracking_exactly():
 def test_error_sign_opposes_command():
     q = JointConfig(10.0, 0.3, -0.5)
     edot = velocity_error(jacobian(q), np.zeros(3), np.array([1.0, 0.0, 0.0]))
-    u = control_law(edot, CTL)
+    u = control_law(edot, K_D)
     # stationary arm told to move: u must push the tip along +x
     xdot_dir = jacobian(q) @ u
     assert xdot_dir[0] > 0.0
@@ -42,15 +43,15 @@ def test_error_sign_opposes_command():
 
 def test_control_law_is_linear():
     e = np.array([0.2, -0.1, 0.05])
-    np.testing.assert_allclose(control_law(e, CTL), -CTL.k_d * e)
-    np.testing.assert_allclose(control_law(2 * e, CTL), 2 * np.asarray(control_law(e, CTL)))
+    np.testing.assert_allclose(control_law(e, K_D), -K_D * e)
+    np.testing.assert_allclose(control_law(2 * e, K_D), 2 * np.asarray(control_law(e, K_D)))
 
 
 def test_gain_validation():
-    with pytest.raises(ValueError):
-        ControllerParams(k_d=0.0)
-    with pytest.raises(ValueError):
-        ControllerParams(k_d=-1e-6)
+    # k_d is a spec setting, refused by its config key
+    for k_d in (0.0, -1e-6):
+        with pytest.raises(ValueError, match=r"^controller\.k_d must be positive and finite"):
+            replace(scenario_catalog(1), k_d=k_d)
 
 
 def test_disturbance_waveforms():
@@ -95,9 +96,12 @@ def test_decay_rate_uses_post_peak_window():
 
 
 def test_decay_rate_rejects_flat_log():
+    # no transient to fit: a flat log, and a spike whose window holds one point above the floor
     t = np.arange(0.0, 1.0, 1e-3)
-    with pytest.raises(InsufficientTransientError):
-        measure_decay_rate(t, np.zeros((t.size, 3)))
+    edot = np.zeros((t.size, 3))
+    assert math.isnan(measure_decay_rate(t, edot))
+    edot[500] = 1.0
+    assert math.isnan(measure_decay_rate(t, edot))
 
 
 def test_sinusoid_phases_depend_on_seed():
@@ -150,9 +154,9 @@ def test_velocity_error_matches_pseudo_inverse_matrix():
 
 
 @pytest.mark.parametrize("make", [
-    lambda: ControllerParams(k_d=float("nan")),
-    lambda: ControllerParams(k_d=float("inf")),
-    lambda: ControllerParams(k_d=-float("inf")),
+    lambda: replace(scenario_catalog(1), k_d=float("nan")),
+    lambda: replace(scenario_catalog(1), k_d=float("inf")),
+    lambda: replace(scenario_catalog(1), k_d=-float("inf")),
     lambda: DisturbanceSpec(waveform="constant", amplitude=(1.0, float("nan"), 0.0)),
     lambda: DisturbanceSpec(waveform="sinusoid", amplitude=(1.0, 1.0, 1.0),
                             frequency=float("inf")),

@@ -147,6 +147,8 @@ def test_non_finite_angle_is_no_error_of_the_kernel():
                  r"masses: m1 = 2e-16 is below 1e-12 \(m2 \+ m3\)", id="schur-complement"),
     pytest.param(dict(gravity=(0.0, 0.0, 1e308)),
                  r"gravity, masses: \(m1 \+ m2 \+ m3\) gz overflows", id="gravity-load"),
+    pytest.param(dict(gravity=(1e308, 0.0, 0.0)), r"gravity, masses, l2, l_end: the theta2 load",
+                 id="bending-gravity-load"),
 ])
 def test_dynamic_params_refuse_a_plant_the_kernel_cannot_solve(kwargs, message):
     with pytest.raises(ValueError, match=message):
@@ -270,10 +272,12 @@ KERNELS = {"tip_kinematics", "damped_least_squares", "forward_dynamics", "rk4_st
 def test_runtime_modules_hold_one_form():
     # the matrix forms and test-only wrappers live in checks (the pseudo-inverse
     # oracle in the tests), nowhere in a runtime module; nor do the retired numpy
-    # wrappers of tip_kinematics, the undamped solve's error or the per-step pivot test's
+    # wrappers of tip_kinematics, the undamped solve's error, the per-step pivot test's,
+    # the gain's box, the decay fit's error or the empty log's
     banned = set(ORACLES) | {"barrier_gradient", "depth_barrier_gradient", "RobotState",
                              "damped_pseudo_inverse", "forward_kinematics", "jacobian",
-                             "SingularJacobianError", "SingularMassError"}
+                             "SingularJacobianError", "SingularMassError", "ControllerParams",
+                             "InsufficientTransientError", "EmptyLogError"}
     for module in (kinematics, dynamics, safety, control, sim, scenario):
         assert not banned & set(vars(module)), module.__name__
     for module in (kinematics, dynamics):
