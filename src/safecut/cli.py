@@ -47,12 +47,11 @@ def _print_report(spec, report, log) -> None:
 
 
 def _run_one(spec, out_dir: Path, emit) -> float:
-    """Simulate spec, write the requested outputs, return the worst h.
+    """Simulate spec, write the requested outputs into out_dir, return the worst h.
 
     Runs with the filter off are deliberate baselines and never count
     toward the violation exit code.
     """
-    out_dir.mkdir(parents=True, exist_ok=True)
     log = sim.run(spec)
     report = sim.summarize(log, spec)
     if "csv" in emit:
@@ -84,23 +83,25 @@ def cmd_run(args) -> int:
             raise _UsageError(f"unknown emit target {tok!r}")
 
     out = Path(args.out)
-    worst = float("inf")
+    runs = [(out, spec)]
     if args.alpha is not None:
         try:   # FilterParams refuses values out of range
             alphas = [float(v) for v in args.alpha.split(",")]
         except ValueError as exc:
             raise _UsageError(f"bad --alpha list {args.alpha!r}") from exc
-        runs = [("unfiltered", replace(spec, filter=replace(spec.filter, enabled=False)))]
-        runs += [(f"alpha_{v:g}", replace(spec, filter=replace(spec.filter, alpha=v,
-                                                               enabled=True)))
+        runs = [(out / "unfiltered", replace(spec, filter=replace(spec.filter, enabled=False)))]
+        runs += [(out / f"alpha_{v:g}", replace(spec, filter=replace(spec.filter, alpha=v,
+                                                                     enabled=True)))
                  for v in alphas]
-        if len({label for label, _ in runs}) < len(runs):
+        if len({out_dir for out_dir, _ in runs}) < len(runs):
             raise _UsageError(f"--alpha {args.alpha!r} repeats a gain, so two runs "
                               "would share one alpha_<v>/ directory")
-        for label, sub in runs:
-            worst = min(worst, _run_one(sub, out / label, emit))
-    else:
-        worst = _run_one(spec, out, emit)
+    for out_dir, _ in runs:    # before any run, so a run never ends with nowhere to write
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise _UsageError(f"--out: cannot make {out_dir} a directory: {exc.strerror}") from exc
+    worst = min(_run_one(sub, out_dir, emit) for out_dir, sub in runs)
     return 1 if worst < -_VIOLATION_TOL else 0
 
 

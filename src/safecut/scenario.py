@@ -184,8 +184,8 @@ def reference_rows(waypoints, arcs, speed: float, dt: float):
 class ScenarioSpec:
     """Complete description of one closed-loop run.
 
-    initial_q and initial_qdot are the joint position and velocity at t = 0
-    (config keys initial.d1, initial.theta2, initial.theta3, initial.qdot).
+    initial_q is the joint position at t = 0 (config keys initial.d1, initial.theta2,
+    initial.theta3); the run starts there at rest.
     Construction, dataclasses.replace included, builds the barrier table safe_set and
     the reference path (waypoints, arcs) from the initial tip, then runs validate().
     """
@@ -198,9 +198,7 @@ class ScenarioSpec:
     disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
     dynamics: DynamicParams = field(default_factory=DynamicParams)
     initial_q: JointConfig = JointConfig(0.0, 0.0, 0.0)
-    initial_qdot: tuple = (0.0, 0.0, 0.0)
     speed: float = 2.0
-    kp_gain: float = 5.0
     # config key controller.k_d, the gain of u = -k_d edot.  At dt = 1e-3 s catalog 1-3
     # reach r = dt k_d / lambda_min(M) = 1.941 and catalog 4 reaches 1.929, just inside the
     # sampled loop's stability edge near r = 2
@@ -216,17 +214,12 @@ class ScenarioSpec:
                            ("duration", self.duration), ("controller.k_d", self.k_d)):
             if value is not None and not 0.0 < value < math.inf:
                 raise ValueError(f"{key} must be positive and finite, got {value!r}")
-        if not 0.0 <= self.kp_gain < math.inf:
-            raise ValueError(f"kp_gain must be finite and non-negative, got {self.kp_gain!r}")
         # plain floats, named by their config keys: the run starts from them
         self.initial_q = JointConfig._make(map(float, self.initial_q))
         for (name, (low, high)), v in zip(JOINT_BOX.items(), self.initial_q):
             if not low <= v <= high:    # nan too
                 raise ValueError(f"initial.{name} = {v!r} outside the workspace box "
                                  f"[{low:g}, {high:g}]")
-        self.initial_qdot = tuple(map(float, self.initial_qdot))
-        if len(self.initial_qdot) != 3 or not all(map(math.isfinite, self.initial_qdot)):
-            raise ValueError(f"initial.qdot must be 3 finite values, got {self.initial_qdot!r}")
         self.safe_set = SafeSetSpec(self.tumors, self.shells)
         tip, _ = tip_kinematics(*self.initial_q, self.kinematics)
         self.path = reference_waypoints(self.markings, tip)
@@ -263,6 +256,11 @@ class ScenarioSpec:
             raise ValueError(f"dt = {self.dt!r}, speed = {self.speed!r}, {end} = "
                              f"{getattr(self, end)!r}: {steps + 1.0:.3g} steps x {columns} "
                              "float64 log columns are more than one array can address")
+        # control.disturbance's phase at the run's last logged t: finite there, finite before
+        dist, t = self.disturbance, round(steps) * self.dt
+        if dist.waveform == "sinusoid" and not math.isfinite(2.0 * math.pi * dist.frequency * t):
+            raise ValueError(f"disturbance.frequency = {dist.frequency!r}: the sinusoid's phase "
+                             f"2 pi frequency t is not finite at the run's last t = {t!r} s")
         safe_set, nt = self.safe_set, len(self.tumors)
         h, _ = selected_barrier_values(waypoints[0], safe_set, False)    # at the initial tip
         for i, hi in enumerate(h[:nt]):
@@ -355,13 +353,11 @@ _SCALAR_KEYS = {
     "scenario_id": ("scenario_id", "int"),
     "dt": ("dt", "float"),
     "speed": ("speed", "float"),
-    "kp_gain": ("kp_gain", "float"),
     "settle": ("settle", "float"),
     "duration": ("duration", "auto"),
     "initial.d1": ("initial_q.d1", "float"),
     "initial.theta2": ("initial_q.theta2", "float"),
     "initial.theta3": ("initial_q.theta3", "float"),
-    "initial.qdot": ("initial_qdot", "vec"),
     "kinematics.l1": ("dynamics.kinematics.l1", "float"),
     "kinematics.l2": ("dynamics.kinematics.l2", "float"),
     "kinematics.l_end": ("dynamics.kinematics.l_end", "float"),

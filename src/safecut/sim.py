@@ -31,6 +31,7 @@ from .kinematics import tip_kinematics
 from .scenario import ScenarioSpec, reference_rows
 
 _CSV_VERSION = "# safecut-log v1"
+KP_GAIN = 5.0          # 1/s: the desired velocity's proportional pull toward the reference
 
 
 class PlantDivergedError(RuntimeError):
@@ -118,14 +119,14 @@ class SafetyReport:
     deviation_integral: float
 
 
-def desired_velocity(x, p, v, kp_gain: float):
-    """Feedforward v plus proportional pull from x toward the reference position p, as floats."""
-    return (v[0] + kp_gain * (p[0] - x[0]), v[1] + kp_gain * (p[1] - x[1]),
-            v[2] + kp_gain * (p[2] - x[2]))
+def desired_velocity(x, p, v):
+    """Feedforward v plus the pull KP_GAIN from x toward the reference position p, as floats."""
+    return (v[0] + KP_GAIN * (p[0] - x[0]), v[1] + KP_GAIN * (p[1] - x[1]),
+            v[2] + KP_GAIN * (p[2] - x[2]))
 
 
 def run(spec: ScenarioSpec) -> TrajectoryLog:
-    """Simulate the scenario over its full duration at fixed dt.
+    """Simulate the scenario over its full duration at fixed dt, from initial_q at rest.
 
     One control step reads its reference row and evaluates the kinematics
     (tip position and Jacobian), the barrier table (every h, the rows' normals)
@@ -137,7 +138,7 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
     n = int(round(spec.run_duration() / dt)) + 1
     safe_set = spec.safe_set
     fp, kin, dyn, dist = spec.filter, spec.kinematics, spec.dynamics, spec.disturbance
-    alpha, kp_gain, k_d, enabled = fp.alpha, spec.kp_gain, spec.k_d, fp.enabled
+    alpha, k_d, enabled = fp.alpha, spec.k_d, fp.enabled
     columns = len(_csv_columns(safe_set.names))
     log = TrajectoryLog(np.zeros((n, columns)), safe_set.names)
     # one row in _csv_columns order, packed into the C-contiguous float64 buffer
@@ -147,7 +148,7 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
     barrier_values, filter_rows = safety.selected_barrier_values, safety.filter_rows
     velocity_error, control_law, disturbance = ctl.velocity_error, ctl.control_law, ctl.disturbance
 
-    q, qdot = spec.initial_q, spec.initial_qdot
+    q, qdot = spec.initial_q, (0.0, 0.0, 0.0)
     gate_engaged = not (enabled and fp.activation_gate)
 
     for k, (p_ref, v_ref) in zip(range(n), reference_rows(*spec.path, spec.speed, dt)):
@@ -158,7 +159,7 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
         xdot = (j00 * v1 + j01 * v2 + j02 * v3,
                 j10 * v1 + j11 * v2 + j12 * v3,
                 j20 * v1 + j21 * v2 + j22 * v3)
-        v_d = desired_velocity(x, p_ref, v_ref, kp_gain)
+        v_d = desired_velocity(x, p_ref, v_ref)
         h, normals = barrier_values(x, safe_set, enabled)
 
         v_s, active, gated = v_d, 0, 0

@@ -81,6 +81,10 @@ def test_usage_errors_exit_2(tmp_path, capsys):
         assert "--alpha" in capsys.readouterr().err
     assert not (tmp_path / "sweep").exists()
     assert main(["run", "--config", str(tmp_path / "missing.cfg")]) == 2
+    (tmp_path / "file").write_text("")
+    for sweep in ([], ["--alpha", "0.4"]):   # an --out that names a file, refused before a run
+        assert main(["run", "--scenario", "1", *sweep, "--out", str(tmp_path / "file")]) == 2
+        assert "--out: cannot make" in capsys.readouterr().err
     assert main(["verify", "--qp-instances", "0"]) == 2
     assert main(["verify", "--qp-instances", "-5"]) == 2
     capsys.readouterr()
@@ -234,12 +238,12 @@ CONFIG_ERRORS = [
      "unknown configuration key 'tumor.0.removable'"),
     ("scenario_id = 1\ncontroller.damping = 0.002\n",
      "unknown configuration key 'controller.damping'"),
+    ("scenario_id = 1\nkp_gain = 5.0\n", "unknown configuration key 'kp_gain'"),
+    ("scenario_id = 1\ninitial.qdot = 0, 0, 0\n", "unknown configuration key 'initial.qdot'"),
     ("scenario_id = 1\nfilter.mode = foo\n", "filter.mode"),
     ("scenario_id = 1\ntumor.x.margin = 3.0\n", "tumor.x.margin"),
     ("scenario_id = 2\ntumor.01.margin = 3.0\n", "tumor.01.margin"),
     ("scenario_id = 1\ntumor.0.margin = wide\n", "tumor.0.margin"),
-    ("scenario_id = 1\ninitial.qdot = 1, 2\n", "initial.qdot"),
-    ("scenario_id = 1\ninitial.qdot = nan, 0, 0\n", "initial.qdot"),
     ("scenario_id = 1\ninitial.theta2 = nan\n", "initial.theta2"),
     ("scenario_id = 1\ninitial.d1 = -1\n", "initial.d1 = -1.0 outside the workspace box [0, 50]"),
     ("scenario_id = 1\ninitial.theta2 = 1.8\n", "initial.theta2 = 1.8 outside the workspace box"),
@@ -247,7 +251,6 @@ CONFIG_ERRORS = [
     ("scenario_id = 1\ndisturbance.seed = -1\n", "disturbance: seed must be a non-negative"),
     ("scenario_id = 1\ndisturbance.waveform = ramp\n", "disturbance: unknown waveform 'ramp'"),
     ("scenario_id = 1\ndisturbance.amplitude = 1, x, 3\n", "disturbance.amplitude: "),
-    ("scenario_id = 1\nkp_gain = -5\n", "kp_gain must be finite and non-negative"),
     # an indexed entry's own check names the entry
     ("scenario_id = 1\ntumor.0.margin = -1\n", "tumor.0: cutting margin must be positive"),
     ("scenario_id = 1\ntumor.0.center = 1, 2\n", "tumor.0: tumor centre must be 3 finite"),
@@ -292,6 +295,14 @@ CONFIG_ERRORS = [
     ("scenario_id = 1\nduration = 0.05\ndynamics.gravity = 0, 1e308, 0\n",
      "dynamics: gravity, masses, l_end: the theta3 load bound"),
     ("scenario_id = 1\ndisturbance.frequency = nan\n", "disturbance: frequency must be finite"),
+    # a sinusoid phase 2 pi frequency t that overflows: nan at t = 0, or inf partway through
+    ("scenario_id = 1\nduration = 0.01\ndisturbance.waveform = sinusoid\n"
+     "disturbance.amplitude = 1, 1, 1\ndisturbance.frequency = 1e308\n",
+     "disturbance.frequency = 1e+308: the sinusoid's phase 2 pi frequency t is not finite"),
+    ("scenario_id = 1\nduration = 2.0\ndisturbance.waveform = sinusoid\n"
+     "disturbance.amplitude = 1, 1, 1\ndisturbance.frequency = 2e307\n",
+     "disturbance.frequency = 2e+307: the sinusoid's phase 2 pi frequency t is not finite "
+     "at the run's last t = 2.0 s"),
     # one marking point on the initial tip: a path of no length has no direction
     ("scenario_id = 1\ntumor.0.center = 0.0, 4.0, 43.0\nmarking.0.points = 0.0, 0.0, 43.0\n"
      "marking.0.unsafe = 0\n", "markings: the reference path from the initial tip through "

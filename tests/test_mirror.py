@@ -67,7 +67,6 @@ def test_mirrored_catalog_run_is_the_mirrored_log(catalog_runs, sid, mirror):
     spec, log, _ = catalog_runs[sid]
     # the relation holds with nothing acting along the mirrored axis or joint
     assert spec.dynamics.gravity[axis] == 0.0 and spec.disturbance.waveform == "none"
-    assert spec.initial_qdot[joint] == 0.0
     image = sim.run(mirrored(spec, axis, joint))
     negated = {sim._COLUMNS[f][axis] for f in CARTESIAN} | {sim._COLUMNS[f][joint] for f in JOINT}
     sign = np.array([-1.0 if c in negated else 1.0 for c in sim._csv_columns(log.barrier_names)])

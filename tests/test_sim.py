@@ -85,8 +85,8 @@ def test_desired_velocity_formula():
     p0, v0 = next(reference_rows(*reference_waypoints([ms], (0.0, 0.0, 43.0)), 2.0, 1e-3))
     p0, v0 = np.array(p0), np.array(v0)
     x = np.array([1.0, -2.0, 40.0])
-    v = sim.desired_velocity(x, p0.tolist(), v0.tolist(), kp_gain=5.0)
-    np.testing.assert_allclose(v, v0 + 5.0 * (p0 - x), atol=1e-12)
+    v = sim.desired_velocity(x, p0.tolist(), v0.tolist())
+    np.testing.assert_allclose(v, v0 + sim.KP_GAIN * (p0 - x), atol=1e-12)
 
 
 def test_reference_rows_clamp_past_end():
@@ -115,7 +115,7 @@ def test_logged_desired_velocity_matches_reference_rows():
     k = np.arange(len(log))
     on_grid = (k < m)[:, None]
     idx = np.minimum(k, m - 1)
-    expected = np.where(on_grid, vel[idx], 0.0) + spec.kp_gain * (pos[idx] - log.x)
+    expected = np.where(on_grid, vel[idx], 0.0) + sim.KP_GAIN * (pos[idx] - log.x)
     np.testing.assert_array_equal(log.xdot_des, expected)
 
 
