@@ -20,7 +20,7 @@ from itertools import combinations
 import numpy as np
 
 from .dynamics import DynamicParams, forward_dynamics, rk4_step
-from .kinematics import JointConfig, KinematicParams, tip_kinematics
+from .kinematics import L1, L2, L_END, JointConfig, tip_kinematics
 from .safety import (DepthShell, InfeasibleQPError, SafeSetSpec, TumorSpec, safety_filter,
                      selected_barrier_values)
 from .scenario import JOINT_BOX
@@ -33,18 +33,16 @@ def mass_matrix(q, params: DynamicParams) -> np.ndarray:
     """Symmetric positive definite joint-space mass matrix at q = (d1, theta2, theta3)."""
     m1, m2, m3 = params.masses
     i2, i3 = params.link_inertias
-    kp = params.kinematics
     _, theta2, theta3 = q
     c2, s2 = math.cos(theta2), math.sin(theta2)
     c3, s3 = math.cos(theta3), math.sin(theta3)
-    le = kp.l_end
-    a = kp.l2 + le * c3
-    m01 = -s2 * (m2 * kp.l2 + m3 * a)
-    m02 = -m3 * c2 * le * s3
+    a = L2 + L_END * c3
+    m01 = -s2 * (m2 * L2 + m3 * a)
+    m02 = -m3 * c2 * L_END * s3
     return np.array([
         [m1 + m2 + m3, m01, m02],
-        [m01, m2 * kp.l2 ** 2 + m3 * a * a + i2, 0.0],
-        [m02, 0.0, m3 * le * le + i3],
+        [m01, m2 * L2 ** 2 + m3 * a * a + i2, 0.0],
+        [m02, 0.0, m3 * L_END * L_END + i3],
     ])
 
 
@@ -55,17 +53,15 @@ def coriolis_matrix(q, qdot, params: DynamicParams) -> np.ndarray:
     derivatives of M wrt theta2 / theta3 are nonzero for this chain.
     """
     _, m2, m3 = params.masses
-    kp = params.kinematics
     _, theta2, theta3 = q
     c2, s2 = math.cos(theta2), math.sin(theta2)
     c3, s3 = math.cos(theta3), math.sin(theta3)
-    le = kp.l_end
-    a = kp.l2 + le * c3
-    a2 = -c2 * (m2 * kp.l2 + m3 * a)   # dM01/dtheta2
-    b2 = m3 * s2 * le * s3             # dM02/dtheta2
-    a3 = s2 * m3 * le * s3             # dM01/dtheta3
-    b3 = -m3 * c2 * le * c3            # dM02/dtheta3
-    d3 = -2.0 * m3 * a * le * s3       # dM11/dtheta3
+    a = L2 + L_END * c3
+    a2 = -c2 * (m2 * L2 + m3 * a)      # dM01/dtheta2
+    b2 = m3 * s2 * L_END * s3          # dM02/dtheta2
+    a3 = s2 * m3 * L_END * s3          # dM01/dtheta3
+    b3 = -m3 * c2 * L_END * c3         # dM02/dtheta3
+    d3 = -2.0 * m3 * a * L_END * s3    # dM11/dtheta3
     dq1, dq2, dq3 = float(qdot[0]), float(qdot[1]), float(qdot[2])
     half_pm = 0.5 * (a3 + b2)
     half_mm = 0.5 * (a3 - b2)
@@ -79,17 +75,15 @@ def coriolis_matrix(q, qdot, params: DynamicParams) -> np.ndarray:
 def gravity_vector(q, params: DynamicParams) -> np.ndarray:
     """Generalized gravity load dU/dq for U the potential energy of the masses."""
     m1, m2, m3 = params.masses
-    kp = params.kinematics
     gx, gy, gz = params.gravity
     _, theta2, theta3 = q
     c2, s2 = math.cos(theta2), math.sin(theta2)
     c3, s3 = math.cos(theta3), math.sin(theta3)
-    le = kp.l_end
-    a = kp.l2 + le * c3
+    a = L2 + L_END * c3
     return np.array([
         -(m1 + m2 + m3) * gz,
-        -(m2 * kp.l2 + m3 * a) * (gx * c2 - gz * s2),
-        m3 * le * (gx * s2 * s3 + gy * c3 + gz * c2 * s3),
+        -(m2 * L2 + m3 * a) * (gx * c2 - gz * s2),
+        m3 * L_END * (gx * s2 * s3 + gy * c3 + gz * c2 * s3),
     ])
 
 
@@ -98,16 +92,15 @@ def kinetic_energy(q, qdot, params: DynamicParams) -> float:
     1/2 i theta'^2 for the two bending links; M is never formed."""
     m1, m2, m3 = params.masses
     i2, i3 = params.link_inertias
-    kp = params.kinematics
     _, theta2, theta3 = q
     v1, w2, w3 = qdot
     c2, s2 = math.cos(theta2), math.sin(theta2)
     c3, s3 = math.cos(theta3), math.sin(theta3)
     # time derivatives of the positions in potential_energy
-    x2, z2 = kp.l2 * c2 * w2, v1 - kp.l2 * s2 * w2
-    x3 = x2 + kp.l_end * (c2 * c3 * w2 - s2 * s3 * w3)
-    y3 = -kp.l_end * c3 * w3
-    z3 = z2 - kp.l_end * (s2 * c3 * w2 + c2 * s3 * w3)
+    x2, z2 = L2 * c2 * w2, v1 - L2 * s2 * w2
+    x3 = x2 + L_END * (c2 * c3 * w2 - s2 * s3 * w3)
+    y3 = -L_END * c3 * w3
+    z3 = z2 - L_END * (s2 * c3 * w2 + c2 * s3 * w3)
     return 0.5 * (m1 * v1 * v1 + m2 * (x2 * x2 + z2 * z2) + m3 * (x3 * x3 + y3 * y3 + z3 * z3)
                   + i2 * w2 * w2 + i3 * w3 * w3)
 
@@ -115,16 +108,15 @@ def kinetic_energy(q, qdot, params: DynamicParams) -> float:
 def potential_energy(q, params: DynamicParams) -> float:
     """-sum m g . p over the three point masses, placed link by link."""
     m1, m2, m3 = params.masses
-    kp = params.kinematics
     gx, gy, gz = params.gravity
     d1, theta2, theta3 = q
     c2, s2 = math.cos(theta2), math.sin(theta2)
     c3, s3 = math.cos(theta3), math.sin(theta3)
-    z1 = d1 + kp.l1
-    x2, z2 = kp.l2 * s2, z1 + kp.l2 * c2
+    z1 = d1 + L1
+    x2, z2 = L2 * s2, z1 + L2 * c2
     # the tip link points along the bending link's z-axis turned by theta3
     # about its x-axis
-    x3, y3, z3 = x2 + kp.l_end * s2 * c3, -kp.l_end * s3, z2 + kp.l_end * c2 * c3
+    x3, y3, z3 = x2 + L_END * s2 * c3, -L_END * s3, z2 + L_END * c2 * c3
     return -(m1 * gz * z1 + m2 * (gx * x2 + gz * z2) + m3 * (gx * x3 + gy * y3 + gz * z3))
 
 
@@ -268,17 +260,16 @@ def _random_config(rng: np.random.Generator) -> JointConfig:
 def check_jacobian_fd():
     """tip_kinematics' J against central differences of its separately written position."""
     samples, rng = 200, np.random.default_rng(1)
-    kin = KinematicParams()
     step = 1e-6
     worst = 0.0
     for _ in range(samples):
         q = _random_config(rng)
-        _, J = tip_kinematics(*q, kin)
+        _, J = tip_kinematics(*q)
         for j in range(3):
             plus, minus = list(q), list(q)
             plus[j] += step
             minus[j] -= step
-            xp, xm = tip_kinematics(*plus, kin)[0], tip_kinematics(*minus, kin)[0]
+            xp, xm = tip_kinematics(*plus)[0], tip_kinematics(*minus)[0]
             worst = max(worst, *(abs((a - b) / (2 * step) - row[j])
                                  for a, b, row in zip(xp, xm, J)))
     return worst <= 1e-4, f"{samples} samples, worst column error {worst:.2e} (tol 1e-4)"

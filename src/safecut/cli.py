@@ -89,13 +89,16 @@ def cmd_run(args) -> int:
             alphas = [float(v) for v in args.alpha.split(",")]
         except ValueError as exc:
             raise _UsageError(f"bad --alpha list {args.alpha!r}") from exc
+        gains = {}
+        for v in alphas:
+            name = f"alpha_{v:g}"
+            if name in gains:
+                raise _UsageError(f"--alpha gains {gains[name]!r} and {v!r} both map to the "
+                                  f"one {name}/ directory")
+            gains[name] = v
         runs = [(out / "unfiltered", replace(spec, filter=replace(spec.filter, enabled=False)))]
-        runs += [(out / f"alpha_{v:g}", replace(spec, filter=replace(spec.filter, alpha=v,
-                                                                     enabled=True)))
-                 for v in alphas]
-        if len({out_dir for out_dir, _ in runs}) < len(runs):
-            raise _UsageError(f"--alpha {args.alpha!r} repeats a gain, so two runs "
-                              "would share one alpha_<v>/ directory")
+        runs += [(out / name, replace(spec, filter=replace(spec.filter, alpha=v, enabled=True)))
+                 for name, v in gains.items()]
     for out_dir, _ in runs:    # before any run, so a run never ends with nowhere to write
         try:
             out_dir.mkdir(parents=True, exist_ok=True)

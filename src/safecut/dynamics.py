@@ -1,9 +1,10 @@
 """Rigid-body dynamics of the cutting arm: M(q) qdd + C(q, qd) qd + g(q) = u.
 
 The three moving links are modelled as point masses at their distal ends
-(carried base, bending link l2, tip link l_end), plus constant rotor inertias
-on the two bending joints, which leave M[0][0] the total moved mass.  The
-input map is the identity: one generalized force per joint.
+(carried base, bending link L2, tip link L_END, the constant link lengths
+of kinematics), plus constant rotor inertias on the two bending joints,
+which leave M[0][0] the total moved mass.  The input map is the identity:
+one generalized force per joint.
 Only the scalar closed-form solve lives here; the matrix forms M, C, g and
 the energies that check it are in checks.
 
@@ -16,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .kinematics import KinematicParams
+from .kinematics import L2, L_END
 
 _KAPPA = 1e-12   # least m1 / (m2 + m3): see DynamicParams.__post_init__
 
@@ -25,27 +26,23 @@ _KAPPA = 1e-12   # least m1 / (m2 + m3): see DynamicParams.__post_init__
 class DynamicParams:
     """Inertial parameters of the arm.
 
-    masses: point masses [g] of carried base, link l2, link l_end.
+    masses: point masses [g] of carried base, link L2, link L_END.
     link_inertias: rotor inertias [g*mm^2] (i2, i3) of the two bending
         joints, each about its own axis.
     gravity: acceleration vector [mm/s^2] acting on every mass.
-    kinematics: the link lengths the masses hang off.  This is the one copy
-        of them: ScenarioSpec.kinematics reads it, so the controller and the
-        plant cannot disagree.
 
     plant: the factors of forward_dynamics that no configuration changes
-        (m1 + m2 + m3, m2 l2, m2 l2^2, m3 le^2 + i3, (m1 + m2 + m3) gz, -2 m3,
-        m3 le, beside l2, le, m3, i2 and gravity), folded once at construction,
-        which refuses a set, naming its fields, where one or a joint's gravity
-        load would overflow or a pivot could fail.  Frozen, like the
-        KinematicParams it reads: a field assigned afterwards would leave plant
-        stale, so assignment raises instead.
+        (m1 + m2 + m3, m2 L2, m2 L2^2, m3 L_END^2 + i3, (m1 + m2 + m3) gz, -2 m3,
+        m3 L_END, beside L2, L_END, m3, i2 and gravity), folded once at
+        construction, which refuses a set, naming its fields, where one or a
+        joint's gravity load would overflow or a pivot could fail.  Frozen: a
+        field assigned afterwards would leave plant stale, so assignment raises
+        instead.
     """
 
     masses: tuple = (2.0, 1.5, 1.0)
     link_inertias: tuple = (2.0, 1.0)
     gravity: tuple = (0.0, 0.0, -9810.0)
-    kinematics: KinematicParams = field(default_factory=KinematicParams)
     plant: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -56,15 +53,17 @@ class DynamicParams:
                 raise ValueError(f"{name} must be {size} finite values, got {values!r}")
             object.__setattr__(self, name, values)
         (m1, m2, m3), (i2, i3), (gx, gy, gz) = self.masses, self.link_inertias, self.gravity
-        l2, le = self.kinematics.l2, self.kinematics.l_end
+        l2, le = L2, L_END
         # each factor rounded as forward_dynamics evaluated it inline, so no float moves
         m00, m2l2sq, m22 = m1 + m2 + m3, m2 * l2 ** 2, m3 * le * le + i3
         plant = (l2, le, m3, i2, gx, gy, gz, m00, m2 * l2, m2l2sq, m22, m00 * gz, -2.0 * m3,
                  m3 * le)
         # The kernel's pivots, fixed for every finite angle.  m22 is constant; m11 lies, as
-        # |a| = |l2 + le c3| <= l2 + le and rounding is monotone, between its values at
-        # a = 0 and theta3 = 0.  At any a, with c^2 + s^2 = 1, the Schur complement is
-        #   S = m1 + m2 c2^2 + m3 c2^2 c3^2 + s2^2 (m2 m3 (l2 - a)^2 + (m2 + m3) i2) / m11
+        # |a| = |L2 + L_END c3| <= L2 + L_END and rounding is monotone, between its values at
+        # a = 0 and theta3 = 0.  With L2, L_END >= 1 mm both are at least a mass, so normal,
+        # and only their overflow is checked.  At any a, with c^2 + s^2 = 1, the Schur
+        # complement is
+        #   S = m1 + m2 c2^2 + m3 c2^2 c3^2 + s2^2 (m2 m3 (L2 - a)^2 + (m2 + m3) i2) / m11
         #       + c2^2 s3^2 m3 i3 / m22  >=  m1,
         # and the kernel's S is within 40u (m1 + m2 + m3) of it at its rounded a, u = 2^-53
         # (12u (m2 + m3) from m01^2/m11, 11u m3 from m02^2/m22, 8u (m2 + m3) from sin and
@@ -72,24 +71,23 @@ class DynamicParams:
         # S > 0 if m1 > 4.4e-15 (m2 + m3), and _KAPPA keeps a 225x margin.  Normal floats keep
         # underflow's error below u m1; finite 2 m00, m22 and m11 bound the rest of plant.
         tiny = sys.float_info.min
-        low, high = m2l2sq + i2, m2l2sq + m3 * (l2 + le) * (l2 + le) + i2
+        high = m2l2sq + m3 * (l2 + le) * (l2 + le) + i2
         for ok, fault in (
                 (tiny <= min(self.masses) and 2.0 * m00 < math.inf, f"masses must each be at "
                  f"least {tiny!r} g, summing below {sys.float_info.max / 2:g} g"),
                 (min(i2, i3) >= 0.0, "link inertias must be non-negative"),
-                (tiny <= m22 < math.inf, f"masses, link_inertias, l_end: pivot m22 = "
-                 f"m3 l_end^2 + i3 = {m22!r} is outside [{tiny!r}, inf)"),
-                (tiny <= low and high < math.inf, f"masses, link_inertias, l2, l_end: pivot "
-                 f"m11 spans [{low!r}, {high!r}], outside [{tiny!r}, inf)"),
+                (m22 < math.inf, f"masses, link_inertias: pivot m22 = m3 L_END^2 + i3 = "
+                 f"{m22!r} overflows"),
+                (high < math.inf, f"masses, link_inertias: pivot m11 = m2 L2^2 + m3 (L2 + "
+                 f"L_END)^2 + i2 = {high!r} at theta3 = 0 overflows"),
                 (m1 >= _KAPPA * (m2 + m3), f"masses: m1 = {m1!r} is below {_KAPPA:g} "
                  f"(m2 + m3), where rounding can take the Schur complement to zero"),
                 (abs(m00 * gz) < math.inf, "gravity, masses: (m1 + m2 + m3) gz overflows"),
-                # the bending joints' loads in r1 and r2, with |a| <= l2 + le and |c|, |s| <= 1
-                ((m2 * l2 + m3 * (l2 + le)) * (abs(gx) + abs(gz)) < math.inf, "gravity, masses, "
-                 "l2, l_end: the theta2 load bound (m2 l2 + m3 (l2 + l_end)) (|gx| + |gz|) "
-                 "overflows"),
-                (m3 * le * (abs(gx) + abs(gy) + abs(gz)) < math.inf, "gravity, masses, l_end: the "
-                 "theta3 load bound m3 l_end (|gx| + |gy| + |gz|) overflows")):
+                # the bending joints' loads in r1 and r2, with |a| <= L2 + L_END, |c|, |s| <= 1
+                ((m2 * l2 + m3 * (l2 + le)) * (abs(gx) + abs(gz)) < math.inf, "gravity, masses: "
+                 "the theta2 load bound (m2 L2 + m3 (L2 + L_END)) (|gx| + |gz|) overflows"),
+                (m3 * le * (abs(gx) + abs(gy) + abs(gz)) < math.inf, "gravity, masses: the "
+                 "theta3 load bound m3 L_END (|gx| + |gy| + |gz|) overflows")):
             if not ok:
                 raise ValueError(fault)
         object.__setattr__(self, "plant", plant)

@@ -2,43 +2,27 @@
 
 Joint vector q = (d1, theta2, theta3): prismatic insertion along the base
 z-axis, a bending joint about the base y-axis, and a distal bending joint
-about the rotated x-axis.  The carried base link l1 and the two bending
-links l2, l_end extend along the successive local z-axes, so at zero
-bending the tip sits at (0, 0, d1 + l1 + l2 + l_end).
+about the rotated x-axis.  The carried base link L1 and the two bending
+links L2, L_END extend along the successive local z-axes, so at zero
+bending the tip sits at (0, 0, d1 + L1 + L2 + L_END).
 
 Lengths in mm, angles in rad.  The module is the chain and its one damped
-solve, in plain floats.
+solve, in plain floats.  The link lengths are constants of the instrument,
+held here once: the plant (dynamics.DynamicParams) and the verify oracles
+read them too, so the controller and the plant cannot disagree.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 # mm, the bound on every length and coordinate, checked where each is built: inside it a
 # coordinate's float spacing (1.2e-10 mm) stays under the 1e-9 mm tolerances
 WORKSPACE_MM = 1e6
 
-
-@dataclass(frozen=True)
-class KinematicParams:
-    """Link lengths [mm] of the instrument.
-
-    A scenario holds its one copy on DynamicParams.kinematics, which folds
-    them into its plant factors; frozen, so those cannot go stale.
-    """
-
-    l1: float = 3.0
-    l2: float = 10.0
-    l_end: float = 17.0
-
-    def __post_init__(self):
-        for name in ("l1", "l2", "l_end"):
-            value = getattr(self, name)
-            if not 0.0 < value <= WORKSPACE_MM:
-                raise ValueError(f"{name} must be positive and finite, at most "
-                                 f"{WORKSPACE_MM:g} mm, got {value!r}")
+# mm, the link lengths of the instrument: carried base, bending link, tip link
+L1, L2, L_END = 3.0, 10.0, 17.0
 
 
 class JointConfig(NamedTuple):
@@ -49,7 +33,7 @@ class JointConfig(NamedTuple):
     theta3: float
 
 
-def tip_kinematics(d1: float, theta2: float, theta3: float, params: KinematicParams):
+def tip_kinematics(d1: float, theta2: float, theta3: float):
     """Tip position [mm] and 3x3 tip Jacobian d(position)/d(q), as float tuples.
 
     The one evaluation of the chain: sim.run calls it once per control step, ScenarioSpec
@@ -58,12 +42,11 @@ def tip_kinematics(d1: float, theta2: float, theta3: float, params: KinematicPar
     """
     c2, s2 = math.cos(theta2), math.sin(theta2)
     c3, s3 = math.cos(theta3), math.sin(theta3)
-    le = params.l_end
-    a = params.l2 + le * c3
-    x = (s2 * a, -le * s3, d1 + params.l1 + c2 * a)
-    J = ((0.0, c2 * a, -s2 * le * s3),
-         (0.0, 0.0, -le * c3),
-         (1.0, -s2 * a, -c2 * le * s3))
+    a = L2 + L_END * c3
+    x = (s2 * a, -L_END * s3, d1 + L1 + c2 * a)
+    J = ((0.0, c2 * a, -s2 * L_END * s3),
+         (0.0, 0.0, -L_END * c3),
+         (1.0, -s2 * a, -c2 * L_END * s3))
     return x, J
 
 

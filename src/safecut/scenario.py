@@ -30,7 +30,7 @@ import numpy as np
 
 from .control import DisturbanceSpec
 from .dynamics import DynamicParams
-from .kinematics import JointConfig, KinematicParams, tip_kinematics
+from .kinematics import JointConfig, tip_kinematics
 from .safety import (CENTRE_TOL, DepthShell, FilterParams, SafeSetSpec, TumorSpec,
                      _finite_point, selected_barrier_values)
 
@@ -221,14 +221,9 @@ class ScenarioSpec:
                 raise ValueError(f"initial.{name} = {v!r} outside the workspace box "
                                  f"[{low:g}, {high:g}]")
         self.safe_set = SafeSetSpec(self.tumors, self.shells)
-        tip, _ = tip_kinematics(*self.initial_q, self.kinematics)
+        tip, _ = tip_kinematics(*self.initial_q)
         self.path = reference_waypoints(self.markings, tip)
         self.validate()
-
-    @property
-    def kinematics(self) -> KinematicParams:
-        """The link lengths, held once on dynamics."""
-        return self.dynamics.kinematics
 
     def run_duration(self) -> float:
         """duration, or the path's time at speed rounded up to the dt grid, plus settle."""
@@ -242,8 +237,7 @@ class ScenarioSpec:
         if not self.markings:
             raise ValueError("a scenario needs at least one marking set")
         waypoints, arcs = self.path
-        placed = ("the initial tip placed by initial.d1, initial.theta2, initial.theta3, "
-                  "kinematics.l1, kinematics.l2, kinematics.l_end")
+        placed = "the initial tip placed by initial.d1, initial.theta2, initial.theta3"
         if not (np.linalg.norm(np.diff(waypoints, axis=0), axis=1) >= _MIN_SEGMENT).any():
             raise ValueError(f"markings: the reference path from the initial tip through the "
                              f"marking points has no segment of {_MIN_SEGMENT:g} mm or longer")
@@ -358,9 +352,6 @@ _SCALAR_KEYS = {
     "initial.d1": ("initial_q.d1", "float"),
     "initial.theta2": ("initial_q.theta2", "float"),
     "initial.theta3": ("initial_q.theta3", "float"),
-    "kinematics.l1": ("dynamics.kinematics.l1", "float"),
-    "kinematics.l2": ("dynamics.kinematics.l2", "float"),
-    "kinematics.l_end": ("dynamics.kinematics.l_end", "float"),
     "dynamics.masses": ("dynamics.masses", "vec"),
     "dynamics.link_inertias": ("dynamics.link_inertias", "vec"),
     "dynamics.gravity": ("dynamics.gravity", "vec"),
@@ -374,11 +365,9 @@ _SCALAR_KEYS = {
     "disturbance.seed": ("disturbance.seed", "int"),
 }
 
-# the config group and class of each nested attribute path above, innermost first
-_NESTED = (("initial_q", "initial", JointConfig),
-           ("dynamics.kinematics", "kinematics", KinematicParams),
-           ("dynamics", "dynamics", DynamicParams), ("filter", "filter", FilterParams),
-           ("disturbance", "disturbance", DisturbanceSpec))
+# the config group and class of each nested attribute path above
+_NESTED = (("initial_q", "initial", JointConfig), ("dynamics", "dynamics", DynamicParams),
+           ("filter", "filter", FilterParams), ("disturbance", "disturbance", DisturbanceSpec))
 
 # indexed families "<prefix>.<N>.<key>":
 # prefix -> (ScenarioSpec list, class, {key: (constructor argument, kind)})
@@ -476,10 +465,13 @@ def load_scenario(text: str, base_id: Optional[int] = None) -> ScenarioSpec:
     """Scenario from config text, overriding catalog defaults field by field.
 
     The base scenario comes from the file's scenario_id key, or base_id when
-    the file does not name one.
+    the file does not name one.  Both given must agree, rather than one silently winning.
     """
     overrides = parse_config(text)
     sid = _parse(overrides, "scenario_id", "int") if "scenario_id" in overrides else base_id
+    if base_id is not None and sid != base_id:
+        raise ValueError(f"scenario_id = {sid} in the config disagrees with base scenario "
+                         f"{base_id} (--scenario)")
     if sid is None:
         raise ValueError("config names no scenario_id and no base scenario given")
     return spec_from_dict({**spec_to_dict(scenario_catalog(sid)), **overrides,

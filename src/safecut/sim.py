@@ -137,7 +137,7 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
     dt = spec.dt
     n = int(round(spec.run_duration() / dt)) + 1
     safe_set = spec.safe_set
-    fp, kin, dyn, dist = spec.filter, spec.kinematics, spec.dynamics, spec.disturbance
+    fp, dyn, dist = spec.filter, spec.dynamics, spec.disturbance
     alpha, k_d, enabled = fp.alpha, spec.k_d, fp.enabled
     columns = len(_csv_columns(safe_set.names))
     log = TrajectoryLog(np.zeros((n, columns)), safe_set.names)
@@ -153,7 +153,7 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
 
     for k, (p_ref, v_ref) in zip(range(n), reference_rows(*spec.path, spec.speed, dt)):
         t = k * dt
-        x, J = tip_kinematics(*q, kin)
+        x, J = tip_kinematics(*q)
         (j00, j01, j02), (j10, j11, j12), (j20, j21, j22) = J
         v1, v2, v3 = qdot
         xdot = (j00 * v1 + j01 * v2 + j02 * v3,

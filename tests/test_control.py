@@ -10,16 +10,14 @@ import pytest
 
 from safecut.control import (DAMPING, DisturbanceSpec, control_law, disturbance,
                              measure_decay_rate, velocity_error)
-from safecut.kinematics import (JointConfig, KinematicParams, damped_least_squares,
-                                tip_kinematics)
+from safecut.kinematics import JointConfig, damped_least_squares, tip_kinematics
 from safecut.scenario import scenario_catalog
 
-KIN = KinematicParams()
 K_D = 8000.0
 
 
 def jacobian(q) -> np.ndarray:
-    return np.array(tip_kinematics(*q, KIN)[1])
+    return np.array(tip_kinematics(*q)[1])
 
 
 def test_zero_error_when_tracking_exactly():

@@ -22,7 +22,7 @@ from safecut import checks, control, dynamics, kinematics, safety, scenario, sim
 from safecut.checks import (coriolis_matrix, gravity_vector, kinetic_energy,
                             mass_matrix, potential_energy)
 from safecut.dynamics import _KAPPA, DynamicParams, forward_dynamics, rk4_step
-from safecut.kinematics import JointConfig, KinematicParams
+from safecut.kinematics import L2, L_END, JointConfig
 
 PARAMS = DynamicParams()
 
@@ -132,22 +132,17 @@ def test_non_finite_angle_is_no_error_of_the_kernel():
                  "masses must each be at least 2.2250738585072014e-308 g", id="subnormal-mass"),
     pytest.param(dict(masses=(1.0, 1.0, 1e308)),
                  "masses must each be at least .* summing below", id="mass-sum-overflows"),
-    pytest.param(dict(masses=(1e306,) * 3), r"masses, link_inertias, l_end: pivot m22 = m3 "
-                 r"l_end\^2 \+ i3 = inf", id="m22-overflows"),
-    pytest.param(dict(masses=(1.0, 1.0, 1e-300), link_inertias=(1.0, 0.0),
-                      kinematics=KinematicParams(3.0, 10.0, 1e-5)), "pivot m22 = .* = 1e-310",
-                 id="m22-subnormal"),
-    pytest.param(dict(masses=(1.0, 1e-300, 1.0), link_inertias=(0.0, 1.0),
-                      kinematics=KinematicParams(3.0, 1e-5, 17.0)),
-                 r"masses, link_inertias, l2, l_end: pivot m11 spans \[1e-310, ",
-                 id="m11-subnormal"),
-    pytest.param(dict(masses=(1.0, 1.0, 1e297), kinematics=KinematicParams(3.0, 1e6, 1.0)),
-                 r"pivot m11 spans \[1000000000002.0, inf\]", id="m11-overflows"),
+    pytest.param(dict(masses=(1e306,) * 3), r"masses, link_inertias: pivot m22 = m3 "
+                 r"L_END\^2 \+ i3 = inf overflows", id="m22-overflows"),
+    # m22 = 289 m3 + i3 stays finite, m11 = 100 m2 + 729 m3 + i2 at theta3 = 0 does not
+    pytest.param(dict(masses=(1.0, 1.0, 5e305)), r"masses, link_inertias: pivot m11 = m2 "
+                 r"L2\^2 \+ m3 \(L2 \+ L_END\)\^2 \+ i2 = inf at theta3 = 0 overflows",
+                 id="m11-overflows"),
     pytest.param(dict(masses=(2e-16, 1.0, 1.0), link_inertias=(0.0, 0.0)),
                  r"masses: m1 = 2e-16 is below 1e-12 \(m2 \+ m3\)", id="schur-complement"),
     pytest.param(dict(gravity=(0.0, 0.0, 1e308)),
                  r"gravity, masses: \(m1 \+ m2 \+ m3\) gz overflows", id="gravity-load"),
-    pytest.param(dict(gravity=(1e308, 0.0, 0.0)), r"gravity, masses, l2, l_end: the theta2 load",
+    pytest.param(dict(gravity=(1e308, 0.0, 0.0)), "gravity, masses: the theta2 load",
                  id="bending-gravity-load"),
 ])
 def test_dynamic_params_refuse_a_plant_the_kernel_cannot_solve(kwargs, message):
@@ -156,9 +151,9 @@ def test_dynamic_params_refuse_a_plant_the_kernel_cannot_solve(kwargs, message):
 
 
 def test_kappa_keeps_the_schur_complement_positive():
-    # m1 exactly at _KAPPA (m2 + m3), no rotor inertia, masses and lengths at the
-    # extremes, angles on the corners where the complement is smallest: at theta2 =
-    # +-pi/2 it is m1 + m2 m3 (l2 - a)^2 / m11, just m1 where a = l2, at theta3 = +-pi/2.
+    # m1 exactly at _KAPPA (m2 + m3), no rotor inertia, masses at the extremes,
+    # angles on the corners where the complement is smallest: at theta2 =
+    # +-pi/2 it is m1 + m2 m3 (L2 - a)^2 / m11, just m1 where a = L2, at theta3 = +-pi/2.
     # With u = (1, 0, 0) and the arm at rest, qdd1 = 1 / S, so 1 / qdd1 reads the
     # kernel's S back to 2u; DynamicParams states the kernel's S within 40u (m1 + m2 + m3)
     # of the identity S = m1 + m2 c2^2 + m3 c2^2 c3^2 + s2^2 m2 m3 (l2 - a)^2 / m11 at its
@@ -167,21 +162,19 @@ def test_kappa_keeps_the_schur_complement_positive():
     angles = [0.0] + [x + k * math.ulp(x) for x in (math.pi / 2, -math.pi / 2)
                       for k in (-3, -1, 0, 1, 3)]
     worst = 0.0
-    for m2, m3, l2, le in itertools.product((1e-6, 1.0, 1e6), (1e-6, 1.0, 1e6),
-                                            (1e-3, 1.0, 1e6), (1e-3, 1.0, 1e6)):
+    for m2, m3 in itertools.product((1e-6, 1.0, 1e6), (1e-6, 1.0, 1e6)):
         m1 = _KAPPA * (m2 + m3)
         params = DynamicParams(masses=(m1, m2, m3), link_inertias=(0.0, 0.0),
-                               gravity=(0.0, 0.0, 0.0), kinematics=KinematicParams(1.0, l2, le))
+                               gravity=(0.0, 0.0, 0.0))
         with pytest.raises(ValueError, match="masses: m1"):
-            DynamicParams(masses=(m1 / 2, m2, m3), link_inertias=(0.0, 0.0),
-                          kinematics=params.kinematics)
-        f1, f2, f3, fl2 = map(Fraction, (m1, m2, m3, l2))
+            DynamicParams(masses=(m1 / 2, m2, m3), link_inertias=(0.0, 0.0))
+        f1, f2, f3, fl2 = map(Fraction, (m1, m2, m3, L2))
         for theta2, theta3 in itertools.product(angles, angles):
             accel = forward_dynamics(theta2, theta3, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, params)
             assert all(map(math.isfinite, accel)) and accel[0] > 0.0
             c2, s2 = Fraction(math.cos(theta2)), Fraction(math.sin(theta2))
             c3 = Fraction(math.cos(theta3))
-            a = Fraction(l2 + le * math.cos(theta3))    # the kernel's rounded lever arm
+            a = Fraction(L2 + L_END * math.cos(theta3))    # the kernel's rounded lever arm
             m11 = f2 * fl2 * fl2 + f3 * a * a
             exact = (f1 + f2 * c2 ** 2 + f3 * c2 ** 2 * c3 ** 2
                      + s2 ** 2 * f2 * f3 * (fl2 - a) ** 2 / m11)
@@ -190,12 +183,10 @@ def test_kappa_keeps_the_schur_complement_positive():
     assert worst <= 40 + 2, worst
 
 
-@pytest.mark.parametrize("params, name", [(DynamicParams(), "masses"),
-                                          (DynamicParams(), "kinematics"),
-                                          (kinematics.KinematicParams(), "l2")])
+@pytest.mark.parametrize("params, name", [(DynamicParams(), "masses")])
 def test_params_are_frozen(params, name):
     # DynamicParams folds its plant factors at construction: a later assignment
-    # to it, or to the link lengths it read, would leave them stale
+    # to it would leave them stale
     with pytest.raises(dataclasses.FrozenInstanceError):
         setattr(params, name, getattr(params, name))
 
@@ -205,7 +196,7 @@ def _unfolded_forward_dynamics(theta2, theta3, v1, v2, v3, u1, u2, u3, params):
     m1, m2, m3 = params.masses
     i2, i3 = params.link_inertias
     gx, gy, gz = params.gravity
-    l2, le = params.kinematics.l2, params.kinematics.l_end
+    l2, le = L2, L_END
     c2, s2 = math.cos(theta2), math.sin(theta2)
     c3, s3 = math.cos(theta3), math.sin(theta3)
     a = l2 + le * c3
@@ -229,16 +220,15 @@ def _unfolded_forward_dynamics(theta2, theta3, v1, v2, v3, u1, u2, u3, params):
 
 
 def test_folded_plant_matches_inline_factors_bit_for_bit(monkeypatch):
-    # m3 != 1, link lengths off their defaults and gx, gy != 0: a reordered
-    # fold such as m3 le would round differently (the catalog's m3 = 1 hides it)
+    # m3 != 1 and gx, gy != 0: a reordered fold such as m3 le would round
+    # differently (the catalog's m3 = 1 hides it)
     rng = np.random.default_rng(31)
     cases = []
     for _ in range(10000):
         m, inertia = rng.uniform(0.1, 10.0, 3), rng.uniform(0.0, 5.0, 2)
-        lengths, gravity = rng.uniform(1.0, 30.0, 3), rng.normal(0.0, 5000.0, 3)
+        gravity = rng.normal(0.0, 5000.0, 3)
         assert m[2] != 1.0 and (gravity[:2] != 0.0).all()
-        params = DynamicParams(masses=m, link_inertias=inertia, gravity=gravity,
-                               kinematics=kinematics.KinematicParams(*lengths.tolist()))
+        params = DynamicParams(masses=m, link_inertias=inertia, gravity=gravity)
         q = (float(rng.uniform(0.0, 50.0)), *rng.uniform(-1.5, 1.5, 2).tolist())
         cases.append((params, q, tuple(rng.normal(0.0, 2.0, 3).tolist()),
                       tuple(rng.normal(0.0, 1e4, 3).tolist())))

@@ -8,10 +8,7 @@ import numpy as np
 import pytest
 
 from safecut.control import velocity_error
-from safecut.kinematics import (JointConfig, KinematicParams, damped_least_squares,
-                                tip_kinematics)
-
-KIN = KinematicParams()
+from safecut.kinematics import JointConfig, damped_least_squares, tip_kinematics
 
 
 def damped_pseudo_inverse(J, damping: float) -> np.ndarray:
@@ -21,11 +18,11 @@ def damped_pseudo_inverse(J, damping: float) -> np.ndarray:
 
 
 def position(q) -> np.ndarray:
-    return np.array(tip_kinematics(*q, KIN)[0])
+    return np.array(tip_kinematics(*q)[0])
 
 
 def jacobian(q) -> np.ndarray:
-    return np.array(tip_kinematics(*q, KIN)[1])
+    return np.array(tip_kinematics(*q)[1])
 
 
 def test_straight_configuration():
@@ -56,12 +53,7 @@ def test_joint_config_array_round_trip():
     q = JointConfig(3.0, 0.2, -0.4)
     assert q == (3.0, 0.2, -0.4)
     assert JointConfig(*np.array(q)) == q
-    assert tip_kinematics(*np.array(q), KIN) == tip_kinematics(*q, KIN)
-
-
-def test_positive_lengths_enforced():
-    with pytest.raises(ValueError):
-        KinematicParams(l2=-1.0)
+    assert tip_kinematics(*np.array(q)) == tip_kinematics(*q)
 
 
 def test_damped_pseudo_inverse_reconstructs_velocity():
@@ -80,14 +72,8 @@ def test_damped_pseudo_inverse_reconstructs_velocity():
 def test_damping_keeps_singularity_finite():
     # theta2 = pi/2 lays the arm flat: insertion and pitch both move the tip
     # along x, rank drops to 2
-    _, J = tip_kinematics(0.0, math.pi / 2, 0.0, KIN)
+    _, J = tip_kinematics(0.0, math.pi / 2, 0.0)
     assert np.linalg.matrix_rank(J) == 2
     for e in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0), (0.0, 0.0, 1.0)):
         assert all(map(math.isfinite, velocity_error(J, e, (0.0, 0.0, 0.0))))
 
-
-@pytest.mark.parametrize("name", ["l1", "l2", "l_end"])
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), 0.0])
-def test_kinematic_params_reject_non_finite(name, value):
-    with pytest.raises(ValueError, match=name):
-        KinematicParams(**{name: value})

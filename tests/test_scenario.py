@@ -13,7 +13,8 @@ import pytest
 
 from safecut import scenario, sim
 from safecut.checks import mass_matrix
-from safecut.kinematics import WORKSPACE_MM, JointConfig, KinematicParams, tip_kinematics
+from safecut.dynamics import DynamicParams
+from safecut.kinematics import L1, L2, L_END, WORKSPACE_MM, JointConfig, tip_kinematics
 from safecut.safety import DepthShell, SafeSetSpec, TumorSpec, selected_barrier_values
 from safecut.scenario import (SCENARIO_IDS, MarkingSet, ScenarioSpec,
                               generate_marking_points, inject_unsafe_points,
@@ -146,10 +147,10 @@ def test_catalog_ids_and_geometry():
 def test_catalog_initial_tip_positions():
     for sid in (1, 2, 3):
         spec = scenario_catalog(sid)
-        tip, _ = tip_kinematics(*spec.initial_q, spec.kinematics)
+        tip, _ = tip_kinematics(*spec.initial_q)
         np.testing.assert_allclose(tip, [0.0, 0.0, 43.0], atol=1e-12)
     s4 = scenario_catalog(4)
-    tip, _ = tip_kinematics(*s4.initial_q, s4.kinematics)
+    tip, _ = tip_kinematics(*s4.initial_q)
     np.testing.assert_allclose(tip, [0.0, 0.0, 36.7], atol=1e-12)
     # outside the depth shell, so the gate starts disengaged
     assert math.dist(tip, s4.shells[0].center) > s4.shells[0].outer_radius
@@ -157,10 +158,10 @@ def test_catalog_initial_tip_positions():
 
 def test_validate_rejects_bad_geometry():
     spec = scenario_catalog(1)
-    # bend the tip onto the tumor centre: y = -l_end sin(theta3), z via d1
-    theta3 = math.asin(-6.0 / 17.0)
-    d1 = 30.0 - 3.0 - (10.0 + 17.0 * math.cos(theta3))
-    tip, _ = tip_kinematics(d1, 0.0, theta3, spec.kinematics)
+    # bend the tip onto the tumor centre: y = -L_END sin(theta3), z via d1
+    theta3 = math.asin(-6.0 / L_END)
+    d1 = 30.0 - L1 - (L2 + L_END * math.cos(theta3))
+    tip, _ = tip_kinematics(d1, 0.0, theta3)
     assert selected_barrier_values(tip, spec.safe_set, 0)[0][0] < 0.0
     # construction is the gate: each replace below raises before a spec exists
     with pytest.raises(ValueError, match="tumor.0: keep-out sphere holds the initial tip placed "
@@ -262,9 +263,6 @@ def test_timing_parameters_rejected_by_name(name, value):
 
 # site -> the object built with one length or coordinate set to the value
 WORKSPACE_SITES = {
-    "l1": lambda v: KinematicParams(l1=v),
-    "l2": lambda v: KinematicParams(l2=v),
-    "l_end": lambda v: KinematicParams(l_end=v),
     "tumor centre": lambda v: TumorSpec((0.0, 0.0, v), 4.0),
     "margin": lambda v: TumorSpec((0.0, 6.0, 30.0), v),
     "shell centre": lambda v: DepthShell((-v, 0.0, 0.0), 7.0),
@@ -314,7 +312,6 @@ def test_config_keys_cover_every_spec_field_once():
 NON_DEFAULT = {
     "scenario_id": "3", "dt": "0.0005", "speed": "2.5", "settle": "0.75", "duration": "12.25",
     "initial.d1": "12.5", "initial.theta2": "0.125", "initial.theta3": "-0.25",
-    "kinematics.l1": "3.5", "kinematics.l2": "12.0", "kinematics.l_end": "16.5",
     "dynamics.masses": "2.5, 1.25, 0.75", "dynamics.link_inertias": "2.5, 1.5",
     "dynamics.gravity": "1.0, -2.0, -9000.0",
     "filter.alpha": "0.9", "filter.activation_gate": "true", "filter.enabled": "false",
@@ -334,12 +331,13 @@ def test_config_round_trip_of_non_default_values():
 
 
 def test_link_lengths_held_once():
-    base = scenario_catalog(1)
-    spec = replace(base, dynamics=replace(base.dynamics, kinematics=KinematicParams(l2=12.0)))
-    assert spec.kinematics.l2 == 12.0
+    # kinematics holds the instrument's lengths: the tip the controller reads and the
+    # plant's mass matrix both use them, and no config key sets them
+    assert tip_kinematics(0.0, 0.0, 0.0)[0] == (0.0, 0.0, L1 + L2 + L_END)
+    params = DynamicParams()
     q = JointConfig(13.0, 0.3, 0.2)
-    _, m2, m3 = spec.dynamics.masses
-    a = 12.0 + spec.kinematics.l_end * math.cos(q.theta3)
-    expected = m2 * 12.0 ** 2 + m3 * a * a + spec.dynamics.link_inertias[0]
-    assert mass_matrix(q, spec.dynamics)[1, 1] == pytest.approx(expected, rel=1e-12)
-    assert load_scenario("scenario_id = 1\nkinematics.l2 = 12.0\n").dynamics.kinematics.l2 == 12.0
+    _, m2, m3 = params.masses
+    a = L2 + L_END * math.cos(q.theta3)
+    expected = m2 * L2 ** 2 + m3 * a * a + params.link_inertias[0]
+    assert mass_matrix(q, params)[1, 1] == pytest.approx(expected, rel=1e-12)
+    assert not [key for key in spec_to_dict(scenario_catalog(1)) if key.startswith("kinematics")]

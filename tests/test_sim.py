@@ -70,7 +70,7 @@ def test_log_shapes_and_time_grid(small_run):
 def test_log_positions_consistent_with_joints(small_run):
     spec, log = small_run
     for k in (0, len(log) // 2, len(log) - 1):
-        x, _ = tip_kinematics(*log.q[k], spec.kinematics)
+        x, _ = tip_kinematics(*log.q[k])
         np.testing.assert_allclose(x, log.x[k], atol=1e-12)
 
 
@@ -290,7 +290,7 @@ def test_tip_on_a_barrier_centre_fails_only_a_filter_row(barrier):
     for enabled in (True, False):
         spec = _small_spec(filter=FilterParams(activation_gate=True, enabled=enabled),
                            duration=0.05)
-        tip, _ = tip_kinematics(*spec.initial_q, spec.kinematics)
+        tip, _ = tip_kinematics(*spec.initial_q)
         if barrier == "tumor0":
             spec.safe_set, h0 = SafeSetSpec([TumorSpec(tip, 4.0)], []), -4.0
         else:

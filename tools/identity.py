@@ -16,7 +16,8 @@ The manifest:
   csv,plotdata,report` for N = 1-4, and of the sweeps `--alpha 0.2,0.4,0.8`
   on catalog 1 and `--alpha 0.4,0.8,1.5` on catalog 4;
 - the stdout and exit code of `safecut verify`, default and `--seed 100
-  --qp-instances 40000`.
+  --qp-instances 40000`;
+- the saved config text, scenario_to_config, of catalog 1-4.
 
 Each tree's process streams its outputs as frames, a JSON header line and the
 payload bytes, and the two streams are compared as they arrive, so no log is
@@ -88,6 +89,12 @@ def _entries(tree: Path):
                     yield name, "text", (Path(tmp) / name).read_bytes(), {}
         return make
 
+    def config(n):
+        def make():
+            text = scenario.scenario_to_config(scenario.scenario_catalog(n))
+            yield "text", "text", text.encode(), {}
+        return make
+
     builds = [(f"catalog {n}", lambda n=n: scenario.scenario_catalog(n)) for n in CATALOG]
     builds += [(f"seed {s} spec {i}", lambda s=s, i=i: worker.seeded_specs(s, SEEDED_DURATION_S)[i])
                for s in SEEDS for i in range(SEEDED_SPECS)]
@@ -96,6 +103,8 @@ def _entries(tree: Path):
             yield f"{label}, filter {state}", logged(build, enabled)
     for argv in COMMANDS:
         yield "safecut " + " ".join(argv), command(argv)
+    for n in CATALOG:
+        yield f"catalog {n}, config", config(n)
 
 
 def _emit_manifest(tree: Path) -> None:
