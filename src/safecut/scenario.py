@@ -38,7 +38,6 @@ _UNSAFE_DEPTH = 1.5          # mm inside the keep-out sphere
 _MARKING_COUNT = 8
 _MARKING_PLANE = (0.0, 0.0, 1.0)
 _MIN_SEGMENT = 1e-12         # mm: a shorter reference segment has no direction
-_LOG_COLUMNS = 30            # a run's log columns (sim.TrajectoryLog) besides one per barrier
 
 # joint -> (low, high) in JointConfig order: an initial joint's box, checked before the
 # initial tip is placed; not enforced by the plant, and the verify suites draw from it
@@ -187,7 +186,8 @@ class ScenarioSpec:
     initial_q is the joint position at t = 0 (config keys initial.d1, initial.theta2,
     initial.theta3); the run starts there at rest.
     Construction, dataclasses.replace included, builds the barrier table safe_set and
-    the reference path (waypoints, arcs) from the initial tip, then runs validate().
+    the reference path (waypoints, arcs) from the initial tip, then runs validate(),
+    which also sets steps, the run's log rows.
     """
 
     scenario_id: int
@@ -208,6 +208,7 @@ class ScenarioSpec:
     duration: Optional[float] = None       # None: reference duration + settle
     safe_set: SafeSetSpec = field(init=False, repr=False, compare=False)
     path: tuple = field(init=False, repr=False, compare=False)
+    steps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for key, value in (("dt", self.dt), ("speed", self.speed), ("settle", self.settle),
@@ -225,15 +226,10 @@ class ScenarioSpec:
         self.path = reference_waypoints(self.markings, tip)
         self.validate()
 
-    def run_duration(self) -> float:
-        """duration, or the path's time at speed rounded up to the dt grid, plus settle."""
-        if self.duration is not None:
-            return self.duration
-        return reference_steps(float(self.path[1][-1]), self.speed, self.dt) * self.dt + self.settle
-
     def validate(self):
         """Checks across parts of the scenario; raises ValueError.  Each length, coordinate and
         initial joint was bounded where built (WORKSPACE_MM, JOINT_BOX), so the path is finite."""
+        from .sim import _csv_columns     # the log's layout; sim imports this module
         if not self.markings:
             raise ValueError("a scenario needs at least one marking set")
         waypoints, arcs = self.path
@@ -241,17 +237,22 @@ class ScenarioSpec:
         if not (np.linalg.norm(np.diff(waypoints, axis=0), axis=1) >= _MIN_SEGMENT).any():
             raise ValueError(f"markings: the reference path from the initial tip through the "
                              f"marking points has no segment of {_MIN_SEGMENT:g} mm or longer")
-        # the reference's step count first: run_duration rounds it up to an int
+        # the run's log rows: duration, or the reference's steps times dt plus settle, over dt,
+        # and t = 0; the reference's count is checked first, since reference_steps rounds it up
         steps = float(arcs[-1]) / self.speed / self.dt
-        steps = self.run_duration() / self.dt if math.isfinite(steps) else steps
-        columns = _LOG_COLUMNS + len(self.safe_set.names)
+        if math.isfinite(steps):
+            steps = (self.duration if self.duration is not None else
+                     reference_steps(float(arcs[-1]), self.speed, self.dt) * self.dt
+                     + self.settle) / self.dt
+        columns = len(_csv_columns(self.safe_set.names))
         if not (steps + 1.0) * columns * 8.0 <= np.iinfo(np.intp).max:    # inf steps too
             end = "settle" if self.duration is None else "duration"
             raise ValueError(f"dt = {self.dt!r}, speed = {self.speed!r}, {end} = "
                              f"{getattr(self, end)!r}: {steps + 1.0:.3g} steps x {columns} "
                              "float64 log columns are more than one array can address")
+        self.steps = round(steps) + 1
         # control.disturbance's phase at the run's last logged t: finite there, finite before
-        dist, t = self.disturbance, round(steps) * self.dt
+        dist, t = self.disturbance, (self.steps - 1) * self.dt
         if dist.waveform == "sinusoid" and not math.isfinite(2.0 * math.pi * dist.frequency * t):
             raise ValueError(f"disturbance.frequency = {dist.frequency!r}: the sinusoid's phase "
                              f"2 pi frequency t is not finite at the run's last t = {t!r} s")

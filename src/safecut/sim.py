@@ -87,8 +87,8 @@ def _with_column_views(cls):
 class TrajectoryLog:
     """Per-step record of one run: one row of data per control step.
 
-    data is the (steps, 30 + barriers) float table the run writes and the CSV
-    holds, in _csv_columns order.  Its column views are the fields t (steps,),
+    data is the float table the run writes and the CSV holds, with the columns
+    of _csv_columns.  Its column views are the fields t (steps,),
     the 3-vectors q through edot (steps, 3), h (steps, barriers), one column
     per barrier named in barrier_names, tumors first then shells, and the
     filter's active-row count active_rows and its engagement flag gate (1.0
@@ -134,9 +134,7 @@ def run(spec: ScenarioSpec) -> TrajectoryLog:
     controller reuses the step's Jacobian, and the step is one row of the log.
     Raises PlantDivergedError when the joint state stops being finite.
     """
-    dt = spec.dt
-    n = int(round(spec.run_duration() / dt)) + 1
-    safe_set = spec.safe_set
+    dt, n, safe_set = spec.dt, spec.steps, spec.safe_set
     fp, dyn, dist = spec.filter, spec.dynamics, spec.disturbance
     alpha, k_d, enabled = fp.alpha, spec.k_d, fp.enabled
     columns = len(_csv_columns(safe_set.names))
@@ -201,8 +199,8 @@ def _cut_measures(log: TrajectoryLog, spec: ScenarioSpec):
     waypoints of its first point and of its return there, on spec.path.
     Turns is the angle the tip sweeps about the loop's tumor centre c, in
     the best-fit plane of the loop's points, over 2 pi: 0 for an empty
-    window, nan if they span no plane.  The excess ||x - c|| - margin [mm]
-    is (p50, p95, max), nan if empty.
+    window, nan if they span no plane.  The excess is the loop tumor's logged
+    h, ||x - c|| - margin [mm], as (p50, p95, max), nan if empty.
     """
     turns, excess = [], []
     _, arcs = spec.path
@@ -219,7 +217,7 @@ def _cut_measures(log: TrajectoryLog, spec: ScenarioSpec):
         angle = np.unwrap(np.arctan2(r @ e2, r @ e1))
         turns.append(float(np.diff(angle).sum()) / math.tau
                      if np.linalg.matrix_rank(rel) > 1 else math.nan)
-        dist = np.linalg.norm(r, axis=1) - tumor.margin
+        dist = log.h[start:stop, ms.tumor_index]     # tumors come first in the barrier table
         excess.append((*np.percentile(dist, (50, 95)).tolist(), float(dist.max()))
                       if dist.size else (math.nan,) * 3)
     return turns, excess

@@ -180,10 +180,10 @@ def test_validate_rejects_bad_geometry():
 def test_duration_override():
     spec = scenario_catalog(1)
     _, arcs = spec.path
-    # the path's time at speed, rounded up to the dt grid, plus settle
-    assert 0.0 <= spec.run_duration() - (arcs[-1] / spec.speed + spec.settle) < spec.dt
+    # the path's time at speed, rounded up to the dt grid, plus settle, and the t = 0 row
+    assert 0.0 <= (spec.steps - 1) * spec.dt - (arcs[-1] / spec.speed + spec.settle) < spec.dt
     fixed = replace(spec, duration=3.0)
-    assert fixed.run_duration() == 3.0
+    assert fixed.steps == 3001
     assert len(sim.run(fixed)) == 3001
 
 
@@ -197,7 +197,7 @@ def test_one_path_per_spec(monkeypatch):
     # replace constructs a new spec, which places its own path
     fixed = replace(spec, duration=0.05)
     assert len(calls) == 2
-    # the auto duration, the validation and the run read the path built at construction
+    # the step count, the validation and the run read the path built at construction
     spec.validate()
     assert len(sim.run(spec)) == 20252
     sim.run(fixed)
@@ -208,7 +208,7 @@ def test_one_path_per_spec(monkeypatch):
 def test_run_step_counts(sid, steps):
     # the reference's end on the dt grid plus 1 s of settling, and the t = 0 step
     spec = scenario_catalog(sid)
-    assert int(round(spec.run_duration() / spec.dt)) + 1 == steps
+    assert spec.steps == steps
 
 
 def test_config_round_trip():

@@ -10,9 +10,9 @@ from itertools import islice
 import numpy as np
 import pytest
 
-from safecut import control, safety, scenario, sim
+from safecut import control, safety, sim
 from safecut.control import DisturbanceSpec
-from safecut.dynamics import DynamicParams
+from safecut.dynamics import DynamicParams, rk4_step
 from safecut.kinematics import JointConfig, tip_kinematics
 from safecut.safety import DepthShell, FilterParams, SafeSetSpec, TumorSpec
 from safecut.scenario import (MarkingSet, ScenarioSpec, generate_marking_points,
@@ -131,6 +131,35 @@ def test_logged_sinusoid_disturbance_matches_numpy_form():
     assert np.abs(log.d).max() > 0.5 * amp.max()
 
 
+def test_each_logged_step_is_wired_to_its_neighbours():
+    # from the log alone, bit for bit: row k's tip and velocity error from its q, its input
+    # from that edot, and row k + 1's state one RK4 step on from row k with d added to u
+    dist = DisturbanceSpec(waveform="sinusoid", amplitude=(80.0, 150.0, 120.0), frequency=1.5,
+                           seed=5)
+    spec = replace(scenario_catalog(4), duration=2.0, disturbance=dist)
+    log = sim.run(spec)
+    q, qdot, xdot, xdot_safe, u, d, edot = (getattr(log, f).tolist() for f in
+                                            ("q", "qdot", "xdot", "xdot_safe", "u", "d", "edot"))
+    x_k, edot_k, u_k, next_q, next_qdot = ([] for _ in range(5))
+    for k in range(len(log)):
+        x, J = tip_kinematics(*q[k])
+        x_k.append(x)
+        edot_k.append(control.velocity_error(J, xdot[k], xdot_safe[k]))
+        u_k.append(control.control_law(edot[k], spec.k_d))
+        q1, qdot1 = rk4_step(q[k], qdot[k], [a + b for a, b in zip(u[k], d[k])], spec.dt,
+                             spec.dynamics)
+        next_q.append(q1)
+        next_qdot.append(qdot1)
+
+    def differ(expected, logged):    # per row, compared as bit patterns
+        return (np.array(expected).view(np.uint64) != logged.copy().view(np.uint64)).any(axis=1)
+
+    bad = differ(x_k, log.x) | differ(edot_k, log.edot) | differ(u_k, log.u)
+    bad[:-1] |= differ(next_q[:-1], log.q[1:]) | differ(next_qdot[:-1], log.qdot[1:])
+    assert len(log) == 2001 and log.gate.any() and np.abs(log.d).max() > 50.0
+    assert not bad.any(), f"{bad.sum()} of {len(log)} rows mismatch, first {np.argmax(bad)}"
+
+
 def test_inactive_steps_pass_desired_velocity_through(small_run):
     _, log = small_run
     idle = log.active_rows == 0
@@ -193,8 +222,8 @@ def _circle_log(spec, radius, sweep):
     """Hand-built log on spec's reference timing: t0 is the time spec.path
     reaches the loop's first point.  The tip rests at angle 0 on a circle
     about TUMOR's centre in the marking plane, sweeps `sweep` rad between
-    t0 + 0.5 s and t0 + 1.5 s, then rests again until t0 + 3 s.  Every
-    column but t and x is zero."""
+    t0 + 0.5 s and t0 + 1.5 s, then rests again until t0 + 3 s.  h is
+    TUMOR's barrier value at x; every other column is zero."""
     t0 = spec.path[1][1] / spec.speed
     t = np.arange(round((t0 + 3.0) / spec.dt) + 1) * spec.dt
     angle = sweep * np.clip(t - t0 - 0.5, 0.0, 1.0)
@@ -202,6 +231,7 @@ def _circle_log(spec, radius, sweep):
     log.t[:] = t
     log.x[:] = TUMOR.center + radius * np.stack(
         [np.cos(angle), np.sin(angle), np.zeros_like(t)], axis=1)
+    log.h[:, 0] = np.linalg.norm(log.x - TUMOR.center, axis=1) - TUMOR.margin
     return log
 
 
@@ -304,12 +334,6 @@ def test_tip_on_a_barrier_centre_fails_only_a_filter_row(barrier):
             assert log.h[0, 0] == h0 and not log.gate.any()
 
 
-def test_log_size_check_counts_the_log_layout():
-    # ScenarioSpec refuses a log no array can address by counting the log's
-    # columns; its count is the layout the run writes, less one per barrier
-    assert scenario._LOG_COLUMNS == len(sim._csv_columns([]))
-
-
 def test_csv_round_trip_exact(small_run, tmp_path):
     _, log = small_run
     path = tmp_path / "run.csv"
@@ -318,9 +342,8 @@ def test_csv_round_trip_exact(small_run, tmp_path):
     for field in ("t", "q", "qdot", "x", "xdot", "xdot_des", "xdot_safe",
                   "u", "d", "edot", "h", "active_rows", "gate"):
         np.testing.assert_array_equal(getattr(log, field), getattr(back, field))
-    # 30 columns plus one per barrier, the width ScenarioSpec's log-size check counts
+    # 30 columns plus one per barrier
     assert back.data.shape == log.data.shape == (len(log), 30 + len(log.barrier_names))
-    assert scenario._LOG_COLUMNS == 30
     assert back.data.tobytes() == log.data.tobytes()
     assert back.barrier_names == log.barrier_names
     second = tmp_path / "run2.csv"

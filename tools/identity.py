@@ -10,8 +10,9 @@ exits 0 only when every line is `same`.
 
 The manifest:
 - the log data of sim.run(spec) and the repr of sim.summarize, filter on and
-  off, for catalog 1-4 and the specs of bench/worker.seeded_specs, seeds
-  100-109 at the loop-filtered workload's 10 s;
+  off, for catalog 1-4, the specs of bench/worker.seeded_specs, seeds
+  100-109 at the loop-filtered workload's 10 s, and the specs the
+  loop-export workload runs, seeds 100-109, each with a sinusoid disturbance;
 - the files, stdout and exit code of `safecut run --scenario N --emit
   csv,plotdata,report` for N = 1-4, and of the sweeps `--alpha 0.2,0.4,0.8`
   on catalog 1 and `--alpha 0.4,0.8,1.5` on catalog 4;
@@ -89,6 +90,11 @@ def _entries(tree: Path):
                     yield name, "text", (Path(tmp) / name).read_bytes(), {}
         return make
 
+    def export_spec(seed, i):
+        # LoopExport writes each spec's config file into its directory
+        with tempfile.TemporaryDirectory() as tmp:
+            return worker.LoopExport(seed, False, Path(tmp)).items[i][0]
+
     def config(n):
         def make():
             text = scenario.scenario_to_config(scenario.scenario_catalog(n))
@@ -97,6 +103,8 @@ def _entries(tree: Path):
 
     builds = [(f"catalog {n}", lambda n=n: scenario.scenario_catalog(n)) for n in CATALOG]
     builds += [(f"seed {s} spec {i}", lambda s=s, i=i: worker.seeded_specs(s, SEEDED_DURATION_S)[i])
+               for s in SEEDS for i in range(SEEDED_SPECS)]
+    builds += [(f"loop-export seed {s} spec {i}", lambda s=s, i=i: export_spec(s, i))
                for s in SEEDS for i in range(SEEDED_SPECS)]
     for label, build in builds:
         for state, enabled in (("on", True), ("off", False)):
