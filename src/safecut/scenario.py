@@ -1,9 +1,9 @@
 """Scenario catalog: tumors, marking points, reference paths, configuration.
 
 A scenario bundles everything one closed-loop run needs.  Marking points sit
-on the cutting margin of a tumor; a subset can be re-marked as unsafe by
-pushing them radially inside a keep-out sphere, which is how erroneous
-markings are modelled.  The reference trajectory interpolates the marking
+on the cutting margin of a tumor; an erroneous marking is modelled by pushing
+a point radially inside a keep-out sphere, and a point is unsafe exactly when
+it lies inside one.  The reference trajectory interpolates the marking
 points at constant speed after an approach segment from the initial tip
 position.
 
@@ -22,7 +22,7 @@ disturbance studies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import Optional
 
@@ -38,6 +38,7 @@ _UNSAFE_DEPTH = 1.5          # mm inside the keep-out sphere
 _MARKING_COUNT = 8
 _MARKING_PLANE = (0.0, 0.0, 1.0)
 _MIN_SEGMENT = 1e-12         # mm: a shorter reference segment has no direction
+_ON_MARGIN = 1e-9            # mm: a marking within this of a margin lies on it
 
 # joint -> (low, high) in JointConfig order: an initial joint's box, checked before the
 # initial tip is placed; not enforced by the plant, and the verify suites draw from it
@@ -64,13 +65,14 @@ SCENARIO_IDS = tuple(_CATALOG)
 class MarkingSet:
     """Marking points of one cutting loop.
 
-    points: (m, 3) positions [mm]; unsafe: boolean flags per point;
-    tumor_index: which tumor of the scenario the loop belongs to.
+    points: (m, 3) positions [mm]; tumor_index: which tumor of the scenario the
+    loop belongs to.  unsafe, a boolean per point, is derived from the geometry:
+    the ScenarioSpec that holds the loop sets it in validate(); None before.
     """
 
     points: np.ndarray
-    unsafe: np.ndarray
     tumor_index: int = 0
+    unsafe: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -79,12 +81,6 @@ class MarkingSet:
                              f"got shape {self.points.shape}")
         for k, p in enumerate(self.points):
             _finite_point(p, f"point {k}")
-        unsafe = np.asarray(self.unsafe).reshape(-1)
-        if not np.isin(unsafe, (0, 1)).all():
-            raise ValueError(f"unsafe flags must be 0 or 1, got {unsafe.tolist()}")
-        self.unsafe = unsafe.astype(bool)
-        if len(self.unsafe) != len(self.points):
-            raise ValueError("unsafe flags must match point count")
 
 
 def generate_marking_points(tumor: TumorSpec, count: int, plane_normal) -> MarkingSet:
@@ -109,7 +105,7 @@ def generate_marking_points(tumor: TumorSpec, count: int, plane_normal) -> Marki
     pts = (tumor.center[None, :]
            + tumor.margin * (np.cos(angles)[:, None] * e1[None, :]
                              + np.sin(angles)[:, None] * e2[None, :]))
-    return MarkingSet(pts, np.zeros(count, dtype=bool))
+    return MarkingSet(pts)
 
 
 def inject_unsafe_points(ms: MarkingSet, intrusions: list) -> MarkingSet:
@@ -117,11 +113,10 @@ def inject_unsafe_points(ms: MarkingSet, intrusions: list) -> MarkingSet:
 
     intrusions: (index, target_tumor, depth) tuples.  Each listed point is
     moved radially toward the target centre until its barrier value there
-    equals -depth, and flagged unsafe.  depth must lie strictly inside the
+    equals -depth, which makes it unsafe.  depth must lie strictly inside the
     target margin.
     """
     pts = ms.points.copy()
-    flags = ms.unsafe.copy()
     for index, target, depth in intrusions:
         if not 0 <= index < len(pts):
             raise ValueError(f"marking index {index} out of range")
@@ -132,8 +127,7 @@ def inject_unsafe_points(ms: MarkingSet, intrusions: list) -> MarkingSet:
         if dist < 1e-9:
             raise ValueError("marking point coincides with the target centre")
         pts[index] = target.center + (target.margin - depth) * (offset / dist)
-        flags[index] = True
-    return MarkingSet(pts, flags, ms.tumor_index)
+    return MarkingSet(pts, ms.tumor_index)
 
 
 def reference_waypoints(markings: list, approach_from) -> tuple:
@@ -185,9 +179,10 @@ class ScenarioSpec:
 
     initial_q is the joint position at t = 0 (config keys initial.d1, initial.theta2,
     initial.theta3); the run starts there at rest.
-    Construction, dataclasses.replace included, builds the barrier table safe_set and
-    the reference path (waypoints, arcs) from the initial tip, then runs validate(),
-    which also sets steps, the run's log rows.
+    Construction, dataclasses.replace included, copies the marking loops, builds the
+    barrier table safe_set and the reference path (waypoints, arcs) from the initial tip,
+    then runs validate(), which also sets steps, the run's log rows, and each copied
+    loop's unsafe flags.
     """
 
     scenario_id: int
@@ -222,6 +217,8 @@ class ScenarioSpec:
                 raise ValueError(f"initial.{name} = {v!r} outside the workspace box "
                                  f"[{low:g}, {high:g}]")
         self.safe_set = SafeSetSpec(self.tumors, self.shells)
+        # own copies: validate writes their unsafe flags, and others may hold the loops given
+        self.markings = [replace(ms) for ms in self.markings]
         tip, _ = tip_kinematics(*self.initial_q)
         self.path = reference_waypoints(self.markings, tip)
         self.validate()
@@ -265,20 +262,21 @@ class ScenarioSpec:
         for j, ((_, _, _, r, _), hj) in enumerate(zip(safe_set.barriers[nt:], h[nt:])):
             if r - hj < CENTRE_TOL:
                 raise ValueError(f"shell.{j}: centre is within {CENTRE_TOL:g} mm of {placed}")
+        # a point is unsafe where it intrudes some keep-out sphere; a safe one lies on its
+        # own tumor's cutting margin.  With no tumor every point is safe
+        for ms in self.markings:
+            ms.unsafe = np.zeros(len(ms.points), dtype=bool)
         if not self.tumors:
             return
         for i, ms in enumerate(self.markings):
             if not 0 <= ms.tumor_index < nt:
                 raise ValueError(f"marking.{i}.tumor = {ms.tumor_index} names no tumor")
-            for k, (p, bad) in enumerate(zip(ms.points, ms.unsafe)):
+            for k, p in enumerate(ms.points):
                 h = selected_barrier_values(p, safe_set, False)[0][:nt]
-                if bad:
-                    if min(h) >= 0.0:
-                        raise ValueError(f"marking.{i} point {k} is flagged unsafe but "
-                                         "intrudes no keep-out sphere")
-                elif abs(h[ms.tumor_index]) > 1e-9:
-                    raise ValueError(f"marking.{i} point {k} is flagged safe but lies off the "
-                                     f"cutting margin of tumor.{ms.tumor_index}")
+                ms.unsafe[k] = min(h) < -_ON_MARGIN
+                if not ms.unsafe[k] and abs(h[ms.tumor_index]) > _ON_MARGIN:
+                    raise ValueError(f"marking.{i} point {k} intrudes no keep-out sphere and lies "
+                                     f"off the cutting margin of tumor.{ms.tumor_index}")
 
 
 def scenario_catalog(scenario_id: int) -> ScenarioSpec:
@@ -339,8 +337,6 @@ _KINDS = {
     "vec": (_fmt_vec, _parse_vec),
     "points": (lambda pts: "; ".join(_fmt_vec(p) for p in pts),
                lambda text: np.array([_parse_vec(p) for p in text.split(";")])),
-    "flags": (lambda flags: ", ".join("1" if u else "0" for u in flags),
-              lambda text: np.array([int(u) for u in text.split(",")])),
 }
 
 # config key -> (attribute path on ScenarioSpec, kind), in file order
@@ -378,8 +374,7 @@ _FAMILIES = {
     "shell": ("shells", DepthShell, {"center": ("center", "vec"),
                                      "outer_radius": ("outer_radius", "float")}),
     "marking": ("markings", MarkingSet, {"tumor": ("tumor_index", "int"),
-                                         "points": ("points", "points"),
-                                         "unsafe": ("unsafe", "flags")}),
+                                         "points": ("points", "points")}),
 }
 
 

@@ -305,7 +305,9 @@ def export_plot_data(log: TrajectoryLog, spec: ScenarioSpec, out_dir) -> list:
     path: actual trajectory, the reference waypoints of spec.path (from the
     initial tip) with the time the reference reaches each, marking points
     with their unsafe flag, and boundary circles (cutting margins and depth
-    shells) sampled in the marking plane.  barrier: every barrier value over time.
+    shells), each sampled in the horizontal plane z = const through its
+    barrier's centre, which is a loop's marking plane only when the loop lies
+    at that centre's z.  barrier: every barrier value over time.
     velocity: desired, safe and actual tip velocity components.
     """
     out = Path(out_dir)

@@ -204,8 +204,7 @@ GAP0_CONFIG = (
     "marking.0.points = 4.0, 6.0, 30.0; 2.8284271247461903, 8.82842712474619, 30.0; "
     "1.5308084989341916e-16, 8.5, 30.0; -2.82842712474619, 8.82842712474619, 30.0; "
     "-2.5, 6.000000000000001, 30.0; -2.8284271247461907, 3.17157287525381, 30.0; "
-    "0.0, 2.0, 30.0; 2.8284271247461894, 3.1715728752538093, 30.0\n"
-    "marking.0.unsafe = 0, 0, 1, 0, 1, 0, 0, 0\n")
+    "0.0, 2.0, 30.0; 2.8284271247461894, 3.1715728752538093, 30.0\n")
 
 
 def test_close_proximity_crease_stays_safe(tmp_path, capsys):
@@ -230,8 +229,7 @@ def test_verify_quick_pass(capsys):
 
 
 # a marking point far outside the workspace bound: refused where its marking is built
-FAR_POINT_ERROR = ("scenario_id = 1\nmarking.0.points = 0, 6, 30; 1e308, 0, 0\n"
-                   "marking.0.unsafe = 0, 1\n",
+FAR_POINT_ERROR = ("scenario_id = 1\nmarking.0.points = 0, 6, 30; 1e308, 0, 0\n",
                    "marking.0: point 1 must be 3 finite coordinates, each at most 1e+06 mm, "
                    "got [1e+308, 0.0, 0.0]")
 
@@ -271,21 +269,19 @@ CONFIG_ERRORS = [
     ("scenario_id = 1\ntumor.0.center = 1, 2\n", "tumor.0: tumor centre must be 3 finite"),
     ("scenario_id = 1\ntumor.0.center = 0, 0, 43\n", "tumor.0: keep-out sphere holds the "
      "initial tip placed by initial.d1, initial.theta2, initial.theta3"),
-    ("scenario_id = 1\nmarking.0.points = 1,2,3\n", "marking.0: unsafe flags must match"),
+    ("scenario_id = 1\nmarking.0.points = 1,2,3\n", "marking.0 point 0 intrudes no keep-out "
+     "sphere and lies off the cutting margin of tumor.0"),
     ("scenario_id = 4\nshell.0.outer_radius = 3\n", "shell.0: depth shell holds the centre "
                                                      "of tumor.0 but not its whole keep-out sphere"),
     # a shell's normal is undefined at its centre
     ("scenario_id = 4\nduration = 0.05\nshell.1.center = 0, 0, 36.7\nshell.1.outer_radius = 40\n",
      "shell.1: centre is within 1e-09 mm of the initial tip placed by initial.d1, "
      "initial.theta2, initial.theta3"),
-    ("scenario_id = 1\nmarking.0.unsafe = 1, 0, 1, 0, 0, 1, 0, 0\n",
-     "marking.0 point 0 is flagged unsafe but intrudes no keep-out sphere"),
-    ("scenario_id = 1\nmarking.0.unsafe = 0, 0, 0, 0, 0, 1, 0, 0\n",
-     "marking.0 point 2 is flagged safe but lies off the cutting margin of tumor.0"),
-    ("scenario_id = 1\nmarking.0.points = 1, 2; 3, 4; 5, 6\nmarking.0.unsafe = 0, 0\n",
+    # an unsafe marking is geometry, derived from the points and tumors, even at its own value
+    ("scenario_id = 1\nmarking.0.unsafe = 0, 0, 1, 0, 0, 1, 0, 0\n",
+     "unknown configuration key 'marking.0.unsafe'"),
+    ("scenario_id = 1\nmarking.0.points = 1, 2; 3, 4; 5, 6\n",
      "marking.0: marking points must be one or more rows of 3 coordinates, got shape (3, 2)"),
-    ("scenario_id = 1\nmarking.0.unsafe = 0, 0, 2, 0, 0, 1, 0, 0\n",
-     "marking.0: unsafe flags must be 0 or 1"),
     # the last value of a repeated key would silently win
     ("scenario_id = 1\nfilter.alpha = 0.4\nfilter.alpha = 0.8\n",
      "line 3: 'filter.alpha' is set again, first set on line 2"),
@@ -318,16 +314,16 @@ CONFIG_ERRORS = [
      "disturbance.frequency = 2e+307: the sinusoid's phase 2 pi frequency t is not finite "
      "at the run's last t = 2.0 s"),
     # one marking point on the initial tip: a path of no length has no direction
-    ("scenario_id = 1\ntumor.0.center = 0.0, 4.0, 43.0\nmarking.0.points = 0.0, 0.0, 43.0\n"
-     "marking.0.unsafe = 0\n", "markings: the reference path from the initial tip through "
-                               "the marking points has no segment of 1e-12 mm or longer"),
+    ("scenario_id = 1\ntumor.0.center = 0.0, 4.0, 43.0\nmarking.0.points = 0.0, 0.0, 43.0\n",
+     "markings: the reference path from the initial tip through the marking points has no "
+     "segment of 1e-12 mm or longer"),
     # a marking point outside the workspace bound is named where its marking is built, not
     # downstream as a path too long for a float: the expected text runs to the message's end
-    ("scenario_id = 1\nmarking.0.points = 0, 6, 30; nan, 0, 30\nmarking.0.unsafe = 0, 1\n",
+    ("scenario_id = 1\nmarking.0.points = 0, 6, 30; nan, 0, 30\n",
      "marking.0: point 1 must be 3 finite coordinates, each at most 1e+06 mm, "
      "got [nan, 0.0, 30.0]\n"),
     FAR_POINT_ERROR,
-    ("scenario_id = 1\nmarking.0.points = 0, 6, 30; 1e200, 0, 0\nmarking.0.unsafe = 0, 1\n",
+    ("scenario_id = 1\nmarking.0.points = 0, 6, 30; 1e200, 0, 0\n",
      "marking.0: point 1 must be 3 finite coordinates, each at most 1e+06 mm, "
      "got [1e+200, 0.0, 0.0]"),
     # the joint box is checked before the initial tip is placed

@@ -39,7 +39,8 @@ def test_markings_on_margin_circle():
     radii = np.linalg.norm(ms.points - TUMOR.center, axis=1)
     np.testing.assert_allclose(radii, 4.0, atol=1e-12)
     np.testing.assert_allclose(ms.points[:, 2], 30.0, atol=1e-12)
-    assert not ms.unsafe.any()
+    # the spec that holds a loop derives its unsafe flags; a loop alone has none
+    assert ms.unsafe is None
 
 
 def test_markings_counterclockwise_from_x():
@@ -61,28 +62,56 @@ def test_marking_validation():
     with pytest.raises(ValueError):
         generate_marking_points(TUMOR, 4, (0, 0, 0))
     with pytest.raises(ValueError):
-        MarkingSet(np.zeros((2, 3)), np.zeros(3, dtype=bool))
+        MarkingSet(np.zeros((0, 3)))
     # three 2-D points, not to be regrouped into two 3-D ones
     with pytest.raises(ValueError, match=r"rows of 3 coordinates, got shape \(3, 2\)"):
-        MarkingSet([[1, 2], [3, 4], [5, 6]], [False, False])
-    with pytest.raises(ValueError, match="unsafe flags must be 0 or 1"):
-        MarkingSet(np.zeros((2, 3)), [0, 2])
+        MarkingSet([[1, 2], [3, 4], [5, 6]])
 
 
 def test_inject_unsafe_points_radial():
     ms = generate_marking_points(TUMOR, 8, (0, 0, 1))
     out = inject_unsafe_points(ms, [(2, TUMOR, 1.5)])
-    assert out.unsafe[2] and out.unsafe.sum() == 1
     h, _ = selected_barrier_values(out.points[2], SafeSetSpec([TUMOR], []), 0)
     assert h[0] == pytest.approx(-1.5)
+    # catalog 1's one tumor is TUMOR: the spec holding the loop reads the moved point unsafe
+    held = replace(scenario_catalog(1), markings=[out]).markings[0]
+    assert held.unsafe.tolist() == [k == 2 for k in range(8)]
     # untouched points and the original set stay as they were
     np.testing.assert_array_equal(out.points[3], ms.points[3])
-    assert not ms.unsafe.any()
+    np.testing.assert_array_equal(ms.points, generate_marking_points(TUMOR, 8, (0, 0, 1)).points)
     # direction preserved
     rel = out.points[2] - TUMOR.center
     rel0 = ms.points[2] - TUMOR.center
     np.testing.assert_allclose(rel / np.linalg.norm(rel), rel0 / np.linalg.norm(rel0),
                                atol=1e-12)
+
+
+def test_unsafe_flags_are_the_geometry():
+    assert scenario_catalog(3).markings[0].unsafe.tolist() == [k in (2, 4, 6) for k in range(8)]
+    # the crease: tumor.1 moved to a gap of -2 mm, so margin point 6 of tumor 0, (0, 2, 30),
+    # lies 2 mm inside tumor.1's keep-out sphere.  On its own margin, it still intrudes
+    loop = generate_marking_points(TUMOR, 8, (0, 0, 1))
+    crease = replace(scenario_catalog(3), tumors=[TUMOR, TumorSpec((0.0, 0.0, 30.0), 4.0)],
+                     markings=[loop])
+    h, _ = selected_barrier_values(crease.markings[0].points[6], crease.safe_set, False)
+    assert abs(h[0]) <= 1e-9 and h[1] == pytest.approx(-2.0)
+    assert crease.markings[0].unsafe.tolist() == [k == 6 for k in range(8)]
+    # with no tumor no point intrudes
+    assert not replace(scenario_catalog(1), tumors=[]).markings[0].unsafe.any()
+
+
+def test_a_spec_writes_flags_only_to_its_own_loops():
+    spec = scenario_catalog(1)
+    loop = spec.markings[0]
+    # a second tumor that holds point 0 of tumor 0's margin, at (4, 6, 30), 0.5 mm deep
+    moved = replace(spec, tumors=[*spec.tumors, TumorSpec((8.0, 6.0, 30.0), 4.5)])
+    assert moved.markings[0] is not loop
+    assert moved.markings[0].unsafe.tolist() == [k in (0, 2, 5) for k in range(8)]
+    assert loop.unsafe.tolist() == [k in (2, 5) for k in range(8)]
+    # the loop a caller passes in gets no flags written to it
+    given = generate_marking_points(TUMOR, 8, (0, 0, 1))
+    replace(spec, markings=[given])
+    assert given.unsafe is None
 
 
 def test_inject_validation():
@@ -167,9 +196,9 @@ def test_validate_rejects_bad_geometry():
     with pytest.raises(ValueError, match="tumor.0: keep-out sphere holds the initial tip placed "
                                          "by initial.d1, initial.theta2, initial.theta3"):
         replace(spec, initial_q=JointConfig(d1, 0.0, theta3))
-    with pytest.raises(ValueError, match="marking.0 point 0 is flagged safe but lies off"):
-        replace(spec, markings=[MarkingSet(spec.markings[0].points + 0.5,
-                                           spec.markings[0].unsafe)])
+    with pytest.raises(ValueError, match="marking.0 point 0 intrudes no keep-out sphere and "
+                                         "lies off the cutting margin of tumor.0"):
+        replace(spec, markings=[MarkingSet(spec.markings[0].points + 0.5)])
     with pytest.raises(ValueError, match="at least one marking set"):
         replace(spec, markings=[])
     s4 = scenario_catalog(4)
@@ -226,6 +255,10 @@ def test_config_override_merges_onto_catalog():
     assert spec.speed == 3.5
     base = scenario_catalog(1)
     np.testing.assert_array_equal(spec.markings[0].points, base.markings[0].points)
+    # a loop's points alone, even to another count: the unsafe flags follow the geometry
+    spec = load_scenario("scenario_id = 1\n"
+                         "marking.0.points = 4, 6, 30; 0, 10, 30; -4, 6, 30; 0, 2, 30\n")
+    assert spec.markings[0].unsafe.tolist() == [False] * 4
 
 
 def test_config_base_id_argument():
@@ -267,7 +300,7 @@ WORKSPACE_SITES = {
     "margin": lambda v: TumorSpec((0.0, 6.0, 30.0), v),
     "shell centre": lambda v: DepthShell((-v, 0.0, 0.0), 7.0),
     "outer radius": lambda v: DepthShell((0.0, 6.0, 30.0), v),
-    "marking point": lambda v: MarkingSet([(0.0, 6.0, 30.0), (0.0, v, 30.0)], [0, 0]),
+    "marking point": lambda v: MarkingSet([(0.0, 6.0, 30.0), (0.0, v, 30.0)]),
 }
 
 

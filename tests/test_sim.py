@@ -254,8 +254,7 @@ def test_cut_measures_edge_cases_report_quietly(small_run):
     # a 2 s run ends before its 3.7 s approach; a loop through two opposite
     # margin points spans no plane.  Neither raises nor warns.
     spec, log = small_run
-    flat = _small_spec(markings=[MarkingSet(TUMOR.center + [[4.0, 0, 0], [-4.0, 0, 0]],
-                                            [False, False])])
+    flat = _small_spec(markings=[MarkingSet(TUMOR.center + [[4.0, 0, 0], [-4.0, 0, 0]])])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         early = sim.summarize(log, spec)

@@ -18,7 +18,9 @@ The manifest:
   on catalog 1 and `--alpha 0.4,0.8,1.5` on catalog 4;
 - the stdout and exit code of `safecut verify`, default and `--seed 100
   --qp-instances 40000`;
-- the saved config text, scenario_to_config, of catalog 1-4.
+- the saved config text, scenario_to_config, of catalog 1-4 and of the
+  loop-export specs, seeds 100-109, whose markings are seeded and which
+  carry a disturbance.
 
 Each tree's process streams its outputs as frames, a JSON header line and the
 payload bytes, and the two streams are compared as they arrive, so no log is
@@ -95,24 +97,24 @@ def _entries(tree: Path):
         with tempfile.TemporaryDirectory() as tmp:
             return worker.LoopExport(seed, False, Path(tmp)).items[i][0]
 
-    def config(n):
+    def config(build):
         def make():
-            text = scenario.scenario_to_config(scenario.scenario_catalog(n))
-            yield "text", "text", text.encode(), {}
+            yield "text", "text", scenario.scenario_to_config(build()).encode(), {}
         return make
 
-    builds = [(f"catalog {n}", lambda n=n: scenario.scenario_catalog(n)) for n in CATALOG]
-    builds += [(f"seed {s} spec {i}", lambda s=s, i=i: worker.seeded_specs(s, SEEDED_DURATION_S)[i])
-               for s in SEEDS for i in range(SEEDED_SPECS)]
-    builds += [(f"loop-export seed {s} spec {i}", lambda s=s, i=i: export_spec(s, i))
-               for s in SEEDS for i in range(SEEDED_SPECS)]
-    for label, build in builds:
+    catalog = [(f"catalog {n}", lambda n=n: scenario.scenario_catalog(n)) for n in CATALOG]
+    exported = [(f"loop-export seed {s} spec {i}", lambda s=s, i=i: export_spec(s, i))
+                for s in SEEDS for i in range(SEEDED_SPECS)]
+    seeded = [(f"seed {s} spec {i}",
+               lambda s=s, i=i: worker.seeded_specs(s, SEEDED_DURATION_S)[i])
+              for s in SEEDS for i in range(SEEDED_SPECS)]
+    for label, build in catalog + seeded + exported:
         for state, enabled in (("on", True), ("off", False)):
             yield f"{label}, filter {state}", logged(build, enabled)
     for argv in COMMANDS:
         yield "safecut " + " ".join(argv), command(argv)
-    for n in CATALOG:
-        yield f"catalog {n}, config", config(n)
+    for label, build in catalog + exported:
+        yield f"{label}, config", config(build)
 
 
 def _emit_manifest(tree: Path) -> None:
