@@ -66,16 +66,14 @@ def _run_one(spec, out_dir: Path, emit) -> float:
 
 
 def cmd_run(args) -> int:
-    if args.config:
+    if args.config is None:
+        spec = scenario_catalog(args.scenario)
+    else:
         try:
             text = Path(args.config).read_text()
         except OSError as exc:
             raise _UsageError(f"cannot read config: {exc}") from exc
-        spec = load_scenario(text, base_id=args.scenario)
-    elif args.scenario is not None:
-        spec = scenario_catalog(args.scenario)
-    else:
-        raise _UsageError("one of --scenario or --config is required")
+        spec = load_scenario(text)
 
     emit = tuple(tok for tok in args.emit.split(",") if tok)
     for tok in emit:
@@ -132,9 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("run", help="simulate a scenario and write its data files")
-    p.add_argument("--scenario", type=int, choices=SCENARIO_IDS,
-                   help="catalog scenario id")
-    p.add_argument("--config", help="scenario config file (overrides catalog values)")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--scenario", type=int, choices=SCENARIO_IDS,
+                        help="catalog scenario id")
+    source.add_argument("--config",
+                        help="scenario config file: its scenario_id names the catalog "
+                             "scenario whose values its other keys override")
     p.add_argument("--alpha",
                    help="comma list of filter gains; runs each into out/alpha_<v>/ "
                         "plus an unfiltered baseline into out/unfiltered/")

@@ -46,7 +46,7 @@ class InfeasibleQPError(RuntimeError):
     """No velocity satisfies every constraint row."""
 
 
-@dataclass
+@dataclass(eq=False)
 class TumorSpec:
     """A marked tumor: centre, cutting margin [mm]; marking.N.tumor names the one a loop cuts."""
 
@@ -60,7 +60,7 @@ class TumorSpec:
                              f"{WORKSPACE_MM:g} mm, got {self.margin!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class DepthShell:
     """Outer containment sphere around a dissection site."""
 
@@ -95,7 +95,7 @@ class FilterParams:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
 
 
-@dataclass
+@dataclass(eq=False)
 class SafeSetSpec:
     """All barriers of a scenario as one table; the only place that knows the list.
 
@@ -108,8 +108,8 @@ class SafeSetSpec:
 
     tumors: list
     shells: list
-    names: list = field(init=False, repr=False, compare=False)
-    barriers: list = field(init=False, repr=False, compare=False)
+    names: list = field(init=False, repr=False)
+    barriers: list = field(init=False, repr=False)
 
     def __post_init__(self):
         nt, ns = len(self.tumors), len(self.shells)

@@ -61,7 +61,7 @@ _CATALOG = {
 SCENARIO_IDS = tuple(_CATALOG)
 
 
-@dataclass
+@dataclass(eq=False)
 class MarkingSet:
     """Marking points of one cutting loop.
 
@@ -72,7 +72,7 @@ class MarkingSet:
 
     points: np.ndarray
     tumor_index: int = 0
-    unsafe: Optional[np.ndarray] = field(default=None, init=False, repr=False, compare=False)
+    unsafe: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         self.points = np.asarray(self.points, dtype=float)
@@ -173,7 +173,7 @@ def reference_rows(waypoints, arcs, speed: float, dt: float):
         yield p, (0.0, 0.0, 0.0)
 
 
-@dataclass
+@dataclass(eq=False)
 class ScenarioSpec:
     """Complete description of one closed-loop run.
 
@@ -183,6 +183,8 @@ class ScenarioSpec:
     barrier table safe_set and the reference path (waypoints, arcs) from the initial tip,
     then runs validate(), which also sets steps, the run's log rows, and each copied
     loop's unsafe flags.
+    A spec and its geometry compare by identity (eq=False), as numpy arrays have no
+    single truth value; spec_to_dict(a) == spec_to_dict(b) compares their content.
     """
 
     scenario_id: int
@@ -201,9 +203,9 @@ class ScenarioSpec:
     dt: float = 1e-3
     settle: float = 1.0
     duration: Optional[float] = None       # None: reference duration + settle
-    safe_set: SafeSetSpec = field(init=False, repr=False, compare=False)
-    path: tuple = field(init=False, repr=False, compare=False)
-    steps: int = field(init=False, repr=False, compare=False)
+    safe_set: SafeSetSpec = field(init=False, repr=False)
+    path: tuple = field(init=False, repr=False)
+    steps: int = field(init=False, repr=False)
 
     def __post_init__(self):
         for key, value in (("dt", self.dt), ("speed", self.speed), ("settle", self.settle),
@@ -319,11 +321,9 @@ def _parse_vec(text: str) -> np.ndarray:
 
 
 def _parse_bool(text: str) -> bool:
-    if text.lower() in ("true", "1", "yes"):
-        return True
-    if text.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+    if text not in ("true", "false"):
+        raise ValueError(f"must be true or false, got {text!r}")
+    return text == "true"
 
 
 # kind -> (format, parse)
@@ -457,18 +457,9 @@ def parse_config(text: str) -> dict:
     return pairs
 
 
-def load_scenario(text: str, base_id: Optional[int] = None) -> ScenarioSpec:
-    """Scenario from config text, overriding catalog defaults field by field.
-
-    The base scenario comes from the file's scenario_id key, or base_id when
-    the file does not name one.  Both given must agree, rather than one silently winning.
-    """
+def load_scenario(text: str) -> ScenarioSpec:
+    """Scenario from config text: the catalog scenario the file's scenario_id names,
+    overridden field by field by the file's other keys."""
     overrides = parse_config(text)
-    sid = _parse(overrides, "scenario_id", "int") if "scenario_id" in overrides else base_id
-    if base_id is not None and sid != base_id:
-        raise ValueError(f"scenario_id = {sid} in the config disagrees with base scenario "
-                         f"{base_id} (--scenario)")
-    if sid is None:
-        raise ValueError("config names no scenario_id and no base scenario given")
-    return spec_from_dict({**spec_to_dict(scenario_catalog(sid)), **overrides,
-                           "scenario_id": str(sid)})
+    base = scenario_catalog(_parse(overrides, "scenario_id", "int"))
+    return spec_from_dict({**spec_to_dict(base), **overrides})

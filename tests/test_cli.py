@@ -70,7 +70,10 @@ def test_run_no_filter_baseline(tmp_path):
 
 
 def test_usage_errors_exit_2(tmp_path, capsys):
-    assert main(["run"]) == 2
+    with pytest.raises(SystemExit) as err:   # a run takes its scenario from exactly one place
+        main(["run"])
+    assert err.value.code == 2
+    assert "one of the arguments --scenario --config is required" in capsys.readouterr().err
     assert main(["run", "--scenario", "1", "--alpha", "0.2,nope"]) == 2
     assert main(["run", "--scenario", "1", "--alpha", "-0.4"]) == 2
     assert main(["run", "--scenario", "1", "--emit", "json"]) == 2
@@ -103,12 +106,13 @@ def test_bad_config_content_exits_2(tmp_path, capsys):
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
     cfg.write_text("filter.alpha = 0.4\n")
     assert main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
-    # a --scenario that disagrees with the file's scenario_id: neither silently wins
+    # the file's scenario_id names its scenario, so --scenario beside it is refused
     cfg.write_text(SHORT_CONFIG)
     capsys.readouterr()
-    assert main(["run", "--config", str(cfg), "--scenario", "3", "--out", str(tmp_path / "o")]) == 2
-    assert "scenario_id = 1 in the config disagrees with base scenario 3" in capsys.readouterr().err
-    assert main(["run", "--config", str(cfg), "--scenario", "1", "--out", str(tmp_path / "o")]) == 0
+    with pytest.raises(SystemExit) as err:
+        main(["run", "--config", str(cfg), "--scenario", "3", "--out", str(tmp_path / "o")])
+    assert err.value.code == 2
+    assert "argument --scenario: not allowed with argument --config" in capsys.readouterr().err
 
 
 def test_argparse_rejects_unknown_scenario():
@@ -254,6 +258,10 @@ CONFIG_ERRORS = [
     ("scenario_id = 1\nkinematics.l2 = 10.0\n", "unknown configuration key 'kinematics.l2'"),
     ("scenario_id = 1\nkinematics.l_end = 17.0\n", "unknown configuration key 'kinematics.l_end'"),
     ("scenario_id = 1\nfilter.mode = foo\n", "filter.mode"),
+    # a boolean is written true or false, and read only that way
+    ("scenario_id = 1\nfilter.enabled = yes\n", "filter.enabled: must be true or false, got 'yes'"),
+    # the file names its base scenario
+    ("filter.alpha = 0.7\n", "missing configuration key 'scenario_id'"),
     ("scenario_id = 1\ntumor.x.margin = 3.0\n", "tumor.x.margin"),
     ("scenario_id = 2\ntumor.01.margin = 3.0\n", "tumor.01.margin"),
     ("scenario_id = 1\ntumor.0.margin = wide\n", "tumor.0.margin"),

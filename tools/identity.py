@@ -5,8 +5,8 @@
 extracts REV with `git archive` into a temporary directory (no network, no
 change to .git), runs one fixed manifest on each tree's src/ and bench/, each
 tree in its own process, and prints one line per output: `same`, or where the
-two first differ (step and column of a log, line and field of a text).  It
-exits 0 only when every line is `same`.
+two first differ (step and column of a log, line and field of a text, or the
+first line only one text has).  It exits 0 only when every line is `same`.
 
 The manifest:
 - the log data of sim.run(spec) and the repr of sim.summarize, filter on and
@@ -47,8 +47,6 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 CATALOG = (1, 2, 3, 4)
 SEEDS = range(100, 110)
-SEEDED_SPECS = 4                # bench/worker.seeded_specs: one per catalog template
-SEEDED_DURATION_S = 10.0        # bench/worker.DURATION_S
 EMIT = ["--emit", "csv,plotdata,report"]
 COMMANDS = ([["run", "--scenario", str(n), *EMIT] for n in CATALOG]
             + [["run", "--scenario", "1", "--alpha", "0.2,0.4,0.8", *EMIT],
@@ -103,11 +101,12 @@ def _entries(tree: Path):
         return make
 
     catalog = [(f"catalog {n}", lambda n=n: scenario.scenario_catalog(n)) for n in CATALOG]
+    specs = range(len(worker.TEMPLATES))       # seeded_specs makes one per catalog template
     exported = [(f"loop-export seed {s} spec {i}", lambda s=s, i=i: export_spec(s, i))
-                for s in SEEDS for i in range(SEEDED_SPECS)]
+                for s in SEEDS for i in specs]
     seeded = [(f"seed {s} spec {i}",
-               lambda s=s, i=i: worker.seeded_specs(s, SEEDED_DURATION_S)[i])
-              for s in SEEDS for i in range(SEEDED_SPECS)]
+               lambda s=s, i=i: worker.seeded_specs(s, worker.DURATION_S)[i])
+              for s in SEEDS for i in specs]
     for label, build in catalog + seeded + exported:
         for state, enabled in (("on", True), ("off", False)):
             yield f"{label}, filter {state}", logged(build, enabled)
@@ -165,7 +164,10 @@ def _text_difference(a: str, b: str, rev: str) -> str:
             field = [fields[f] if f < len(fields) else "<none>" for fields in (fx, fy)]
             return f"line {n}, field {f + 1}: {rev} {field[0]!r}, this tree {field[1]!r}"
     if len(lines_a) != len(lines_b):
-        return f"{len(lines_a)} lines in {rev}, {len(lines_b)} in this tree"
+        n = min(len(lines_a), len(lines_b))
+        side, extra = (rev, lines_a[n]) if len(lines_a) > n else ("this tree", lines_b[n])
+        return (f"{len(lines_a)} lines in {rev}, {len(lines_b)} in this tree; "
+                f"line {n + 1}, first only in {side}: {extra!r}")
     return "line endings differ"
 
 
