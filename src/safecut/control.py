@@ -19,7 +19,7 @@ _NOISE_FLOOR = 1e-12   # ||edot|| at or below it carries no transient to fit
 DAMPING = 1e-3         # regularizes Jpinv where J loses rank
 
 
-@dataclass
+@dataclass(frozen=True)
 class DisturbanceSpec:
     """Additive joint-space disturbance d(t) with ||d||_inf <= amplitude.
 
@@ -37,7 +37,7 @@ class DisturbanceSpec:
     def __post_init__(self):
         if self.waveform not in ("none", "constant", "sinusoid"):
             raise ValueError(f"unknown waveform {self.waveform!r}")
-        self.amplitude = tuple(float(a) for a in self.amplitude)
+        object.__setattr__(self, "amplitude", tuple(float(a) for a in self.amplitude))
         if len(self.amplitude) != 3 or not all(math.isfinite(a) for a in self.amplitude):
             raise ValueError(f"amplitude must be 3 finite values, got {self.amplitude!r}")
         if not math.isfinite(self.frequency):
@@ -48,7 +48,8 @@ class DisturbanceSpec:
                 or self.seed < 0):
             raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
         # drawn once here, not on every control step's sample
-        self.phases = tuple(np.random.default_rng(self.seed).uniform(0.0, math.tau, 3).tolist())
+        object.__setattr__(self, "phases", tuple(
+            np.random.default_rng(self.seed).uniform(0.0, math.tau, 3).tolist()))
 
 
 def velocity_error(J, xdot, xdot_safe):

@@ -35,9 +35,10 @@ class DynamicParams:
         (m1 + m2 + m3, m2 L2, m2 L2^2, m3 L_END^2 + i3, (m1 + m2 + m3) gz, -2 m3,
         m3 L_END, beside L2, L_END, m3, i2 and gravity), folded once at
         construction, which refuses a set, naming its fields, where one or a
-        joint's gravity load would overflow or a pivot could fail.  Frozen: a
-        field assigned afterwards would leave plant stale, so assignment raises
-        instead.
+        joint's gravity load would overflow or a pivot could fail.  Frozen, as is
+        every record a ScenarioSpec holds: a field assigned afterwards would leave
+        plant stale, so assignment raises, and dataclasses.replace, which folds
+        and checks again, derives a changed set.
     """
 
     masses: tuple = (2.0, 1.5, 1.0)

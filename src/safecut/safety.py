@@ -46,7 +46,7 @@ class InfeasibleQPError(RuntimeError):
     """No velocity satisfies every constraint row."""
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class TumorSpec:
     """A marked tumor: centre, cutting margin [mm]; marking.N.tumor names the one a loop cuts."""
 
@@ -54,13 +54,13 @@ class TumorSpec:
     margin: float
 
     def __post_init__(self):
-        self.center = _finite_point(self.center, "tumor centre")
+        object.__setattr__(self, "center", _finite_point(self.center, "tumor centre"))
         if not 0.0 < self.margin <= WORKSPACE_MM:
             raise ValueError(f"cutting margin must be positive and finite, at most "
                              f"{WORKSPACE_MM:g} mm, got {self.margin!r}")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class DepthShell:
     """Outer containment sphere around a dissection site."""
 
@@ -68,13 +68,13 @@ class DepthShell:
     outer_radius: float
 
     def __post_init__(self):
-        self.center = _finite_point(self.center, "shell centre")
+        object.__setattr__(self, "center", _finite_point(self.center, "shell centre"))
         if not 0.0 < self.outer_radius <= WORKSPACE_MM:
             raise ValueError(f"outer radius must be positive and finite, at most "
                              f"{WORKSPACE_MM:g} mm, got {self.outer_radius!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class FilterParams:
     """Filter configuration; an enabled filter takes every barrier as a row.
 
@@ -95,7 +95,7 @@ class FilterParams:
             raise ValueError(f"alpha must be positive and finite, got {self.alpha!r}")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class SafeSetSpec:
     """All barriers of a scenario as one table; the only place that knows the list.
 
@@ -113,9 +113,11 @@ class SafeSetSpec:
 
     def __post_init__(self):
         nt, ns = len(self.tumors), len(self.shells)
-        self.names = [f"tumor{i}" for i in range(nt)] + [f"shell{j}" for j in range(ns)]
-        self.barriers = [(*t.center.tolist(), float(t.margin), 1.0) for t in self.tumors] + \
-                        [(*s.center.tolist(), float(s.outer_radius), -1.0) for s in self.shells]
+        names = [f"tumor{i}" for i in range(nt)] + [f"shell{j}" for j in range(ns)]
+        barriers = [(*t.center.tolist(), float(t.margin), 1.0) for t in self.tumors] + \
+                   [(*s.center.tolist(), float(s.outer_radius), -1.0) for s in self.shells]
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "barriers", barriers)
         for j, shell in enumerate(self.shells):
             for i, tumor in enumerate(self.tumors):
                 dist = float(np.linalg.norm(tumor.center - shell.center))
@@ -125,11 +127,12 @@ class SafeSetSpec:
 
 
 def _finite_point(p, what: str) -> np.ndarray:
-    """p as a float array of 3 coordinates, each within WORKSPACE_MM of 0 (so not nan or inf)."""
-    p = np.asarray(p, dtype=float)
+    """A read-only float copy of p, 3 coordinates each within WORKSPACE_MM of 0 (so finite)."""
+    p = np.array(p, dtype=float)
     if p.shape != (3,) or not np.all(np.abs(p) <= WORKSPACE_MM):
         raise ValueError(f"{what} must be 3 finite coordinates, each at most "
                          f"{WORKSPACE_MM:g} mm, got {p.tolist()}")
+    p.flags.writeable = False
     return p
 
 

@@ -61,13 +61,13 @@ _CATALOG = {
 SCENARIO_IDS = tuple(_CATALOG)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MarkingSet:
     """Marking points of one cutting loop.
 
-    points: (m, 3) positions [mm]; tumor_index: which tumor of the scenario the
-    loop belongs to.  unsafe, a boolean per point, is derived from the geometry:
-    the ScenarioSpec that holds the loop sets it in validate(); None before.
+    points: (m, 3) positions [mm], kept as a read-only copy; tumor_index: which tumor of the
+    scenario the loop belongs to.  unsafe, a read-only boolean per point, is derived from the
+    geometry: the ScenarioSpec that holds the loop sets it in validate(); None before.
     """
 
     points: np.ndarray
@@ -75,7 +75,9 @@ class MarkingSet:
     unsafe: Optional[np.ndarray] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        self.points = np.asarray(self.points, dtype=float)
+        points = np.array(self.points, dtype=float)
+        points.flags.writeable = False
+        object.__setattr__(self, "points", points)
         if self.points.ndim != 2 or self.points.shape[1] != 3 or len(self.points) == 0:
             raise ValueError("marking points must be one or more rows of 3 coordinates, "
                              f"got shape {self.points.shape}")
@@ -173,24 +175,27 @@ def reference_rows(waypoints, arcs, speed: float, dt: float):
         yield p, (0.0, 0.0, 0.0)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class ScenarioSpec:
     """Complete description of one closed-loop run.
 
     initial_q is the joint position at t = 0 (config keys initial.d1, initial.theta2,
     initial.theta3); the run starts there at rest.
-    Construction, dataclasses.replace included, copies the marking loops, builds the
-    barrier table safe_set and the reference path (waypoints, arcs) from the initial tip,
-    then runs validate(), which also sets steps, the run's log rows, and each copied
-    loop's unsafe flags.
+    Construction, dataclasses.replace included, keeps tumors, shells and copies of the
+    marking loops as tuples, builds the barrier table safe_set and the read-only reference
+    path (waypoints, arcs) from the initial tip, then runs validate(), which also sets
+    steps, the run's log rows, and each copied loop's unsafe flags.
+    A spec is a value: it and every record it holds are frozen and their arrays read-only,
+    since a write would skip the checks and leave safe_set, path, steps and the flags stale.
+    dataclasses.replace, which checks again, is the way to derive a changed spec.
     A spec and its geometry compare by identity (eq=False), as numpy arrays have no
     single truth value; spec_to_dict(a) == spec_to_dict(b) compares their content.
     """
 
     scenario_id: int
-    tumors: list
-    shells: list
-    markings: list
+    tumors: tuple
+    shells: tuple
+    markings: tuple
     filter: FilterParams
     disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
     dynamics: DynamicParams = field(default_factory=DynamicParams)
@@ -213,16 +218,20 @@ class ScenarioSpec:
             if value is not None and not 0.0 < value < math.inf:
                 raise ValueError(f"{key} must be positive and finite, got {value!r}")
         # plain floats, named by their config keys: the run starts from them
-        self.initial_q = JointConfig._make(map(float, self.initial_q))
+        object.__setattr__(self, "initial_q", JointConfig._make(map(float, self.initial_q)))
         for (name, (low, high)), v in zip(JOINT_BOX.items(), self.initial_q):
             if not low <= v <= high:    # nan too
                 raise ValueError(f"initial.{name} = {v!r} outside the workspace box "
                                  f"[{low:g}, {high:g}]")
-        self.safe_set = SafeSetSpec(self.tumors, self.shells)
+        for name in ("tumors", "shells"):
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        object.__setattr__(self, "safe_set", SafeSetSpec(self.tumors, self.shells))
         # own copies: validate writes their unsafe flags, and others may hold the loops given
-        self.markings = [replace(ms) for ms in self.markings]
+        object.__setattr__(self, "markings", tuple(replace(ms) for ms in self.markings))
         tip, _ = tip_kinematics(*self.initial_q)
-        self.path = reference_waypoints(self.markings, tip)
+        waypoints, arcs = reference_waypoints(self.markings, tip)
+        waypoints.flags.writeable = arcs.flags.writeable = False
+        object.__setattr__(self, "path", (waypoints, arcs))
         self.validate()
 
     def validate(self):
@@ -249,7 +258,7 @@ class ScenarioSpec:
             raise ValueError(f"dt = {self.dt!r}, speed = {self.speed!r}, {end} = "
                              f"{getattr(self, end)!r}: {steps + 1.0:.3g} steps x {columns} "
                              "float64 log columns are more than one array can address")
-        self.steps = round(steps) + 1
+        object.__setattr__(self, "steps", round(steps) + 1)
         # control.disturbance's phase at the run's last logged t: finite there, finite before
         dist, t = self.disturbance, (self.steps - 1) * self.dt
         if dist.waveform == "sinusoid" and not math.isfinite(2.0 * math.pi * dist.frequency * t):
@@ -266,19 +275,18 @@ class ScenarioSpec:
                 raise ValueError(f"shell.{j}: centre is within {CENTRE_TOL:g} mm of {placed}")
         # a point is unsafe where it intrudes some keep-out sphere; a safe one lies on its
         # own tumor's cutting margin.  With no tumor every point is safe
-        for ms in self.markings:
-            ms.unsafe = np.zeros(len(ms.points), dtype=bool)
-        if not self.tumors:
-            return
         for i, ms in enumerate(self.markings):
-            if not 0 <= ms.tumor_index < nt:
+            if nt and not 0 <= ms.tumor_index < nt:
                 raise ValueError(f"marking.{i}.tumor = {ms.tumor_index} names no tumor")
-            for k, p in enumerate(ms.points):
+            unsafe = np.zeros(len(ms.points), dtype=bool)
+            for k, p in enumerate(ms.points if nt else ()):
                 h = selected_barrier_values(p, safe_set, False)[0][:nt]
-                ms.unsafe[k] = min(h) < -_ON_MARGIN
-                if not ms.unsafe[k] and abs(h[ms.tumor_index]) > _ON_MARGIN:
+                unsafe[k] = min(h) < -_ON_MARGIN
+                if not unsafe[k] and abs(h[ms.tumor_index]) > _ON_MARGIN:
                     raise ValueError(f"marking.{i} point {k} intrudes no keep-out sphere and lies "
                                      f"off the cutting margin of tumor.{ms.tumor_index}")
+            unsafe.flags.writeable = False
+            object.__setattr__(ms, "unsafe", unsafe)
 
 
 def scenario_catalog(scenario_id: int) -> ScenarioSpec:
@@ -461,5 +469,5 @@ def load_scenario(text: str) -> ScenarioSpec:
     """Scenario from config text: the catalog scenario the file's scenario_id names,
     overridden field by field by the file's other keys."""
     overrides = parse_config(text)
-    base = scenario_catalog(_parse(overrides, "scenario_id", "int"))
+    base = _named("scenario_id", scenario_catalog, _parse(overrides, "scenario_id", "int"))
     return spec_from_dict({**spec_to_dict(base), **overrides})

@@ -262,6 +262,7 @@ CONFIG_ERRORS = [
     ("scenario_id = 1\nfilter.enabled = yes\n", "filter.enabled: must be true or false, got 'yes'"),
     # the file names its base scenario
     ("filter.alpha = 0.7\n", "missing configuration key 'scenario_id'"),
+    ("scenario_id = 9\n", "scenario_id: unknown scenario id 9"),
     ("scenario_id = 1\ntumor.x.margin = 3.0\n", "tumor.x.margin"),
     ("scenario_id = 2\ntumor.01.margin = 3.0\n", "tumor.01.margin"),
     ("scenario_id = 1\ntumor.0.margin = wide\n", "tumor.0.margin"),

@@ -114,6 +114,30 @@ def test_a_spec_writes_flags_only_to_its_own_loops():
     assert given.unsafe is None
 
 
+# a write would skip construction's checks and leave safe_set, path, steps and the
+# flags stale, so each raises; replace builds a new spec, and checks it again
+SPEC_CHANGES = [
+    ("spec.duration = 0.01", dataclasses.FrozenInstanceError, "'duration'"),
+    ("spec.filter.alpha = -1.0", dataclasses.FrozenInstanceError, "'alpha'"),
+    ("spec.disturbance.seed = 3", dataclasses.FrozenInstanceError, "'seed'"),
+    ("spec.tumors[0].center[1] = 0.0", ValueError, "read-only"),
+    ("spec.markings[0].points[0, 0] = 1.0", ValueError, "read-only"),
+    ("spec.markings[0].unsafe[0] = True", ValueError, "read-only"),
+    ("spec.tumors.append(TumorSpec((0.0, -6.0, 30.0), 4.0))", AttributeError, "append"),
+    ("replace(spec, dt=-1.0)", ValueError, "^dt must be positive and finite, got -1.0"),
+    ("replace(spec.filter, alpha=-1.0)", ValueError, "^alpha must be positive and finite"),
+]
+
+
+@pytest.mark.parametrize("change, error, message", SPEC_CHANGES)
+def test_a_spec_changes_only_by_a_checked_replace(change, error, message):
+    spec = scenario_catalog(1)
+    with pytest.raises(error, match=message):
+        exec(change, {"spec": spec, "replace": replace, "TumorSpec": TumorSpec})
+    assert spec_to_dict(spec) == spec_to_dict(scenario_catalog(1))
+    assert spec.markings[0].unsafe.tolist() == [k in (2, 5) for k in range(8)]
+
+
 def test_inject_validation():
     ms = generate_marking_points(TUMOR, 4, (0, 0, 1))
     with pytest.raises(ValueError):

@@ -315,15 +315,17 @@ def test_one_reference_per_run_and_one_barrier_evaluation_per_step(monkeypatch, 
 @pytest.mark.parametrize("barrier", ["tumor0", "shell0"])
 def test_tip_on_a_barrier_centre_fails_only_a_filter_row(barrier):
     # construction refuses a tip that starts on a centre, so the table is
-    # swapped in afterwards; the tumor's h < 0 keeps the gate disengaged
+    # swapped in afterwards, past the frozen spec's own assignment check, since
+    # no checked spec reaches this state; the tumor's h < 0 keeps the gate disengaged
     for enabled in (True, False):
         spec = _small_spec(filter=FilterParams(activation_gate=True, enabled=enabled),
                            duration=0.05)
         tip, _ = tip_kinematics(*spec.initial_q)
         if barrier == "tumor0":
-            spec.safe_set, h0 = SafeSetSpec([TumorSpec(tip, 4.0)], []), -4.0
+            table, h0 = SafeSetSpec([TumorSpec(tip, 4.0)], []), -4.0
         else:
-            spec.safe_set, h0 = SafeSetSpec([], [DepthShell(tip, 7.0)]), 7.0
+            table, h0 = SafeSetSpec([], [DepthShell(tip, 7.0)]), 7.0
+        object.__setattr__(spec, "safe_set", table)
         if enabled:
             with pytest.raises(safety.DegeneratePointError,
                                match=f"{barrier}: barrier gradient undefined"):
@@ -338,9 +340,6 @@ def test_csv_round_trip_exact(small_run, tmp_path):
     path = tmp_path / "run.csv"
     sim.export_csv(log, path)
     back = sim.read_csv(path)
-    for field in ("t", "q", "qdot", "x", "xdot", "xdot_des", "xdot_safe",
-                  "u", "d", "edot", "h", "active_rows", "gate"):
-        np.testing.assert_array_equal(getattr(log, field), getattr(back, field))
     # 30 columns plus one per barrier
     assert back.data.shape == log.data.shape == (len(log), 30 + len(log.barrier_names))
     assert back.data.tobytes() == log.data.tobytes()

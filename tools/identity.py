@@ -10,9 +10,10 @@ first line only one text has).  It exits 0 only when every line is `same`.
 
 The manifest:
 - the log data of sim.run(spec) and the repr of sim.summarize, filter on and
-  off, for catalog 1-4, the specs of bench/worker.seeded_specs, seeds
-  100-109 at the loop-filtered workload's 10 s, and the specs the
-  loop-export workload runs, seeds 100-109, each with a sinusoid disturbance;
+  off, for catalog 1-4 (scenario.SCENARIO_IDS), the specs of
+  bench/worker.seeded_specs, seeds 100-109 at the loop-filtered workload's
+  10 s, and the specs the loop-export workload runs, seeds 100-109, each with
+  a sinusoid disturbance;
 - the files, stdout and exit code of `safecut run --scenario N --emit
   csv,plotdata,report` for N = 1-4, and of the sweeps `--alpha 0.2,0.4,0.8`
   on catalog 1 and `--alpha 0.4,0.8,1.5` on catalog 4;
@@ -45,13 +46,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-CATALOG = (1, 2, 3, 4)
 SEEDS = range(100, 110)
 EMIT = ["--emit", "csv,plotdata,report"]
-COMMANDS = ([["run", "--scenario", str(n), *EMIT] for n in CATALOG]
-            + [["run", "--scenario", "1", "--alpha", "0.2,0.4,0.8", *EMIT],
-               ["run", "--scenario", "4", "--alpha", "0.4,0.8,1.5", *EMIT],
-               ["verify"], ["verify", "--seed", "100", "--qp-instances", "40000"]])
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +96,8 @@ def _entries(tree: Path):
             yield "text", "text", scenario.scenario_to_config(build()).encode(), {}
         return make
 
-    catalog = [(f"catalog {n}", lambda n=n: scenario.scenario_catalog(n)) for n in CATALOG]
+    catalog = [(f"catalog {n}", lambda n=n: scenario.scenario_catalog(n))
+               for n in scenario.SCENARIO_IDS]
     specs = range(len(worker.TEMPLATES))       # seeded_specs makes one per catalog template
     exported = [(f"loop-export seed {s} spec {i}", lambda s=s, i=i: export_spec(s, i))
                 for s in SEEDS for i in specs]
@@ -110,7 +107,11 @@ def _entries(tree: Path):
     for label, build in catalog + seeded + exported:
         for state, enabled in (("on", True), ("off", False)):
             yield f"{label}, filter {state}", logged(build, enabled)
-    for argv in COMMANDS:
+    commands = ([["run", "--scenario", str(n), *EMIT] for n in scenario.SCENARIO_IDS]
+                + [["run", "--scenario", "1", "--alpha", "0.2,0.4,0.8", *EMIT],
+                   ["run", "--scenario", "4", "--alpha", "0.4,0.8,1.5", *EMIT],
+                   ["verify"], ["verify", "--seed", "100", "--qp-instances", "40000"]])
+    for argv in commands:
         yield "safecut " + " ".join(argv), command(argv)
     for label, build in catalog + exported:
         yield f"{label}, config", config(build)
